@@ -422,6 +422,11 @@ std::vector<Transaction> Ledger::history() const {
     return history_;
 }
 
+std::size_t Ledger::history_size() const {
+    const ga::util::LockGuard lock(mutex_);
+    return history_.size();
+}
+
 double Ledger::total_cost(const std::string& user,
                           std::string_view currency) const {
     const ga::util::LockGuard lock(mutex_);

@@ -218,6 +218,9 @@ public:
     /// Snapshot of the audit trail (copy — safe under concurrent charges).
     [[nodiscard]] std::vector<Transaction> history() const;
 
+    /// Length of the audit trail, without copying it.
+    [[nodiscard]] std::size_t history_size() const;
+
     /// Net recorded cost for one user in one currency (refunds subtract).
     [[nodiscard]] double total_cost(const std::string& user,
                                     std::string_view currency) const;

@@ -4,10 +4,9 @@
 #include <cmath>
 #include <cstdio>
 #include <limits>
-#include <span>
+#include <string>
 #include <utility>
 
-#include "carbon/grids.hpp"
 #include "machine/catalog.hpp"
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
@@ -18,6 +17,13 @@ namespace ga::service {
 namespace {
 
 using ga::io::JsonValue;
+
+/// The session's scheduling rules (sim/scheduler.hpp): strict FIFO, a
+/// queued-work-only wait estimate, and figures for every machine so quotes
+/// can show the ones a job cannot fit.
+constexpr ga::sim::SchedulerRules kServiceRules{
+    ga::sim::QueueOrder::StrictFifo, /*wait_counts_running=*/false,
+    /*price_infeasible=*/true};
 
 /// Service-layer instruments: process-wide request/error counters shared by
 /// every session in the process (the per-session tallies that back the
@@ -57,22 +63,15 @@ JsonValue object() { return JsonValue{JsonValue::Object{}}; }
 ServeSession::ServeSession(ga::io::ScenarioFile scenario)
     : rng_(ga::util::Rng(scenario.workload.seed).split(0xA110C8)) {
     init_config(std::move(scenario));
-    clusters_.reserve(cluster_cfgs_.size());
+    int largest = 1;
     for (const auto& cfg : cluster_cfgs_) {
-        ClusterSessionState cluster;
-        cluster.name = cfg.entry.node.name;
-        cluster.capacity_cores = cfg.total_cores();
-        cluster.free_cores = cluster.capacity_cores;
-        clusters_.push_back(std::move(cluster));
+        largest = std::max(largest, cfg.total_cores());
     }
+    core_.reset(cluster_cfgs_, *setup_, kServiceRules, largest);
     std::vector<std::pair<std::string, ga::acct::AccountantSpec>> currencies;
     if (options_.currency_budgets.empty()) {
-        const ga::acct::AccountantSpec pricing_spec =
-            options_.accountant_spec.has_value()
-                ? *options_.accountant_spec
-                : ga::acct::to_spec(options_.pricing);
         currencies.emplace_back(std::string(ga::acct::Ledger::kDefaultCurrency),
-                                pricing_spec);
+                                setup_->pricing_spec);
     } else {
         for (const auto& cb : options_.currency_budgets) {
             currencies.emplace_back(cb.currency, cb.accountant);
@@ -96,13 +95,13 @@ ServeSession::ServeSession(ga::io::ScenarioFile scenario,
             "taken under a different scenario configuration than the one "
             "being served");
     }
-    if (state.clusters.size() != clusters_.size()) {
+    if (state.clusters.size() != cluster_cfgs_.size()) {
         throw ga::util::RuntimeError(
             "snapshot: cluster count mismatch against the configuration");
     }
-    for (std::size_t c = 0; c < clusters_.size(); ++c) {
-        if (state.clusters[c].name != clusters_[c].name ||
-            state.clusters[c].capacity_cores != clusters_[c].capacity_cores) {
+    for (std::size_t c = 0; c < cluster_cfgs_.size(); ++c) {
+        if (state.clusters[c].name != cluster_cfgs_[c].entry.node.name ||
+            state.clusters[c].capacity_cores != core_.cluster(c).capacity) {
             throw ga::util::RuntimeError(
                 "snapshot: cluster '" + state.clusters[c].name +
                 "' does not match the configured deployment");
@@ -115,7 +114,29 @@ ServeSession::ServeSession(ga::io::ScenarioFile scenario,
     jobs_submitted_ = state.jobs_submitted;
     jobs_rejected_ = state.jobs_rejected;
     primary_spent_ = state.primary_spent;
-    clusters_ = state.clusters;
+    for (std::size_t c = 0; c < cluster_cfgs_.size(); ++c) {
+        const ClusterSessionState& saved = state.clusters[c];
+        ga::sim::ClusterState counters;
+        counters.capacity = saved.capacity_cores;
+        counters.free_cores = saved.free_cores;
+        counters.queued_core_seconds = saved.queued_core_seconds;
+        counters.started = saved.started;
+        counters.completed = saved.completed;
+        std::vector<ga::sim::RunningJob> running;
+        running.reserve(saved.running.size());
+        for (const auto& job : saved.running) {
+            running.push_back(ga::sim::RunningJob{
+                job.finish_s, job.seq, static_cast<std::uint32_t>(c),
+                job.cores, 0});
+        }
+        std::vector<ga::sim::QueuedJob> queued;
+        queued.reserve(saved.queue.size());
+        for (const auto& job : saved.queue) {
+            queued.push_back(
+                ga::sim::QueuedJob{job.seq, job.cores, 0, job.runtime_s});
+        }
+        core_.restore(c, counters, running, queued);
+    }
 }
 
 void ServeSession::init_config(ga::io::ScenarioFile scenario) {
@@ -154,159 +175,73 @@ void ServeSession::init_config(ga::io::ScenarioFile scenario) {
         predictor_index_.push_back(
             predictor_->machine_index(cfg.entry.node.name));
     }
-
-    std::map<std::string, ga::carbon::IntensityTrace> traces;
-    if (options_.regional_grids) {
-        for (const auto& cfg : cluster_cfgs_) {
-            if (cfg.entry.grid_region.empty()) continue;
-            traces.emplace(cfg.entry.node.name,
-                           ga::carbon::synthesize(
-                               ga::carbon::region(cfg.entry.grid_region),
-                               /*days=*/30, options_.grid_seed));
-        }
-    }
-    cba_ = std::make_unique<ga::acct::CarbonBasedAccounting>(traces);
-
-    const ga::acct::AccountantSpec pricing_spec =
-        options_.accountant_spec.has_value()
-            ? *options_.accountant_spec
-            : ga::acct::to_spec(options_.pricing);
-    pricer_ = ga::acct::AccountantRegistry::global().make(pricing_spec);
-    if (!traces.empty()) {
-        if (auto bound = pricer_->with_grid(traces)) pricer_ = std::move(bound);
-    }
-
-    ga::sim::PolicySpec policy_spec =
-        options_.policy_spec.has_value()
-            ? *options_.policy_spec
-            : ga::sim::to_spec(options_.policy, options_.mixed_threshold);
-    if (policy_spec.params.find("index") == policy_spec.params.end()) {
-        for (std::size_t c = 0; c < cluster_cfgs_.size(); ++c) {
-            if (cluster_cfgs_[c].entry.node.name == policy_spec.name) {
-                policy_spec.params.emplace("index", static_cast<double>(c));
-            }
-        }
-    }
-    routing_ = ga::sim::PolicyRegistry::global().make(policy_spec);
-    fill_grid_intensity_ = routing_->uses_grid_intensity();
-    fill_grid_forecast_ =
-        fill_grid_intensity_ && routing_->uses_grid_forecast();
+    setup_ = std::make_unique<const ga::sim::RunSetup>(options_, cluster_cfgs_);
 }
 
 // ------------------------------------------------------------- scheduling
 
-std::uint64_t ServeSession::advance_to(double t) {
-    std::uint64_t completed = 0;
-    for (;;) {
-        // Earliest finishing running job across clusters, ties by seq —
-        // the deterministic completion order the snapshot preserves.
-        std::size_t best_cluster = clusters_.size();
-        for (std::size_t c = 0; c < clusters_.size(); ++c) {
-            if (clusters_[c].running.empty()) continue;
-            const auto& head = clusters_[c].running.front();
-            if (head.finish_s > t) continue;
-            if (best_cluster == clusters_.size() ||
-                head.finish_s < clusters_[best_cluster].running.front().finish_s ||
-                (head.finish_s ==
-                     clusters_[best_cluster].running.front().finish_s &&
-                 head.seq < clusters_[best_cluster].running.front().seq)) {
-                best_cluster = c;
-            }
-        }
-        if (best_cluster == clusters_.size()) break;
-
-        ClusterSessionState& cluster = clusters_[best_cluster];
-        const auto done = cluster.running.front();
-        cluster.running.erase(cluster.running.begin());
-        cluster.free_cores += done.cores;
-        ++cluster.completed;
-        ++completed;
-
-        // Strict FIFO: start queued jobs from the front while they fit.
-        while (!cluster.queue.empty() &&
-               cluster.queue.front().cores <= cluster.free_cores) {
-            const auto next = cluster.queue.front();
-            cluster.queue.erase(cluster.queue.begin());
-            cluster.free_cores -= next.cores;
-            ++cluster.started;
-            ClusterSessionState::RunningJob run;
-            run.seq = next.seq;
-            run.user = next.user;
-            run.cores = next.cores;
-            run.finish_s = done.finish_s + next.runtime_s;
-            const auto pos = std::lower_bound(
-                cluster.running.begin(), cluster.running.end(), run,
-                [](const ClusterSessionState::RunningJob& a,
-                   const ClusterSessionState::RunningJob& b) {
-                    return a.finish_s != b.finish_s ? a.finish_s < b.finish_s
-                                                   : a.seq < b.seq;
-                });
-            cluster.running.insert(pos, std::move(run));
-        }
-    }
-    clock_ = std::max(clock_, t);
-    return completed;
-}
-
-ServeSession::Routed ServeSession::route(const JobSpec& job,
-                                         double priced_at) const {
-    Routed routed;
-    const std::size_t n = cluster_cfgs_.size();
+void ServeSession::price_job(const JobSpec& job, double priced_at,
+                             std::span<MachineFigures> out) const {
     const auto scaling = predictor_->predict(job.counters);
-    routed.choices.resize(n);
-    routed.runtime_s.resize(n);
-    routed.power_w.resize(n);
-    std::vector<ga::sim::ClusterStatus> statuses(n);
-    for (std::size_t c = 0; c < n; ++c) {
-        const auto& cfg = cluster_cfgs_[c];
+    for (std::size_t c = 0; c < cluster_cfgs_.size(); ++c) {
         const auto& scale = scaling[predictor_index_[c]];
-        const double runtime = job.runtime_ic_s * scale.runtime_factor;
-        const double power = job.power_ic_w * scale.power_factor;
-        routed.runtime_s[c] = runtime;
-        routed.power_w[c] = power;
-
-        // Backlog estimate: queued core-seconds spread over the whole
-        // cluster (a coarse wait proxy; the batch simulator uses the same
-        // shape of estimate).
-        double backlog_core_s = 0.0;
-        for (const auto& queued : clusters_[c].queue) {
-            backlog_core_s += queued.runtime_s * queued.cores;
-        }
-        const double queue_wait_s =
-            clusters_[c].capacity_cores > 0
-                ? backlog_core_s / clusters_[c].capacity_cores
-                : 0.0;
-
         ga::acct::JobUsage usage;
-        usage.duration_s = runtime;
-        usage.energy_j = runtime * power;
+        usage.duration_s = job.runtime_ic_s * scale.runtime_factor;
+        usage.energy_j =
+            usage.duration_s * (job.power_ic_w * scale.power_factor);
         usage.cores = job.cores;
         usage.priced_at_s = priced_at;
-
-        auto& choice = routed.choices[c];
-        choice.machine_index = c;
-        choice.feasible = job.cores <= clusters_[c].capacity_cores;
-        choice.runtime_s = runtime;
-        choice.energy_j = usage.energy_j;
-        choice.cost = pricer_->charge(usage, cfg.entry);
-        choice.queue_wait_s = queue_wait_s;
-
-        auto& status = statuses[c];
-        status.name = cfg.entry.node.name;
-        status.capacity_cores = clusters_[c].capacity_cores;
-        status.free_cores = clusters_[c].free_cores;
-        status.queue_depth = clusters_[c].queue.size();
-        status.queue_wait_s = queue_wait_s;
-        if (fill_grid_intensity_) {
-            status.grid_intensity_g_per_kwh =
-                cba_->intensity_at(cfg.entry, clock_);
-            if (fill_grid_forecast_) {
-                status.grid_forecast_g_per_kwh =
-                    cba_->intensity_at(cfg.entry, clock_ + 3600.0);
-            }
-        }
+        out[c] = MachineFigures{
+            usage.duration_s, usage.energy_j,
+            setup_->pricer->charge(usage, cluster_cfgs_[c].entry)};
     }
+}
 
+std::vector<ServeSession::MachineFigures> ServeSession::price_request(
+    const std::vector<JobSpec>& jobs) const {
+    const std::size_t n = cluster_cfgs_.size();
+    std::vector<MachineFigures> figures(jobs.size() * n);
+    // An upper bound on what the request can add to primary_spent: every
+    // job admitted on its dearest machine.
+    double spend_bound = primary_spent_;
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        const std::span<MachineFigures> row(figures.data() + i * n, n);
+        price_job(jobs[i], jobs[i].submit_s, row);
+        double dearest = 0.0;
+        for (std::size_t c = 0; c < n; ++c) {
+            const auto require_finite = [&](double value, const char* what) {
+                if (std::isfinite(value)) return;
+                throw ProtocolError(
+                    "bad_request",
+                    "submit_jobs: job " + std::to_string(i) + " has a " +
+                        "non-finite predicted " + what + " on " +
+                        cluster_cfgs_[c].entry.node.name);
+            };
+            require_finite(row[c].runtime_s, "runtime");
+            require_finite(row[c].energy_j, "energy");
+            require_finite(row[c].cost, "cost");
+            require_finite(jobs[i].submit_s + row[c].runtime_s, "finish time");
+            dearest = std::max(dearest, row[c].cost);
+        }
+        spend_bound += dearest;
+    }
+    if (!std::isfinite(spend_bound)) {
+        throw ProtocolError("bad_request",
+                            "submit_jobs: the request's costs could make "
+                            "primary_spent non-finite");
+    }
+    return figures;
+}
+
+ServeSession::Routed ServeSession::route(
+    int cores, std::span<const MachineFigures> figures) {
+    Routed routed;
+    routed.choices = core_.route_view(
+        clock_, cores, [&](std::size_t c, ga::sim::MachineChoice& choice) {
+            choice.runtime_s = figures[c].runtime_s;
+            choice.energy_j = figures[c].energy_j;
+            choice.cost = figures[c].cost;
+        });
     ga::sim::SchedulingContext ctx;
     ctx.now_s = clock_;
     ctx.budget_total = options_.budget;
@@ -314,9 +249,8 @@ ServeSession::Routed ServeSession::route(const JobSpec& job,
                                ? options_.budget - primary_spent_
                                : std::numeric_limits<double>::infinity();
     ctx.jobs_submitted = static_cast<std::size_t>(jobs_submitted_) + 1;
-    ctx.pricing = options_.pricing;
-    ctx.clusters = std::span<const ga::sim::ClusterStatus>(statuses);
-    routed.chosen = routing_->choose(ctx, routed.choices);
+    ctx.clusters = core_.views();
+    routed.chosen = setup_->routing->choose(ctx, routed.choices);
     if (routed.chosen.has_value() &&
         !routed.choices[*routed.chosen].feasible) {
         routed.chosen.reset();
@@ -324,12 +258,14 @@ ServeSession::Routed ServeSession::route(const JobSpec& job,
     return routed;
 }
 
-JsonValue ServeSession::submit_one(const JobSpec& job) {
+JsonValue ServeSession::submit_one(const JobSpec& job,
+                                   std::span<const MachineFigures> figures) {
     JsonValue out = object();
     out.set("user", JsonValue(job.user));
 
-    advance_to(job.submit_s);
-    const Routed routed = route(job, job.submit_s);
+    (void)core_.complete_until(job.submit_s);
+    clock_ = std::max(clock_, job.submit_s);
+    const Routed routed = route(job.cores, figures);
 
     const auto reject = [&](std::string_view reason) {
         ++jobs_rejected_;
@@ -342,16 +278,16 @@ JsonValue ServeSession::submit_one(const JobSpec& job) {
         return reject("infeasible");
     }
     const std::size_t c = *routed.chosen;
-    const double cost = routed.choices[c].cost;
+    const MachineFigures& chosen = figures[c];
 
-    if (options_.budget > 0.0 && cost > options_.budget - primary_spent_) {
+    if (options_.budget > 0.0 && chosen.cost > options_.budget - primary_spent_) {
         return reject("budget");
     }
 
     if (ledger_.has_account(job.user)) {
         ga::acct::JobUsage usage;
-        usage.duration_s = routed.runtime_s[c];
-        usage.energy_j = routed.runtime_s[c] * routed.power_w[c];
+        usage.duration_s = chosen.runtime_s;
+        usage.energy_j = chosen.energy_j;
         usage.cores = job.cores;
         usage.priced_at_s = job.submit_s;
         const ga::acct::ChargeOutcome outcome =
@@ -381,61 +317,39 @@ JsonValue ServeSession::submit_one(const JobSpec& job) {
         out.set("uncharged", JsonValue(true));
     }
 
-    primary_spent_ += cost;
+    primary_spent_ += chosen.cost;
     ++jobs_submitted_;
     const std::uint64_t seq = next_seq_++;
-    ClusterSessionState& cluster = clusters_[c];
     out.set("seq", JsonValue(static_cast<double>(seq)));
-    out.set("machine", JsonValue(cluster.name));
-    out.set("cost", JsonValue(cost));
-    out.set("runtime_s", JsonValue(routed.runtime_s[c]));
-
-    if (cluster.queue.empty() && job.cores <= cluster.free_cores) {
-        cluster.free_cores -= job.cores;
-        ++cluster.started;
-        ClusterSessionState::RunningJob run;
-        run.seq = seq;
-        run.user = job.user;
-        run.cores = job.cores;
-        run.finish_s = job.submit_s + routed.runtime_s[c];
-        const auto pos = std::lower_bound(
-            cluster.running.begin(), cluster.running.end(), run,
-            [](const ClusterSessionState::RunningJob& a,
-               const ClusterSessionState::RunningJob& b) {
-                return a.finish_s != b.finish_s ? a.finish_s < b.finish_s
-                                                : a.seq < b.seq;
-            });
+    out.set("machine", JsonValue(cluster_cfgs_[c].entry.node.name));
+    out.set("cost", JsonValue(chosen.cost));
+    out.set("runtime_s", JsonValue(chosen.runtime_s));
+    if (core_.submit(c, ga::sim::QueuedJob{seq, job.cores, 0, chosen.runtime_s},
+                     job.submit_s)) {
         out.set("status", JsonValue("running"));
-        out.set("finish_s", JsonValue(run.finish_s));
-        cluster.running.insert(pos, std::move(run));
+        out.set("finish_s", JsonValue(job.submit_s + chosen.runtime_s));
     } else {
-        ClusterSessionState::QueuedJob queued;
-        queued.seq = seq;
-        queued.user = job.user;
-        queued.cores = job.cores;
-        queued.runtime_s = routed.runtime_s[c];
-        queued.submit_s = job.submit_s;
-        cluster.queue.push_back(std::move(queued));
         out.set("status", JsonValue("queued"));
     }
     return out;
 }
 
-ServeSession::JobSpec ServeSession::generate_job(double submit_s) {
+ServeSession::JobSpec ServeSession::generate_job(ga::util::Rng& rng,
+                                                 double submit_s) const {
     // A lightweight arrival stream drawn from the trace generator's app
     // archetypes — not the batch GMM pipeline, but the same heavy-tailed
     // runtime and core-count mix, and fully snapshot-resumable because the
     // only state is the session RNG.
     JobSpec job;
-    const auto profile = ga::workload::sample_app_profile(rng_);
+    const auto profile = ga::workload::sample_app_profile(rng);
     char user_name[32];
     std::snprintf(user_name, sizeof user_name, "u%lld",
-                  static_cast<long long>(rng_.uniform_int(
+                  static_cast<long long>(rng.uniform_int(
                       0, static_cast<std::int64_t>(generate_users_) - 1)));
     job.user = user_name;
     job.cores = profile.cores;
-    job.runtime_ic_s = rng_.lognormal(std::log(profile.runtime_median_s),
-                                      profile.runtime_sigma);
+    job.runtime_ic_s = rng.lognormal(std::log(profile.runtime_median_s),
+                                     profile.runtime_sigma);
     job.power_ic_w =
         profile.cores * (10.0 + 20.0 * profile.compute_intensity);
     job.counters.gips = 0.5 + 3.5 * profile.compute_intensity;
@@ -505,6 +419,9 @@ JsonValue ServeSession::handle_create_account(const Request& r) {
 JsonValue ServeSession::handle_submit_jobs(const Request& r) {
     check_keys(r.body, {"jobs", "generate"}, "submit_jobs");
     std::vector<JobSpec> jobs;
+    // The generate path draws from a copy of the session RNG, committed
+    // only once the whole request is accepted.
+    ga::util::Rng rng = rng_;
     if (const JsonValue* list = r.body.find("jobs")) {
         if (r.body.find("generate") != nullptr) {
             throw ProtocolError("bad_request",
@@ -567,7 +484,7 @@ JsonValue ServeSession::handle_submit_jobs(const Request& r) {
         jobs.reserve(static_cast<std::size_t>(count));
         for (std::uint64_t i = 0; i < count; ++i) {
             jobs.push_back(
-                generate_job(start + static_cast<double>(i) * spacing));
+                generate_job(rng, start + static_cast<double>(i) * spacing));
         }
     } else {
         throw ProtocolError("bad_request",
@@ -593,10 +510,14 @@ JsonValue ServeSession::handle_submit_jobs(const Request& r) {
         last_submit = job.submit_s;
     }
 
+    const std::vector<MachineFigures> figures = price_request(jobs);
+    rng_ = rng;
+    const std::size_t n = cluster_cfgs_.size();
     JsonValue::Array outcomes;
     outcomes.reserve(jobs.size());
-    for (const JobSpec& job : jobs) {
-        outcomes.push_back(submit_one(job));
+    for (std::size_t i = 0; i < jobs.size(); ++i) {
+        outcomes.push_back(submit_one(
+            jobs[i], std::span<const MachineFigures>(figures).subspan(i * n, n)));
     }
     JsonValue result = object();
     result.set("jobs", JsonValue(std::move(outcomes)));
@@ -624,12 +545,14 @@ JsonValue ServeSession::handle_quote(const Request& r) {
     const double priced_at =
         number_field_or(r.body, "priced_at_s", "quote", clock_);
 
-    const Routed routed = route(job, priced_at);
+    std::vector<MachineFigures> figures(cluster_cfgs_.size());
+    price_job(job, priced_at, figures);
+    const Routed routed = route(job.cores, figures);
     JsonValue::Array machines;
     machines.reserve(routed.choices.size());
     for (std::size_t c = 0; c < routed.choices.size(); ++c) {
         JsonValue entry = object();
-        entry.set("machine", JsonValue(clusters_[c].name));
+        entry.set("machine", JsonValue(cluster_cfgs_[c].entry.node.name));
         entry.set("feasible", JsonValue(routed.choices[c].feasible));
         entry.set("runtime_s", JsonValue(routed.choices[c].runtime_s));
         entry.set("energy_j", JsonValue(routed.choices[c].energy_j));
@@ -640,7 +563,7 @@ JsonValue ServeSession::handle_quote(const Request& r) {
     JsonValue result = object();
     result.set("machines", JsonValue(std::move(machines)));
     result.set("chosen", routed.chosen.has_value()
-                             ? JsonValue(clusters_[*routed.chosen].name)
+                             ? JsonValue(cluster_cfgs_[*routed.chosen].entry.node.name)
                              : JsonValue(nullptr));
 
     // With a user holding an account, also quote the chosen machine under
@@ -654,8 +577,8 @@ JsonValue ServeSession::handle_quote(const Request& r) {
             ledger_.has_account(user->as_string())) {
             const std::size_t c = *routed.chosen;
             ga::acct::JobUsage usage;
-            usage.duration_s = routed.runtime_s[c];
-            usage.energy_j = routed.runtime_s[c] * routed.power_w[c];
+            usage.duration_s = figures[c].runtime_s;
+            usage.energy_j = figures[c].energy_j;
             usage.cores = job.cores;
             usage.priced_at_s = priced_at;
             JsonValue costs = object();
@@ -786,19 +709,19 @@ JsonValue ServeSession::handle_stats(const Request& r) {
     std::uint64_t queued = 0;
     std::uint64_t completed = 0;
     JsonValue::Array clusters;
-    clusters.reserve(clusters_.size());
-    for (const auto& cluster : clusters_) {
-        running += cluster.running.size();
-        queued += cluster.queue.size();
+    clusters.reserve(cluster_cfgs_.size());
+    for (std::size_t c = 0; c < cluster_cfgs_.size(); ++c) {
+        const ga::sim::ClusterState& cluster = core_.cluster(c);
+        const std::uint64_t cluster_running = cluster.started - cluster.completed;
+        running += cluster_running;
+        queued += core_.depth(c);
         completed += cluster.completed;
         JsonValue entry = object();
-        entry.set("name", JsonValue(cluster.name));
-        entry.set("capacity_cores", JsonValue(cluster.capacity_cores));
+        entry.set("name", JsonValue(cluster_cfgs_[c].entry.node.name));
+        entry.set("capacity_cores", JsonValue(cluster.capacity));
         entry.set("free_cores", JsonValue(cluster.free_cores));
-        entry.set("running",
-                  JsonValue(static_cast<double>(cluster.running.size())));
-        entry.set("queued",
-                  JsonValue(static_cast<double>(cluster.queue.size())));
+        entry.set("running", JsonValue(static_cast<double>(cluster_running)));
+        entry.set("queued", JsonValue(static_cast<double>(core_.depth(c))));
         entry.set("started", JsonValue(static_cast<double>(cluster.started)));
         entry.set("completed",
                   JsonValue(static_cast<double>(cluster.completed)));
@@ -814,7 +737,7 @@ JsonValue ServeSession::handle_stats(const Request& r) {
     result.set("jobs_completed", JsonValue(static_cast<double>(completed)));
     result.set("primary_spent", JsonValue(primary_spent_));
     result.set("transactions",
-               JsonValue(static_cast<double>(ledger_.history().size())));
+               JsonValue(static_cast<double>(ledger_.history_size())));
     result.set("clusters", JsonValue(std::move(clusters)));
     return result;
 }
@@ -841,7 +764,8 @@ JsonValue ServeSession::handle_advance(const Request& r) {
         throw ProtocolError("bad_request",
                             "advance: 'to_s' precedes the logical clock");
     }
-    const std::uint64_t completed = advance_to(to);
+    const std::uint64_t completed = core_.complete_until(to);
+    clock_ = std::max(clock_, to);
     JsonValue result = object();
     result.set("clock_s", JsonValue(clock_));
     result.set("completed", JsonValue(static_cast<double>(completed)));
@@ -926,7 +850,24 @@ SessionState ServeSession::export_state() const {
     state.jobs_submitted = jobs_submitted_;
     state.jobs_rejected = jobs_rejected_;
     state.primary_spent = primary_spent_;
-    state.clusters = clusters_;
+    state.clusters.resize(cluster_cfgs_.size());
+    for (std::size_t c = 0; c < cluster_cfgs_.size(); ++c) {
+        const ga::sim::ClusterState& cluster = core_.cluster(c);
+        ClusterSessionState& out = state.clusters[c];
+        out.name = cluster_cfgs_[c].entry.node.name;
+        out.capacity_cores = cluster.capacity;
+        out.free_cores = cluster.free_cores;
+        out.started = cluster.started;
+        out.completed = cluster.completed;
+        out.queued_core_seconds = cluster.queued_core_seconds;
+        core_.for_each_queued(c, [&](const ga::sim::QueuedJob& job) {
+            out.queue.push_back({job.id, job.cores, job.runtime_s});
+        });
+    }
+    for (const ga::sim::RunningJob& job : core_.running_jobs()) {
+        state.clusters[job.cluster].running.push_back(
+            {job.id, job.cores, job.finish_s});
+    }
     state.ledger = ledger_.export_state();
     return state;
 }

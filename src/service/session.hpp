@@ -1,17 +1,34 @@
 // The live ga-serve session: a scenario's configuration held in memory with
-// a running Ledger and an incremental job-stream scheduler behind the line
-// protocol (service/protocol.hpp).
+// a running Ledger, driving the scheduling core it shares with the batch
+// simulator (sim/scheduler.hpp) from the line protocol
+// (service/protocol.hpp).
 //
 // One `ServeSession` serves exactly one expanded grid point of a scenario
-// file (the first, when the grid has several): the resolved routing policy,
-// pricing accountant, primary budget, regional grids, and the default
-// Table-5 deployment. Unlike the batch simulator — which replays a complete
-// trace — the session ingests jobs incrementally, so its scheduler is the
-// streaming counterpart with two documented divergences: queues are strict
-// FIFO (no skip-ahead when a later small job would fit), and there is no
-// one-running-job-per-user rule (a front-end, not a fairness study).
+// file (the first, when the grid has several) over the default Table-5
+// deployment. `ga::sim::RunSetup` resolves its grid traces, pricing
+// accountant and routing policy exactly as it does for a batch run, and one
+// `ga::sim::Scheduler` holds its queues and running jobs. Where the batch
+// simulator replays a complete trace through that core, the session feeds
+// it one request at a time. The two drivers differ only where each sets a
+// value of its own:
+//
+//   * queue order — the session passes strict FIFO (a later small job never
+//     jumps a blocked head); the batch simulator passes skip-ahead;
+//   * wait estimate — the session quotes queued work only; the batch
+//     simulator also counts the remaining work of running jobs;
+//   * infeasible machines — the session prices them too, so quotes show
+//     every machine's figures; the batch simulator leaves them zeroed;
+//   * start predicate — the batch simulator adds the paper's
+//     one-running-job-per-user rule; the session (a front-end, not a
+//     fairness study) adds none;
+//   * context counters — the session counts admitted jobs and budgets
+//     against `primary_spent`; it has no trace span or job total.
+//
 // Charging happens at submit time: admitted jobs are priced and debited
-// when routed (priced_at = submit), completion only frees cores.
+// when routed (priced_at = submit), completion only frees cores. A
+// submit_jobs request is all or nothing: every job's per-machine runtime,
+// energy, cost and finish time are computed, and checked finite, before
+// any job is admitted.
 //
 // Determinism contract: a session is a pure function of (scenario file,
 // request sequence). The logical clock only moves through requests
@@ -32,6 +49,7 @@
 #include <cstdint>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -41,6 +59,7 @@
 #include "io/scenario.hpp"
 #include "service/protocol.hpp"
 #include "service/snapshot.hpp"
+#include "sim/scheduler.hpp"
 #include "sim/simulator.hpp"
 #include "util/rng.hpp"
 
@@ -96,13 +115,17 @@ private:
         double submit_s = 0.0;
     };
 
-    /// Routing result: the per-cluster predictions/prices and the policy's
-    /// pick.
+    /// One job's predicted figures on one machine.
+    struct MachineFigures {
+        double runtime_s = 0.0;
+        double energy_j = 0.0;
+        double cost = 0.0;  ///< under the pricing accountant
+    };
+
+    /// One routing decision: every machine's choice and the policy's pick.
     struct Routed {
+        std::span<const ga::sim::MachineChoice> choices;
         std::optional<std::size_t> chosen;
-        std::vector<ga::sim::MachineChoice> choices;
-        std::vector<double> runtime_s;  ///< per cluster
-        std::vector<double> power_w;    ///< per cluster
     };
 
     void init_config(ga::io::ScenarioFile scenario);
@@ -122,14 +145,18 @@ private:
     [[nodiscard]] ga::io::JsonValue handle_checkpoint(const Request& r);
     [[nodiscard]] ga::io::JsonValue handle_shutdown(const Request& r);
 
-    [[nodiscard]] Routed route(const JobSpec& job, double priced_at) const;
-    [[nodiscard]] ga::io::JsonValue submit_one(const JobSpec& job);
-    [[nodiscard]] JobSpec generate_job(double submit_s);
-
-    /// Advances the logical clock to `t`, completing running jobs whose
-    /// finish time has passed and starting queued jobs (strict FIFO) as
-    /// cores free up. Returns the number of completions.
-    std::uint64_t advance_to(double t);
+    /// `job`'s figures on every cluster, priced at `priced_at`.
+    void price_job(const JobSpec& job, double priced_at,
+                   std::span<MachineFigures> out) const;
+    /// Every job's figures at its submit time, before anything is admitted;
+    /// throws bad_request when one is not finite or the request could make
+    /// `primary_spent` non-finite.
+    [[nodiscard]] std::vector<MachineFigures> price_request(
+        const std::vector<JobSpec>& jobs) const;
+    [[nodiscard]] Routed route(int cores, std::span<const MachineFigures> figures);
+    [[nodiscard]] ga::io::JsonValue submit_one(
+        const JobSpec& job, std::span<const MachineFigures> figures);
+    [[nodiscard]] JobSpec generate_job(ga::util::Rng& rng, double submit_s) const;
 
     // ---- configuration (immutable after construction) -------------------
     std::string fingerprint_;
@@ -137,18 +164,12 @@ private:
     std::vector<ga::sim::ClusterConfig> cluster_cfgs_;
     std::shared_ptr<ga::workload::CrossPlatformPredictor> predictor_;
     std::vector<std::size_t> predictor_index_;  ///< cluster -> predictor slot
-    std::unique_ptr<const ga::acct::Accountant> pricer_;
+    std::unique_ptr<const ga::sim::RunSetup> setup_;
     /// Session copies of the defined currencies' accountants (sorted by
     /// currency) for quote-time pricing; the Ledger holds its own instances
     /// for the authoritative charge path.
     std::vector<std::pair<std::string, std::unique_ptr<const ga::acct::Accountant>>>
         currency_pricers_;
-    std::unique_ptr<const ga::sim::RoutingPolicy> routing_;
-    /// Intensity lookups for the policy context (grid-bound under
-    /// regional_grids, catalog averages otherwise).
-    std::unique_ptr<ga::acct::CarbonBasedAccounting> cba_;
-    bool fill_grid_intensity_ = false;
-    bool fill_grid_forecast_ = false;
     std::size_t generate_users_ = 1;  ///< user-pool size for the generate path
     std::size_t grid_points_ = 1;
 
@@ -159,7 +180,9 @@ private:
     std::uint64_t jobs_submitted_ = 0;
     std::uint64_t jobs_rejected_ = 0;
     double primary_spent_ = 0.0;
-    std::vector<ClusterSessionState> clusters_;
+    /// Cluster pools, queues and running jobs (over `cluster_cfgs_` and
+    /// `*setup_`, which outlive it).
+    ga::sim::Scheduler<ga::sim::IndexedQueues> core_;
     ga::acct::Ledger ledger_;
     bool shutdown_ = false;
 

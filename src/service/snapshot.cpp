@@ -130,7 +130,7 @@ private:
     std::size_t pos_ = 0;
 };
 
-// ---- payload schema (version 1) ----------------------------------------
+// ---- payload schema (version 2) ----------------------------------------
 
 void encode_ledger(std::string& out, const ga::acct::LedgerState& ledger) {
     put_u64(out, ledger.currencies.size());
@@ -241,20 +241,18 @@ void encode_cluster(std::string& out, const ClusterSessionState& cluster) {
     put_u64(out, cluster.running.size());
     for (const auto& job : cluster.running) {
         put_u64(out, job.seq);
-        put_string(out, job.user);
         put_i32(out, job.cores);
         put_f64(out, job.finish_s);
     }
     put_u64(out, cluster.queue.size());
     for (const auto& job : cluster.queue) {
         put_u64(out, job.seq);
-        put_string(out, job.user);
         put_i32(out, job.cores);
         put_f64(out, job.runtime_s);
-        put_f64(out, job.submit_s);
     }
     put_u64(out, cluster.started);
     put_u64(out, cluster.completed);
+    put_f64(out, cluster.queued_core_seconds);
 }
 
 ClusterSessionState decode_cluster(Cursor& in) {
@@ -267,7 +265,6 @@ ClusterSessionState decode_cluster(Cursor& in) {
     for (std::size_t i = 0; i < n_running; ++i) {
         ClusterSessionState::RunningJob job;
         job.seq = in.u64("running.seq");
-        job.user = in.str("running.user");
         job.cores = in.i32("running.cores");
         job.finish_s = in.f64("running.finish_s");
         cluster.running.push_back(std::move(job));
@@ -277,14 +274,13 @@ ClusterSessionState decode_cluster(Cursor& in) {
     for (std::size_t i = 0; i < n_queue; ++i) {
         ClusterSessionState::QueuedJob job;
         job.seq = in.u64("queued.seq");
-        job.user = in.str("queued.user");
         job.cores = in.i32("queued.cores");
         job.runtime_s = in.f64("queued.runtime_s");
-        job.submit_s = in.f64("queued.submit_s");
         cluster.queue.push_back(std::move(job));
     }
     cluster.started = in.u64("cluster.started");
     cluster.completed = in.u64("cluster.completed");
+    cluster.queued_core_seconds = in.f64("cluster.queued_core_seconds");
     return cluster;
 }
 
@@ -369,6 +365,11 @@ SessionState decode_snapshot(std::string_view bytes) {
     }
     Cursor header(bytes.substr(sizeof kMagic, kHeaderBytes - sizeof kMagic));
     const std::uint32_t version = header.u32("version");
+    if (version == 1) {
+        fail("version 1 snapshots are refused: they predate the shared "
+             "scheduling core and lack the clusters' queued-work sums (this "
+             "build reads version " + std::to_string(kSnapshotVersion) + ")");
+    }
     if (version != kSnapshotVersion) {
         fail("unsupported version " + std::to_string(version) +
              " (this build reads version " + std::to_string(kSnapshotVersion) +

@@ -9,7 +9,7 @@
 //
 //   offset  size  field
 //   0       8     magic "GASNAPSH"
-//   8       4     format version (u32, currently 1)
+//   8       4     format version (u32, currently 2)
 //   12      4     endianness tag 0x01020304 (u32)
 //   16      8     payload length in bytes (u64)
 //   24      8     FNV-1a 64 checksum of the payload (u64)
@@ -18,8 +18,10 @@
 // Every integer is pinned little-endian by explicit byte shifts and every
 // double travels as its IEEE-754 bit pattern, so a snapshot written on any
 // supported host restores bit-exactly on any other. Decoding rejects, with
-// a named diagnostic: short headers, bad magic, versions other than 1
-// (forward compatibility is refusal, never a guess), endianness-tag
+// a named diagnostic: short headers, bad magic, versions other than 2
+// (forward compatibility is refusal, never a guess; version 1 snapshots,
+// which predate the shared scheduling core and lack the clusters'
+// queued-work sums, are refused by name), endianness-tag
 // mismatches, length/checksum mismatches, truncation inside any field
 // (each error names the field being read), and trailing garbage.
 //
@@ -39,14 +41,13 @@
 namespace ga::service {
 
 /// Current snapshot format version.
-inline constexpr std::uint32_t kSnapshotVersion = 1;
+inline constexpr std::uint32_t kSnapshotVersion = 2;
 
 /// One cluster's live scheduling state.
 struct ClusterSessionState {
     /// A started job: occupies `cores` until the clock reaches `finish_s`.
     struct RunningJob {
         std::uint64_t seq = 0;  ///< session-wide submission sequence number
-        std::string user;
         int cores = 0;
         double finish_s = 0.0;
 
@@ -56,10 +57,8 @@ struct ClusterSessionState {
     /// A waiting job: starts (strict FIFO) once enough cores free up.
     struct QueuedJob {
         std::uint64_t seq = 0;
-        std::string user;
         int cores = 0;
         double runtime_s = 0.0;  ///< predicted runtime on this cluster
-        double submit_s = 0.0;
 
         bool operator==(const QueuedJob&) const = default;
     };
@@ -73,6 +72,10 @@ struct ClusterSessionState {
     std::vector<QueuedJob> queue;
     std::uint64_t started = 0;
     std::uint64_t completed = 0;
+    /// The scheduler's running sum of cores x runtime over the queue, which
+    /// wait estimates read. Carried rather than recomputed: once queued jobs
+    /// have started, a fresh front-to-back sum can differ in the last bits.
+    double queued_core_seconds = 0.0;
 
     bool operator==(const ClusterSessionState&) const = default;
 };

@@ -93,7 +93,6 @@ struct SchedulingContext {
     double trace_span_s = 0.0;       ///< last submit time of the trace
     std::size_t jobs_total = 0;      ///< jobs in the whole trace
     std::size_t jobs_submitted = 0;  ///< submit events seen so far (incl. this)
-    ga::acct::Method pricing = ga::acct::Method::Eba;
     /// Per-cluster live state; empty when the caller has none (the paper's
     /// policies never read it).
     std::span<const ClusterStatus> clusters;

@@ -2,12 +2,11 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
 #include <limits>
 
-#include "carbon/grids.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "sim/scheduler.hpp"
 #include "util/error.hpp"
 #include "util/units.hpp"
 
@@ -31,12 +30,16 @@ BatchSimulator::BatchSimulator(ga::workload::Workload workload,
     : workload_(std::move(workload)), clusters_(std::move(clusters)) {
     GA_REQUIRE(!clusters_.empty(), "simulator: need at least one cluster");
     GA_REQUIRE(workload_.predictor != nullptr, "simulator: workload lacks predictor");
-    // The event loop indexes per-job state by job id, so ids must be dense
-    // and positional (generate_trace guarantees this; hand-crafted workloads
-    // must too).
+    // The event loop indexes per-job state by job id and replays submits in
+    // trace order, so ids must be dense and positional and submit times
+    // non-decreasing (generate_trace guarantees both; hand-crafted
+    // workloads must too).
     for (std::size_t i = 0; i < workload_.jobs.size(); ++i) {
         GA_REQUIRE(workload_.jobs[i].id == i,
                    "simulator: job ids must equal their position");
+        GA_REQUIRE(i == 0 ||
+                       workload_.jobs[i - 1].submit_s <= workload_.jobs[i].submit_s,
+                   "simulator: jobs must be in submit order");
     }
 
     // Resolve "one node per user" clusters (personal desktops). Note the
@@ -107,231 +110,12 @@ double BatchSimulator::job_work_core_hours(std::size_t job_index) const {
 
 namespace {
 
-/// Discrete-event types, in tie-break order at equal times: finishes free
-/// resources first, outages shrink capacity next, submits route last.
-enum class EventType { Finish, Outage, Submit };
-
-struct Event {
-    double time = 0.0;
-    EventType type = EventType::Submit;
-    std::uint32_t job = 0;
-    std::uint32_t cluster = 0;
-
-    bool operator>(const Event& other) const noexcept {
-        if (time != other.time) return time > other.time;
-        if (type != other.type) {
-            return static_cast<int>(type) > static_cast<int>(other.type);
-        }
-        return job > other.job;
-    }
-};
-
-/// Skip-ahead window: a real scheduler's backfill depth, bounding the
-/// per-event scan cost on deep queues. Both queue policies honor it.
-constexpr std::size_t kBackfillDepth = 256;
-
-constexpr std::uint32_t kNoJob = 0xFFFFFFFFu;
-
-/// Runtime state of one cluster. Queue storage lives in the run's queue
-/// policy (LinearQueues / IndexedQueues); this carries the counters both
-/// share.
-struct ClusterState {
-    int free_cores = 0;
-    int capacity = 0;  // effective total cores (shrinks on an outage)
-    // O(1) backlog estimate bookkeeping: sum(cores_i * end_i) and
-    // sum(cores_i) over running jobs.
-    double sum_cores_end = 0.0;
-    double running_cores = 0.0;
-    double queued_core_seconds = 0.0;
-
-    [[nodiscard]] double wait_estimate(double now) const noexcept {
-        // A fully-outaged cluster (capacity 0) has an unbounded wait; the
-        // guard keeps 0/0 NaN out of the context views policies read.
-        if (capacity <= 0) return std::numeric_limits<double>::infinity();
-        const double running_remaining =
-            std::max(0.0, sum_cores_end - now * running_cores);
-        return (running_remaining + queued_core_seconds) /
-               static_cast<double>(capacity);
-    }
-};
-
-/// The original FIFO-with-skip-ahead queue: a deque of job ids, every scan
-/// re-reading the trace job for its core demand and user, every event
-/// paying the full kBackfillDepth walk on a blocked queue, and the outage
-/// walk erasing one element at a time. Kept as the linear reference —
-/// `run_reference` uses it as the bit-identity oracle for the indexed path
-/// and the bench's speedup baseline.
-class LinearQueues {
-public:
-    /// No immediate-start bypass: submits always enqueue + drain, exactly
-    /// like the pre-index executor.
-    static constexpr bool kImmediateStart = false;
-
-    void reset(std::size_t n_clusters, std::size_t /*n_jobs*/,
-               const ga::workload::TraceJob* jobs, int /*max_cores*/) {
-        jobs_ = jobs;
-        queues_.assign(n_clusters, {});
-    }
-
-    void push(std::size_t c, std::uint32_t j, int /*cores*/,
-              std::uint32_t /*user*/) {
-        queues_[c].push_back(j);
-    }
-
-    [[nodiscard]] std::size_t depth(std::size_t c) const noexcept {
-        return queues_[c].size();
-    }
-
-    /// Scans the first kBackfillDepth entries in FIFO order;
-    /// `try_start(job, cores, user)` returning true removes the entry.
-    template <typename TryStart>
-    void drain(std::size_t c, const ClusterState& /*cs*/,
-               TryStart&& try_start) {
-        auto& q = queues_[c];
-        std::size_t scanned = 0;
-        for (auto it = q.begin(); it != q.end() && scanned < kBackfillDepth;
-             ++scanned) {
-            const std::uint32_t j = *it;
-            if (try_start(j, jobs_[j].cores, jobs_[j].user)) {
-                it = q.erase(it);
-            } else {
-                ++it;
-            }
-        }
-    }
-
-    /// Full-queue walk in FIFO order; `remove(job, cores)` returning true
-    /// drops the entry.
-    template <typename Remove>
-    void remove_if(std::size_t c, Remove&& remove) {
-        auto& q = queues_[c];
-        for (auto it = q.begin(); it != q.end();) {
-            if (remove(*it, jobs_[*it].cores)) {
-                it = q.erase(it);
-            } else {
-                ++it;
-            }
-        }
-    }
-
-private:
-    const ga::workload::TraceJob* jobs_ = nullptr;
-    std::vector<std::deque<std::uint32_t>> queues_;
-};
-
-/// The indexed queue behind `run`. Three structural changes over the linear
-/// deque-of-ids, each preserving FIFO scan order (so scheduling decisions
-/// stay bit-identical):
-///
-///   * entries carry their core demand and user inline, so the hot
-///     kBackfillDepth scan streams contiguous 12-byte records instead of
-///     chasing a random trace-array read per queued job;
-///   * a per-cluster bucket count of queued core demands with a cached
-///     minimum lets a drain pass exit in O(1) whenever the smallest queued
-///     demand exceeds the free cores (the common state of a saturated
-///     cluster) — skipped jobs could not have started, so the early exit is
-///     unobservable;
-///   * the outage walk compacts in one O(queue) pass instead of the
-///     linear executor's per-erase shifting.
-///
-/// It also opts into the submit fast path (`kImmediateStart`): a job
-/// arriving at an empty queue that can start now skips the queue entirely.
-class IndexedQueues {
-public:
-    static constexpr bool kImmediateStart = true;
-
-    void reset(std::size_t n_clusters, std::size_t /*n_jobs*/,
-               const ga::workload::TraceJob* /*jobs*/, int max_cores) {
-        max_cores_ = max_cores;
-        if (clusters_.size() != n_clusters) clusters_.resize(n_clusters);
-        for (auto& pc : clusters_) {
-            pc.entries.clear();
-            pc.by_cores.assign(static_cast<std::size_t>(max_cores) + 1, 0);
-            pc.min_cores = max_cores + 1;
-        }
-    }
-
-    void push(std::size_t c, std::uint32_t j, int cores, std::uint32_t user) {
-        PerCluster& pc = clusters_[c];
-        pc.entries.push_back(Entry{j, cores, user});
-        const int b = bucket(cores);
-        ++pc.by_cores[b];
-        pc.min_cores = std::min(pc.min_cores, b);
-    }
-
-    [[nodiscard]] std::size_t depth(std::size_t c) const noexcept {
-        return clusters_[c].entries.size();
-    }
-
-    template <typename TryStart>
-    void drain(std::size_t c, const ClusterState& cs, TryStart&& try_start) {
-        PerCluster& pc = clusters_[c];
-        // Early exit: the smallest queued demand is a lower bound for every
-        // entry, so nothing can start when it exceeds the free cores. Only
-        // a successful start changes either side, so the bound is
-        // re-checked after starts, not per scanned entry.
-        if (pc.entries.empty() || cs.free_cores < min_queued_cores(pc)) {
-            return;
-        }
-        auto& q = pc.entries;
-        std::size_t scanned = 0;
-        for (auto it = q.begin(); it != q.end() && scanned < kBackfillDepth;
-             ++scanned) {
-            if (try_start(it->job, it->cores, it->user)) {
-                --pc.by_cores[bucket(it->cores)];
-                it = q.erase(it);
-                if (q.empty() || cs.free_cores < min_queued_cores(pc)) {
-                    return;
-                }
-            } else {
-                ++it;
-            }
-        }
-    }
-
-    template <typename Remove>
-    void remove_if(std::size_t c, Remove&& remove) {
-        PerCluster& pc = clusters_[c];
-        // Single-pass compaction (std::remove_if applies the predicate
-        // exactly once per entry, first to last, preserving the FIFO
-        // side-effect order of the linear walk).
-        const auto keep_end = std::remove_if(
-            pc.entries.begin(), pc.entries.end(), [&](const Entry& e) {
-                if (!remove(e.job, e.cores)) return false;
-                --pc.by_cores[bucket(e.cores)];
-                return true;
-            });
-        pc.entries.erase(keep_end, pc.entries.end());
-    }
-
-private:
-    struct Entry {
-        std::uint32_t job;
-        int cores;
-        std::uint32_t user;
-    };
-
-    struct PerCluster {
-        std::deque<Entry> entries;  ///< FIFO, scanned contiguously
-        std::vector<std::uint32_t> by_cores;  ///< queued count per core demand
-        int min_cores = 0;  ///< lazily-advanced lower bound of the smallest
-    };
-
-    [[nodiscard]] int bucket(int cores) const noexcept {
-        return std::clamp(cores, 0, max_cores_);
-    }
-
-    [[nodiscard]] int min_queued_cores(PerCluster& pc) const noexcept {
-        while (pc.min_cores <= max_cores_ &&
-               pc.by_cores[pc.min_cores] == 0) {
-            ++pc.min_cores;
-        }
-        return pc.min_cores;
-    }
-
-    int max_cores_ = 1;
-    std::vector<PerCluster> clusters_;
-};
+/// The batch driver's scheduling rules (sim/scheduler.hpp): skip-ahead
+/// queues, a wait estimate over running and queued work, and infeasible
+/// machines left unpriced.
+constexpr SchedulerRules kBatchRules{QueueOrder::SkipAhead,
+                                     /*wait_counts_running=*/true,
+                                     /*price_infeasible=*/false};
 
 /// All mutable state of one simulation run, pooled per thread: `run` is
 /// const and each invocation borrows its thread's RunState (resetting every
@@ -341,8 +125,7 @@ private:
 /// allocator on million-job traces.
 template <typename Queues>
 struct RunState {
-    std::vector<ClusterState> cluster;
-    std::vector<std::size_t> jobs_per_cluster;  // index-counted, named later
+    Scheduler<Queues> core;
     std::vector<double> start_time;  // actual start, for CBA's Eq. 2 term
     std::vector<double> charged;     // submit-time charge, for outage refunds
     // Multi-currency state, empty unless currency_budgets was set:
@@ -354,11 +137,6 @@ struct RunState {
     // One flag per (cluster, user): the paper's one-running-job-per-user
     // rule, flat array instead of hash sets.
     std::vector<std::uint8_t> user_running;
-    // Binary min-heap via std::push_heap/pop_heap (same comparator, and the
-    // Event order is total, so pop order matches std::priority_queue) over a
-    // reusable, pre-sized vector.
-    std::vector<Event> events;
-    Queues queues;
     double budget_remaining = std::numeric_limits<double>::infinity();
     SimResult result;
 };
@@ -370,17 +148,13 @@ RunState<Queues>& pooled_run_state() {
 }
 
 /// Event-loop tallies, accumulated as plain locals on the hot path and
-/// flushed to the obs registry once per run. Shared by both queue policies
-/// (the instrumentation lives in run_impl's policy-independent code), and
-/// write-only: nothing in the run ever reads these back, so results stay
-/// byte-identical with metrics on or off.
+/// flushed to the obs registry once per run. Write-only: nothing in the run
+/// ever reads these back, so results stay byte-identical with metrics on or
+/// off.
 struct SimRunTally {
     std::uint64_t finish_events = 0;
     std::uint64_t submit_events = 0;
     std::uint64_t outage_events = 0;
-    std::uint64_t jobs_started = 0;
-    std::uint64_t queue_scans = 0;
-    std::uint64_t queue_drains = 0;
 };
 
 struct SimMetrics {
@@ -416,37 +190,8 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
     const std::size_t n_clusters = clusters_.size();
     const auto& jobs = workload_.jobs;
 
-    // ---- accounting setup ----
-    std::map<std::string, ga::carbon::IntensityTrace> traces;
-    if (options.regional_grids) {
-        for (const auto& c : clusters_) {
-            if (c.entry.grid_region.empty()) continue;
-            traces.emplace(c.entry.node.name,
-                           ga::carbon::synthesize(
-                               ga::carbon::region(c.entry.grid_region),
-                               /*days=*/30, options.grid_seed));
-        }
-    }
-    // CBA with the scenario's grids; also used to decompose carbon totals
-    // for Table 6 regardless of the pricing method.
-    const ga::acct::CarbonBasedAccounting cba(traces);
-
-    // Resolve the pricing accountant: an explicit registry spec when given,
-    // else the legacy enum mapped through the compatibility shim. Carbon-
-    // aware methods are rebound to the scenario's grid traces (`with_grid`),
-    // so spec-driven CBA prices exactly like the pre-registry path.
-    const ga::acct::AccountantSpec pricing_spec =
-        options.accountant_spec.has_value() ? *options.accountant_spec
-                                            : ga::acct::to_spec(options.pricing);
-    std::unique_ptr<const ga::acct::Accountant> pricer_owned =
-        ga::acct::AccountantRegistry::global().make(pricing_spec);
-    if (!traces.empty()) {
-        if (auto bound = pricer_owned->with_grid(traces)) {
-            pricer_owned = std::move(bound);
-        }
-    }
-    const ga::acct::Accountant& pricer = *pricer_owned;
-
+    // ---- accounting and routing setup ----
+    const RunSetup setup(options, clusters_);
     // Multi-currency admission accountants, index-aligned with
     // options.currency_budgets.
     const std::size_t n_currencies = options.currency_budgets.size();
@@ -457,11 +202,7 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
                    "simulator: currency name must not be empty");
         GA_REQUIRE(cb.budget >= 0.0,
                    "simulator: currency budget must be non-negative");
-        auto acct = ga::acct::AccountantRegistry::global().make(cb.accountant);
-        if (!traces.empty()) {
-            if (auto bound = acct->with_grid(traces)) acct = std::move(bound);
-        }
-        currency_pricers.push_back(std::move(acct));
+        currency_pricers.push_back(setup.bind(cb.accountant));
     }
     for (std::size_t a = 0; a < n_currencies; ++a) {
         for (std::size_t b = a + 1; b < n_currencies; ++b) {
@@ -470,47 +211,21 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
                        "simulator: duplicate currency name");
         }
     }
-
-    // Resolve the routing strategy: an explicit registry spec when given,
-    // else the legacy enum mapped through the compatibility shim.
-    PolicySpec policy_spec =
-        options.policy_spec.has_value()
-            ? *options.policy_spec
-            : to_spec(options.policy, options.mixed_threshold);
-    // Fixed-machine policies are named after their cluster; resolving the
-    // name to an index once here (as the pre-registry code did) spares
-    // them a per-submit name scan. A no-op for every other policy name.
-    if (policy_spec.params.find("index") == policy_spec.params.end()) {
-        for (std::size_t c = 0; c < n_clusters; ++c) {
-            if (clusters_[c].entry.node.name == policy_spec.name) {
-                policy_spec.params.emplace("index", static_cast<double>(c));
-            }
-        }
-    }
-    const auto routing = PolicyRegistry::global().make(policy_spec);
-    // Grid-blind policies (all eight paper builtins among them) let the
-    // submit path skip the per-decision intensity lookups entirely;
-    // current-intensity-only policies skip just the forecast lookup.
-    const bool fill_grid_intensity = routing->uses_grid_intensity();
-    const bool fill_grid_forecast =
-        fill_grid_intensity && routing->uses_grid_forecast();
-
-    // ---- state ----
     GA_REQUIRE(options.arrival_compression > 0.0,
                "simulator: arrival compression must be positive");
-    RunState<Queues>& rs = pooled_run_state<Queues>();
-    rs.cluster.assign(n_clusters, ClusterState{});
-    for (std::size_t c = 0; c < n_clusters; ++c) {
-        rs.cluster[c].free_cores = clusters_[c].total_cores();
-        rs.cluster[c].capacity = clusters_[c].total_cores();
+    if (options.outage.has_value()) {
+        GA_REQUIRE(options.outage->cluster < n_clusters,
+                   "simulator: outage cluster index out of range");
+        GA_REQUIRE(options.outage->nodes_lost >= 0,
+                   "simulator: outage cannot add nodes");
     }
-    rs.jobs_per_cluster.assign(n_clusters, 0);
+
+    // ---- state ----
+    RunState<Queues>& rs = pooled_run_state<Queues>();
+    rs.core.reset(clusters_, setup, kBatchRules, max_job_cores_);
     rs.start_time.assign(jobs.size(), 0.0);
     rs.charged.assign(jobs.size(), 0.0);
     rs.user_running.assign(n_clusters * n_users_, 0);
-    rs.queues.reset(n_clusters, jobs.size(), jobs.data(), max_job_cores_);
-    rs.events.clear();
-    rs.events.reserve(jobs.size() + 2);
     rs.budget_remaining = options.budget > 0.0
                               ? options.budget
                               : std::numeric_limits<double>::infinity();
@@ -534,11 +249,6 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
     SimResult& result = rs.result;
     result.finish_times_s.reserve(jobs.size());
 
-    const auto push_event = [&rs](Event e) {
-        rs.events.push_back(e);
-        std::push_heap(rs.events.begin(), rs.events.end(), std::greater<>{});
-    };
-
     // ---- observability (write-only; never feeds back into the run) ----
     // The tracing flag is sampled once so every event pays one branch; the
     // tally flush at the end of the run is the only registry touch.
@@ -546,34 +256,15 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
     auto& tracer = ga::obs::Tracer::global();
     const bool tracing = ga::obs::tracing_enabled();
 
-    // Scheduling context shared by every routing decision: the per-cluster
-    // views are refreshed before each submit; the span stays valid because
-    // `views` never reallocates.
-    constexpr double kGridForecastHorizonS = 3600.0;
-    std::vector<ClusterStatus> views(n_clusters);
-    std::vector<MachineChoice> choices(n_clusters);
+    // Scheduling context shared by every routing decision; the core
+    // refreshes the per-cluster views before each one.
     SchedulingContext ctx;
     ctx.budget_total = options.budget;
     ctx.jobs_total = jobs.size();
-    // Context pricing: keep the enum view coherent when a registry spec
-    // names one of the five shim methods; custom names keep the option's
-    // enum value (policies needing more should read their own params).
-    ctx.pricing = ga::acct::method_from_string(pricing_spec.name)
-                      .value_or(options.pricing);
-    ctx.clusters = views;
-
+    ctx.clusters = rs.core.views();
     for (const auto& job : jobs) {
-        const double submit = job.submit_s / options.arrival_compression;
-        ctx.trace_span_s = std::max(ctx.trace_span_s, submit);
-        push_event(Event{submit, EventType::Submit, job.id, 0});
-    }
-    if (options.outage.has_value()) {
-        GA_REQUIRE(options.outage->cluster < n_clusters,
-                   "simulator: outage cluster index out of range");
-        GA_REQUIRE(options.outage->nodes_lost >= 0,
-                   "simulator: outage cannot add nodes");
-        push_event(Event{options.outage->at_s, EventType::Outage, 0,
-                         static_cast<std::uint32_t>(options.outage->cluster)});
+        ctx.trace_span_s =
+            std::max(ctx.trace_span_s, job.submit_s / options.arrival_compression);
     }
 
     auto job_usage = [&](std::uint32_t j, std::size_t c,
@@ -586,155 +277,91 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
         return usage;
     };
 
-    // Starts a job on cluster c at time `now` (resources already checked).
-    auto start_job = [&](std::uint32_t j, std::size_t c, double now) {
-        ++tally.jobs_started;
-        const double runtime = pred_runtime_[j * n_clusters + c];
-        ClusterState& cs = rs.cluster[c];
-        cs.free_cores -= jobs[j].cores;
-        rs.user_running[c * n_users_ + jobs[j].user] = 1;
-        cs.sum_cores_end += static_cast<double>(jobs[j].cores) * (now + runtime);
-        cs.running_cores += static_cast<double>(jobs[j].cores);
-        rs.start_time[j] = now;
-        push_event(Event{now + runtime, EventType::Finish, j,
-                         static_cast<std::uint32_t>(c)});
+    // The paper's one-running-job-per-(user, cluster) rule: the batch
+    // driver's start predicate, its flags kept by the start/finish hooks.
+    const auto may_start = [&](const QueuedJob& job, std::size_t c) {
+        return rs.user_running[c * n_users_ + job.user] == 0;
+    };
+    const auto on_start = [&](const QueuedJob& job, std::size_t c,
+                              double now) {
+        rs.user_running[c * n_users_ + job.user] = 1;
+        rs.start_time[job.id] = now;
+    };
+    // Metrics at completion. Carbon is metered at the job's actual start
+    // time: Eq. 2's operational term reads grid intensity when the job
+    // runs, which differs from the submit time for queued jobs.
+    const auto on_finish = [&](const RunningJob& done) {
+        ++tally.finish_events;
+        const std::size_t c = done.cluster;
+        const auto j = static_cast<std::uint32_t>(done.id);
+        rs.user_running[c * n_users_ + done.user] = 0;
+        const auto usage = job_usage(j, c, rs.start_time[j]);
+        ++result.jobs_completed;
+        result.work_core_hours += work_[j];
+        result.energy_mwh += usage.energy_j / ga::util::kJoulesPerKwh / 1000.0;
+        result.operational_carbon_kg +=
+            setup.cba.operational_g(usage, clusters_[c].entry) / 1000.0;
+        result.attributed_carbon_kg +=
+            setup.cba.charge(usage, clusters_[c].entry) / 1000.0;
+        result.finish_times_s.push_back(done.finish_s);
+        result.makespan_s = std::max(result.makespan_s, done.finish_s);
+    };
+    const auto complete_until = [&](double t) {
+        rs.core.complete_until(t, on_finish, may_start, on_start);
     };
 
-    // Tries to start queued jobs on cluster c (FIFO with skip-ahead past
-    // jobs blocked by the one-job-per-user rule or core shortage, bounded
-    // by kBackfillDepth like a real scheduler's backfill depth).
-    auto drain_queue = [&](std::size_t c, double now) {
-        ++tally.queue_drains;
-        if (tracing) tracer.span_begin("sim.drain", now);
-        ClusterState& cs = rs.cluster[c];
-        rs.queues.drain(
-            c, cs, [&](std::uint32_t j, int cores, std::uint32_t user) {
-                ++tally.queue_scans;
-                if (cores <= cs.free_cores &&
-                    rs.user_running[c * n_users_ + user] == 0) {
-                    cs.queued_core_seconds -=
-                        static_cast<double>(cores) *
-                        pred_runtime_[j * n_clusters + c];
-                    start_job(j, c, now);
-                    return true;
-                }
-                return false;
-            });
-        if (tracing) tracer.span_end("sim.drain", now);
+    // The outage: the cluster's lost cores never return, and queued jobs
+    // that no longer fit the shrunken cluster are refunded and skipped.
+    const auto apply_outage = [&](const ClusterOutage& outage) {
+        ++tally.outage_events;
+        if (tracing) tracer.span_begin("sim.outage.compact", outage.at_s);
+        const std::size_t c = outage.cluster;
+        const int lost = std::min(outage.nodes_lost, clusters_[c].nodes) *
+                         clusters_[c].entry.node.total_cores();
+        rs.core.shrink(c, lost, [&](const QueuedJob& job) {
+            rs.budget_remaining += rs.charged[job.id];
+            result.total_cost -= rs.charged[job.id];
+            for (std::size_t k = 0; k < n_currencies; ++k) {
+                rs.currency_remaining[k] +=
+                    rs.currency_charged[job.id * n_currencies + k];
+                rs.currency_spent[k] -=
+                    rs.currency_charged[job.id * n_currencies + k];
+            }
+            ++result.jobs_skipped;
+        });
+        if (tracing) tracer.span_end("sim.outage.compact", outage.at_s);
     };
 
-    while (!rs.events.empty()) {
-        std::pop_heap(rs.events.begin(), rs.events.end(), std::greater<>{});
-        const Event ev = rs.events.back();
-        rs.events.pop_back();
-        const double now = ev.time;
-
-        if (ev.type == EventType::Finish) {
-            ++tally.finish_events;
-            const std::size_t c = ev.cluster;
-            const std::uint32_t j = ev.job;
-            ClusterState& cs = rs.cluster[c];
-            cs.free_cores += jobs[j].cores;
-            rs.user_running[c * n_users_ + jobs[j].user] = 0;
-            cs.sum_cores_end -= static_cast<double>(jobs[j].cores) * now;
-            // `now` equals start + runtime, so subtracting cores*now removes
-            // exactly the cores*end contribution.
-            cs.running_cores -= static_cast<double>(jobs[j].cores);
-
-            // ---- metrics at completion ----
-            // Carbon is metered at the job's actual start time: Eq. 2's
-            // operational term reads grid intensity when the job runs, which
-            // differs from the submit time for queued jobs.
-            const auto usage = job_usage(j, c, rs.start_time[j]);
-            ++result.jobs_completed;
-            result.work_core_hours += work_[j];
-            result.energy_mwh += usage.energy_j / ga::util::kJoulesPerKwh / 1000.0;
-            result.operational_carbon_kg +=
-                cba.operational_g(usage, clusters_[c].entry) / 1000.0;
-            result.attributed_carbon_kg +=
-                cba.charge(usage, clusters_[c].entry) / 1000.0;
-            result.finish_times_s.push_back(now);
-            result.makespan_s = std::max(result.makespan_s, now);
-            ++rs.jobs_per_cluster[c];
-
-            drain_queue(c, now);
-            continue;
+    // ---- event loop: submits in trace order, each preceded by the
+    // completions (and the outage) due by its time. At equal times
+    // finishes go first, then the outage, then the submit; equal-time
+    // finishes and submits go in job-id order.
+    std::optional<ClusterOutage> outage = options.outage;
+    for (const auto& job : jobs) {
+        const double now = job.submit_s / options.arrival_compression;
+        if (outage.has_value() && outage->at_s <= now) {
+            complete_until(outage->at_s);
+            apply_outage(*outage);
+            outage.reset();
         }
-
-        if (ev.type == EventType::Outage) {
-            ++tally.outage_events;
-            if (tracing) tracer.span_begin("sim.outage.compact", now);
-            const std::size_t c = ev.cluster;
-            ClusterState& cs = rs.cluster[c];
-            const int per_node = clusters_[c].entry.node.total_cores();
-            const int lost =
-                std::min(options.outage->nodes_lost, clusters_[c].nodes) *
-                per_node;
-            cs.capacity -= lost;
-            // Running jobs keep their cores until they finish; the pool just
-            // never gets them back (free_cores may go negative meanwhile).
-            cs.free_cores -= lost;
-            // Queued jobs that no longer fit the shrunken cluster are
-            // refunded and counted as skipped.
-            rs.queues.remove_if(c, [&](std::uint32_t j, int cores) {
-                if (cores <= cs.capacity) return false;
-                cs.queued_core_seconds -=
-                    static_cast<double>(jobs[j].cores) *
-                    pred_runtime_[j * n_clusters + c];
-                rs.budget_remaining += rs.charged[j];
-                result.total_cost -= rs.charged[j];
-                for (std::size_t k = 0; k < n_currencies; ++k) {
-                    rs.currency_remaining[k] +=
-                        rs.currency_charged[j * n_currencies + k];
-                    rs.currency_spent[k] -=
-                        rs.currency_charged[j * n_currencies + k];
-                }
-                ++result.jobs_skipped;
-                return true;
-            });
-            if (tracing) tracer.span_end("sim.outage.compact", now);
-            continue;
-        }
+        complete_until(now);
 
         // ---- submit: route through the policy ----
-        // An instant rather than a span: the branch has several early
-        // exits and logical time does not advance inside it anyway.
         ++tally.submit_events;
         if (tracing) tracer.span_instant("sim.submit", now);
-        const std::uint32_t j = ev.job;
-        for (std::size_t c = 0; c < n_clusters; ++c) {
-            const ClusterState& state = rs.cluster[c];
-            const double wait = state.wait_estimate(now);
-
-            ClusterStatus& view = views[c];
-            view.name = clusters_[c].entry.node.name;
-            view.capacity_cores = state.capacity;
-            view.free_cores = state.free_cores;
-            view.queue_depth = rs.queues.depth(c);
-            view.queue_wait_s = wait;
-            if (fill_grid_intensity) {
-                view.grid_intensity_g_per_kwh =
-                    cba.intensity_at(clusters_[c].entry, now);
-                if (fill_grid_forecast) {
-                    view.grid_forecast_g_per_kwh = cba.intensity_at(
-                        clusters_[c].entry, now + kGridForecastHorizonS);
-                }
-            }
-
-            MachineChoice& ch = choices[c];
-            ch = MachineChoice{};
-            ch.machine_index = c;
-            ch.feasible = jobs[j].cores <= state.capacity;
-            if (!ch.feasible) continue;
-            ch.runtime_s = pred_runtime_[j * n_clusters + c];
-            ch.energy_j = ch.runtime_s * pred_power_[j * n_clusters + c];
-            ch.queue_wait_s = wait;
-            ch.cost = pricer.charge(job_usage(j, c, now), clusters_[c].entry);
-        }
+        const std::uint32_t j = job.id;
+        const auto choices = rs.core.route_view(
+            now, job.cores, [&](std::size_t c, MachineChoice& choice) {
+                choice.runtime_s = pred_runtime_[j * n_clusters + c];
+                choice.energy_j =
+                    choice.runtime_s * pred_power_[j * n_clusters + c];
+                choice.cost = setup.pricer->charge(job_usage(j, c, now),
+                                                   clusters_[c].entry);
+            });
         ctx.now_s = now;
         ctx.budget_remaining = rs.budget_remaining;
         ++ctx.jobs_submitted;
-        const auto chosen = routing->choose(ctx, choices);
+        const auto chosen = setup.routing->choose(ctx, choices);
         if (!chosen) {
             ++result.jobs_skipped;
             continue;
@@ -775,33 +402,22 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
         result.total_cost += choices[c].cost;
         rs.charged[j] = choices[c].cost;
 
-        // Enqueue, then drain: a submitted job starts immediately whenever
-        // it (or any skip-ahead-eligible queued job) can run, instead of
-        // idling cores until the cluster's next finish event.
-        ClusterState& cs = rs.cluster[c];
-        const double queued_cs = static_cast<double>(jobs[j].cores) *
-                                 pred_runtime_[j * n_clusters + c];
-        if (Queues::kImmediateStart && rs.queues.depth(c) == 0 &&
-            jobs[j].cores <= cs.free_cores &&
-            rs.user_running[c * n_users_ + jobs[j].user] == 0) {
-            // Fast path: the job would be the sole queue entry and the
-            // drain would start it at once, so skip the queue bookkeeping.
-            // The add/subtract pair replays the enqueue+drain arithmetic on
-            // queued_core_seconds, keeping its value (and thus every later
-            // wait estimate) bit-identical to the slow path.
-            cs.queued_core_seconds += queued_cs;
-            cs.queued_core_seconds -= queued_cs;
-            start_job(j, c, now);
-            continue;
-        }
-        rs.queues.push(c, j, jobs[j].cores, jobs[j].user);
-        cs.queued_core_seconds += queued_cs;
-        drain_queue(c, now);
+        rs.core.submit(c,
+                       QueuedJob{j, job.cores, job.user,
+                                 pred_runtime_[j * n_clusters + c]},
+                       now, may_start, on_start);
     }
+    if (outage.has_value()) {
+        complete_until(outage->at_s);
+        apply_outage(*outage);
+    }
+    complete_until(std::numeric_limits<double>::infinity());
 
+    std::uint64_t jobs_started = 0;
     for (std::size_t c = 0; c < n_clusters; ++c) {
         result.jobs_per_machine[clusters_[c].entry.node.name] +=
-            rs.jobs_per_cluster[c];
+            rs.core.cluster(c).completed;
+        jobs_started += rs.core.cluster(c).started;
     }
     for (std::size_t k = 0; k < n_currencies; ++k) {
         result.currency_spent[options.currency_budgets[k].currency] =
@@ -815,9 +431,9 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
         metrics.finish_events.inc(tally.finish_events);
         metrics.submit_events.inc(tally.submit_events);
         metrics.outage_events.inc(tally.outage_events);
-        metrics.jobs_started.inc(tally.jobs_started);
-        metrics.queue_scans.inc(tally.queue_scans);
-        metrics.queue_drains.inc(tally.queue_drains);
+        metrics.jobs_started.inc(jobs_started);
+        metrics.queue_scans.inc(rs.core.scans());
+        metrics.queue_drains.inc(rs.core.drains());
     }
     return std::move(rs.result);
 }

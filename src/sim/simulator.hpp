@@ -5,7 +5,10 @@
 // per cluster. Jobs arrive from the synthetic trace; a policy routes each
 // job to a machine using its per-machine predictions and current queue
 // estimates; execution is deterministic (runtime/power from the
-// cross-platform predictor); accounting charges the configured method.
+// cross-platform predictor); accounting charges the configured method. The
+// queues, running jobs and routing views are the scheduling core shared
+// with the ga-serve session (sim/scheduler.hpp); this driver replays the
+// trace through it.
 //
 // A fixed allocation budget can be imposed: jobs whose estimated cost
 // exceeds the remaining budget are skipped, reproducing the paper's
@@ -124,6 +127,8 @@ struct SimResult {
 /// scenario-sweep engine (`sim/sweep.hpp`) relies on this.
 class BatchSimulator {
 public:
+    /// Requires positional job ids (`jobs[i].id == i`) and non-decreasing
+    /// submit times, as `generate_trace` produces them.
     BatchSimulator(ga::workload::Workload workload,
                    std::vector<ClusterConfig> clusters);
 
@@ -133,11 +138,10 @@ public:
 
     [[nodiscard]] SimResult run(const SimOptions& options) const;
 
-    /// The linear-scan executor (the pre-index deque-of-ids queue, every
-    /// scan re-reading the trace array), kept as the bit-identity oracle
-    /// for `run` and as the baseline the bench harness measures the indexed
-    /// queue against. Same contract and thread-safety as `run`;
-    /// byte-identical results on every input.
+    /// The linear-scan executor (`LinearQueues`, sim/scheduler.hpp), kept
+    /// as the bit-identity oracle for `run` and as the baseline the bench
+    /// harness measures the indexed queue against. Same contract and
+    /// thread-safety as `run`; byte-identical results on every input.
     [[nodiscard]] SimResult run_reference(const SimOptions& options) const;
 
     [[nodiscard]] const std::vector<ClusterConfig>& clusters() const noexcept {
@@ -152,7 +156,7 @@ public:
 
 private:
     /// The event loop, parameterized on the ready-queue structure (the
-    /// indexed fast path or the linear reference; both live in the .cpp).
+    /// indexed fast path or the linear reference).
     template <typename Queues>
     [[nodiscard]] SimResult run_impl(const SimOptions& options) const;
 

@@ -149,16 +149,17 @@ SessionState sample_state() {
     faster.name = "FASTER";
     faster.capacity_cores = 2048;
     faster.free_cores = 2000;
-    faster.running.push_back({3, "alice", 48, 2000.25});
+    faster.running.push_back({3, 48, 2000.25});
     faster.started = 5;
     faster.completed = 4;
     ClusterSessionState theta;
     theta.name = "Theta";
     theta.capacity_cores = 4096;
     theta.free_cores = 0;
-    theta.queue.push_back({7, "bob", 4096, 777.0, 1200.0});
+    theta.queue.push_back({7, 4096, 777.0});
     theta.started = 2;
     theta.completed = 2;
+    theta.queued_core_seconds = 4096 * 777.0;
     state.clusters = {faster, theta};
     state.ledger = ledger.export_state();
     return state;
@@ -213,8 +214,14 @@ TEST(Snapshot, RejectsBadMagic) {
 
 TEST(Snapshot, RejectsUnknownVersion) {
     std::string bytes = encode_snapshot(sample_state());
-    bytes[8] = 2;  // version u32 little-endian at offset 8
-    expect_decode_error(bytes, "unsupported version 2");
+    bytes[8] = 3;  // version u32 little-endian at offset 8
+    expect_decode_error(bytes, "unsupported version 3");
+}
+
+TEST(Snapshot, RefusesVersionOneByName) {
+    std::string bytes = encode_snapshot(sample_state());
+    bytes[8] = 1;
+    expect_decode_error(bytes, "version 1 snapshots are refused");
 }
 
 TEST(Snapshot, RejectsEndiannessMismatch) {
@@ -327,19 +334,26 @@ ga::io::ScenarioFile ci_scenario() {
 }
 
 /// The request sequence the determinism tests replay: account setup, an
-/// explicit submit, a generated batch (exercising the RNG), pricing, a
-/// charge/refund pair, and clock advancement.
+/// explicit submit, a generated batch (exercising the RNG), a burst that
+/// queues behind FASTER's blocked heads, clock advancement that starts some
+/// of it, pricing, and a charge/refund pair. The split restore lands after
+/// queued jobs have started, so the quotes that follow it read a queued-work
+/// sum that a restore rebuilding it from the queue, instead of carrying it,
+/// would get wrong in the last bits.
 std::vector<std::string> session_script() {
     return {
         R"({"id":1,"type":"create_account","user":"alice","budget":500000})",
         R"({"id":2,"type":"submit_jobs","jobs":[{"user":"alice","cores":8,"runtime_ic_s":3600,"power_ic_w":150}]})",
         R"({"id":3,"type":"submit_jobs","generate":{"count":4,"start_s":50,"spacing_s":25}})",
-        R"({"id":4,"type":"quote","user":"alice","cores":16,"runtime_ic_s":600,"power_ic_w":200})",
-        R"({"id":5,"type":"charge","user":"alice","machine":"IC","duration_s":60,"energy_j":10000,"cores":2})",
-        R"({"id":6,"type":"refund","user":"alice","transaction":2})",
-        R"({"id":7,"type":"advance","to_s":4000})",
-        R"({"id":8,"type":"balance","user":"alice"})",
-        R"({"id":9,"type":"stats"})",
+        R"({"id":4,"type":"submit_jobs","jobs":[{"user":"q1","cores":1024,"runtime_ic_s":1200.1,"power_ic_w":19200,"submit_s":200},{"user":"q2","cores":1000,"runtime_ic_s":30000.3,"power_ic_w":19200,"submit_s":200},{"user":"q3","cores":1024,"runtime_ic_s":1300.7,"power_ic_w":19200,"submit_s":200},{"user":"q4","cores":4,"runtime_ic_s":120.9,"power_ic_w":75,"submit_s":200},{"user":"q5","cores":1500,"runtime_ic_s":3600.3,"power_ic_w":28125,"submit_s":200},{"user":"q6","cores":1500,"runtime_ic_s":2400.1,"power_ic_w":28125,"submit_s":200},{"user":"q7","cores":8,"runtime_ic_s":600.7,"power_ic_w":150,"submit_s":200}]})",
+        R"({"id":5,"type":"quote","user":"alice","cores":16,"runtime_ic_s":600,"power_ic_w":200})",
+        R"({"id":6,"type":"advance","to_s":4000})",
+        R"({"id":7,"type":"quote","cores":8,"runtime_ic_s":600,"power_ic_w":150})",
+        R"({"id":8,"type":"charge","user":"alice","machine":"IC","duration_s":60,"energy_j":10000,"cores":2})",
+        R"({"id":9,"type":"refund","user":"alice","transaction":2})",
+        R"({"id":10,"type":"balance","user":"alice"})",
+        R"({"id":11,"type":"quote","cores":2000,"runtime_ic_s":60,"power_ic_w":4000})",
+        R"({"id":12,"type":"stats"})",
     };
 }
 
@@ -466,6 +480,29 @@ TEST(Session, ShutdownSetsTheFlag) {
         result_of(session.handle_line(R"({"id":1,"type":"shutdown"})"));
     EXPECT_TRUE(result.find("stopping")->as_bool());
     EXPECT_TRUE(session.shutdown_requested());
+}
+
+TEST(Session, NonFiniteSubmitIsRefusedWithoutStateChange) {
+    // A job whose predicted energy and cost overflow must not be admitted:
+    // an accountless user's cost would otherwise reach primary_spent, and
+    // every later `stats` would fail to render it. The refusal covers the
+    // whole request, including the finite job before the overflowing one.
+    ServeSession session(ci_scenario());
+    (void)result_of(session.handle_line(
+        R"({"id":1,"type":"submit_jobs","jobs":[{"user":"u1","cores":8,"runtime_ic_s":3600,"power_ic_w":150}]})"));
+    const std::string before = encode_snapshot(session.export_state());
+    const std::string finite =
+        R"({"user":"u2","cores":8,"runtime_ic_s":60,"power_ic_w":150})";
+    const std::string huge =
+        R"({"user":"u3","cores":8,"runtime_ic_s":1e308,"power_ic_w":1e308})";
+    for (const std::string& jobs : {huge, finite + "," + huge}) {
+        const std::string request =
+            R"({"id":2,"type":"submit_jobs","jobs":[)" + jobs + "]}";
+        EXPECT_EQ(error_code_of(session.handle_line(request)), "bad_request")
+            << request;
+        EXPECT_EQ(encode_snapshot(session.export_state()), before) << request;
+        (void)result_of(session.handle_line(R"({"id":3,"type":"stats"})"));
+    }
 }
 
 }  // namespace
