@@ -110,6 +110,7 @@ TEST(LedgerCharge, MultiCurrencyAdmitsWhenAllCanPayAndDebitsAll) {
     // One self-describing transaction per currency.
     const auto history = ledger.history();
     ASSERT_EQ(history.size(), 2u);
+    EXPECT_EQ(ledger.history_size(), 2u);
     EXPECT_EQ(history[0].currency, "core-hours");
     EXPECT_EQ(history[0].unit, "core-hours");
     EXPECT_EQ(history[1].currency, "gCO2e");
@@ -139,6 +140,7 @@ TEST(LedgerCharge, OneStarvedCurrencyBlocksAdmissionEntirely) {
     EXPECT_DOUBLE_EQ(ledger.spent("carol", "core-hours"), 0.0);
     EXPECT_DOUBLE_EQ(ledger.spent("carol", "gCO2e"), 0.0);
     EXPECT_TRUE(ledger.history().empty());
+    EXPECT_EQ(ledger.history_size(), 0u);
 }
 
 /// A pathological accountant pricing everything negative (a "rebate").

@@ -398,6 +398,17 @@ TEST(Simulator, RejectsNonPositionalJobIds) {
                  ga::util::PreconditionError);
 }
 
+TEST(Simulator, RejectsOutOfOrderSubmits) {
+    // Submits replay in trace order, so a trace whose submit times go
+    // backwards must be rejected at construction rather than reordered.
+    std::vector<wl::TraceJob> jobs;
+    jobs.push_back(make_job(0, 0, 0, 8, 50.0, 100.0));
+    jobs.push_back(make_job(1, 1, 0, 8, 10.0, 100.0));
+    EXPECT_THROW(sm::BatchSimulator(craft_workload(std::move(jobs)),
+                                    {sm::ClusterConfig{mc::find("IC"), 1}}),
+                 ga::util::PreconditionError);
+}
+
 TEST(Simulator, CbaMetersOperationalCarbonAtJobStart) {
     // J0 fills the cluster for hours; J1 (other user) queues the whole time.
     // Eq. 2's operational term must read the grid intensity when J1 starts

@@ -13,6 +13,7 @@
 // byte-identical stdout transcript (see service/session.hpp), which the
 // committed golden session in examples/serve/ pins in CI — including across
 // a checkpoint/--restore split.
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -156,12 +157,28 @@ bool drain_frames(ga::service::ServeSession& session,
     return true;
 }
 
+/// Blocks until stdin has bytes and returns what arrived (0 at EOF or on
+/// a read error). On POSIX this is read(2), which returns as soon as a line
+/// is in, so a client that waits for each response before writing the next
+/// request is answered line by line; elsewhere it is a buffered fread.
+std::size_t read_stdin(char* buffer, std::size_t size) {
+#if GA_SERVE_HAVE_SOCKETS
+    for (;;) {
+        const ssize_t n = ::read(0, buffer, size);
+        if (n >= 0) return static_cast<std::size_t>(n);
+        if (errno != EINTR) return 0;
+    }
+#else
+    return std::fread(buffer, 1, size, stdin);
+#endif
+}
+
 /// stdin/stdout-only loop (also the non-socket fallback everywhere).
 int serve_stdio(ga::service::ServeSession& session) {
     ga::util::LineFramer framer;
     char buffer[1 << 16];
     std::size_t n = 0;
-    while ((n = std::fread(buffer, 1, sizeof buffer, stdin)) > 0) {
+    while ((n = read_stdin(buffer, sizeof buffer)) > 0) {
         framer.feed(std::string_view(buffer, n));
         if (!drain_frames(session, framer, stdout)) return 0;
     }
@@ -243,13 +260,12 @@ int serve_multiplexed(ga::service::ServeSession& session,
         if (stdin_open) {
             if ((fds[idx].revents & (POLLIN | POLLHUP)) != 0) {
                 char buffer[1 << 16];
-                const ssize_t n = ::read(0, buffer, sizeof buffer);
-                if (n <= 0) {
+                const std::size_t n = read_stdin(buffer, sizeof buffer);
+                if (n == 0) {
                     // stdin EOF ends the daemon: the driving process is gone.
                     running = false;
                 } else {
-                    stdin_framer.feed(
-                        std::string_view(buffer, static_cast<std::size_t>(n)));
+                    stdin_framer.feed(std::string_view(buffer, n));
                     if (!drain_frames(session, stdin_framer, stdout)) {
                         running = false;
                     }
