@@ -1,26 +1,15 @@
 // The scheduling core shared by the batch simulator (`BatchSimulator`,
 // sim/simulator.hpp) and the live ga-serve session (service/session.hpp).
 //
-// `Scheduler` decides when a routed job runs. It holds the per-cluster core
-// pools with their O(1) backlog terms, one ready queue per cluster, a single
-// min-heap of running jobs ordered by (finish time, id), and the routing
-// views a policy reads (`ClusterStatus` and `MachineChoice`). `RunSetup`
-// resolves what a run needs from `SimOptions` once: the regional grid
-// traces, the carbon model, the pricing accountant and the routing policy.
-//
-// The two drivers differ only where `SchedulerRules` says so; each passes
-// one value when it builds its core:
-//
-//   rule                 batch simulator            ga-serve session
-//   queue order          skip-ahead (256 window)    strict FIFO
-//   wait estimate        running + queued work      queued work only
-//   infeasible machines  left unpriced              priced (quotes show them)
-//
-// Driver-specific behaviour enters through callables. `may_start` is an
-// extra start predicate (the batch driver's one-running-job-per-user rule);
-// `on_start` and `on_finish` observe starts and completions (the batch
-// driver keeps that rule's flags and meters carbon there). The session
-// passes none of them.
+// `Scheduler` decides when a routed job runs: per-cluster core pools with
+// O(1) backlog terms, one ready queue per cluster, one min-heap of running
+// jobs ordered by (finish time, id), and the routing views a policy reads.
+// `RunSetup` resolves a run's grid traces, pricing accountant and routing
+// policy from `SimOptions`. The drivers differ only through the
+// `SchedulerRules` value each passes and the callables it hands in: an
+// extra start predicate (`may_start`, the batch driver's
+// one-running-job-per-user rule) and start/finish observers. The table of
+// differences is in docs/ARCHITECTURE.md, `sim` section.
 #pragma once
 
 #include <algorithm>
@@ -86,8 +75,8 @@ struct ClusterState {
     std::uint64_t completed = 0;
 };
 
-/// A job waiting in a cluster queue. Per-job scheduling state lives only
-/// here and in the running heap, and is freed at completion.
+/// A job waiting in a cluster queue. Per-job scheduling state lives only in
+/// the queues and the running heap, and is freed at completion.
 struct QueuedJob {
     std::uint64_t id = 0;    ///< trace index (batch) or submission seq (service)
     int cores = 0;
@@ -150,15 +139,17 @@ public:
         return queues_[c].size();
     }
 
-    /// Offers entries to `try_start` in FIFO order; true removes the entry.
-    template <typename TryStart>
+    /// Offers entries' (cores, user) to `can_start` in FIFO order; an entry
+    /// it accepts goes to `start` and leaves the queue.
+    template <typename CanStart, typename Start>
     void drain(std::size_t c, const ClusterState& /*cs*/, QueueOrder order,
-               TryStart&& try_start) {
+               CanStart&& can_start, Start&& start) {
         auto& q = queues_[c];
         std::size_t scanned = 0;
         for (auto it = q.begin(); it != q.end() && scanned < scan_window(order);
              ++scanned) {
-            if (try_start(*it)) {
+            if (can_start(it->cores, it->user)) {
+                start(*it);
                 it = q.erase(it);
             } else if (order == QueueOrder::StrictFifo) {
                 return;
@@ -177,19 +168,17 @@ public:
         }
     }
 
-    template <typename Fn>
-    void for_each(std::size_t c, Fn&& fn) const {
-        for (const QueuedJob& job : queues_[c]) fn(job);
-    }
-
 private:
     std::vector<std::deque<QueuedJob>> queues_;
 };
 
-/// The indexed queue behind `BatchSimulator::run` and the session. Two
+/// The indexed queue behind `BatchSimulator::run` and the session. Three
 /// structural changes over the linear deque, each preserving FIFO scan
 /// order (so scheduling decisions stay bit-identical):
 ///
+///   * each entry's core demand and user sit in their own contiguous
+///     8-byte records, apart from its id and runtime, so the hot
+///     kBackfillDepth scan streams only what the start test reads;
 ///   * a per-cluster bucket count of queued core demands with a cached
 ///     minimum lets a drain pass exit in O(1) whenever the smallest queued
 ///     demand exceeds the free cores (the common state of a saturated
@@ -212,7 +201,8 @@ public:
         max_cores_ = std::clamp(max_cores, 1, kMaxIndexedCores);
         if (clusters_.size() != n_clusters) clusters_.resize(n_clusters);
         for (auto& pc : clusters_) {
-            pc.entries.clear();
+            pc.demands.clear();
+            pc.payloads.clear();
             pc.by_cores.assign(static_cast<std::size_t>(max_cores_) + 1, 0);
             pc.min_cores = max_cores_ + 1;
         }
@@ -220,41 +210,47 @@ public:
 
     void push(std::size_t c, const QueuedJob& job) {
         PerCluster& pc = clusters_[c];
-        pc.entries.push_back(job);
+        pc.demands.push_back(Demand{job.cores, job.user});
+        pc.payloads.push_back(Payload{job.id, job.runtime_s});
         const int b = bucket(job.cores);
         ++pc.by_cores[b];
         pc.min_cores = std::min(pc.min_cores, b);
     }
 
     [[nodiscard]] std::size_t depth(std::size_t c) const noexcept {
-        return clusters_[c].entries.size();
+        return clusters_[c].demands.size();
     }
 
-    template <typename TryStart>
+    template <typename CanStart, typename Start>
     void drain(std::size_t c, const ClusterState& cs, QueueOrder order,
-               TryStart&& try_start) {
+               CanStart&& can_start, Start&& start) {
         PerCluster& pc = clusters_[c];
         // Early exit: the smallest queued demand is a lower bound for every
         // entry, so nothing can start when it exceeds the free cores. Only
         // a successful start changes either side, so the bound is
         // re-checked after starts, not per scanned entry.
-        if (pc.entries.empty() || cs.free_cores < min_queued_cores(pc)) {
+        if (pc.demands.empty() || cs.free_cores < min_queued_cores(pc)) {
             return;
         }
-        auto& q = pc.entries;
+        auto demand = pc.demands.begin();
+        const std::size_t window = scan_window(order);
         std::size_t scanned = 0;
-        for (auto it = q.begin(); it != q.end() && scanned < scan_window(order);
-             ++scanned) {
-            if (try_start(*it)) {
-                --pc.by_cores[bucket(it->cores)];
-                it = q.erase(it);
-                if (q.empty() || cs.free_cores < min_queued_cores(pc)) {
+        for (; demand != pc.demands.end() && scanned < window; ++scanned) {
+            if (can_start(demand->cores, demand->user)) {
+                const auto payload =
+                    pc.payloads.begin() + (demand - pc.demands.begin());
+                start(QueuedJob{payload->id, demand->cores, demand->user,
+                                payload->runtime_s});
+                --pc.by_cores[bucket(demand->cores)];
+                demand = pc.demands.erase(demand);
+                pc.payloads.erase(payload);
+                if (pc.demands.empty() || cs.free_cores < min_queued_cores(pc)) {
                     return;
                 }
             } else if (order == QueueOrder::StrictFifo) {
                 return;
             } else {
-                ++it;
+                ++demand;
             }
         }
     }
@@ -262,29 +258,48 @@ public:
     template <typename Remove>
     void remove_if(std::size_t c, Remove&& remove) {
         PerCluster& pc = clusters_[c];
-        // Single-pass compaction (std::remove_if applies the predicate
-        // exactly once per entry, first to last, preserving the FIFO
-        // side-effect order of the linear walk).
-        const auto keep_end = std::remove_if(
-            pc.entries.begin(), pc.entries.end(), [&](const QueuedJob& job) {
-                if (!remove(job)) return false;
-                --pc.by_cores[bucket(job.cores)];
-                return true;
-            });
-        pc.entries.erase(keep_end, pc.entries.end());
+        // Single-pass compaction, visiting each entry once, first to last,
+        // preserving the FIFO side-effect order of the linear walk.
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < pc.demands.size(); ++i) {
+            if (remove(entry(pc, i))) {
+                --pc.by_cores[bucket(pc.demands[i].cores)];
+                continue;
+            }
+            pc.demands[kept] = pc.demands[i];
+            pc.payloads[kept] = pc.payloads[i];
+            ++kept;
+        }
+        pc.demands.resize(kept);
+        pc.payloads.resize(kept);
     }
 
     template <typename Fn>
     void for_each(std::size_t c, Fn&& fn) const {
-        for (const QueuedJob& job : clusters_[c].entries) fn(job);
+        const PerCluster& pc = clusters_[c];
+        for (std::size_t i = 0; i < pc.demands.size(); ++i) fn(entry(pc, i));
     }
 
 private:
+    struct Demand {
+        int cores;
+        std::uint32_t user;
+    };
+    struct Payload {
+        std::uint64_t id;
+        double runtime_s;
+    };
     struct PerCluster {
-        std::deque<QueuedJob> entries;        ///< FIFO, scanned contiguously
+        std::deque<Demand> demands;    ///< FIFO, scanned by every drain
+        std::deque<Payload> payloads;  ///< index-aligned, read on a start
         std::vector<std::uint32_t> by_cores;  ///< queued count per core demand
         int min_cores = 0;  ///< lazily-advanced lower bound of the smallest
     };
+
+    [[nodiscard]] static QueuedJob entry(const PerCluster& pc, std::size_t i) {
+        return QueuedJob{pc.payloads[i].id, pc.demands[i].cores,
+                         pc.demands[i].user, pc.payloads[i].runtime_s};
+    }
 
     [[nodiscard]] int bucket(int cores) const noexcept {
         return std::clamp(cores, 0, max_cores_);
@@ -304,7 +319,7 @@ private:
 
 /// The default callables: no extra start predicate, nothing to observe.
 struct AnyJob {
-    bool operator()(const QueuedJob& /*job*/, std::size_t /*c*/) const noexcept {
+    bool operator()(std::uint32_t /*user*/, std::size_t /*c*/) const noexcept {
         return true;
     }
 };
@@ -416,7 +431,7 @@ public:
         ClusterState& cs = state_[c];
         const double queued_cs = static_cast<double>(job.cores) * job.runtime_s;
         if (Queues::kImmediateStart && queues_.depth(c) == 0 &&
-            job.cores <= cs.free_cores && may_start(job, c)) {
+            job.cores <= cs.free_cores && may_start(job.user, c)) {
             // Fast path: the job would be the sole queue entry and the
             // drain would start it at once, so skip the queue bookkeeping.
             // The add/subtract pair replays the enqueue+drain arithmetic on
@@ -552,14 +567,20 @@ private:
                OnStart&& on_start) {
         ++drains_;
         ClusterState& cs = state_[c];
-        queues_.drain(c, cs, rules_.order, [&](const QueuedJob& job) {
-            ++scans_;
-            if (job.cores > cs.free_cores || !may_start(job, c)) return false;
-            cs.queued_core_seconds -=
-                static_cast<double>(job.cores) * job.runtime_s;
-            start(c, job, now, on_start);
-            return true;
-        });
+        // Counted in a local so the scan loop keeps it in a register.
+        std::uint64_t scans = 0;
+        queues_.drain(
+            c, cs, rules_.order,
+            [&](int cores, std::uint32_t user) {
+                ++scans;
+                return cores <= cs.free_cores && may_start(user, c);
+            },
+            [&](const QueuedJob& job) {
+                cs.queued_core_seconds -=
+                    static_cast<double>(job.cores) * job.runtime_s;
+                start(c, job, now, on_start);
+            });
+        scans_ += scans;
     }
 
     std::span<const ClusterConfig> configs_;

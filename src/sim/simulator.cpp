@@ -147,16 +147,6 @@ RunState<Queues>& pooled_run_state() {
     return state;
 }
 
-/// Event-loop tallies, accumulated as plain locals on the hot path and
-/// flushed to the obs registry once per run. Write-only: nothing in the run
-/// ever reads these back, so results stay byte-identical with metrics on or
-/// off.
-struct SimRunTally {
-    std::uint64_t finish_events = 0;
-    std::uint64_t submit_events = 0;
-    std::uint64_t outage_events = 0;
-};
-
 struct SimMetrics {
     ga::obs::Counter& finish_events;
     ga::obs::Counter& submit_events;
@@ -251,8 +241,7 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
 
     // ---- observability (write-only; never feeds back into the run) ----
     // The tracing flag is sampled once so every event pays one branch; the
-    // tally flush at the end of the run is the only registry touch.
-    SimRunTally tally;
+    // counter flush at the end of the run is the only registry touch.
     auto& tracer = ga::obs::Tracer::global();
     const bool tracing = ga::obs::tracing_enabled();
 
@@ -279,8 +268,8 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
 
     // The paper's one-running-job-per-(user, cluster) rule: the batch
     // driver's start predicate, its flags kept by the start/finish hooks.
-    const auto may_start = [&](const QueuedJob& job, std::size_t c) {
-        return rs.user_running[c * n_users_ + job.user] == 0;
+    const auto may_start = [&](std::uint32_t user, std::size_t c) {
+        return rs.user_running[c * n_users_ + user] == 0;
     };
     const auto on_start = [&](const QueuedJob& job, std::size_t c,
                               double now) {
@@ -291,7 +280,6 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
     // time: Eq. 2's operational term reads grid intensity when the job
     // runs, which differs from the submit time for queued jobs.
     const auto on_finish = [&](const RunningJob& done) {
-        ++tally.finish_events;
         const std::size_t c = done.cluster;
         const auto j = static_cast<std::uint32_t>(done.id);
         rs.user_running[c * n_users_ + done.user] = 0;
@@ -313,7 +301,6 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
     // The outage: the cluster's lost cores never return, and queued jobs
     // that no longer fit the shrunken cluster are refunded and skipped.
     const auto apply_outage = [&](const ClusterOutage& outage) {
-        ++tally.outage_events;
         if (tracing) tracer.span_begin("sim.outage.compact", outage.at_s);
         const std::size_t c = outage.cluster;
         const int lost = std::min(outage.nodes_lost, clusters_[c].nodes) *
@@ -347,7 +334,6 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
         complete_until(now);
 
         // ---- submit: route through the policy ----
-        ++tally.submit_events;
         if (tracing) tracer.span_instant("sim.submit", now);
         const std::uint32_t j = job.id;
         const auto choices = rs.core.route_view(
@@ -428,9 +414,9 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
     if (ga::obs::metrics_enabled()) {
         SimMetrics& metrics = sim_metrics();
         metrics.runs.inc();
-        metrics.finish_events.inc(tally.finish_events);
-        metrics.submit_events.inc(tally.submit_events);
-        metrics.outage_events.inc(tally.outage_events);
+        metrics.finish_events.inc(result.jobs_completed);
+        metrics.submit_events.inc(jobs.size());
+        metrics.outage_events.inc(options.outage.has_value() ? 1 : 0);
         metrics.jobs_started.inc(jobs_started);
         metrics.queue_scans.inc(rs.core.scans());
         metrics.queue_drains.inc(rs.core.drains());
