@@ -418,6 +418,9 @@ TEST(ScenarioFiles, Fig5FileMatchesInCodeGrid) {
     }
 }
 
+// Every committed scenario loads, and its expanded labels match the pinned
+// `golden/<stem>.labels.txt` (the `ga-sim --list` output), so a change to
+// the loader or the sweep expander cannot silently rename a grid point.
 TEST(ScenarioFiles, AllCommittedScenariosLoadAndExpand) {
     std::size_t seen = 0;
     for (const auto& entry : std::filesystem::directory_iterator(kScenarioDir)) {
@@ -425,7 +428,17 @@ TEST(ScenarioFiles, AllCommittedScenariosLoadAndExpand) {
         ++seen;
         const auto scenario = load_scenario_file(entry.path());
         EXPECT_FALSE(scenario.name.empty()) << entry.path();
-        EXPECT_GE(scenario.grid.expand().size(), 1u) << entry.path();
+        std::string labels;
+        for (const auto& spec : scenario.grid.expand()) {
+            labels += spec.label + "\n";
+        }
+        const auto golden = kScenarioDir / "golden" /
+                            (entry.path().stem().string() + ".labels.txt");
+        std::ifstream in(golden, std::ios::binary);
+        ASSERT_TRUE(in.good()) << "missing label file " << golden;
+        std::ostringstream expected;
+        expected << in.rdbuf();
+        EXPECT_EQ(labels, expected.str()) << entry.path();
     }
     EXPECT_GE(seen, 4u);
 }
