@@ -124,14 +124,15 @@ int main() {
     const ga::sim::BatchSimulator simulator(ga::workload::build_workload(options));
     ga::sim::SweepRunner runner(simulator);
     ga::sim::SweepGrid mixed_grid;
-    mixed_grid.policies = {ga::sim::Policy::Mixed};
+    mixed_grid.policies = {{"Mixed", {}}};
     mixed_grid.mixed_thresholds = {1.25, 1.5, 2.0, 4.0, 100.0};
     ga::util::TablePrinter mixed_table(
         {"Threshold", "Cost", "Makespan (d)", "Energy (MWh)"});
     for (const auto& outcome : runner.run(mixed_grid)) {
         const auto& r = outcome.result;
         mixed_table.add_row(
-            {ga::util::TablePrinter::num(outcome.spec.options.mixed_threshold, 2),
+            {ga::util::TablePrinter::num(
+                 outcome.spec.options.policy.param("threshold", 2.0), 2),
              ga::util::TablePrinter::num(r.total_cost / 1e6, 1),
              ga::util::TablePrinter::num(r.makespan_s / 86400.0, 1),
              ga::util::TablePrinter::num(r.energy_mwh, 3)});
@@ -147,8 +148,7 @@ int main() {
     // policies reroute the rest of the trace.
     ga::bench::banner("Ablation A6: FASTER outage on day 2 (new dimension)");
     ga::sim::SweepGrid outage_grid;
-    outage_grid.policies = {ga::sim::Policy::Greedy, ga::sim::Policy::Eft,
-                            ga::sim::Policy::FixedFaster};
+    outage_grid.policies = {{"Greedy", {}}, {"EFT", {}}, {"FASTER", {}}};
     outage_grid.outages = {
         std::nullopt,
         ga::sim::ClusterOutage{0, 2 * 86400.0, 16},
@@ -173,7 +173,7 @@ int main() {
     // The same trace compressed into ever-burstier submission windows.
     ga::bench::banner("Ablation A7: arrival-burst compression (new dimension)");
     ga::sim::SweepGrid burst_grid;
-    burst_grid.policies = {ga::sim::Policy::Greedy};
+    burst_grid.policies = {{"Greedy", {}}};
     burst_grid.arrival_compressions = {1.0, 2.0, 4.0, 8.0};
     ga::util::TablePrinter burst_table(
         {"Compression", "Jobs done", "Makespan (d)", "Mean finish (h)"});
@@ -195,18 +195,19 @@ int main() {
         "contention grows as the submission window shrinks.\n");
 
     // ---- A8: context-aware routing (open policy API, beyond the paper) ----
-    // Registry policies swept by name next to the paper's enum policies:
+    // Registry policies swept by name next to the paper's policies:
     // CarbonAware routes on live (or one-hour-ahead) grid intensity,
     // LeastLoaded balances queue depths. Regional grids, CBA pricing.
     ga::bench::banner("Ablation A8: carbon-aware routing on regional grids");
     ga::sim::SweepGrid carbon_grid;
-    carbon_grid.policies = {ga::sim::Policy::Greedy, ga::sim::Policy::Energy};
-    carbon_grid.policy_specs = {
-        ga::sim::PolicySpec{"CarbonAware", {}},
-        ga::sim::PolicySpec{"CarbonAware", {{"forecast", 1.0}}},
-        ga::sim::PolicySpec{"LeastLoaded", {}},
+    carbon_grid.policies = {
+        {"Greedy", {}},
+        {"Energy", {}},
+        {"CarbonAware", {}},
+        {"CarbonAware", {{"forecast", 1.0}}},
+        {"LeastLoaded", {}},
     };
-    carbon_grid.pricings = {ga::acct::Method::Cba};
+    carbon_grid.pricings = {{"CBA", {}}};
     carbon_grid.regional_grids = {true};
     ga::util::TablePrinter carbon_table({"Scenario", "Op carbon (kg)",
                                          "Total carbon (kg)", "Cost (kg eq)",

@@ -19,18 +19,16 @@ int main(int argc, char** argv) {
 
     // The fixed allocation: 75% of what Greedy needs for the full workload.
     const auto greedy_full =
-        ga::bench::run(simulator, ga::sim::Policy::Greedy, ga::acct::Method::Eba);
+        ga::bench::run(simulator, {"Greedy", {}}, {"EBA", {}});
     const double budget = greedy_full.total_cost * 0.75;
     std::printf("fixed EBA allocation: %.3g (75%% of Greedy's full-run cost)\n",
                 budget);
 
     // One grid, all policies, both budget levels; rows are classified by
-    // each outcome's own spec, independent of expansion order. Pricing runs
-    // through the open accounting API — an explicit EBA registry spec,
-    // bit-identical to the legacy enum axis.
+    // each outcome's own spec, independent of expansion order.
     ga::sim::SweepGrid grid;
     grid.policies = ga::sim::all_policies();
-    grid.accountant_specs = {ga::acct::to_spec(ga::acct::Method::Eba)};
+    grid.pricings = {{"EBA", {}}};
     grid.budgets = {budget, 0.0};
     const auto outcomes = ga::bench::sweep(simulator, grid);
 
@@ -42,19 +40,19 @@ int main(int argc, char** argv) {
         {"Policy", "FASTER", "Desktop", "IC", "Theta"});
     dist_table.set_title("Fig 5c: distribution of jobs over machines (unbudgeted)");
 
-    std::vector<std::pair<ga::sim::Policy, ga::sim::SimResult>> unbudgeted;
+    std::vector<std::pair<std::string, ga::sim::SimResult>> unbudgeted;
     for (const auto& outcome : outcomes) {
-        const auto policy = outcome.spec.options.policy;
+        const std::string policy = outcome.spec.options.policy.label();
         const auto& r = outcome.result;
         if (outcome.spec.options.budget > 0.0) {
             work_table.add_row(
-                {std::string(ga::sim::to_string(policy)),
+                {policy,
                  ga::util::TablePrinter::num(r.work_core_hours / 1e6, 2),
                  std::to_string(r.jobs_completed),
                  std::to_string(r.jobs_skipped)});
         } else {
             dist_table.add_row(
-                {std::string(ga::sim::to_string(policy)),
+                {policy,
                  std::to_string(r.jobs_per_machine.at("FASTER")),
                  std::to_string(r.jobs_per_machine.at("Desktop")),
                  std::to_string(r.jobs_per_machine.at("IC")),
@@ -74,7 +72,7 @@ int main(int argc, char** argv) {
         max_makespan = std::max(max_makespan, r.makespan_s);
     }
     for (const auto& [p, r] : unbudgeted) {
-        std::vector<std::string> row = {std::string(ga::sim::to_string(p))};
+        std::vector<std::string> row = {p};
         for (const double frac : {0.25, 0.5, 0.75, 1.0}) {
             const double t = frac * max_makespan;
             const auto done = std::lower_bound(r.finish_times_s.begin(),

@@ -17,13 +17,13 @@ int main(int argc, char** argv) {
     // Match the paper: the CBA budget lets Greedy run the same share of work
     // as it did in Fig 5a (75% of its full-run cost there).
     const auto greedy_full =
-        ga::bench::run(simulator, ga::sim::Policy::Greedy, ga::acct::Method::Cba);
+        ga::bench::run(simulator, {"Greedy", {}}, {"CBA", {}});
     const double budget = greedy_full.total_cost * 0.75;
     std::printf("fixed CBA allocation: %.3g gCO2e\n", budget);
 
     ga::sim::SweepGrid grid;
     grid.policies = ga::sim::multi_machine_policies();
-    grid.pricings = {ga::acct::Method::Cba};
+    grid.pricings = {{"CBA", {}}};
     grid.budgets = {budget};
     const auto outcomes = ga::bench::sweep(simulator, grid);
 
@@ -33,7 +33,7 @@ int main(int argc, char** argv) {
         const auto& r = outcome.result;
         const double total = static_cast<double>(r.jobs_completed);
         table.add_row(
-            {std::string(ga::sim::to_string(outcome.spec.options.policy)),
+            {outcome.spec.options.policy.label(),
              ga::util::TablePrinter::num(r.work_core_hours / 1e6, 2),
              std::to_string(r.jobs_completed),
              ga::util::TablePrinter::num(
@@ -55,12 +55,10 @@ int main(int argc, char** argv) {
     // much science the allocation buys.
     ga::bench::banner("Dual-budget: core-hour-rich/carbon-poor vs the reverse");
     const auto core_hours = [](double b) {
-        return ga::sim::CurrencyBudget{
-            "core-hours", ga::acct::to_spec(ga::acct::Method::Runtime), b};
+        return ga::sim::CurrencyBudget{"core-hours", {"Runtime", {}}, b};
     };
     const auto carbon = [](double b) {
-        return ga::sim::CurrencyBudget{
-            "gCO2e", ga::acct::to_spec(ga::acct::Method::Cba), b};
+        return ga::sim::CurrencyBudget{"gCO2e", {"CBA", {}}, b};
     };
     ga::sim::SimOptions metered;
     metered.currency_budgets = {core_hours(0.0), carbon(0.0)};  // unlimited

@@ -3,6 +3,7 @@
 //   7a — work completed under a fixed CBA allocation per policy;
 //   7b — hourly carbon intensity of the four grids over one day;
 //   7c — which machine is the cheapest CBA endpoint as the day progresses.
+#include <algorithm>
 #include <cstdio>
 #include <map>
 
@@ -20,18 +21,17 @@ int main(int argc, char** argv) {
     // ---- 7a: the five budgeted regional-grid runs, swept concurrently ----
     // Beyond the paper, the same grid also sweeps three context-aware
     // registry policies (open policy API): carbon-intensity routing and
-    // budget pacing, appended after the enum axis.
-    const auto greedy_full = ga::bench::run(
-        simulator, ga::sim::Policy::Greedy, ga::acct::Method::Cba, 0.0, true);
+    // budget pacing, appended after the paper's five.
+    const auto greedy_full = ga::bench::run(simulator, {"Greedy", {}},
+                                            {"CBA", {}}, 0.0, true);
     const double budget = greedy_full.total_cost * 0.75;
     ga::sim::SweepGrid grid;
     grid.policies = ga::sim::multi_machine_policies();
-    grid.policy_specs = {
-        ga::sim::PolicySpec{"CarbonAware", {}},
-        ga::sim::PolicySpec{"CarbonAware", {{"forecast", 1.0}}},
-        ga::sim::PolicySpec{"BudgetPacing", {}},
-    };
-    grid.pricings = {ga::acct::Method::Cba};
+    grid.policies.insert(grid.policies.end(),
+                         {ga::sim::PolicySpec{"CarbonAware", {}},
+                          ga::sim::PolicySpec{"CarbonAware", {{"forecast", 1.0}}},
+                          ga::sim::PolicySpec{"BudgetPacing", {}}});
+    grid.pricings = {{"CBA", {}}};
     grid.budgets = {budget};
     grid.regional_grids = {true};
     const auto outcomes = ga::bench::sweep(simulator, grid);
@@ -39,12 +39,12 @@ int main(int argc, char** argv) {
     work_table.set_title(
         "Fig 7a: work at fixed CBA allocation, regional grids "
         "(+ beyond-paper policies)");
+    const auto& paper = ga::sim::all_policies();
     for (const auto& outcome : outcomes) {
-        const auto& o = outcome.spec.options;
-        const std::string policy_label =
-            o.policy_spec.has_value()
-                ? o.policy_spec->label() + " *"
-                : std::string(ga::sim::to_string(o.policy));
+        const auto& policy = outcome.spec.options.policy;
+        const bool beyond =
+            std::find(paper.begin(), paper.end(), policy) == paper.end();
+        const std::string policy_label = policy.label() + (beyond ? " *" : "");
         const auto& r = outcome.result;
         work_table.add_row(
             {policy_label,

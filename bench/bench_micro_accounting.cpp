@@ -1,7 +1,7 @@
 // Micro-benchmarks (google-benchmark): the accounting hot paths — cost
-// evaluation per method (called once per job per candidate machine by the
-// simulator's policy loop), registry construction from an AccountantSpec,
-// and multi-currency ledger charges.
+// evaluation per registry method (called once per job per candidate
+// machine by the simulator's policy loop), registry construction from an
+// AccountantSpec, and multi-currency ledger charges.
 #include <benchmark/benchmark.h>
 
 #include "core/accounting.hpp"
@@ -19,18 +19,7 @@ ga::acct::JobUsage bench_usage() {
     return usage;
 }
 
-void BM_Charge(benchmark::State& state, ga::acct::Method method) {
-    const auto accountant = ga::acct::make_accountant(method);
-    const auto& machine =
-        ga::machine::find(ga::machine::CatalogId::InstitutionalCluster);
-    const auto usage = bench_usage();
-    for (auto _ : state) {
-        benchmark::DoNotOptimize(accountant->charge(usage, machine));
-    }
-}
-
-// Registry-built composite accountants on the same hot path.
-void BM_ChargeSpec(benchmark::State& state, const char* name) {
+void BM_Charge(benchmark::State& state, const char* name) {
     const auto accountant = ga::acct::AccountantRegistry::global().make(
         ga::acct::AccountantSpec{name, {}});
     const auto& machine =
@@ -54,9 +43,8 @@ void BM_RegistryMake(benchmark::State& state) {
 // under the ledger's internal lock (the green-ACCESS settlement path).
 void BM_LedgerDualCharge(benchmark::State& state) {
     ga::acct::Ledger ledger;
-    ledger.define_currency("core-hours",
-                           ga::acct::to_spec(ga::acct::Method::Runtime));
-    ledger.define_currency("gCO2e", ga::acct::to_spec(ga::acct::Method::Cba));
+    ledger.define_currency("core-hours", {"Runtime", {}});
+    ledger.define_currency("gCO2e", {"CBA", {}});
     ledger.create_account("user", {{"core-hours", 1e18}, {"gCO2e", 1e18}});
     const auto& machine =
         ga::machine::find(ga::machine::CatalogId::InstitutionalCluster);
@@ -68,13 +56,13 @@ void BM_LedgerDualCharge(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK_CAPTURE(BM_Charge, runtime, ga::acct::Method::Runtime);
-BENCHMARK_CAPTURE(BM_Charge, energy, ga::acct::Method::Energy);
-BENCHMARK_CAPTURE(BM_Charge, peak, ga::acct::Method::Peak);
-BENCHMARK_CAPTURE(BM_Charge, eba, ga::acct::Method::Eba);
-BENCHMARK_CAPTURE(BM_Charge, cba, ga::acct::Method::Cba);
-BENCHMARK_CAPTURE(BM_ChargeSpec, blended, "Blended");
-BENCHMARK_CAPTURE(BM_ChargeSpec, carbon_tax, "CarbonTax");
+BENCHMARK_CAPTURE(BM_Charge, runtime, "Runtime");
+BENCHMARK_CAPTURE(BM_Charge, energy, "Energy");
+BENCHMARK_CAPTURE(BM_Charge, peak, "Peak");
+BENCHMARK_CAPTURE(BM_Charge, eba, "EBA");
+BENCHMARK_CAPTURE(BM_Charge, cba, "CBA");
+BENCHMARK_CAPTURE(BM_Charge, blended, "Blended");
+BENCHMARK_CAPTURE(BM_Charge, carbon_tax, "CarbonTax");
 BENCHMARK(BM_RegistryMake);
 // Fixed iteration count: every charge appends two history rows, so an
 // auto-scaled run would grow the audit trail (and its memory) unboundedly.

@@ -1,8 +1,8 @@
 // Micro-benchmarks (google-benchmark): batch-simulator throughput — jobs
-// simulated per second per policy (legacy enum path and registry
-// `PolicySpec` path, including the context-aware strategies that read the
-// scheduling context on every routing decision), and sweep-engine scaling:
-// scenarios per second for an 8-policy grid at increasing thread counts.
+// simulated per second per registry policy (including the context-aware
+// strategies that read the scheduling context on every routing decision),
+// and sweep-engine scaling: scenarios per second for an 8-policy grid at
+// increasing thread counts.
 #include <benchmark/benchmark.h>
 
 #include "sim/simulator.hpp"
@@ -23,28 +23,12 @@ const ga::sim::BatchSimulator& simulator() {
     return sim;
 }
 
-void BM_Policy(benchmark::State& state, ga::sim::Policy policy) {
+// Jobs per second under one policy, EBA pricing; the context-aware
+// policies additionally price the per-cluster grid/queue views they
+// consult.
+void BM_Policy(benchmark::State& state, const char* name) {
     ga::sim::SimOptions o;
-    o.policy = policy;
-    o.pricing = ga::acct::Method::Eba;
-    for (auto _ : state) {
-        const auto r = simulator().run(o);
-        benchmark::DoNotOptimize(r.work_core_hours);
-    }
-    state.counters["jobs/s"] = benchmark::Counter(
-        static_cast<double>(simulator().workload().jobs.size()) *
-            static_cast<double>(state.iterations()),
-        benchmark::Counter::kIsRate);
-}
-
-// Same throughput metric, but routed through a registry PolicySpec — the
-// spec-vs-enum deltas (greedy_spec vs greedy) isolate the strategy-API
-// overhead; the context-aware policies additionally price the per-cluster
-// grid/queue views they consult.
-void BM_PolicySpec(benchmark::State& state, const char* name) {
-    ga::sim::SimOptions o;
-    o.policy_spec = ga::sim::PolicySpec{name, {}};
-    o.pricing = ga::acct::Method::Eba;
+    o.policy = ga::sim::PolicySpec{name, {}};
     for (auto _ : state) {
         const auto r = simulator().run(o);
         benchmark::DoNotOptimize(r.work_core_hours);
@@ -75,19 +59,13 @@ void BM_Sweep(benchmark::State& state) {
 
 }  // namespace
 
-BENCHMARK_CAPTURE(BM_Policy, greedy, ga::sim::Policy::Greedy)
+BENCHMARK_CAPTURE(BM_Policy, greedy, "Greedy")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Policy, energy, "Energy")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Policy, mixed, "Mixed")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Policy, eft, "EFT")->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Policy, carbon_aware, "CarbonAware")
     ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_Policy, energy, ga::sim::Policy::Energy)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_Policy, mixed, ga::sim::Policy::Mixed)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_Policy, eft, ga::sim::Policy::Eft)
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_PolicySpec, greedy_spec, "Greedy")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_PolicySpec, carbon_aware, "CarbonAware")
-    ->Unit(benchmark::kMillisecond);
-BENCHMARK_CAPTURE(BM_PolicySpec, least_loaded, "LeastLoaded")
+BENCHMARK_CAPTURE(BM_Policy, least_loaded, "LeastLoaded")
     ->Unit(benchmark::kMillisecond);
 BENCHMARK(BM_Sweep)->Arg(1)->Arg(2)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond)
     ->MeasureProcessCPUTime()->UseRealTime();

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -46,11 +47,12 @@ inline std::vector<ga::sim::SweepOutcome> sweep(
 
 /// Runs one policy/pricing combination (single-scenario convenience).
 inline ga::sim::SimResult run(const ga::sim::BatchSimulator& simulator,
-                              ga::sim::Policy policy, ga::acct::Method pricing,
+                              ga::sim::PolicySpec policy,
+                              ga::acct::AccountantSpec pricing,
                               double budget = 0.0, bool regional = false) {
     ga::sim::SimOptions o;
-    o.policy = policy;
-    o.pricing = pricing;
+    o.policy = std::move(policy);
+    o.pricing = std::move(pricing);
     o.budget = budget;
     o.regional_grids = regional;
     return simulator.run(o);

@@ -20,28 +20,23 @@ int main(int argc, char** argv) {
                        ga::util::TablePrinter::num(r.attributed_carbon_kg, 0)});
     };
 
-    add("Greedy - EBA", ga::bench::run(simulator, ga::sim::Policy::Greedy,
-                                       ga::acct::Method::Eba));
-    add("Greedy - CBA", ga::bench::run(simulator, ga::sim::Policy::Greedy,
-                                       ga::acct::Method::Cba));
-    add("Mixed - EBA", ga::bench::run(simulator, ga::sim::Policy::Mixed,
-                                      ga::acct::Method::Eba));
-    add("Mixed - CBA", ga::bench::run(simulator, ga::sim::Policy::Mixed,
-                                      ga::acct::Method::Cba));
+    for (const char* policy : {"Greedy", "Mixed"}) {
+        for (const char* pricing : {"EBA", "CBA"}) {
+            add(std::string(policy) + " - " + pricing,
+                ga::bench::run(simulator, {policy, {}}, {pricing, {}}));
+        }
+    }
     table.add_separator();
-    add("Energy", ga::bench::run(simulator, ga::sim::Policy::Energy,
-                                 ga::acct::Method::Eba));
-    add("EFT", ga::bench::run(simulator, ga::sim::Policy::Eft,
-                              ga::acct::Method::Eba));
-    add("Runtime", ga::bench::run(simulator, ga::sim::Policy::Runtime,
-                                  ga::acct::Method::Eba));
+    for (const char* policy : {"Energy", "EFT", "Runtime"}) {
+        add(policy, ga::bench::run(simulator, {policy, {}}, {"EBA", {}}));
+    }
     // Beyond the paper: Greedy priced by the composite registry accountants
     // (open accounting API) — a carbon tax pushes Greedy off the
     // embodied-heavy machines without abandoning core-hour units entirely.
     table.add_separator();
     for (const auto& spec : ga::acct::beyond_paper_accountants()) {
         ga::sim::SimOptions o;
-        o.accountant_spec = spec;
+        o.pricing = spec;
         add("Greedy - " + spec.label(), simulator.run(o));
     }
 

@@ -17,22 +17,18 @@ int main() {
     const ga::sim::BatchSimulator simulator(ga::workload::build_workload(options));
 
     // Size the allocation at 60% of what a cost-optimal user would need.
-    ga::sim::SimOptions greedy;
-    greedy.policy = ga::sim::Policy::Greedy;
-    greedy.pricing = ga::acct::Method::Eba;
+    const ga::sim::SimOptions greedy;  // Greedy routing, EBA pricing
     const double budget = simulator.run(greedy).total_cost * 0.6;
     std::printf("group allocation: %.3g EBA units\n\n", budget);
 
     std::printf("%-10s %14s %10s %12s %14s\n", "policy", "work (core-h)",
                 "jobs", "energy(MWh)", "makespan (d)");
-    for (const auto policy : ga::sim::all_policies()) {
+    for (const auto& policy : ga::sim::all_policies()) {
         ga::sim::SimOptions o;
         o.policy = policy;
-        o.pricing = ga::acct::Method::Eba;
         o.budget = budget;
         const auto r = simulator.run(o);
-        std::printf("%-10s %14.0f %10zu %12.3f %14.1f\n",
-                    std::string(ga::sim::to_string(policy)).c_str(),
+        std::printf("%-10s %14.0f %10zu %12.3f %14.1f\n", policy.label().c_str(),
                     r.work_core_hours, r.jobs_completed, r.energy_mwh,
                     r.makespan_s / 86400.0);
     }

@@ -101,9 +101,8 @@ int main() {
     // allocations can pay, and each charge writes one self-describing
     // transaction per currency.
     ga::acct::Ledger ledger;
-    ledger.define_currency("core-hours",
-                           ga::acct::to_spec(ga::acct::Method::Runtime));
-    ledger.define_currency("gCO2e", ga::acct::to_spec(ga::acct::Method::Cba));
+    ledger.define_currency("core-hours", {"Runtime", {}});
+    ledger.define_currency("gCO2e", {"CBA", {}});
     ledger.create_account("alice", {{"core-hours", 5e4}, {"gCO2e", 1e4}});
     const auto outcome = ledger.charge("alice", usage, zen3);
     std::printf("\nalice is charged %.1f core-hours and %.1f gCO2e (%s)\n",
@@ -137,9 +136,8 @@ int main() {
     // Same policy, four pricing rules: the carbon price is the only thing
     // changing how Greedy perceives the machines.
     ga::sim::SweepGrid grid;
-    grid.policies = {ga::sim::Policy::Greedy};
-    grid.pricings = {ga::acct::Method::Eba};
-    grid.accountant_specs = {
+    grid.pricings = {
+        ga::acct::AccountantSpec{"EBA", {}},
         ga::acct::AccountantSpec{"CarbonTax", {}},
         ga::acct::AccountantSpec{"EuroBill", {{"ton_co2", 0.0}}},
         ga::acct::AccountantSpec{"EuroBill", {{"ton_co2", 400.0}}},

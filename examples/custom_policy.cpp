@@ -76,13 +76,13 @@ int main() {
     const ga::sim::BatchSimulator simulator(
         ga::workload::build_workload(options));
 
-    // One declarative grid: two builtin baselines (one enum, one
-    // context-aware registry builtin) and the custom policy at two caps.
+    // One declarative grid: two builtin baselines (the paper's Greedy and
+    // the context-aware CarbonAware) and the custom policy at two caps.
     // Pricing is EBA — carbon-blind prices — so the carbon guardrail is
     // doing real work that the cost signal alone would not.
     ga::sim::SweepGrid grid;
-    grid.policies = {ga::sim::Policy::Greedy};
-    grid.policy_specs = {
+    grid.policies = {
+        ga::sim::PolicySpec{"Greedy", {}},
         ga::sim::PolicySpec{"CarbonAware", {}},
         ga::sim::PolicySpec{"CappedGreedy", {{"cap", 60.0}}},
         ga::sim::PolicySpec{"CappedGreedy", {{"cap", 300.0}}},

@@ -9,7 +9,7 @@
 #include "machine/catalog.hpp"
 
 int main() {
-    auto platform = ga::faas::GreenAccess::with_method(ga::acct::Method::Eba);
+    auto platform = ga::faas::GreenAccess::with_accountant({"EBA", {}});
     for (const auto& entry : ga::machine::chameleon_cpu_nodes()) {
         platform.register_endpoint(entry);
     }

@@ -31,12 +31,9 @@ int main() {
     usage.duration_s = exec.seconds;
     usage.energy_j = exec.joules;
     usage.cores = 4;
-    for (const auto method :
-         {ga::acct::Method::Runtime, ga::acct::Method::Energy,
-          ga::acct::Method::Peak, ga::acct::Method::Eba, ga::acct::Method::Cba}) {
-        const auto accountant = ga::acct::make_accountant(method);
-        std::printf("  %-8s charge: %10.4f %s\n",
-                    std::string(ga::acct::to_string(method)).c_str(),
+    for (const auto& method : ga::acct::all_methods()) {
+        const auto accountant = ga::acct::AccountantRegistry::global().make(method);
+        std::printf("  %-8s charge: %10.4f %s\n", method.name.c_str(),
                     accountant->charge(usage, machine),
                     std::string(accountant->unit()).c_str());
     }
@@ -51,9 +48,8 @@ int main() {
 
     // 5. Multi-currency account: core hours AND carbon credits at once —
     // the job is admitted only if both allocations can pay.
-    ledger.define_currency("core-hours",
-                           ga::acct::to_spec(ga::acct::Method::Runtime));
-    ledger.define_currency("gCO2e", ga::acct::to_spec(ga::acct::Method::Cba));
+    ledger.define_currency("core-hours", {"Runtime", {}});
+    ledger.define_currency("gCO2e", {"CBA", {}});
     ledger.create_account("dual", {{"core-hours", 500.0}, {"gCO2e", 10'000.0}});
     const auto outcome = ledger.charge("dual", usage, machine);
     std::printf("dual account charged %.3f core-hours + %.3f gCO2e (%s)\n",

@@ -19,8 +19,8 @@ int main() {
     scenario.workload.base_jobs = 150;  // tiny workload, runs in ~a second
     scenario.workload.users = 20;
     scenario.workload.span_days = 1.0;
-    scenario.grid.policies = {ga::sim::Policy::Greedy, ga::sim::Policy::Eft};
-    scenario.grid.accountant_specs = {ga::acct::to_spec(ga::acct::Method::Eba)};
+    scenario.grid.policies = {{"Greedy", {}}, {"EFT", {}}};
+    scenario.grid.pricings = {{"EBA", {}}};
     scenario.grid.budgets = {0.0, 2e7};
 
     // 2. The same experiment, as a declarative file.

@@ -136,6 +136,13 @@ AccountantRegistry& AccountantRegistry::global() {
     return registry;
 }
 
+const std::vector<AccountantSpec>& all_methods() {
+    static const std::vector<AccountantSpec> specs = {
+        {"Runtime", {}}, {"Energy", {}}, {"Peak", {}}, {"EBA", {}}, {"CBA", {}},
+    };
+    return specs;
+}
+
 const std::vector<AccountantSpec>& beyond_paper_accountants() {
     static const std::vector<AccountantSpec> specs = {
         AccountantSpec{"Blended", {}},
@@ -277,41 +284,6 @@ std::unique_ptr<Accountant> CarbonTaxAccounting::with_grid(
     const std::map<std::string, ga::carbon::IntensityTrace>& intensity) const {
     return std::make_unique<CarbonTaxAccounting>(
         tax_per_g_, CarbonBasedAccounting(intensity, carbon_.depreciation()));
-}
-
-// ------------------------------------------------------ legacy enum shim
-
-std::string_view to_string(Method m) noexcept {
-    switch (m) {
-        case Method::Runtime: return "Runtime";
-        case Method::Energy: return "Energy";
-        case Method::Peak: return "Peak";
-        case Method::Eba: return "EBA";
-        case Method::Cba: return "CBA";
-    }
-    return "unknown";
-}
-
-std::optional<Method> method_from_string(std::string_view name) noexcept {
-    for (const auto m : all_methods()) {
-        if (to_string(m) == name) return m;
-    }
-    return std::nullopt;
-}
-
-const std::vector<Method>& all_methods() {
-    static const std::vector<Method> methods = {
-        Method::Runtime, Method::Energy, Method::Peak, Method::Eba,
-        Method::Cba};
-    return methods;
-}
-
-AccountantSpec to_spec(Method m) {
-    return AccountantSpec{std::string(to_string(m)), {}};
-}
-
-std::unique_ptr<const Accountant> make_accountant(Method m) {
-    return AccountantRegistry::global().make(to_spec(m));
 }
 
 }  // namespace ga::acct

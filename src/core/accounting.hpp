@@ -38,15 +38,13 @@
 // cores), so the TDP and embodied terms scale with the job's core count.
 // GPU jobs are provisioned by whole device.
 //
-// The legacy `Method` enum survives as a thin compatibility shim: `to_spec`
-// maps it onto registry specs and `make_accountant` delegates to the
-// registry, bit-identical to the pre-registry charges.
+// A spec is the only way to name a method: `all_methods()` lists the
+// paper's five as bare specs, and `AccountantRegistry::make` builds one.
 #pragma once
 
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -152,6 +150,10 @@ private:
     mutable ga::util::Mutex mutex_ GA_ACQUIRED_BEFORE(Ledger::mutex_);
     std::map<std::string, Factory, std::less<>> factories_ GA_GUARDED_BY(mutex_);
 };
+
+/// The paper's five methods as bare specs, in its order: Runtime, Energy,
+/// Peak, EBA, CBA.
+[[nodiscard]] const std::vector<AccountantSpec>& all_methods();
 
 /// The two beyond-paper builtins (Blended, CarbonTax) with default
 /// parameters, in that order.
@@ -331,27 +333,5 @@ private:
     RuntimeAccounting runtime_;
     CarbonBasedAccounting carbon_;
 };
-
-// ------------------------------------------------------ legacy enum shim
-
-/// Accounting method identifiers (paper §4.2 naming). Compatibility shim
-/// over the registry: `to_spec` maps each value onto its registry spec.
-enum class Method { Runtime, Energy, Peak, Eba, Cba };
-
-[[nodiscard]] std::string_view to_string(Method m) noexcept;
-
-/// Inverse of `to_string`; std::nullopt for an unknown name.
-[[nodiscard]] std::optional<Method> method_from_string(
-    std::string_view name) noexcept;
-
-/// All five methods, in paper order (Runtime, Energy, Peak, EBA, CBA).
-[[nodiscard]] const std::vector<Method>& all_methods();
-
-/// Registry spec for a legacy enum value (default parameters).
-[[nodiscard]] AccountantSpec to_spec(Method m);
-
-/// Factory covering the five methods with default parameters (delegates to
-/// the registry; charges are bit-identical to the pre-registry accountants).
-[[nodiscard]] std::unique_ptr<const Accountant> make_accountant(Method m);
 
 }  // namespace ga::acct

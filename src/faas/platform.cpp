@@ -31,10 +31,6 @@ GreenAccess::GreenAccess(std::unique_ptr<const ga::acct::Accountant> accountant)
     GA_REQUIRE(accountant_ != nullptr, "platform: accountant required");
 }
 
-GreenAccess GreenAccess::with_method(ga::acct::Method method) {
-    return GreenAccess(ga::acct::make_accountant(method));
-}
-
 GreenAccess GreenAccess::with_accountant(const ga::acct::AccountantSpec& spec) {
     return GreenAccess(ga::acct::AccountantRegistry::global().make(spec));
 }

@@ -35,9 +35,6 @@ public:
     /// Creates the platform with one accounting method for all charges.
     explicit GreenAccess(std::unique_ptr<const ga::acct::Accountant> accountant);
 
-    /// Convenience with a default method (enum shim over the registry).
-    static GreenAccess with_method(ga::acct::Method method);
-
     /// Convenience building any registry accountant by spec.
     static GreenAccess with_accountant(const ga::acct::AccountantSpec& spec);
 

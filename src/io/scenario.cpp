@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <optional>
 
 #include "util/error.hpp"
 #include "util/spec.hpp"
@@ -141,44 +142,6 @@ ga::acct::AccountantSpec get_accountant_spec(const JsonValue& v,
                                     std::move(parsed.params)};
 }
 
-// ------------------------------------------------------------------ enums
-
-std::vector<std::string> policy_names() {
-    std::vector<std::string> names;
-    for (const auto p : ga::sim::all_policies()) {
-        names.emplace_back(ga::sim::to_string(p));
-    }
-    return names;
-}
-
-std::vector<std::string> method_names() {
-    std::vector<std::string> names;
-    for (const auto m : ga::acct::all_methods()) {
-        names.emplace_back(ga::acct::to_string(m));
-    }
-    return names;
-}
-
-ga::sim::Policy get_policy_name(const JsonValue& v, const std::string& path) {
-    const std::string name = get_string(v, path);
-    const auto policy = ga::sim::policy_from_string(name);
-    if (!policy.has_value()) {
-        fail(path, "unknown policy name \"" + name +
-                       "\" (one of: " + join(policy_names()) + ")");
-    }
-    return *policy;
-}
-
-ga::acct::Method get_method_name(const JsonValue& v, const std::string& path) {
-    const std::string name = get_string(v, path);
-    const auto method = ga::acct::method_from_string(name);
-    if (!method.has_value()) {
-        fail(path, "unknown pricing method \"" + name +
-                       "\" (one of: " + join(method_names()) + ")");
-    }
-    return *method;
-}
-
 // ---------------------------------------------------------------- options
 
 ga::sim::ClusterOutage get_outage(const JsonValue& v, const std::string& path) {
@@ -207,7 +170,10 @@ ga::sim::CurrencyBudget get_currency_budget(const JsonValue& v,
     return cb;
 }
 
-ga::sim::SimOptions get_options(const JsonValue& v, const std::string& path) {
+/// Reads "options". The older "mixed_threshold" key lands in
+/// `mixed_default` for scenario_from_json to apply to every Mixed spec.
+ga::sim::SimOptions get_options(const JsonValue& v, const std::string& path,
+                                std::optional<double>& mixed_default) {
     expect_object(v, path);
     check_keys(v, path,
                {"policy", "policy_spec", "pricing", "accountant_spec",
@@ -215,18 +181,17 @@ ga::sim::SimOptions get_options(const JsonValue& v, const std::string& path) {
                 "regional_grids", "grid_seed", "arrival_compression",
                 "outage"});
     ga::sim::SimOptions options;
-    if (const JsonValue* f = v.find("policy")) {
-        options.policy = get_policy_name(*f, path + ".policy");
+    // "policy_spec" and "accountant_spec" are older spellings of "policy"
+    // and "pricing"; when a file gives both, the older key wins.
+    for (const char* key : {"policy", "policy_spec"}) {
+        if (const JsonValue* f = v.find(key)) {
+            options.policy = get_policy_spec(*f, path + "." + key);
+        }
     }
-    if (const JsonValue* f = v.find("policy_spec")) {
-        options.policy_spec = get_policy_spec(*f, path + ".policy_spec");
-    }
-    if (const JsonValue* f = v.find("pricing")) {
-        options.pricing = get_method_name(*f, path + ".pricing");
-    }
-    if (const JsonValue* f = v.find("accountant_spec")) {
-        options.accountant_spec =
-            get_accountant_spec(*f, path + ".accountant_spec");
+    for (const char* key : {"pricing", "accountant_spec"}) {
+        if (const JsonValue* f = v.find(key)) {
+            options.pricing = get_accountant_spec(*f, path + "." + key);
+        }
     }
     if (const JsonValue* f = v.find("currency_budgets")) {
         const auto& entries = get_array(*f, path + ".currency_budgets");
@@ -240,7 +205,7 @@ ga::sim::SimOptions get_options(const JsonValue& v, const std::string& path) {
         options.budget = get_number(*f, path + ".budget");
     }
     if (const JsonValue* f = v.find("mixed_threshold")) {
-        options.mixed_threshold = get_number(*f, path + ".mixed_threshold");
+        mixed_default = get_number(*f, path + ".mixed_threshold");
     }
     if (const JsonValue* f = v.find("regional_grids")) {
         options.regional_grids = get_bool(*f, path + ".regional_grids");
@@ -270,32 +235,24 @@ void load_grid_axes(const JsonValue& v, const std::string& path,
     const auto element = [&path](const std::string& axis, std::size_t i) {
         return path + "." + axis + "[" + std::to_string(i) + "]";
     };
-    if (const JsonValue* f = v.find("policies")) {
-        const auto& items = get_array(*f, path + ".policies");
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            grid.policies.push_back(
-                get_policy_name(items[i], element("policies", i)));
+    // "policy_specs" and "accountant_specs" are older spellings that
+    // continue the "policies" and "pricings" axes.
+    for (const char* axis : {"policies", "policy_specs"}) {
+        if (const JsonValue* f = v.find(axis)) {
+            const auto& items = get_array(*f, path + "." + axis);
+            for (std::size_t i = 0; i < items.size(); ++i) {
+                grid.policies.push_back(
+                    get_policy_spec(items[i], element(axis, i)));
+            }
         }
     }
-    if (const JsonValue* f = v.find("policy_specs")) {
-        const auto& items = get_array(*f, path + ".policy_specs");
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            grid.policy_specs.push_back(
-                get_policy_spec(items[i], element("policy_specs", i)));
-        }
-    }
-    if (const JsonValue* f = v.find("pricings")) {
-        const auto& items = get_array(*f, path + ".pricings");
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            grid.pricings.push_back(
-                get_method_name(items[i], element("pricings", i)));
-        }
-    }
-    if (const JsonValue* f = v.find("accountant_specs")) {
-        const auto& items = get_array(*f, path + ".accountant_specs");
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            grid.accountant_specs.push_back(
-                get_accountant_spec(items[i], element("accountant_specs", i)));
+    for (const char* axis : {"pricings", "accountant_specs"}) {
+        if (const JsonValue* f = v.find(axis)) {
+            const auto& items = get_array(*f, path + "." + axis);
+            for (std::size_t i = 0; i < items.size(); ++i) {
+                grid.pricings.push_back(
+                    get_accountant_spec(items[i], element(axis, i)));
+            }
         }
     }
     if (const JsonValue* f = v.find("budgets")) {
@@ -446,18 +403,22 @@ JsonValue uint_to_json(std::uint64_t v, const char* what) {
     return JsonValue(static_cast<double>(v));
 }
 
-JsonValue spec_to_json(const std::string& name,
-                       const std::map<std::string, double>& params) {
+/// A policy or accountant spec in object form: {"name", "params"}.
+template <typename Spec>
+JsonValue spec_to_json(const Spec& spec) {
+    JsonValue params{JsonValue::Object{}};
+    for (const auto& [key, value] : spec.params) params.set(key, value);
     JsonValue out;
-    out.set("name", name);
-    if (!params.empty()) {
-        JsonValue p;
-        for (const auto& [key, value] : params) p.set(key, value);
-        out.set("params", std::move(p));
-    } else {
-        out.set("params", JsonValue(JsonValue::Object{}));
-    }
+    out.set("name", spec.name);
+    out.set("params", std::move(params));
     return out;
+}
+
+template <typename Spec>
+JsonValue specs_to_json(const std::vector<Spec>& specs) {
+    JsonValue::Array items;
+    for (const auto& spec : specs) items.push_back(spec_to_json(spec));
+    return JsonValue(std::move(items));
 }
 
 JsonValue outage_to_json(const ga::sim::ClusterOutage& outage) {
@@ -470,31 +431,20 @@ JsonValue outage_to_json(const ga::sim::ClusterOutage& outage) {
 
 JsonValue options_to_json(const ga::sim::SimOptions& options) {
     JsonValue out;
-    out.set("policy", std::string(ga::sim::to_string(options.policy)));
-    if (options.policy_spec.has_value()) {
-        out.set("policy_spec", spec_to_json(options.policy_spec->name,
-                                            options.policy_spec->params));
-    }
-    out.set("pricing", std::string(ga::acct::to_string(options.pricing)));
-    if (options.accountant_spec.has_value()) {
-        out.set("accountant_spec",
-                spec_to_json(options.accountant_spec->name,
-                             options.accountant_spec->params));
-    }
+    out.set("policy", spec_to_json(options.policy));
+    out.set("pricing", spec_to_json(options.pricing));
     if (!options.currency_budgets.empty()) {
         JsonValue::Array budgets;
         for (const auto& cb : options.currency_budgets) {
             JsonValue entry;
             entry.set("currency", cb.currency);
-            entry.set("accountant",
-                      spec_to_json(cb.accountant.name, cb.accountant.params));
+            entry.set("accountant", spec_to_json(cb.accountant));
             entry.set("budget", cb.budget);
             budgets.push_back(std::move(entry));
         }
         out.set("currency_budgets", JsonValue(std::move(budgets)));
     }
     out.set("budget", options.budget);
-    out.set("mixed_threshold", options.mixed_threshold);
     out.set("regional_grids", options.regional_grids);
     out.set("grid_seed", uint_to_json(options.grid_seed, "grid_seed"));
     out.set("arrival_compression", options.arrival_compression);
@@ -528,11 +478,23 @@ ScenarioFile scenario_from_json(const JsonValue& root) {
     if (const JsonValue* f = root.find("workload")) {
         scenario.workload = get_workload(*f, "workload");
     }
+    std::optional<double> mixed_default;
     if (const JsonValue* f = root.find("options")) {
-        scenario.grid.base = get_options(*f, "options");
+        scenario.grid.base = get_options(*f, "options", mixed_default);
     }
     if (const JsonValue* f = root.find("grid")) {
         load_grid_axes(*f, "grid", scenario.grid);
+    }
+    if (mixed_default.has_value()) {
+        // The older options key: the threshold of every Mixed spec in the
+        // file that does not set its own.
+        const auto apply = [&](ga::sim::PolicySpec& spec) {
+            if (spec.name == "Mixed") {
+                spec.params.emplace("threshold", *mixed_default);
+            }
+        };
+        apply(scenario.grid.base.policy);
+        for (auto& spec : scenario.grid.policies) apply(spec);
     }
     return scenario;
 }
@@ -573,32 +535,10 @@ JsonValue scenario_to_json(const ScenarioFile& scenario) {
     const auto& grid = scenario.grid;
     JsonValue axes{JsonValue::Object{}};  // "grid": {} when nothing is swept
     if (!grid.policies.empty()) {
-        JsonValue::Array items;
-        for (const auto p : grid.policies) {
-            items.emplace_back(std::string(ga::sim::to_string(p)));
-        }
-        axes.set("policies", JsonValue(std::move(items)));
-    }
-    if (!grid.policy_specs.empty()) {
-        JsonValue::Array items;
-        for (const auto& spec : grid.policy_specs) {
-            items.push_back(spec_to_json(spec.name, spec.params));
-        }
-        axes.set("policy_specs", JsonValue(std::move(items)));
+        axes.set("policies", specs_to_json(grid.policies));
     }
     if (!grid.pricings.empty()) {
-        JsonValue::Array items;
-        for (const auto m : grid.pricings) {
-            items.emplace_back(std::string(ga::acct::to_string(m)));
-        }
-        axes.set("pricings", JsonValue(std::move(items)));
-    }
-    if (!grid.accountant_specs.empty()) {
-        JsonValue::Array items;
-        for (const auto& spec : grid.accountant_specs) {
-            items.push_back(spec_to_json(spec.name, spec.params));
-        }
-        axes.set("accountant_specs", JsonValue(std::move(items)));
+        axes.set("pricings", specs_to_json(grid.pricings));
     }
     if (!grid.budgets.empty()) {
         JsonValue::Array items;

@@ -23,20 +23,26 @@
 //     "grid":    { ... }    // sweep axes overriding options per point
 //   }
 //
-// "options" carries every `SimOptions` field: "policy", "policy_spec",
-// "pricing", "accountant_spec", "budget", "mixed_threshold",
-// "regional_grids", "grid_seed", "arrival_compression", "outage"
+// "options" carries every `SimOptions` field: "policy", "pricing",
+// "budget", "regional_grids", "grid_seed", "arrival_compression", "outage"
 // ({"cluster", "at_s", "nodes_lost"} or null), and "currency_budgets"
 // ([{"currency", "accountant", "budget"}, ...]). "grid" carries every
-// `SweepGrid` axis: "policies", "policy_specs", "pricings",
-// "accountant_specs", "budgets", "mixed_thresholds", "regional_grids",
-// "grid_seeds", "arrival_compressions", "outages". Policy/accountant specs
-// are written either as a label string ("Mixed(threshold=1.5)", parsed by
-// ga::util::parse_spec) or as {"name": ..., "params": {...}}; spec names
-// are validated against the live registries at load time, so register
-// custom strategies before loading.
+// `SweepGrid` axis: "policies", "pricings", "budgets", "mixed_thresholds",
+// "regional_grids", "grid_seeds", "arrival_compressions", "outages".
+// Policy/accountant specs are written either as a label string ("Mixed",
+// "Mixed(threshold=1.5)", parsed by ga::util::parse_spec) or as
+// {"name": ..., "params": {...}}; spec names are validated against the
+// live registries at load time, so register custom strategies before
+// loading.
 //
-// Loading is strict: unknown keys, wrong types, bad enum names, and
+// Older spellings still load: "options.policy_spec" and
+// "options.accountant_spec" set the policy and pricing (and win over
+// "policy"/"pricing" when both appear), "grid.policy_specs" and
+// "grid.accountant_specs" continue the "policies" and "pricings" axes, and
+// "options.mixed_threshold" becomes the "threshold" param of every Mixed
+// spec in the file that does not set one. The writer emits none of them.
+//
+// Loading is strict: unknown keys, wrong types, unknown names, and
 // malformed specs all throw ga::util::RuntimeError naming the offending
 // path ("grid.budgets[2]", "options.outage.cluster", ...).
 #pragma once

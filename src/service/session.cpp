@@ -71,7 +71,7 @@ ServeSession::ServeSession(ga::io::ScenarioFile scenario)
     std::vector<std::pair<std::string, ga::acct::AccountantSpec>> currencies;
     if (options_.currency_budgets.empty()) {
         currencies.emplace_back(std::string(ga::acct::Ledger::kDefaultCurrency),
-                                setup_->pricing_spec);
+                                options_.pricing);
     } else {
         for (const auto& cb : options_.currency_budgets) {
             currencies.emplace_back(cb.currency, cb.accountant);

@@ -125,9 +125,9 @@ private:
     double threshold_;
 };
 
-/// Always one machine. Resolves the target by explicit "index" param when
-/// given (the choose_machine shim), else by catalog name against the
-/// context's cluster state (the simulator path).
+/// Always one machine. Resolves the target by its "index" param when given
+/// (RunSetup sets it from the deployment), else by catalog name against the
+/// context's cluster state.
 class FixedMachinePolicy final : public GridBlindPolicy {
 public:
     FixedMachinePolicy(std::string machine, std::optional<std::size_t> index)
@@ -335,6 +335,20 @@ PolicyRegistry& PolicyRegistry::global() {
     return registry;
 }
 
+const std::vector<PolicySpec>& all_policies() {
+    static const std::vector<PolicySpec> specs = {
+        {"Greedy", {}},  {"Energy", {}}, {"Mixed", {}}, {"EFT", {}},
+        {"Runtime", {}}, {"Theta", {}},  {"IC", {}},    {"FASTER", {}},
+    };
+    return specs;
+}
+
+const std::vector<PolicySpec>& multi_machine_policies() {
+    static const std::vector<PolicySpec> specs(all_policies().begin(),
+                                                all_policies().begin() + 5);
+    return specs;
+}
+
 const std::vector<PolicySpec>& beyond_paper_policies() {
     static const std::vector<PolicySpec> specs = {
         PolicySpec{"CarbonAware", {}},
@@ -342,98 +356,6 @@ const std::vector<PolicySpec>& beyond_paper_policies() {
         PolicySpec{"BudgetPacing", {}},
     };
     return specs;
-}
-
-// ------------------------------------------------------ legacy enum shim
-
-std::string_view to_string(Policy p) noexcept {
-    switch (p) {
-        case Policy::Greedy: return "Greedy";
-        case Policy::Energy: return "Energy";
-        case Policy::Mixed: return "Mixed";
-        case Policy::Eft: return "EFT";
-        case Policy::Runtime: return "Runtime";
-        case Policy::FixedTheta: return "Theta";
-        case Policy::FixedIc: return "IC";
-        case Policy::FixedFaster: return "FASTER";
-    }
-    return "unknown";
-}
-
-std::optional<Policy> policy_from_string(std::string_view name) noexcept {
-    for (const auto p : all_policies()) {
-        if (to_string(p) == name) return p;
-    }
-    return std::nullopt;
-}
-
-const std::vector<Policy>& all_policies() {
-    static const std::vector<Policy> policies = {
-        Policy::Greedy, Policy::Energy,     Policy::Mixed,
-        Policy::Eft,    Policy::Runtime,    Policy::FixedTheta,
-        Policy::FixedIc, Policy::FixedFaster};
-    return policies;
-}
-
-const std::vector<Policy>& multi_machine_policies() {
-    static const std::vector<Policy> policies = {
-        Policy::Greedy, Policy::Energy, Policy::Mixed, Policy::Eft,
-        Policy::Runtime};
-    return policies;
-}
-
-std::string_view fixed_machine_name(Policy p) noexcept {
-    switch (p) {
-        case Policy::FixedTheta: return "Theta";
-        case Policy::FixedIc: return "IC";
-        case Policy::FixedFaster: return "FASTER";
-        default: return "";
-    }
-}
-
-PolicySpec to_spec(Policy p, double mixed_threshold) {
-    PolicySpec spec;
-    spec.name = std::string(to_string(p));
-    if (p == Policy::Mixed) spec.params.emplace("threshold", mixed_threshold);
-    return spec;
-}
-
-std::optional<std::size_t> choose_machine(
-    Policy policy, const std::vector<MachineChoice>& choices,
-    double mixed_threshold, std::optional<std::size_t> fixed_index) {
-    GA_REQUIRE(!choices.empty(), "policy: no machines to choose from");
-    GA_REQUIRE(mixed_threshold >= 1.0, "policy: mixed threshold must be >= 1");
-    // Dispatch straight to the builtin implementations (the registry
-    // factories wrap these same classes) so per-decision callers pay no
-    // registry lookup or heap allocation — the pre-registry cost.
-    const SchedulingContext ctx;
-    switch (policy) {
-        case Policy::Greedy: {
-            static const GreedyPolicy p;
-            return p.choose(ctx, choices);
-        }
-        case Policy::Energy: {
-            static const EnergyPolicy p;
-            return p.choose(ctx, choices);
-        }
-        case Policy::Runtime: {
-            static const RuntimePolicy p;
-            return p.choose(ctx, choices);
-        }
-        case Policy::Eft: {
-            static const EftPolicy p;
-            return p.choose(ctx, choices);
-        }
-        case Policy::Mixed:
-            return MixedPolicy(mixed_threshold).choose(ctx, choices);
-        case Policy::FixedTheta:
-        case Policy::FixedIc:
-        case Policy::FixedFaster:
-            return FixedMachinePolicy(std::string(fixed_machine_name(policy)),
-                                      fixed_index)
-                .choose(ctx, choices);
-    }
-    return std::nullopt;
 }
 
 }  // namespace ga::sim

@@ -30,9 +30,9 @@
 //                 machine, behind it to the earliest finish
 //                 (param "slack" scales the schedule, default 1)
 //
-// The legacy `Policy` enum remains as a thin compatibility shim: `to_spec`
-// maps it onto registry specs, and enum-driven simulator runs are
-// bit-identical to the pre-registry implementation.
+// A spec is the only way to name a policy: `all_policies()` lists the
+// paper's eight as bare specs, and a label such as "Mixed" or
+// "Mixed(threshold=1.5)" parses back to its spec (util/spec.hpp).
 #pragma once
 
 #include <cstddef>
@@ -82,9 +82,8 @@ struct ClusterStatus {
 
 /// System state a policy may consult beyond the per-machine predictions.
 /// The simulator fills this before every routing decision; standalone
-/// callers (tests, the `choose_machine` shim) may leave it default — the
-/// paper's policies ignore it entirely, and context-aware policies check
-/// for the state they need.
+/// callers (tests) may leave it default — the paper's policies ignore it
+/// entirely, and context-aware policies check for the state they need.
 struct SchedulingContext {
     double now_s = 0.0;              ///< simulation clock
     double budget_total = 0.0;       ///< 0 = unlimited
@@ -122,9 +121,8 @@ public:
     /// context. Defaults to true so custom policies always see a fully
     /// populated context; builtins that never look at the grid override to
     /// false, letting the simulator skip the per-decision intensity lookups
-    /// on those hot paths (the enum-shim path stays at its pre-registry
-    /// cost). Overriding to false is purely an optimization — never
-    /// required for correctness.
+    /// on those hot paths. Overriding to false is purely an optimization —
+    /// never required for correctness.
     [[nodiscard]] virtual bool uses_grid_intensity() const noexcept {
         return true;
     }
@@ -190,55 +188,15 @@ private:
     std::map<std::string, Factory, std::less<>> factories_ GA_GUARDED_BY(mutex_);
 };
 
+/// The paper's eight policies as bare specs, in its plotting order:
+/// Greedy, Energy, Mixed, EFT, Runtime, Theta, IC, FASTER.
+[[nodiscard]] const std::vector<PolicySpec>& all_policies();
+
+/// The five multi-machine policies (Figs 6, 7a and Table 6).
+[[nodiscard]] const std::vector<PolicySpec>& multi_machine_policies();
+
 /// The three beyond-paper builtins (CarbonAware, LeastLoaded,
 /// BudgetPacing) with default parameters, in that order.
 [[nodiscard]] const std::vector<PolicySpec>& beyond_paper_policies();
-
-// ------------------------------------------------------ legacy enum shim
-
-enum class Policy {
-    Greedy,
-    Energy,
-    Mixed,
-    Eft,
-    Runtime,
-    FixedTheta,
-    FixedIc,
-    FixedFaster,
-};
-
-[[nodiscard]] std::string_view to_string(Policy p) noexcept;
-
-/// Inverse of `to_string`; std::nullopt for an unknown name.
-[[nodiscard]] std::optional<Policy> policy_from_string(
-    std::string_view name) noexcept;
-
-/// All eight, in the paper's plotting order.
-[[nodiscard]] const std::vector<Policy>& all_policies();
-
-/// The five multi-machine policies (Figs 6, 7a and Table 6).
-[[nodiscard]] const std::vector<Policy>& multi_machine_policies();
-
-/// Registry spec for a legacy enum value. `mixed_threshold` becomes the
-/// Mixed policy's "threshold" param and is ignored by every other policy.
-[[nodiscard]] PolicySpec to_spec(Policy p, double mixed_threshold = 2.0);
-
-/// Applies the policy (compatibility shim over the registry). Returns
-/// std::nullopt when no machine is feasible. `mixed_threshold` is the
-/// Mixed rule's speedup factor (paper: 2×). `fixed_index` must name the
-/// target machine for the Fixed* policies (the simulator resolves the
-/// machine name to an index).
-[[nodiscard]] std::optional<std::size_t> choose_machine(
-    Policy policy, const std::vector<MachineChoice>& choices,
-    double mixed_threshold = 2.0, std::optional<std::size_t> fixed_index = {});
-
-/// True for the always-one-machine policies.
-[[nodiscard]] constexpr bool is_fixed(Policy p) noexcept {
-    return p == Policy::FixedTheta || p == Policy::FixedIc ||
-           p == Policy::FixedFaster;
-}
-
-/// Machine name a fixed policy pins to ("" for adaptive policies).
-[[nodiscard]] std::string_view fixed_machine_name(Policy p) noexcept;
 
 }  // namespace ga::sim

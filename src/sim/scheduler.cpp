@@ -23,10 +23,7 @@ std::map<std::string, ga::carbon::IntensityTrace> grid_traces(
 }
 
 std::unique_ptr<const RoutingPolicy> make_routing(
-    const SimOptions& options, std::span<const ClusterConfig> clusters) {
-    PolicySpec spec = options.policy_spec.has_value()
-                          ? *options.policy_spec
-                          : to_spec(options.policy, options.mixed_threshold);
+    PolicySpec spec, std::span<const ClusterConfig> clusters) {
     // Fixed-machine policies are named after their cluster; resolving the
     // name to an index once here spares them a per-submit name scan. A no-op
     // for every other policy name.
@@ -46,11 +43,8 @@ RunSetup::RunSetup(const SimOptions& options,
                    std::span<const ClusterConfig> clusters)
     : traces(grid_traces(options, clusters)),
       cba(traces),
-      pricing_spec(options.accountant_spec.has_value()
-                       ? *options.accountant_spec
-                       : ga::acct::to_spec(options.pricing)),
-      pricer(bind(pricing_spec)),
-      routing(make_routing(options, clusters)),
+      pricer(bind(options.pricing)),
+      routing(make_routing(options.policy, clusters)),
       fill_grid_intensity(routing->uses_grid_intensity()),
       fill_grid_forecast(fill_grid_intensity && routing->uses_grid_forecast()) {}
 

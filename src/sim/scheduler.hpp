@@ -107,11 +107,10 @@ struct RunSetup {
     std::map<std::string, ga::carbon::IntensityTrace> traces;
     /// CBA over `traces`: intensity lookups and the carbon totals.
     ga::acct::CarbonBasedAccounting cba;
-    /// `SimOptions::accountant_spec`, else the enum through `to_spec`.
-    ga::acct::AccountantSpec pricing_spec;
+    /// `SimOptions::pricing`, bound to the grid traces.
     std::unique_ptr<const ga::acct::Accountant> pricer;
-    /// `SimOptions::policy_spec`, else the enum through `to_spec`; a policy
-    /// named after a cluster gets that cluster's `index` param.
+    /// `SimOptions::policy`; a policy named after a cluster gets that
+    /// cluster's `index` param.
     std::unique_ptr<const RoutingPolicy> routing;
     /// Whether routing reads the views' grid intensity / forecast; grid-blind
     /// policies spare every decision those lookups.

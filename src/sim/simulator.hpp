@@ -5,10 +5,12 @@
 // per cluster. Jobs arrive from the synthetic trace; a policy routes each
 // job to a machine using its per-machine predictions and current queue
 // estimates; execution is deterministic (runtime/power from the
-// cross-platform predictor); accounting charges the configured method. The
-// queues, running jobs and routing views are the scheduling core shared
-// with the ga-serve session (sim/scheduler.hpp); this driver replays the
-// trace through it.
+// cross-platform predictor); accounting charges the configured method.
+// `SimOptions` names the policy and the pricing method as registry specs
+// (`PolicySpec`, `AccountantSpec`), resolved once per run. The queues,
+// running jobs and routing views are the scheduling core shared with the
+// ga-serve session (sim/scheduler.hpp); this driver replays the trace
+// through it.
 //
 // A fixed allocation budget can be imposed: jobs whose estimated cost
 // exceeds the remaining budget are skipped, reproducing the paper's
@@ -56,8 +58,7 @@ struct ClusterOutage {
 /// One currency of a multi-currency allocation: a display name, the
 /// registry accountant that prices jobs in it, and the granted budget.
 /// The titular dual-budget scenario is two of these — e.g.
-/// {"core-hours", to_spec(Method::Runtime), 5e4} and
-/// {"gCO2e", to_spec(Method::Cba), 1e4}.
+/// {"core-hours", {"Runtime", {}}, 5e4} and {"gCO2e", {"CBA", {}}, 1e4}.
 struct CurrencyBudget {
     std::string currency;
     ga::acct::AccountantSpec accountant;
@@ -68,23 +69,14 @@ struct CurrencyBudget {
 
 /// Scenario and accounting configuration for one run.
 struct SimOptions {
-    Policy policy = Policy::Greedy;
-    /// Registry policy overriding the enum when set: any builtin or
-    /// user-registered `RoutingPolicy`, selected by name with parameters
-    /// (e.g. {"CarbonAware", {{"forecast", 1}}}). Enum-only options keep
-    /// the paper-faithful shim path (`to_spec(policy, mixed_threshold)`).
-    std::optional<PolicySpec> policy_spec;
-    /// Pricing method for routing costs and the primary `budget`. The
-    /// paper's experiments use Eba or Cba; enum-only options route through
-    /// the shim (`to_spec(pricing)`), bit-identical to the pre-registry
-    /// runs for those two values. (Runtime/Energy/Peak now genuinely price
-    /// with their named method — the pre-registry code silently fell back
-    /// to EBA for them.)
-    ga::acct::Method pricing = ga::acct::Method::Eba;
-    /// Registry accountant overriding the enum when set: any builtin or
-    /// user-registered method, selected by name with parameters (e.g.
-    /// {"CarbonTax", {{"rate", 0.02}}}).
-    std::optional<ga::acct::AccountantSpec> accountant_spec;
+    /// Routing policy: any builtin or user-registered `RoutingPolicy`,
+    /// selected by name with parameters (e.g. {"Mixed", {{"threshold",
+    /// 1.5}}} or {"CarbonAware", {{"forecast", 1}}}).
+    PolicySpec policy{"Greedy", {}};
+    /// Pricing method for routing costs and the primary `budget`: any
+    /// builtin or user-registered accountant (e.g. {"CarbonTax", {{"rate",
+    /// 0.02}}}). The paper's experiments use EBA or CBA.
+    ga::acct::AccountantSpec pricing{"EBA", {}};
     /// Multi-currency admission: when non-empty, every submitted job is
     /// additionally priced under each listed currency's accountant and
     /// admitted only if *all* of them can pay (each is then debited) — the
@@ -92,7 +84,6 @@ struct SimOptions {
     /// which still gates the routing-cost currency.
     std::vector<CurrencyBudget> currency_budgets;
     double budget = 0.0;            ///< 0 = unlimited (full-workload runs)
-    double mixed_threshold = 2.0;   ///< Mixed policy speedup rule
     bool regional_grids = false;    ///< Fig-7 low-carbon scenario
     std::uint64_t grid_seed = 77;   ///< synthetic grid seed
     /// Arrival-burst scaling (scenario dimension beyond the paper): submit

@@ -40,35 +40,19 @@ std::string format_number(double v) {
     return buf;
 }
 
-/// One point of the combined policy axis: a legacy enum entry or a registry
-/// spec, plus the label fragment it contributes.
-struct PolicyPoint {
-    Policy enum_policy = Policy::Greedy;
-    std::optional<PolicySpec> spec;
-    std::string label;
-};
-
-/// One point of the combined pricing axis, same shape as PolicyPoint.
-struct PricingPoint {
-    ga::acct::Method enum_method = ga::acct::Method::Eba;
-    std::optional<ga::acct::AccountantSpec> spec;
-    std::string label;
-};
-
 /// Label for one grid point: policy and pricing always, other axes only
 /// when the grid actually sweeps them (explicitly-set axis).
-std::string make_label(const std::string& policy_label,
-                       const std::string& pricing_label, const SimOptions& o,
-                       bool with_budget, bool with_threshold,
+std::string make_label(const std::string& policy_label, const SimOptions& o,
+                       bool with_budget, std::optional<double> threshold,
                        bool with_regional, bool with_seed,
                        bool with_compression, bool with_outage) {
-    std::string label = policy_label + "/" + pricing_label;
+    std::string label = policy_label + "/" + o.pricing.label();
     if (with_budget) {
         label += o.budget > 0.0 ? "/budget=" + format_number(o.budget)
                                 : "/unbudgeted";
     }
-    if (with_threshold) {
-        label += "/mixed=" + format_number(o.mixed_threshold);
+    if (threshold.has_value()) {
+        label += "/mixed=" + format_number(*threshold);
     }
     if (with_regional) {
         label += o.regional_grids ? "/regional" : "/flat";
@@ -101,61 +85,23 @@ std::vector<T> axis_or(const std::vector<T>& axis, T fallback) {
 
 std::size_t SweepGrid::size() const noexcept {
     const auto dim = [](std::size_t n) { return n == 0 ? std::size_t{1} : n; };
-    return dim(policies.size() + policy_specs.size()) *
-           dim(pricings.size() + accountant_specs.size()) *
-           dim(budgets.size()) * dim(mixed_thresholds.size()) *
-           dim(regional_grids.size()) * dim(grid_seeds.size()) *
-           dim(arrival_compressions.size()) * dim(outages.size());
+    return dim(policies.size()) * dim(pricings.size()) * dim(budgets.size()) *
+           dim(mixed_thresholds.size()) * dim(regional_grids.size()) *
+           dim(grid_seeds.size()) * dim(arrival_compressions.size()) *
+           dim(outages.size());
 }
 
 std::vector<ScenarioSpec> SweepGrid::expand() const {
-    const SimOptions& defaults = base;
-
-    // Combined policy axis: enum entries first, registry specs after. A
-    // swept axis point overrides both `base.policy` and `base.policy_spec`;
-    // when the axis is empty the base selection (enum or spec) is the
-    // single point.
-    std::vector<PolicyPoint> ps;
-    ps.reserve(policies.size() + policy_specs.size());
-    for (const auto policy : policies) {
-        ps.push_back(
-            PolicyPoint{policy, std::nullopt, std::string(to_string(policy))});
-    }
-    for (const auto& spec : policy_specs) {
-        ps.push_back(PolicyPoint{defaults.policy, spec, spec.label()});
-    }
-    if (ps.empty()) {
-        ps.push_back(PolicyPoint{
-            defaults.policy, defaults.policy_spec,
-            defaults.policy_spec.has_value()
-                ? defaults.policy_spec->label()
-                : std::string(to_string(defaults.policy))});
-    }
-
-    // Combined pricing axis: enum entries first, registry specs after.
-    std::vector<PricingPoint> ms;
-    ms.reserve(pricings.size() + accountant_specs.size());
-    for (const auto method : pricings) {
-        ms.push_back(PricingPoint{method, std::nullopt,
-                                  std::string(ga::acct::to_string(method))});
-    }
-    for (const auto& spec : accountant_specs) {
-        ms.push_back(PricingPoint{defaults.pricing, spec, spec.label()});
-    }
-    if (ms.empty()) {
-        ms.push_back(PricingPoint{
-            defaults.pricing, defaults.accountant_spec,
-            defaults.accountant_spec.has_value()
-                ? defaults.accountant_spec->label()
-                : std::string(ga::acct::to_string(defaults.pricing))});
-    }
-
-    const auto bs = axis_or(budgets, defaults.budget);
-    const auto ts = axis_or(mixed_thresholds, defaults.mixed_threshold);
-    const auto rs = axis_or(regional_grids, defaults.regional_grids);
-    const auto ss = axis_or(grid_seeds, defaults.grid_seed);
-    const auto cs = axis_or(arrival_compressions, defaults.arrival_compression);
-    const auto os = axis_or(outages, defaults.outage);
+    const auto ps = axis_or(policies, base.policy);
+    const auto ms = axis_or(pricings, base.pricing);
+    const auto bs = axis_or(budgets, base.budget);
+    std::vector<std::optional<double>> ts(mixed_thresholds.begin(),
+                                         mixed_thresholds.end());
+    if (ts.empty()) ts.emplace_back();  // unswept: specs run as written
+    const auto rs = axis_or(regional_grids, base.regional_grids);
+    const auto ss = axis_or(grid_seeds, base.grid_seed);
+    const auto cs = axis_or(arrival_compressions, base.arrival_compression);
+    const auto os = axis_or(outages, base.outage);
 
     std::vector<ScenarioSpec> specs;
     specs.reserve(size());
@@ -172,48 +118,33 @@ std::vector<ScenarioSpec> SweepGrid::expand() const {
                                     // fields (currency_budgets, ...) reach
                                     // every scenario; axes override below.
                                     spec.options = base;
-                                    spec.options.policy = policy.enum_policy;
-                                    spec.options.policy_spec = policy.spec;
-                                    // A swept threshold axis reaches a
-                                    // "Mixed" spec as its "threshold"
-                                    // param, overriding a pinned value —
-                                    // exactly as the axis overrides
-                                    // SimOptions::mixed_threshold on the
-                                    // enum path — so the "/mixed=X" label
-                                    // always names the threshold that ran.
-                                    // Other specs are left untouched: a
-                                    // custom policy's unrelated
-                                    // "threshold" param is not the Mixed
-                                    // axis's to rewrite.
-                                    if (!mixed_thresholds.empty() &&
-                                        spec.options.policy_spec.has_value() &&
-                                        spec.options.policy_spec->name ==
-                                            "Mixed") {
-                                        spec.options.policy_spec->params
-                                            .insert_or_assign("threshold",
-                                                              threshold);
-                                    }
-                                    spec.options.pricing = pricing.enum_method;
-                                    spec.options.accountant_spec = pricing.spec;
+                                    spec.options.policy = policy;
+                                    spec.options.pricing = pricing;
                                     spec.options.budget = budget;
-                                    spec.options.mixed_threshold = threshold;
                                     spec.options.regional_grids = regional;
                                     spec.options.grid_seed = seed;
                                     spec.options.arrival_compression =
                                         compression;
                                     spec.options.outage = outage;
-                                    // Label the point with the *effective*
-                                    // spec, so an axis-overridden threshold
-                                    // param shows its real value.
-                                    const std::string policy_label =
-                                        spec.options.policy_spec.has_value() &&
-                                                !mixed_thresholds.empty()
-                                            ? spec.options.policy_spec->label()
-                                            : policy.label;
+                                    // A swept threshold runs on every
+                                    // "Mixed" point; the label keeps the
+                                    // spec as written, so only a written
+                                    // threshold shows the swept value.
+                                    std::string policy_label = policy.label();
+                                    if (threshold.has_value() &&
+                                        policy.name == "Mixed") {
+                                        spec.options.policy.params
+                                            .insert_or_assign("threshold",
+                                                              *threshold);
+                                        if (policy.params.contains(
+                                                "threshold")) {
+                                            policy_label =
+                                                spec.options.policy.label();
+                                        }
+                                    }
                                     spec.label = make_label(
-                                        policy_label, pricing.label,
-                                        spec.options, !budgets.empty(),
-                                        !mixed_thresholds.empty(),
+                                        policy_label, spec.options,
+                                        !budgets.empty(), threshold,
                                         !regional_grids.empty(),
                                         !grid_seeds.empty(),
                                         !arrival_compressions.empty(),
@@ -229,11 +160,12 @@ SweepRunner::SweepRunner(const BatchSimulator& simulator, std::size_t threads)
 std::vector<SweepOutcome> SweepRunner::run(
     const std::vector<ScenarioSpec>& specs) {
     std::vector<SweepOutcome> outcomes(specs.size());
-    // Leaf of the declared lock hierarchy: the sweep tasks charge the
-    // ledger through simulator_->run before this lock is ever taken, so
-    // it must order after the accounting locks and hold nothing else.
-    ga::util::Mutex error_mutex GA_ACQUIRED_AFTER(
-        ga::acct::Ledger::mutex_, ga::acct::AccountantRegistry::mutex_);
+    // Leaf of the declared lock hierarchy, like parallel_for's error
+    // collection. A task's run never touches the Ledger (budgets live in
+    // the run's own state); it takes only the registry locks, while
+    // RunSetup builds the policy and the accountant, and the obs leaves,
+    // and has released all of them before the catch block takes this one.
+    ga::util::Mutex error_mutex GA_ACQUIRED_AFTER(ga::util::ThreadPool::mutex_);
     std::exception_ptr error;
     SweepMetrics& metrics = sweep_metrics();
     auto& tracer = ga::obs::Tracer::global();

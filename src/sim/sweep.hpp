@@ -3,9 +3,8 @@
 // The paper's experiments (Figs 5–7, Table 6) are grids of simulation runs:
 // policy × pricing × budget, plus scenario switches (regional grids, grid
 // seeds) and — beyond the paper — cluster outages and arrival-burst scaling.
-// The policy axis spans both legacy enum policies and named registry
-// strategies (`policy_specs`), so context-aware and user-registered
-// policies sweep exactly like the paper's eight.
+// The policy and pricing axes hold registry specs, so context-aware and
+// user-registered policies and methods sweep exactly like the paper's.
 // `SweepGrid` describes such a grid declaratively, `expand()` turns it into
 // a deterministic list of `ScenarioSpec`s, and `SweepRunner` executes the
 // specs concurrently over one shared immutable `BatchSimulator`.
@@ -42,33 +41,23 @@ struct ScenarioSpec {
 struct SweepGrid {
     /// Options every expanded scenario starts from. Swept axes override the
     /// matching field per grid point; everything else — including the
-    /// axis-less fields `currency_budgets`, `policy_spec`/`accountant_spec`
-    /// singletons, and any unswept scalar — reaches every scenario
-    /// unchanged. The default keeps the pre-hook behavior (unswept axes
-    /// collapse to the `SimOptions` defaults). The scenario-file loader
-    /// (`io/scenario.hpp`) maps its "options" section here.
+    /// axis-less `currency_budgets` and any unswept field — reaches every
+    /// scenario unchanged. The scenario-file loader (`io/scenario.hpp`)
+    /// maps its "options" section here.
     SimOptions base;
-    std::vector<Policy> policies;
-    /// Registry policies swept alongside the enum axis: the combined policy
-    /// dimension is `policies` (in order) followed by `policy_specs`, so a
-    /// grid can compare paper policies and context-aware strategies (or
-    /// user-registered ones) in one expansion.
-    std::vector<PolicySpec> policy_specs;
-    std::vector<ga::acct::Method> pricings;
-    /// Registry accountants swept alongside the enum pricing axis: the
-    /// combined pricing dimension is `pricings` (in order) followed by
-    /// `accountant_specs`, so a grid can compare the paper's methods and
-    /// parameterized or user-registered ones (e.g. {"CarbonTax",
-    /// {{"rate", 0.02}}}) in one expansion.
-    std::vector<ga::acct::AccountantSpec> accountant_specs;
+    /// Policies, e.g. `all_policies()` followed by a context-aware or
+    /// user-registered spec. A point's label starts with the spec's label.
+    std::vector<PolicySpec> policies;
+    /// Pricing methods, e.g. {"EBA", {}} and {"CarbonTax", {{"rate",
+    /// 0.02}}}. A point's label names the spec's label second.
+    std::vector<ga::acct::AccountantSpec> pricings;
     std::vector<double> budgets;  ///< 0 = unlimited
-    /// Mixed-policy speedup thresholds. Swept values also reach "Mixed"
-    /// registry specs as their "threshold" param, overriding a value
-    /// pinned in the spec (just as the axis overrides
-    /// `SimOptions::mixed_threshold` on the enum path) — every "/mixed=X"
-    /// label names the threshold that actually ran. Specs of other
-    /// policies are never rewritten by this axis; pin a Mixed spec's
-    /// threshold by not sweeping it.
+    /// Mixed-policy speedup thresholds. A swept value becomes the
+    /// "threshold" param of every "Mixed" point, replacing one written in
+    /// the spec, and the label appends "/mixed=X". The policy part of the
+    /// label stays the spec as written, with a written threshold replaced
+    /// by X, so a bare "Mixed" stays bare. Specs of other policies are
+    /// never rewritten by this axis.
     std::vector<double> mixed_thresholds;
     std::vector<bool> regional_grids;
     std::vector<std::uint64_t> grid_seeds;

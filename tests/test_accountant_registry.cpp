@@ -1,9 +1,9 @@
 // Tests for the open accounting API (core/accounting.hpp): AccountantSpec,
-// AccountantRegistry, the builtin methods (paper + composites), the legacy
-// Method-enum compatibility shim (including the hexfloat charge baseline
-// captured from the pre-registry implementation), and end-to-end
-// registry-driven simulator runs (spec pricing, the accountant sweep axis,
-// and the dual-budget core-hours + gCO2e scenario).
+// AccountantRegistry, the builtin methods (paper + composites, including
+// the hexfloat charge baseline captured from the pre-registry
+// implementation), and end-to-end registry-driven simulator runs (spec
+// pricing, the pricing sweep axis, and the dual-budget core-hours + gCO2e
+// scenario).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -48,8 +48,8 @@ TEST(AccountantSpec, LabelIsNameAloneOrNameWithSortedParams) {
 // -------------------------------------------------------- AccountantRegistry
 TEST(AccountantRegistry, GlobalContainsPaperAndBeyondPaperBuiltins) {
     auto& registry = ac::AccountantRegistry::global();
-    for (const auto m : ac::all_methods()) {
-        EXPECT_TRUE(registry.contains(ac::to_string(m))) << ac::to_string(m);
+    for (const auto& m : ac::all_methods()) {
+        EXPECT_TRUE(registry.contains(m.name)) << m.name;
     }
     for (const auto& spec : ac::beyond_paper_accountants()) {
         EXPECT_TRUE(registry.contains(spec.name)) << spec.name;
@@ -181,10 +181,10 @@ TEST(WithGrid, CarbonAwareMethodsRebindAndGridBlindOnesReturnNull) {
     }
 }
 
-// --------------------------------------- enum shim: hexfloat charge baseline
-// Captured from the pre-registry implementation (PR 3 state) across all five
-// methods, the full ten-machine catalog, and five usage shapes. The shim
-// (`make_accountant`/`to_spec`) must reproduce every charge bit-for-bit.
+// ------------------------------------------------- hexfloat charge baseline
+// Captured from the pre-registry implementation across all five paper
+// methods, the full ten-machine catalog, and five usage shapes. The
+// registry must reproduce every charge bit-for-bit.
 struct BaselineRow {
     int method;          // index into all_methods()
     const char* machine; // catalog display name
@@ -206,33 +206,19 @@ const ac::JobUsage* baseline_usages() {
 
 const std::vector<BaselineRow>& baseline_rows();
 
-TEST(EnumShim, ChargesBitIdenticalToPreRedesignBaseline) {
+TEST(AccountantRegistry, ChargesBitIdenticalToPreRedesignBaseline) {
     ASSERT_EQ(baseline_rows().size(), 215u);
-    for (const auto m : ac::all_methods()) {
-        const auto by_enum = ac::make_accountant(m);
-        const auto by_spec = ac::AccountantRegistry::global().make(ac::to_spec(m));
-        const int mi = static_cast<int>(m);
+    const auto& methods = ac::all_methods();
+    for (std::size_t mi = 0; mi < methods.size(); ++mi) {
+        const auto accountant = ac::AccountantRegistry::global().make(methods[mi]);
         for (const auto& row : baseline_rows()) {
-            if (row.method != mi) continue;
+            if (row.method != static_cast<int>(mi)) continue;
             const auto& entry = mc::find(row.machine);
             const auto& usage = baseline_usages()[row.usage];
-            SCOPED_TRACE(std::string(ac::to_string(m)) + "/" + row.machine +
-                         "/usage" + std::to_string(row.usage));
-            EXPECT_EQ(by_enum->charge(usage, entry), row.expected);
-            EXPECT_EQ(by_spec->charge(usage, entry), row.expected);
+            SCOPED_TRACE(methods[mi].name + "/" + row.machine + "/usage" +
+                         std::to_string(row.usage));
+            EXPECT_EQ(accountant->charge(usage, entry), row.expected);
         }
-    }
-}
-
-TEST(EnumShim, ToSpecNamesAreRegisteredAndRoundTrip) {
-    for (const auto m : ac::all_methods()) {
-        const auto spec = ac::to_spec(m);
-        EXPECT_TRUE(ac::AccountantRegistry::global().contains(spec.name));
-        EXPECT_EQ(spec.name, ac::to_string(m));
-        EXPECT_TRUE(spec.params.empty()) << ac::to_string(m);
-        const auto parsed = ac::method_from_string(spec.name);
-        ASSERT_TRUE(parsed.has_value());
-        EXPECT_EQ(*parsed, m);
     }
 }
 
@@ -249,34 +235,10 @@ const sm::BatchSimulator& shared_simulator() {
     return simulator;
 }
 
-TEST(SpecPricing, SpecDrivenRunsBitIdenticalToEnumRunsForBothPricings) {
-    // The fig5/6 regression: enum pricing and the equivalent registry spec
-    // must produce field-for-field identical SimResults, budgeted and not,
-    // on flat and regional grids.
-    const double budget =
-        shared_simulator().run(sm::SimOptions{}).total_cost * 0.6;
-    for (const auto pricing : {ac::Method::Eba, ac::Method::Cba}) {
-        for (const bool regional : {false, true}) {
-            for (const double b : {0.0, budget}) {
-                sm::SimOptions by_enum;
-                by_enum.pricing = pricing;
-                by_enum.budget = b;
-                by_enum.regional_grids = regional;
-                sm::SimOptions by_spec = by_enum;
-                by_spec.accountant_spec = ac::to_spec(pricing);
-                SCOPED_TRACE(std::string(ac::to_string(pricing)) +
-                             (regional ? "/regional" : "/flat"));
-                expect_identical(shared_simulator().run(by_enum),
-                                 shared_simulator().run(by_spec));
-            }
-        }
-    }
-}
-
 TEST(SpecPricing, CompositeAccountantsRunEndToEnd) {
     for (const auto& spec : ac::beyond_paper_accountants()) {
         sm::SimOptions o;
-        o.accountant_spec = spec;
+        o.pricing = spec;
         const auto r = shared_simulator().run(o);
         EXPECT_EQ(r.jobs_completed + r.jobs_skipped,
                   shared_simulator().workload().jobs.size())
@@ -288,22 +250,21 @@ TEST(SpecPricing, CompositeAccountantsRunEndToEnd) {
 
 TEST(SpecPricing, SweepAxisMatchesDirectRunsAndLabels) {
     sm::SweepGrid grid;
-    grid.policies = {sm::Policy::Greedy};
-    grid.pricings = {ac::Method::Eba};
-    grid.accountant_specs = {ac::AccountantSpec{"CarbonTax", {{"rate", 0.02}}}};
+    grid.policies = {sm::PolicySpec{"Greedy", {}}};
+    grid.pricings = {ac::AccountantSpec{"EBA", {}},
+                     ac::AccountantSpec{"CarbonTax", {{"rate", 0.02}}}};
     const auto specs = grid.expand();
     ASSERT_EQ(specs.size(), 2u);
     EXPECT_EQ(specs[0].label, "Greedy/EBA");
     EXPECT_EQ(specs[1].label, "Greedy/CarbonTax(rate=0.02)");
-    EXPECT_FALSE(specs[0].options.accountant_spec.has_value());
-    ASSERT_TRUE(specs[1].options.accountant_spec.has_value());
-    EXPECT_DOUBLE_EQ(specs[1].options.accountant_spec->param("rate", 0.0), 0.02);
+    EXPECT_EQ(specs[0].options.pricing, (ac::AccountantSpec{"EBA", {}}));
+    EXPECT_DOUBLE_EQ(specs[1].options.pricing.param("rate", 0.0), 0.02);
 
     sm::SweepRunner runner(shared_simulator(), 2);
     const auto outcomes = runner.run(specs);
     ASSERT_EQ(outcomes.size(), 2u);
     sm::SimOptions direct;
-    direct.accountant_spec = ac::AccountantSpec{"CarbonTax", {{"rate", 0.02}}};
+    direct.pricing = ac::AccountantSpec{"CarbonTax", {{"rate", 0.02}}};
     expect_identical(outcomes[1].result, shared_simulator().run(direct));
 }
 
@@ -340,14 +301,14 @@ TEST(CustomAccountant, RegisteredMethodRunsThroughSimulatorAndSweep) {
     }
 
     sm::SimOptions o;
-    o.accountant_spec = ac::AccountantSpec{"FlatBill", {{"kwh", 0.45}}};
+    o.pricing = ac::AccountantSpec{"FlatBill", {{"kwh", 0.45}}};
     const auto direct = shared_simulator().run(o);
     EXPECT_EQ(direct.jobs_completed + direct.jobs_skipped,
               shared_simulator().workload().jobs.size());
 
     // And by name through the sweep engine, bit-identical to the direct run.
     sm::SweepGrid grid;
-    grid.accountant_specs = {ac::AccountantSpec{"FlatBill", {{"kwh", 0.45}}}};
+    grid.pricings = {ac::AccountantSpec{"FlatBill", {{"kwh", 0.45}}}};
     sm::SweepRunner runner(shared_simulator(), 2);
     const auto outcomes = runner.run(grid);
     ASSERT_EQ(outcomes.size(), 1u);
@@ -357,11 +318,10 @@ TEST(CustomAccountant, RegisteredMethodRunsThroughSimulatorAndSweep) {
 
 // ------------------------------------- dual-budget (core-hours AND gCO2e)
 sm::CurrencyBudget core_hours(double budget) {
-    return sm::CurrencyBudget{"core-hours", ac::to_spec(ac::Method::Runtime),
-                              budget};
+    return sm::CurrencyBudget{"core-hours", {"Runtime", {}}, budget};
 }
 sm::CurrencyBudget carbon_credits(double budget) {
-    return sm::CurrencyBudget{"gCO2e", ac::to_spec(ac::Method::Cba), budget};
+    return sm::CurrencyBudget{"gCO2e", {"CBA", {}}, budget};
 }
 
 TEST(DualBudget, UnlimitedCurrenciesMatchTheSingleBudgetRunExactly) {
@@ -418,12 +378,12 @@ TEST(DualBudget, SweepParallelBitIdenticalToSerial) {
     const double full_g = full.currency_spent.at("gCO2e");
 
     std::vector<sm::ScenarioSpec> specs;
-    for (const auto policy : {sm::Policy::Greedy, sm::Policy::Eft}) {
+    for (const char* policy : {"Greedy", "EFT"}) {
         for (const double carbon_frac : {0.25, 0.5, 1.0}) {
             sm::ScenarioSpec spec;
-            spec.label = std::string(sm::to_string(policy)) + "/carbon=" +
+            spec.label = std::string(policy) + "/carbon=" +
                          std::to_string(carbon_frac);
-            spec.options.policy = policy;
+            spec.options.policy = {policy, {}};
             spec.options.currency_budgets = {
                 core_hours(full_ch), carbon_credits(full_g * carbon_frac)};
             specs.push_back(std::move(spec));
@@ -444,7 +404,7 @@ TEST(DualBudget, InvalidCurrencyConfigsAreRejected) {
     sm::SimOptions o;
     o.currency_budgets = {core_hours(10.0), core_hours(20.0)};  // duplicate
     EXPECT_THROW((void)shared_simulator().run(o), ga::util::PreconditionError);
-    o.currency_budgets = {sm::CurrencyBudget{"", ac::to_spec(ac::Method::Cba), 1.0}};
+    o.currency_budgets = {sm::CurrencyBudget{"", {"CBA", {}}, 1.0}};
     EXPECT_THROW((void)shared_simulator().run(o), ga::util::PreconditionError);
     o.currency_budgets = {core_hours(-1.0)};
     EXPECT_THROW((void)shared_simulator().run(o), ga::util::PreconditionError);

@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "core/accounting.hpp"
 #include "core/allocation.hpp"
 #include "core/estimate.hpp"
 #include "util/error.hpp"
+#include "util/spec.hpp"
 #include "util/units.hpp"
 
 namespace {
@@ -136,23 +138,23 @@ TEST(Cba, LinearVsAcceleratedDepreciationSelectable) {
 
 TEST(Methods, FactoryCoversAll) {
     ASSERT_EQ(ac::all_methods().size(), 5u);
-    for (const auto m : ac::all_methods()) {
-        const auto acct = ac::make_accountant(m);
+    for (const auto& m : ac::all_methods()) {
+        const auto acct = ac::AccountantRegistry::global().make(m);
         ASSERT_NE(acct, nullptr);
-        EXPECT_EQ(acct->name(), ac::to_string(m));
+        EXPECT_EQ(acct->name(), m.name);
         EXPECT_FALSE(std::string(acct->unit()).empty());
-        EXPECT_FALSE(std::string(ac::to_string(m)).empty());
+        EXPECT_TRUE(m.params.empty()) << m.name;
     }
 }
 
 TEST(Methods, FromStringRoundTripsToString) {
-    for (const auto m : ac::all_methods()) {
-        const auto parsed = ac::method_from_string(ac::to_string(m));
-        ASSERT_TRUE(parsed.has_value()) << ac::to_string(m);
-        EXPECT_EQ(*parsed, m);
+    for (const auto& m : ac::all_methods()) {
+        const auto parsed = ga::util::parse_spec(m.label());
+        EXPECT_EQ((ac::AccountantSpec{parsed.name, parsed.params}), m);
     }
-    EXPECT_FALSE(ac::method_from_string("NoSuchMethod").has_value());
-    EXPECT_FALSE(ac::method_from_string("eba").has_value());  // exact match
+    auto& registry = ac::AccountantRegistry::global();
+    EXPECT_FALSE(registry.contains("NoSuchMethod"));
+    EXPECT_FALSE(registry.contains("eba"));  // exact match
 }
 
 TEST(Methods, RejectInvalidUsage) {
@@ -167,11 +169,22 @@ TEST(Methods, RejectInvalidUsage) {
 }
 
 // Parameterized: every method is positively homogeneous in duration+energy
-// (doubling a job's time and energy doubles its charge).
-class MethodScaling : public ::testing::TestWithParam<ac::Method> {};
+// (doubling a job's time and energy doubles its charge). The parameter is
+// the method's position in all_methods().
+struct MethodIndex {
+    std::uint32_t value;
+};
+
+class MethodScaling : public ::testing::TestWithParam<MethodIndex> {
+protected:
+    static std::unique_ptr<const ac::Accountant> accountant() {
+        return ac::AccountantRegistry::global().make(
+            ac::all_methods().at(GetParam().value));
+    }
+};
 
 TEST_P(MethodScaling, ChargeScalesLinearly) {
-    const auto acct = ac::make_accountant(GetParam());
+    const auto acct = accountant();
     const auto& m = mc::find(mc::CatalogId::IceLake);
     const auto base = cpu_job(50.0, 300.0, 4);
     const auto doubled = cpu_job(100.0, 600.0, 4);
@@ -179,15 +192,15 @@ TEST_P(MethodScaling, ChargeScalesLinearly) {
 }
 
 TEST_P(MethodScaling, ChargeIsNonNegative) {
-    const auto acct = ac::make_accountant(GetParam());
+    const auto acct = accountant();
     const auto& m = mc::find(mc::CatalogId::Theta);
     EXPECT_GE(acct->charge(cpu_job(0.0, 0.0, 1), m), 0.0);
 }
 
 INSTANTIATE_TEST_SUITE_P(AllMethods, MethodScaling,
-                         ::testing::Values(ac::Method::Runtime, ac::Method::Energy,
-                                           ac::Method::Peak, ac::Method::Eba,
-                                           ac::Method::Cba));
+                         ::testing::Values(MethodIndex{0}, MethodIndex{1},
+                                           MethodIndex{2}, MethodIndex{3},
+                                           MethodIndex{4}));
 
 // ---------------------------------------------------------------- allocation
 TEST(Allocation, ChargesAndRefuses) {

@@ -205,7 +205,7 @@ TEST(Monitor, UnknownTaskHasZeroEnergy) {
 
 // ---------------------------------------------------------------- platform
 TEST(Platform, EndToEndSubmitAndCharge) {
-    auto platform = fs::GreenAccess::with_method(ga::acct::Method::Eba);
+    auto platform = fs::GreenAccess::with_accountant({"EBA", {}});
     platform.register_endpoint(mc::find(mc::CatalogId::Desktop));
     platform.register_endpoint(mc::find(mc::CatalogId::CascadeLake));
     platform.create_user("alice", 1e9);
@@ -222,7 +222,7 @@ TEST(Platform, EndToEndSubmitAndCharge) {
 }
 
 TEST(Platform, PredictionServiceRanks) {
-    auto platform = fs::GreenAccess::with_method(ga::acct::Method::Eba);
+    auto platform = fs::GreenAccess::with_accountant({"EBA", {}});
     for (const auto& e : mc::chameleon_cpu_nodes()) platform.register_endpoint(e);
     ga::machine::WorkProfile p{30e9, 1e6, 1.0};
     const auto ranked = platform.predict(p, 1);
@@ -234,7 +234,7 @@ TEST(Platform, PredictionServiceRanks) {
 }
 
 TEST(Platform, AccessControl) {
-    auto platform = fs::GreenAccess::with_method(ga::acct::Method::Eba);
+    auto platform = fs::GreenAccess::with_accountant({"EBA", {}});
     platform.register_endpoint(mc::find(mc::CatalogId::Desktop));
     ga::machine::WorkProfile p{1e9, 1e6, 1.0};
 
@@ -256,7 +256,7 @@ TEST(Platform, AccessControl) {
 }
 
 TEST(Platform, ExplicitMachineRouting) {
-    auto platform = fs::GreenAccess::with_method(ga::acct::Method::Runtime);
+    auto platform = fs::GreenAccess::with_accountant({"Runtime", {}});
     platform.register_endpoint(mc::find(mc::CatalogId::Desktop));
     platform.register_endpoint(mc::find(mc::CatalogId::Zen3));
     platform.create_user("carol", 1e9);
@@ -267,7 +267,7 @@ TEST(Platform, ExplicitMachineRouting) {
 }
 
 TEST(Platform, MultipleSubmissionsAccumulate) {
-    auto platform = fs::GreenAccess::with_method(ga::acct::Method::Energy);
+    auto platform = fs::GreenAccess::with_accountant({"Energy", {}});
     platform.register_endpoint(mc::find(mc::CatalogId::Desktop));
     platform.create_user("dave", 1e9);
     ga::machine::WorkProfile p{10e9, 1e6, 1.0};

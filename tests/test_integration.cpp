@@ -183,7 +183,7 @@ TEST(Fig7, CheapestEndpointShiftsWithTimeOfDay) {
 TEST(PlatformIntegration, KernelSubmissionThroughFullPipeline) {
     // Really execute a kernel, submit its profile through green-ACCESS, and
     // check the measured (monitor-attributed) energy lands near the model's.
-    auto platform = ga::faas::GreenAccess::with_method(ac::Method::Eba);
+    auto platform = ga::faas::GreenAccess::with_accountant({"EBA", {}});
     platform.register_endpoint(mc::find(mc::CatalogId::Zen3));
     platform.create_user("scientist", 1e12);
 
@@ -209,12 +209,11 @@ TEST(SimIntegration, MixedMatchesEftCompletionTimes) {
     const ga::sim::BatchSimulator simulator(ga::workload::build_workload(o));
 
     ga::sim::SimOptions opts;
-    opts.pricing = ac::Method::Eba;
-    opts.policy = ga::sim::Policy::Mixed;
+    opts.policy = {"Mixed", {}};
     const auto mixed = simulator.run(opts);
-    opts.policy = ga::sim::Policy::Eft;
+    opts.policy = {"EFT", {}};
     const auto eft = simulator.run(opts);
-    opts.policy = ga::sim::Policy::Greedy;
+    opts.policy = {"Greedy", {}};
     const auto greedy = simulator.run(opts);
 
     EXPECT_LT(mixed.makespan_s, 1.5 * eft.makespan_s);

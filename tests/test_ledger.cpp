@@ -36,8 +36,8 @@ ac::JobUsage cpu_job(double seconds, double joules, int cores) {
 /// Defines "core-hours" (Runtime) and "gCO2e" (CBA) — the paper's titular
 /// currency pair. (Ledger owns a mutex, so it is configured in place.)
 void define_dual_currencies(ac::Ledger& ledger) {
-    ledger.define_currency("core-hours", ac::to_spec(ac::Method::Runtime));
-    ledger.define_currency("gCO2e", ac::to_spec(ac::Method::Cba));
+    ledger.define_currency("core-hours", {"Runtime", {}});
+    ledger.define_currency("gCO2e", {"CBA", {}});
 }
 
 // ------------------------------------------------------------- currencies
@@ -50,7 +50,7 @@ TEST(LedgerCurrencies, DefinitionAndListing) {
     EXPECT_EQ(ledger.currencies(),
               (std::vector<std::string>{"core-hours", "gCO2e"}));
     EXPECT_THROW(
-        ledger.define_currency("", ac::to_spec(ac::Method::Runtime)),
+        ledger.define_currency("", {"Runtime", {}}),
         ga::util::PreconditionError);
     EXPECT_THROW(ledger.define_currency(
                      "x", std::shared_ptr<const ac::Accountant>{}),
@@ -158,7 +158,7 @@ TEST(LedgerCharge, NegativeQuoteIsRejectedBeforeAnyDebit) {
     // All-or-nothing must survive a custom accountant quoting a negative
     // cost: the charge throws and no holding is touched, no history written.
     ac::Ledger ledger;
-    ledger.define_currency("core-hours", ac::to_spec(ac::Method::Runtime));
+    ledger.define_currency("core-hours", {"Runtime", {}});
     ledger.define_currency("rebate", std::make_shared<NegativePricer>());
     ledger.create_account("alice", {{"core-hours", 100.0}, {"rebate", 1.0}});
     const auto& m = mc::find(mc::CatalogId::Desktop);

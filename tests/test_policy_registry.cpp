@@ -1,8 +1,6 @@
 // Tests for the open routing-policy API (sim/policy.hpp): PolicySpec,
-// PolicyRegistry, the builtin strategies (paper + context-aware), the
-// legacy-enum compatibility shim, and end-to-end registry-driven simulator
-// runs (including the fig5/6/7 regression: enum-shim runs bit-identical to
-// spec-driven runs for all eight paper policies).
+// PolicyRegistry, the builtin strategies (paper + context-aware), and
+// end-to-end registry-driven simulator runs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -51,9 +49,9 @@ TEST(PolicySpec, LabelIsNameAloneOrNameWithSortedParams) {
 // ---------------------------------------------------------- PolicyRegistry
 TEST(PolicyRegistry, GlobalContainsPaperAndBeyondPaperBuiltins) {
     auto& registry = sm::PolicyRegistry::global();
-    for (const auto p : sm::all_policies()) {
-        EXPECT_TRUE(registry.contains(sm::to_string(p)))
-            << sm::to_string(p);
+    for (const auto& spec : sm::all_policies()) {
+        EXPECT_TRUE(registry.contains(spec.name)) << spec.name;
+        EXPECT_TRUE(spec.params.empty()) << spec.name;
     }
     for (const auto& spec : sm::beyond_paper_policies()) {
         EXPECT_TRUE(registry.contains(spec.name)) << spec.name;
@@ -103,30 +101,6 @@ TEST(PolicyRegistry, MadePolicyReportsItsRegistryName) {
         const auto p =
             sm::PolicyRegistry::global().make(sm::PolicySpec{name, {}});
         EXPECT_EQ(p->name(), name);
-    }
-}
-
-// ------------------------------------------------------- from_string shim
-TEST(PolicyShim, PolicyFromStringRoundTripsToString) {
-    for (const auto p : sm::all_policies()) {
-        const auto parsed = sm::policy_from_string(sm::to_string(p));
-        ASSERT_TRUE(parsed.has_value()) << sm::to_string(p);
-        EXPECT_EQ(*parsed, p);
-    }
-    EXPECT_FALSE(sm::policy_from_string("NoSuchPolicy").has_value());
-    EXPECT_FALSE(sm::policy_from_string("greedy").has_value());  // exact match
-}
-
-TEST(PolicyShim, ToSpecNamesAreRegisteredAndMixedCarriesThreshold) {
-    for (const auto p : sm::all_policies()) {
-        const auto spec = sm::to_spec(p, 3.0);
-        EXPECT_TRUE(sm::PolicyRegistry::global().contains(spec.name));
-        EXPECT_EQ(spec.name, sm::to_string(p));
-        if (p == sm::Policy::Mixed) {
-            EXPECT_DOUBLE_EQ(spec.param("threshold", 0.0), 3.0);
-        } else {
-            EXPECT_TRUE(spec.params.empty()) << sm::to_string(p);
-        }
     }
 }
 
@@ -262,58 +236,11 @@ TEST(BudgetPacing, SlackParamScalesTheSchedule) {
     EXPECT_EQ(*loose->choose(ctx, choices), 1u);
 }
 
-// ------------------------------------- enum shim vs registry: bit-identity
-TEST(EnumShim, SpecDrivenRunsBitIdenticalToEnumRunsForAllPaperPolicies) {
-    // The fig5/6/7 regression: for every paper policy under both pricing
-    // methods, budgeted and not, the legacy enum path and an explicit
-    // PolicySpec must produce field-for-field identical SimResults.
-    const double budget =
-        shared_simulator().run(sm::SimOptions{}).total_cost * 0.6;
-    for (const auto p : sm::all_policies()) {
-        for (const auto pricing :
-             {ga::acct::Method::Eba, ga::acct::Method::Cba}) {
-            for (const double b : {0.0, budget}) {
-                sm::SimOptions by_enum;
-                by_enum.policy = p;
-                by_enum.pricing = pricing;
-                by_enum.budget = b;
-                sm::SimOptions by_spec = by_enum;
-                by_spec.policy_spec = sm::to_spec(p, by_enum.mixed_threshold);
-                SCOPED_TRACE(std::string(sm::to_string(p)) + "/" +
-                             std::string(ga::acct::to_string(pricing)));
-                expect_identical(shared_simulator().run(by_enum),
-                                 shared_simulator().run(by_spec));
-            }
-        }
-    }
-}
-
-TEST(EnumShim, MixedThresholdParamMatchesOptionThreshold) {
-    sm::SimOptions by_enum;
-    by_enum.policy = sm::Policy::Mixed;
-    by_enum.mixed_threshold = 1.25;
-    sm::SimOptions by_spec;  // default mixed_threshold, param carries 1.25
-    by_spec.policy_spec = sm::PolicySpec{"Mixed", {{"threshold", 1.25}}};
-    expect_identical(shared_simulator().run(by_enum),
-                     shared_simulator().run(by_spec));
-}
-
-TEST(EnumShim, FixedPolicyByNameResolvesDeployedClusterFromContext) {
-    sm::SimOptions by_enum;
-    by_enum.policy = sm::Policy::FixedTheta;
-    sm::SimOptions by_spec;
-    by_spec.policy_spec = sm::PolicySpec{"Theta", {}};
-    const auto a = shared_simulator().run(by_enum);
-    const auto b = shared_simulator().run(by_spec);
-    expect_identical(a, b);
-    EXPECT_EQ(a.jobs_per_machine.at("Theta"), a.jobs_completed);
-}
-
 // ----------------------------------- registry policies end-to-end in runs
 TEST(ContextPolicies, RunnableByNameAndConserveJobs) {
     for (const auto& spec : sm::beyond_paper_policies()) {
         sm::SimOptions o;
-        o.policy_spec = spec;
+        o.policy = spec;
         o.regional_grids = true;
         const auto r = shared_simulator().run(o);
         EXPECT_EQ(r.jobs_completed + r.jobs_skipped,
@@ -325,7 +252,7 @@ TEST(ContextPolicies, RunnableByNameAndConserveJobs) {
 
 TEST(ContextPolicies, LeastLoadedSpreadsLoadAcrossAllClusters) {
     sm::SimOptions o;
-    o.policy_spec = sm::PolicySpec{"LeastLoaded", {}};
+    o.policy = sm::PolicySpec{"LeastLoaded", {}};
     const auto r = shared_simulator().run(o);
     // Queue balancing touches every deployed cluster (Greedy, by contrast,
     // leaves Theta idle on this workload).
@@ -339,9 +266,9 @@ TEST(ContextPolicies, CarbonAwareFollowsTheCleanestRegionalGrid) {
     // the lowest intensity, so the non-forecast CarbonAware policy must
     // route every Desktop-feasible job there.
     sm::SimOptions o;
-    o.policy_spec = sm::PolicySpec{"CarbonAware", {}};
+    o.policy = sm::PolicySpec{"CarbonAware", {}};
     o.regional_grids = true;
-    o.pricing = ga::acct::Method::Cba;
+    o.pricing = {"CBA", {}};
     const auto r = shared_simulator().run(o);
     const auto& per_machine = r.jobs_per_machine;
     std::size_t elsewhere = 0;
@@ -355,7 +282,7 @@ TEST(ContextPolicies, BudgetPacingStaysWithinBudget) {
     const double budget =
         shared_simulator().run(sm::SimOptions{}).total_cost * 0.5;
     sm::SimOptions o;
-    o.policy_spec = sm::PolicySpec{"BudgetPacing", {}};
+    o.policy = sm::PolicySpec{"BudgetPacing", {}};
     o.budget = budget;
     const auto r = shared_simulator().run(o);
     EXPECT_LE(r.total_cost, budget + 1e-6);
@@ -406,7 +333,7 @@ TEST(CustomPolicy, RegisteredStrategyRunsThroughSimulatorAndSweep) {
     }
 
     sm::SimOptions o;
-    o.policy_spec = sm::PolicySpec{"IntensityCap", {{"cap", 100.0}}};
+    o.policy = sm::PolicySpec{"IntensityCap", {{"cap", 100.0}}};
     o.regional_grids = true;
     const auto direct = shared_simulator().run(o);
     EXPECT_EQ(direct.jobs_completed + direct.jobs_skipped,
@@ -414,7 +341,7 @@ TEST(CustomPolicy, RegisteredStrategyRunsThroughSimulatorAndSweep) {
 
     // And by name through the sweep engine, bit-identical to the direct run.
     sm::SweepGrid grid;
-    grid.policy_specs = {sm::PolicySpec{"IntensityCap", {{"cap", 100.0}}}};
+    grid.policies = {sm::PolicySpec{"IntensityCap", {{"cap", 100.0}}}};
     grid.regional_grids = {true};
     sm::SweepRunner runner(shared_simulator(), 2);
     const auto outcomes = runner.run(grid);

@@ -102,39 +102,35 @@ TEST(Scenario, MapsEveryAxisAndOption) {
     EXPECT_EQ(scenario.workload.span_days, 4.5);
     EXPECT_EQ(scenario.workload.seed, 99u);
 
-    // Base options, field for field.
+    // Base options, field for field: the older "policy_spec" and
+    // "accountant_spec" spellings win over "policy" and "pricing".
     ga::sim::SimOptions expected;
-    expected.policy = ga::sim::Policy::Mixed;
-    expected.policy_spec = ga::sim::PolicySpec{"BudgetPacing", {{"slack", 1.25}}};
-    expected.pricing = ga::acct::Method::Cba;
-    expected.accountant_spec =
-        ga::acct::AccountantSpec{"CarbonTax", {{"rate", 0.02}}};
+    expected.policy = ga::sim::PolicySpec{"BudgetPacing", {{"slack", 1.25}}};
+    expected.pricing = ga::acct::AccountantSpec{"CarbonTax", {{"rate", 0.02}}};
     expected.currency_budgets = {
         {"core-hours", ga::acct::AccountantSpec{"Runtime", {}}, 5e4},
         {"gCO2e", ga::acct::AccountantSpec{"CBA", {}}, 1e4}};
     expected.budget = 1234.5;
-    expected.mixed_threshold = 1.75;
     expected.regional_grids = true;
     expected.grid_seed = 123;
     expected.arrival_compression = 2.5;
     expected.outage = ga::sim::ClusterOutage{1, 3600.0, 2};
     EXPECT_EQ(scenario.grid.base, expected);
 
-    // Axes, field for field.
+    // Axes, field for field: "policy_specs" continues "policies", and
+    // "accountant_specs" continues "pricings".
     const auto& grid = scenario.grid;
     EXPECT_EQ(grid.policies,
-              (std::vector<ga::sim::Policy>{ga::sim::Policy::Greedy,
-                                            ga::sim::Policy::Eft}));
-    ASSERT_EQ(grid.policy_specs.size(), 2u);
-    EXPECT_EQ(grid.policy_specs[0],
-              (ga::sim::PolicySpec{"CarbonAware", {{"forecast", 1.0}}}));
-    EXPECT_EQ(grid.policy_specs[1], (ga::sim::PolicySpec{"LeastLoaded", {}}));
+              (std::vector<ga::sim::PolicySpec>{
+                  {"Greedy", {}},
+                  {"EFT", {}},
+                  {"CarbonAware", {{"forecast", 1.0}}},
+                  {"LeastLoaded", {}}}));
     EXPECT_EQ(grid.pricings,
-              (std::vector<ga::acct::Method>{ga::acct::Method::Eba,
-                                             ga::acct::Method::Runtime}));
-    ASSERT_EQ(grid.accountant_specs.size(), 1u);
-    EXPECT_EQ(grid.accountant_specs[0],
-              (ga::acct::AccountantSpec{"Blended", {{"carbon_weight", 0.5}}}));
+              (std::vector<ga::acct::AccountantSpec>{
+                  {"EBA", {}},
+                  {"Runtime", {}},
+                  {"Blended", {{"carbon_weight", 0.5}}}}));
     EXPECT_EQ(grid.budgets, (std::vector<double>{0.0, 7e7}));
     EXPECT_EQ(grid.mixed_thresholds, (std::vector<double>{1.5, 2.0}));
     EXPECT_EQ(grid.regional_grids, (std::vector<bool>{false, true}));
@@ -144,8 +140,7 @@ TEST(Scenario, MapsEveryAxisAndOption) {
     EXPECT_FALSE(grid.outages[0].has_value());
     EXPECT_EQ(*grid.outages[1], (ga::sim::ClusterOutage{0, 43200.0, 28}));
 
-    // 2 enum + 2 spec policies, 2 enum + 1 spec pricings, and five 2-point
-    // axes.
+    // 4 policies, 3 pricings, and six 2-point axes.
     EXPECT_EQ(grid.size(), 4u * 3u * 2u * 2u * 2u * 2u * 2u * 2u);
 }
 
@@ -180,8 +175,50 @@ TEST(Scenario, BasePolicySpecIsTheFallbackAxisPoint) {
     const auto specs = scenario.grid.expand();
     ASSERT_EQ(specs.size(), 1u);
     EXPECT_EQ(specs[0].label, "CarbonAware(forecast=1)/CarbonTax(rate=0.02)");
-    ASSERT_TRUE(specs[0].options.policy_spec.has_value());
-    EXPECT_EQ(specs[0].options.policy_spec->name, "CarbonAware");
+    EXPECT_EQ(specs[0].options.policy.name, "CarbonAware");
+}
+
+TEST(Scenario, EverySpellingLoadsToTheSameOptions) {
+    // "policy" and "pricing" take any spec, as a label or an object.
+    const auto labels = from_text(R"json({
+      "name": "labels",
+      "options": {"policy": "Mixed(threshold=1.5)", "pricing": "EBA(beta=0.5)"}
+    })json");
+    const auto objects = from_text(R"json({
+      "name": "objects",
+      "options": {
+        "policy": {"name": "Mixed", "params": {"threshold": 1.5}},
+        "pricing": {"name": "EBA", "params": {"beta": 0.5}}
+      }
+    })json");
+    const auto older = from_text(R"json({
+      "name": "older",
+      "options": {"policy_spec": "Mixed(threshold=1.5)",
+                  "accountant_spec": "EBA(beta=0.5)"}
+    })json");
+    EXPECT_EQ(labels.grid.base.policy,
+              (ga::sim::PolicySpec{"Mixed", {{"threshold", 1.5}}}));
+    EXPECT_EQ(labels.grid.base.pricing,
+              (ga::acct::AccountantSpec{"EBA", {{"beta", 0.5}}}));
+    EXPECT_EQ(objects.grid.base, labels.grid.base);
+    EXPECT_EQ(older.grid.base, labels.grid.base);
+
+    // "mixed_threshold" becomes the threshold of every Mixed spec in the
+    // file that does not set one; other policies keep their params.
+    const auto threshold = from_text(R"json({
+      "name": "threshold",
+      "options": {"policy": "Mixed", "mixed_threshold": 1.75},
+      "grid": {"policies": ["Mixed", "Mixed(threshold=3)", "Greedy"],
+               "policy_specs": ["Mixed"]}
+    })json");
+    EXPECT_EQ(threshold.grid.base.policy,
+              (ga::sim::PolicySpec{"Mixed", {{"threshold", 1.75}}}));
+    EXPECT_EQ(threshold.grid.policies,
+              (std::vector<ga::sim::PolicySpec>{
+                  {"Mixed", {{"threshold", 1.75}}},
+                  {"Mixed", {{"threshold", 3.0}}},
+                  {"Greedy", {}},
+                  {"Mixed", {{"threshold", 1.75}}}}));
 }
 
 // --------------------------------------------------------- diagnostics
@@ -391,9 +428,8 @@ TEST(ScenarioFiles, Fig5FileMatchesInCodeGrid) {
     const auto scenario =
         load_scenario_file(kScenarioDir / "fig5_eba_policies.json");
     ga::sim::SweepGrid in_code;
-    in_code.base.pricing = ga::acct::Method::Eba;
     in_code.policies = ga::sim::all_policies();
-    in_code.accountant_specs = {ga::acct::to_spec(ga::acct::Method::Eba)};
+    in_code.pricings = {ga::acct::AccountantSpec{"EBA", {}}};
     EXPECT_EQ(scenario.grid.expand(), in_code.expand());
     // Paper scale: the full 142,380-job workload.
     EXPECT_EQ(scenario.workload.total_jobs(),

@@ -3,8 +3,12 @@
 // the paper's §5 orderings on a reduced workload.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <numeric>
+#include <optional>
+#include <span>
+#include <utility>
 
 #include "carbon/grids.hpp"
 #include "machine/catalog.hpp"
@@ -30,23 +34,35 @@ const sm::BatchSimulator& shared_simulator() {
     return simulator;
 }
 
-sm::SimResult run_policy(sm::Policy p, ga::acct::Method pricing,
+sm::SimResult run_policy(sm::PolicySpec policy, const char* pricing,
                          double budget = 0.0) {
     sm::SimOptions o;
-    o.policy = p;
-    o.pricing = pricing;
+    o.policy = std::move(policy);
+    o.pricing = {pricing, {}};
     o.budget = budget;
     return shared_simulator().run(o);
 }
 
+/// The registry policy `spec` choosing among `c`; no cluster state unless
+/// `ctx` carries some.
+std::optional<std::size_t> choose(const sm::PolicySpec& spec,
+                                  std::span<const sm::MachineChoice> c,
+                                  const sm::SchedulingContext& ctx = {}) {
+    return sm::PolicyRegistry::global().make(spec)->choose(ctx, c);
+}
+
 // ---------------------------------------------------------------- policies
 TEST(Policy, NamesAndSets) {
-    EXPECT_EQ(sm::all_policies().size(), 8u);
-    EXPECT_EQ(sm::multi_machine_policies().size(), 5u);
-    EXPECT_EQ(sm::to_string(sm::Policy::Eft), "EFT");
-    EXPECT_TRUE(sm::is_fixed(sm::Policy::FixedTheta));
-    EXPECT_FALSE(sm::is_fixed(sm::Policy::Greedy));
-    EXPECT_EQ(sm::fixed_machine_name(sm::Policy::FixedFaster), "FASTER");
+    const auto& all = sm::all_policies();
+    const auto& multi = sm::multi_machine_policies();
+    ASSERT_EQ(all.size(), 8u);
+    ASSERT_EQ(multi.size(), 5u);
+    EXPECT_TRUE(std::equal(multi.begin(), multi.end(), all.begin()));
+    EXPECT_EQ(all[3].name, "EFT");
+    // The fixed policies come last, each named after its machine.
+    EXPECT_EQ(all[5].name, "Theta");
+    EXPECT_EQ(all[6].name, "IC");
+    EXPECT_EQ(all[7].name, "FASTER");
 }
 
 std::vector<sm::MachineChoice> three_choices() {
@@ -69,43 +85,50 @@ std::vector<sm::MachineChoice> three_choices() {
 
 TEST(Policy, ChoicesMatchDefinitions) {
     const auto c = three_choices();
-    EXPECT_EQ(*sm::choose_machine(sm::Policy::Greedy, c), 1u);   // min cost
-    EXPECT_EQ(*sm::choose_machine(sm::Policy::Energy, c), 2u);   // min energy
-    EXPECT_EQ(*sm::choose_machine(sm::Policy::Runtime, c), 1u);  // min runtime
-    EXPECT_EQ(*sm::choose_machine(sm::Policy::Eft, c), 0u);      // min wait+run
+    EXPECT_EQ(*choose({"Greedy", {}}, c), 1u);   // min cost
+    EXPECT_EQ(*choose({"Energy", {}}, c), 2u);   // min energy
+    EXPECT_EQ(*choose({"Runtime", {}}, c), 1u);  // min runtime
+    EXPECT_EQ(*choose({"EFT", {}}, c), 0u);      // min wait+run
 }
 
 TEST(Policy, MixedSwitchesWhenTwiceAsFast) {
     auto c = three_choices();
     // Cheapest is index 1 (completion 105 s); index 0 completes in 10 s,
     // more than 2x faster -> Mixed picks 0.
-    EXPECT_EQ(*sm::choose_machine(sm::Policy::Mixed, c, 2.0), 0u);
+    EXPECT_EQ(*choose({"Mixed", {{"threshold", 2.0}}}, c), 0u);
     // With a huge threshold the rule never triggers -> cheapest.
-    EXPECT_EQ(*sm::choose_machine(sm::Policy::Mixed, c, 100.0), 1u);
+    EXPECT_EQ(*choose({"Mixed", {{"threshold", 100.0}}}, c), 1u);
 }
 
 TEST(Policy, InfeasibleMachinesSkipped) {
     auto c = three_choices();
     c[1].feasible = false;
-    EXPECT_EQ(*sm::choose_machine(sm::Policy::Greedy, c), 2u);
+    EXPECT_EQ(*choose({"Greedy", {}}, c), 2u);
     c[0].feasible = false;
     c[2].feasible = false;
-    EXPECT_FALSE(sm::choose_machine(sm::Policy::Greedy, c).has_value());
+    EXPECT_FALSE(choose({"Greedy", {}}, c).has_value());
 }
 
 TEST(Policy, FixedUsesProvidedIndex) {
     const auto c = three_choices();
-    EXPECT_EQ(*sm::choose_machine(sm::Policy::FixedTheta, c, 2.0, 2u), 2u);
-    EXPECT_THROW((void)sm::choose_machine(sm::Policy::FixedTheta, c),
-                 ga::util::PreconditionError);
+    EXPECT_EQ(*choose({"Theta", {{"index", 2.0}}}, c), 2u);
+    EXPECT_THROW((void)choose({"Theta", {}}, c), ga::util::PreconditionError);
+    // Without an index, the name resolves against the context's clusters.
+    std::vector<sm::ClusterStatus> clusters(3);
+    clusters[0].name = "FASTER";
+    clusters[1].name = "Theta";
+    clusters[2].name = "IC";
+    sm::SchedulingContext ctx;
+    ctx.clusters = clusters;
+    EXPECT_EQ(*choose({"Theta", {}}, c, ctx), 1u);
 }
 
 TEST(Policy, AllMachinesInfeasibleReturnsNulloptForEveryPolicy) {
     auto c = three_choices();
     for (auto& choice : c) choice.feasible = false;
-    for (const auto p : sm::all_policies()) {
-        EXPECT_FALSE(sm::choose_machine(p, c, 2.0, 0u).has_value())
-            << sm::to_string(p);
+    for (auto p : sm::all_policies()) {
+        p.params.emplace("index", 0.0);  // read by the fixed policies only
+        EXPECT_FALSE(choose(p, c).has_value()) << p.name;
     }
 }
 
@@ -120,14 +143,12 @@ TEST(Policy, ExactTiesPickTheLowestMachineIndex) {
         c[i].cost = 50.0;
         c[i].queue_wait_s = 5.0;
     }
-    for (const auto p :
-         {sm::Policy::Greedy, sm::Policy::Energy, sm::Policy::Runtime,
-          sm::Policy::Eft, sm::Policy::Mixed}) {
-        EXPECT_EQ(*sm::choose_machine(p, c), 0u) << sm::to_string(p);
+    for (const char* p : {"Greedy", "Energy", "Runtime", "EFT", "Mixed"}) {
+        EXPECT_EQ(*choose({p, {}}, c), 0u) << p;
     }
     // The tie-break holds among the still-tied machines once one drops out.
     c[0].feasible = false;
-    EXPECT_EQ(*sm::choose_machine(sm::Policy::Greedy, c), 1u);
+    EXPECT_EQ(*choose({"Greedy", {}}, c), 1u);
 }
 
 TEST(Policy, MixedAtExactThresholdBoundaryKeepsCheapest) {
@@ -141,40 +162,46 @@ TEST(Policy, MixedAtExactThresholdBoundaryKeepsCheapest) {
     c[1].machine_index = 1;  // fastest: completion exactly 50 s
     c[1].runtime_s = 50.0;
     c[1].cost = 20.0;
-    EXPECT_EQ(*sm::choose_machine(sm::Policy::Mixed, c, 2.0), 0u);
+    EXPECT_EQ(*choose({"Mixed", {{"threshold", 2.0}}}, c), 0u);
+    // A bare Mixed runs at the paper's default threshold of 2: it keeps the
+    // boundary case too, and switches once the fast machine is a bit faster.
+    EXPECT_EQ(*choose({"Mixed", {}}, c), 0u);
+    c[1].runtime_s = 49.0;
+    EXPECT_EQ(*choose({"Mixed", {}}, c), 1u);
+    c[1].runtime_s = 50.0;
     // An epsilon under the boundary switches to the fast machine...
-    EXPECT_EQ(*sm::choose_machine(sm::Policy::Mixed, c, 1.999), 1u);
+    EXPECT_EQ(*choose({"Mixed", {{"threshold", 1.999}}}, c), 1u);
     // ...and queue wait counts toward completion time: with 1 s of backlog
     // on the fast machine (51 s total), 2x no longer reaches 100 s.
     c[1].queue_wait_s = 1.0;
-    EXPECT_EQ(*sm::choose_machine(sm::Policy::Mixed, c, 1.999), 0u);
+    EXPECT_EQ(*choose({"Mixed", {{"threshold", 1.999}}}, c), 0u);
 }
 
 // ---------------------------------------------------------------- engine
 TEST(Simulator, ConservationOfJobs) {
-    for (const auto p : sm::all_policies()) {
-        const auto r = run_policy(p, ga::acct::Method::Eba);
+    for (const auto& p : sm::all_policies()) {
+        const auto r = run_policy(p, "EBA");
         EXPECT_EQ(r.jobs_completed + r.jobs_skipped,
                   shared_simulator().workload().jobs.size())
-            << sm::to_string(p);
+            << p.name;
     }
 }
 
 TEST(Simulator, UnbudgetedMultiMachinePoliciesCompleteEverything) {
-    for (const auto p : sm::multi_machine_policies()) {
-        const auto r = run_policy(p, ga::acct::Method::Eba);
-        EXPECT_EQ(r.jobs_skipped, 0u) << sm::to_string(p);
+    for (const auto& p : sm::multi_machine_policies()) {
+        const auto r = run_policy(p, "EBA");
+        EXPECT_EQ(r.jobs_skipped, 0u) << p.name;
     }
 }
 
 TEST(Simulator, FixedPolicyRoutesEverythingToOneMachine) {
-    const auto r = run_policy(sm::Policy::FixedTheta, ga::acct::Method::Eba);
+    const auto r = run_policy({"Theta", {}}, "EBA");
     EXPECT_EQ(r.jobs_per_machine.at("Theta"), r.jobs_completed);
     EXPECT_EQ(r.jobs_per_machine.at("IC"), 0u);
 }
 
 TEST(Simulator, FinishTimesSortedAndBounded) {
-    const auto r = run_policy(sm::Policy::Eft, ga::acct::Method::Eba);
+    const auto r = run_policy({"EFT", {}}, "EBA");
     ASSERT_FALSE(r.finish_times_s.empty());
     for (std::size_t i = 1; i < r.finish_times_s.size(); ++i) {
         EXPECT_LE(r.finish_times_s[i - 1], r.finish_times_s[i]);
@@ -186,26 +213,26 @@ TEST(Simulator, GreedyMinimizesTotalCost) {
     // Greedy picks the cheapest machine per job, so its total cost is the
     // lowest across all policies under the same pricing.
     const double greedy =
-        run_policy(sm::Policy::Greedy, ga::acct::Method::Eba).total_cost;
-    for (const auto p : sm::all_policies()) {
-        const auto r = run_policy(p, ga::acct::Method::Eba);
-        EXPECT_GE(r.total_cost, greedy * 0.999) << sm::to_string(p);
+        run_policy({"Greedy", {}}, "EBA").total_cost;
+    for (const auto& p : sm::all_policies()) {
+        const auto r = run_policy(p, "EBA");
+        EXPECT_GE(r.total_cost, greedy * 0.999) << p.name;
     }
 }
 
 TEST(Simulator, EnergyPolicyMinimizesEnergy) {
     const double energy =
-        run_policy(sm::Policy::Energy, ga::acct::Method::Eba).energy_mwh;
-    for (const auto p : sm::multi_machine_policies()) {
-        EXPECT_GE(run_policy(p, ga::acct::Method::Eba).energy_mwh,
+        run_policy({"Energy", {}}, "EBA").energy_mwh;
+    for (const auto& p : sm::multi_machine_policies()) {
+        EXPECT_GE(run_policy(p, "EBA").energy_mwh,
                   energy * 0.999)
-            << sm::to_string(p);
+            << p.name;
     }
 }
 
 TEST(Simulator, BudgetTruncatesWork) {
-    const auto full = run_policy(sm::Policy::Greedy, ga::acct::Method::Eba);
-    const auto half = run_policy(sm::Policy::Greedy, ga::acct::Method::Eba,
+    const auto full = run_policy({"Greedy", {}}, "EBA");
+    const auto half = run_policy({"Greedy", {}}, "EBA",
                                  full.total_cost * 0.5);
     EXPECT_LT(half.jobs_completed, full.jobs_completed);
     EXPECT_LT(half.work_core_hours, full.work_core_hours);
@@ -216,26 +243,24 @@ TEST(Simulator, BudgetTruncatesWork) {
 TEST(Simulator, GreedyCompletesMostWorkUnderFixedBudget) {
     // The paper's headline (Fig 5a): with a fixed EBA allocation the Greedy
     // policy completes more work than the performance-focused policies.
-    const auto greedy_full = run_policy(sm::Policy::Greedy, ga::acct::Method::Eba);
+    const auto greedy_full = run_policy({"Greedy", {}}, "EBA");
     const double budget = greedy_full.total_cost * 0.6;
     const double greedy =
-        run_policy(sm::Policy::Greedy, ga::acct::Method::Eba, budget)
+        run_policy({"Greedy", {}}, "EBA", budget)
             .work_core_hours;
-    for (const auto p : {sm::Policy::Eft, sm::Policy::Runtime,
-                         sm::Policy::FixedTheta, sm::Policy::FixedIc}) {
-        EXPECT_GT(greedy,
-                  run_policy(p, ga::acct::Method::Eba, budget).work_core_hours)
-            << sm::to_string(p);
+    for (const char* p : {"EFT", "Runtime", "Theta", "IC"}) {
+        EXPECT_GT(greedy, run_policy({p, {}}, "EBA", budget).work_core_hours)
+            << p;
     }
 }
 
 TEST(Simulator, EnergyPolicyNearGreedyUnderEba) {
     // Paper: Energy completes ~99% of Greedy's work under EBA.
-    const auto greedy_full = run_policy(sm::Policy::Greedy, ga::acct::Method::Eba);
+    const auto greedy_full = run_policy({"Greedy", {}}, "EBA");
     const double budget = greedy_full.total_cost * 0.6;
-    const double g = run_policy(sm::Policy::Greedy, ga::acct::Method::Eba, budget)
+    const double g = run_policy({"Greedy", {}}, "EBA", budget)
                          .work_core_hours;
-    const double e = run_policy(sm::Policy::Energy, ga::acct::Method::Eba, budget)
+    const double e = run_policy({"Energy", {}}, "EBA", budget)
                          .work_core_hours;
     EXPECT_GT(e / g, 0.85);
     EXPECT_LE(e / g, 1.001);
@@ -243,12 +268,12 @@ TEST(Simulator, EnergyPolicyNearGreedyUnderEba) {
 
 TEST(Simulator, GreedyAndEnergyAvoidTheta) {
     // Paper Fig 5c: Greedy and Energy allocate no tasks to Theta.
-    for (const auto p : {sm::Policy::Greedy, sm::Policy::Energy}) {
-        const auto r = run_policy(p, ga::acct::Method::Eba);
+    for (const char* p : {"Greedy", "Energy"}) {
+        const auto r = run_policy({p, {}}, "EBA");
         const double theta_share =
             static_cast<double>(r.jobs_per_machine.at("Theta")) /
             static_cast<double>(r.jobs_completed);
-        EXPECT_LT(theta_share, 0.02) << sm::to_string(p);
+        EXPECT_LT(theta_share, 0.02) << p;
     }
 }
 
@@ -257,18 +282,18 @@ TEST(Simulator, PerformancePoliciesUseMoreEnergy) {
     // reduced test workload compresses the gap, so require a clear (>8%)
     // penalty here; the full-scale bench reproduces the ~50% figure.
     const double e =
-        run_policy(sm::Policy::Energy, ga::acct::Method::Eba).energy_mwh;
-    EXPECT_GT(run_policy(sm::Policy::Eft, ga::acct::Method::Eba).energy_mwh,
+        run_policy({"Energy", {}}, "EBA").energy_mwh;
+    EXPECT_GT(run_policy({"EFT", {}}, "EBA").energy_mwh,
               1.08 * e);
-    EXPECT_GT(run_policy(sm::Policy::Runtime, ga::acct::Method::Eba).energy_mwh,
+    EXPECT_GT(run_policy({"Runtime", {}}, "EBA").energy_mwh,
               1.08 * e);
 }
 
 TEST(Simulator, CbaGreedyShiftsAwayFromFaster) {
     // Paper §5.5: under CBA, FASTER's high embodied rate pushes Greedy toward
     // IC (50% of the workload) and away from FASTER (11%).
-    const auto eba = run_policy(sm::Policy::Greedy, ga::acct::Method::Eba);
-    const auto cba = run_policy(sm::Policy::Greedy, ga::acct::Method::Cba);
+    const auto eba = run_policy({"Greedy", {}}, "EBA");
+    const auto cba = run_policy({"Greedy", {}}, "CBA");
     const auto share = [](const sm::SimResult& r, const std::string& m) {
         return static_cast<double>(r.jobs_per_machine.at(m)) /
                static_cast<double>(r.jobs_completed);
@@ -278,17 +303,16 @@ TEST(Simulator, CbaGreedyShiftsAwayFromFaster) {
 }
 
 TEST(Simulator, AttributedCarbonExceedsOperational) {
-    for (const auto p : sm::multi_machine_policies()) {
-        const auto r = run_policy(p, ga::acct::Method::Eba);
+    for (const auto& p : sm::multi_machine_policies()) {
+        const auto r = run_policy(p, "EBA");
         EXPECT_GT(r.attributed_carbon_kg, r.operational_carbon_kg)
-            << sm::to_string(p);
+            << p.name;
     }
 }
 
 TEST(Simulator, RegionalGridsChangeCbaRouting) {
     sm::SimOptions flat;
-    flat.policy = sm::Policy::Greedy;
-    flat.pricing = ga::acct::Method::Cba;
+    flat.pricing = {"CBA", {}};
     sm::SimOptions regional = flat;
     regional.regional_grids = true;
     const auto a = shared_simulator().run(flat);
@@ -302,7 +326,7 @@ TEST(Simulator, RegionalGridsChangeCbaRouting) {
 }
 
 TEST(Simulator, DesktopNeverRunsLargeJobs) {
-    const auto r = run_policy(sm::Policy::Energy, ga::acct::Method::Eba);
+    const auto r = run_policy({"Energy", {}}, "EBA");
     // Implied by feasibility filtering: the Desktop count is bounded by the
     // number of <=16-core jobs.
     std::size_t small_jobs = 0;
@@ -318,8 +342,8 @@ TEST(Simulator, WorkMetricIsMachineAveraged) {
     EXPECT_GT(w0, 0.0);
     // Same work is credited no matter which policy ran the job: totals over
     // identical completed sets must match.
-    const auto a = run_policy(sm::Policy::Eft, ga::acct::Method::Eba);
-    const auto b = run_policy(sm::Policy::Runtime, ga::acct::Method::Eba);
+    const auto a = run_policy({"EFT", {}}, "EBA");
+    const auto b = run_policy({"Runtime", {}}, "EBA");
     EXPECT_NEAR(a.work_core_hours, b.work_core_hours, a.work_core_hours * 1e-9);
 }
 
@@ -419,7 +443,7 @@ TEST(Simulator, CbaMetersOperationalCarbonAtJobStart) {
     const sm::BatchSimulator sim(craft_workload(std::move(jobs)),
                                  {sm::ClusterConfig{mc::find("IC"), 1}});
     sm::SimOptions o;
-    o.pricing = ga::acct::Method::Cba;
+    o.pricing = {"CBA", {}};
     o.regional_grids = true;
     o.grid_seed = 77;
     const auto r = sim.run(o);
@@ -465,29 +489,22 @@ TEST(Simulator, CbaMetersOperationalCarbonAtJobStart) {
 class MixedThresholdSweep : public ::testing::TestWithParam<double> {};
 
 TEST_P(MixedThresholdSweep, CostBetweenGreedyAndEft) {
-    sm::SimOptions o;
-    o.policy = sm::Policy::Mixed;
-    o.pricing = ga::acct::Method::Eba;
-    o.mixed_threshold = GetParam();
-    const auto mixed = shared_simulator().run(o);
+    const auto mixed =
+        run_policy({"Mixed", {{"threshold", GetParam()}}}, "EBA");
     const double greedy =
-        run_policy(sm::Policy::Greedy, ga::acct::Method::Eba).total_cost;
-    const double eft = run_policy(sm::Policy::Eft, ga::acct::Method::Eba).total_cost;
+        run_policy({"Greedy", {}}, "EBA").total_cost;
+    const double eft = run_policy({"EFT", {}}, "EBA").total_cost;
     EXPECT_GE(mixed.total_cost, greedy * 0.999);
     EXPECT_LE(mixed.total_cost, std::max(greedy, eft) * 1.35);
 }
 
 TEST_P(MixedThresholdSweep, HigherThresholdNeverRaisesCost) {
-    sm::SimOptions lo;
-    lo.policy = sm::Policy::Mixed;
-    lo.pricing = ga::acct::Method::Eba;
-    lo.mixed_threshold = GetParam();
-    sm::SimOptions hi = lo;
-    hi.mixed_threshold = GetParam() * 4.0;
+    const auto lo = run_policy({"Mixed", {{"threshold", GetParam()}}}, "EBA");
+    const auto hi =
+        run_policy({"Mixed", {{"threshold", GetParam() * 4.0}}}, "EBA");
     // A stricter switching rule can only move choices toward the cheapest
     // machine, so total cost must not increase.
-    EXPECT_LE(shared_simulator().run(hi).total_cost,
-              shared_simulator().run(lo).total_cost * 1.001);
+    EXPECT_LE(hi.total_cost, lo.total_cost * 1.001);
 }
 
 INSTANTIATE_TEST_SUITE_P(Thresholds, MixedThresholdSweep,

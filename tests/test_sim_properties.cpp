@@ -88,32 +88,32 @@ std::vector<sm::SimOptions> scenario_matrix() {
     all.push_back(plain);
 
     sm::SimOptions budgeted;
-    budgeted.policy = sm::Policy::Mixed;
+    budgeted.policy = {"Mixed", {}};
     budgeted.budget = 2'000.0;
     all.push_back(budgeted);
 
     sm::SimOptions outage;
-    outage.policy = sm::Policy::Runtime;
+    outage.policy = {"Runtime", {}};
     outage.outage = sm::ClusterOutage{2, 12.0 * 3600.0, 30};
     all.push_back(outage);
 
     sm::SimOptions bursty;
-    bursty.policy = sm::Policy::Eft;
+    bursty.policy = {"EFT", {}};
     bursty.arrival_compression = 8.0;
     bursty.outage = sm::ClusterOutage{3, 6.0 * 3600.0, 48};
     all.push_back(bursty);
 
     sm::SimOptions dual;
-    dual.pricing = ga::acct::Method::Cba;
+    dual.pricing = {"CBA", {}};
     dual.currency_budgets = {
-        {"core-hours", ga::acct::to_spec(ga::acct::Method::Runtime), 3'000.0},
-        {"gCO2e", ga::acct::to_spec(ga::acct::Method::Cba), 1'500.0},
+        {"core-hours", {"Runtime", {}}, 3'000.0},
+        {"gCO2e", {"CBA", {}}, 1'500.0},
     };
     dual.budget = 5'000.0;
     all.push_back(dual);
 
     sm::SimOptions grids;
-    grids.policy = sm::Policy::Energy;
+    grids.policy = {"Energy", {}};
     grids.regional_grids = true;
     grids.arrival_compression = 3.0;
     all.push_back(grids);

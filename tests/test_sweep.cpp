@@ -77,27 +77,27 @@ TEST(SweepGrid, EmptyGridExpandsToSingleDefaultScenario) {
     EXPECT_EQ(grid.size(), 1u);
     const auto specs = grid.expand();
     ASSERT_EQ(specs.size(), 1u);
-    EXPECT_EQ(specs[0].options.policy, sm::Policy::Greedy);
-    EXPECT_EQ(specs[0].options.pricing, ga::acct::Method::Eba);
+    EXPECT_EQ(specs[0].options.policy, (sm::PolicySpec{"Greedy", {}}));
+    EXPECT_EQ(specs[0].options.pricing, (ga::acct::AccountantSpec{"EBA", {}}));
     EXPECT_EQ(specs[0].options.budget, 0.0);
     EXPECT_FALSE(specs[0].options.outage.has_value());
 }
 
 TEST(SweepGrid, ExpansionIsCartesianProductInDeclaredOrder) {
     sm::SweepGrid grid;
-    grid.policies = {sm::Policy::Greedy, sm::Policy::Eft};
+    grid.policies = {sm::PolicySpec{"Greedy", {}}, sm::PolicySpec{"EFT", {}}};
     grid.budgets = {100.0, 0.0};
     grid.arrival_compressions = {1.0, 4.0};
     EXPECT_EQ(grid.size(), 8u);
     const auto specs = grid.expand();
     ASSERT_EQ(specs.size(), 8u);
     // Policies vary slowest, compressions fastest.
-    EXPECT_EQ(specs[0].options.policy, sm::Policy::Greedy);
+    EXPECT_EQ(specs[0].options.policy.name, "Greedy");
     EXPECT_EQ(specs[0].options.budget, 100.0);
     EXPECT_EQ(specs[0].options.arrival_compression, 1.0);
     EXPECT_EQ(specs[1].options.arrival_compression, 4.0);
     EXPECT_EQ(specs[2].options.budget, 0.0);
-    EXPECT_EQ(specs[4].options.policy, sm::Policy::Eft);
+    EXPECT_EQ(specs[4].options.policy.name, "EFT");
     // Labels are unique scenario identifiers.
     for (std::size_t a = 0; a < specs.size(); ++a) {
         for (std::size_t b = a + 1; b < specs.size(); ++b) {
@@ -108,45 +108,37 @@ TEST(SweepGrid, ExpansionIsCartesianProductInDeclaredOrder) {
 
 TEST(SweepGrid, PolicySpecsExtendThePolicyAxis) {
     sm::SweepGrid grid;
-    grid.policies = {sm::Policy::Greedy, sm::Policy::Eft};
-    grid.policy_specs = {sm::PolicySpec{"CarbonAware", {}},
-                         sm::PolicySpec{"Mixed", {{"threshold", 1.5}}}};
+    grid.policies = {sm::PolicySpec{"Greedy", {}}, sm::PolicySpec{"EFT", {}},
+                     sm::PolicySpec{"CarbonAware", {}},
+                     sm::PolicySpec{"Mixed", {{"threshold", 1.5}}}};
     grid.budgets = {100.0};
     EXPECT_EQ(grid.size(), 4u);
     const auto specs = grid.expand();
     ASSERT_EQ(specs.size(), 4u);
-    // Enum entries first (no spec set), registry specs after.
-    EXPECT_FALSE(specs[0].options.policy_spec.has_value());
-    EXPECT_EQ(specs[0].options.policy, sm::Policy::Greedy);
-    EXPECT_FALSE(specs[1].options.policy_spec.has_value());
-    EXPECT_EQ(specs[1].options.policy, sm::Policy::Eft);
-    ASSERT_TRUE(specs[2].options.policy_spec.has_value());
-    EXPECT_EQ(specs[2].options.policy_spec->name, "CarbonAware");
-    ASSERT_TRUE(specs[3].options.policy_spec.has_value());
-    EXPECT_EQ(specs[3].options.policy_spec->name, "Mixed");
+    // Paper and context-aware policies share the one axis, in order.
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_EQ(specs[i].options.policy, grid.policies[i]);
+    }
+    EXPECT_EQ(specs[0].label, "Greedy/EBA/budget=100");
     EXPECT_EQ(specs[2].label, "CarbonAware/EBA/budget=100");
     EXPECT_EQ(specs[3].label, "Mixed(threshold=1.5)/EBA/budget=100");
 }
 
 TEST(SweepGrid, AccountantSpecsExtendThePricingAxis) {
     sm::SweepGrid grid;
-    grid.policies = {sm::Policy::Greedy};
-    grid.pricings = {ga::acct::Method::Eba, ga::acct::Method::Cba};
-    grid.accountant_specs = {
-        ga::acct::AccountantSpec{"Blended", {}},
-        ga::acct::AccountantSpec{"EBA", {{"beta", 0.5}}}};
+    grid.policies = {sm::PolicySpec{"Greedy", {}}};
+    grid.pricings = {ga::acct::AccountantSpec{"EBA", {}},
+                     ga::acct::AccountantSpec{"CBA", {}},
+                     ga::acct::AccountantSpec{"Blended", {}},
+                     ga::acct::AccountantSpec{"EBA", {{"beta", 0.5}}}};
     EXPECT_EQ(grid.size(), 4u);
     const auto specs = grid.expand();
     ASSERT_EQ(specs.size(), 4u);
-    // Enum entries first (no spec set), registry specs after.
-    EXPECT_FALSE(specs[0].options.accountant_spec.has_value());
-    EXPECT_EQ(specs[0].options.pricing, ga::acct::Method::Eba);
-    EXPECT_FALSE(specs[1].options.accountant_spec.has_value());
-    EXPECT_EQ(specs[1].options.pricing, ga::acct::Method::Cba);
-    ASSERT_TRUE(specs[2].options.accountant_spec.has_value());
-    EXPECT_EQ(specs[2].options.accountant_spec->name, "Blended");
-    ASSERT_TRUE(specs[3].options.accountant_spec.has_value());
-    EXPECT_DOUBLE_EQ(specs[3].options.accountant_spec->param("beta", 1.0), 0.5);
+    // Paper and composite methods share the one axis, in order.
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_EQ(specs[i].options.pricing, grid.pricings[i]);
+    }
+    EXPECT_DOUBLE_EQ(specs[3].options.pricing.param("beta", 1.0), 0.5);
     EXPECT_EQ(specs[0].label, "Greedy/EBA");
     EXPECT_EQ(specs[2].label, "Greedy/Blended");
     EXPECT_EQ(specs[3].label, "Greedy/EBA(beta=0.5)");
@@ -154,36 +146,41 @@ TEST(SweepGrid, AccountantSpecsExtendThePricingAxis) {
 
 TEST(SweepGrid, SweptThresholdAxisOverridesSpecParamSoLabelsAreTruthful) {
     // The "/mixed=X" label must always name the threshold that ran: a swept
-    // axis overrides a threshold pinned in the spec, exactly as it
-    // overrides SimOptions::mixed_threshold on the enum path.
+    // axis overrides a threshold pinned in the spec.
     sm::SweepGrid grid;
-    grid.policy_specs = {sm::PolicySpec{"Mixed", {{"threshold", 1.5}}}};
+    grid.policies = {sm::PolicySpec{"Mixed", {{"threshold", 1.5}}}};
     grid.mixed_thresholds = {2.0, 3.0};
     const auto specs = grid.expand();
     ASSERT_EQ(specs.size(), 2u);
-    EXPECT_DOUBLE_EQ(specs[0].options.policy_spec->param("threshold", 0.0),
-                     2.0);
-    EXPECT_DOUBLE_EQ(specs[1].options.policy_spec->param("threshold", 0.0),
-                     3.0);
+    EXPECT_DOUBLE_EQ(specs[0].options.policy.param("threshold", 0.0), 2.0);
+    EXPECT_DOUBLE_EQ(specs[1].options.policy.param("threshold", 0.0), 3.0);
     EXPECT_EQ(specs[0].label, "Mixed(threshold=2)/EBA/mixed=2");
     EXPECT_EQ(specs[1].label, "Mixed(threshold=3)/EBA/mixed=3");
+    // A bare Mixed runs with the swept threshold but keeps its bare label.
+    sm::SweepGrid bare;
+    bare.policies = {sm::PolicySpec{"Mixed", {}}};
+    bare.mixed_thresholds = {1.25};
+    const auto bare_specs = bare.expand();
+    EXPECT_DOUBLE_EQ(bare_specs[0].options.policy.param("threshold", 0.0),
+                     1.25);
+    EXPECT_EQ(bare_specs[0].label, "Mixed/EBA/mixed=1.25");
     // An unswept axis leaves the pinned param untouched.
     sm::SweepGrid pinned;
-    pinned.policy_specs = grid.policy_specs;
-    EXPECT_DOUBLE_EQ(
-        pinned.expand()[0].options.policy_spec->param("threshold", 0.0), 1.5);
+    pinned.policies = grid.policies;
+    EXPECT_DOUBLE_EQ(pinned.expand()[0].options.policy.param("threshold", 0.0),
+                     1.5);
     // And the axis never rewrites another policy's unrelated "threshold"
     // param (e.g. a custom strategy where it means something else).
     sm::SweepGrid other;
-    other.policy_specs = {sm::PolicySpec{"BudgetPacing", {{"threshold", 9.0}}}};
+    other.policies = {sm::PolicySpec{"BudgetPacing", {{"threshold", 9.0}}}};
     other.mixed_thresholds = {2.0};
-    EXPECT_DOUBLE_EQ(
-        other.expand()[0].options.policy_spec->param("threshold", 0.0), 9.0);
+    EXPECT_DOUBLE_EQ(other.expand()[0].options.policy.param("threshold", 0.0),
+                     9.0);
 }
 
 TEST(SweepGrid, SpecOnlyGridNeedsNoEnumAxis) {
     sm::SweepGrid grid;
-    grid.policy_specs = {sm::PolicySpec{"LeastLoaded", {}}};
+    grid.policies = {sm::PolicySpec{"LeastLoaded", {}}};
     EXPECT_EQ(grid.size(), 1u);
     const auto specs = grid.expand();
     ASSERT_EQ(specs.size(), 1u);
@@ -197,9 +194,10 @@ TEST(SweepRunner, ParallelResultsBitIdenticalToSerial) {
     const double budget =
         shared_simulator().run(sm::SimOptions{}).total_cost * 0.5;
     sm::SweepGrid grid;
-    grid.policies = {sm::Policy::Greedy, sm::Policy::Energy, sm::Policy::Eft,
-                     sm::Policy::Mixed};
-    grid.pricings = {ga::acct::Method::Eba, ga::acct::Method::Cba};
+    grid.policies = {sm::PolicySpec{"Greedy", {}}, sm::PolicySpec{"Energy", {}},
+                     sm::PolicySpec{"EFT", {}}, sm::PolicySpec{"Mixed", {}}};
+    grid.pricings = {ga::acct::AccountantSpec{"EBA", {}},
+                     ga::acct::AccountantSpec{"CBA", {}}};
     grid.budgets = {0.0, budget};
     const auto specs = grid.expand();
 
@@ -220,13 +218,15 @@ TEST(SweepRunner, ParallelResultsBitIdenticalToSerial) {
 
 TEST(SweepRunner, RegistryPoliciesParallelBitIdenticalToSerial) {
     // The acceptance bar for the open policy API: the three beyond-paper
-    // context-aware policies, swept by name alongside an enum entry, keep
+    // context-aware policies, swept by name alongside a paper policy, keep
     // the engine's parallel == serial bit-identity guarantee.
     const double budget =
         shared_simulator().run(sm::SimOptions{}).total_cost * 0.5;
     sm::SweepGrid grid;
-    grid.policies = {sm::Policy::Greedy};
-    grid.policy_specs = sm::beyond_paper_policies();
+    grid.policies = {sm::PolicySpec{"Greedy", {}}};
+    grid.policies.insert(grid.policies.end(),
+                         sm::beyond_paper_policies().begin(),
+                         sm::beyond_paper_policies().end());
     grid.budgets = {0.0, budget};
     grid.regional_grids = {true};
     const auto specs = grid.expand();
@@ -246,9 +246,9 @@ TEST(SweepRunner, RegistryPoliciesParallelBitIdenticalToSerial) {
 TEST(SweepRunner, RunnerIsReusableAcrossGrids) {
     sm::SweepRunner runner(shared_simulator(), 2);
     sm::SweepGrid a;
-    a.policies = {sm::Policy::Greedy};
+    a.policies = {sm::PolicySpec{"Greedy", {}}};
     sm::SweepGrid b;
-    b.policies = {sm::Policy::Eft};
+    b.policies = {sm::PolicySpec{"EFT", {}}};
     const auto ra = runner.run(a);
     const auto rb = runner.run(b);
     ASSERT_EQ(ra.size(), 1u);
@@ -262,7 +262,7 @@ TEST(Scenario, FullOutageAtStartSkipsEverythingOnFixedPolicy) {
     // Theta (cluster 3, 64 nodes) loses every node before the first submit;
     // the Theta-pinned policy then finds no feasible machine for any job.
     sm::SimOptions o;
-    o.policy = sm::Policy::FixedTheta;
+    o.policy = {"Theta", {}};
     o.outage = sm::ClusterOutage{3, 0.0, 64};
     const auto r = shared_simulator().run(o);
     EXPECT_EQ(r.jobs_completed, 0u);
@@ -272,7 +272,7 @@ TEST(Scenario, FullOutageAtStartSkipsEverythingOnFixedPolicy) {
 
 TEST(Scenario, PartialOutageConservesJobsAndDegradesService) {
     sm::SimOptions baseline;
-    baseline.policy = sm::Policy::FixedFaster;
+    baseline.policy = {"FASTER", {}};
     sm::SimOptions outage = baseline;
     outage.outage = sm::ClusterOutage{0, 86400.0, 31};  // 32 -> 1 node
     const auto a = shared_simulator().run(baseline);

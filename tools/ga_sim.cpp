@@ -45,9 +45,9 @@ options:
   --out json|csv     output format (default json)
   --output FILE      write the payload to FILE instead of stdout
   --finish-times     include per-job finish times in the JSON payload
-  --policy SPEC      replace the grid's policy axes with one registry policy,
+  --policy SPEC      replace the grid's policy axis with one registry policy,
                      e.g. --policy "CarbonAware(forecast=1)"
-  --accountant SPEC  replace the grid's pricing axes likewise,
+  --accountant SPEC  replace the grid's pricing axis likewise,
                      e.g. --accountant "CarbonTax(rate=0.02)"
   --scale X          scale the workload's base_jobs by X (quick runs)
   --trace FILE       record simulator/sweep spans and write a Chrome
@@ -202,16 +202,15 @@ int run(const CliOptions& cli) {
     if (cli.scale.has_value()) scenario.scale_workload(*cli.scale);
 
     // Axis overrides: one registry spec replaces the whole corresponding
-    // axis pair, so "what would this grid look like under policy X" needs
-    // no file edit.
+    // axis, so "what would this grid look like under policy X" needs no
+    // file edit.
     if (cli.policy_override.has_value()) {
         auto parsed = ga::util::parse_spec(*cli.policy_override);
         if (!ga::sim::PolicyRegistry::global().contains(parsed.name)) {
             throw ga::util::RuntimeError("ga-sim: --policy names unknown "
                                          "policy \"" + parsed.name + "\"");
         }
-        scenario.grid.policies.clear();
-        scenario.grid.policy_specs = {
+        scenario.grid.policies = {
             ga::sim::PolicySpec{parsed.name, parsed.params}};
     }
     if (cli.accountant_override.has_value()) {
@@ -220,8 +219,7 @@ int run(const CliOptions& cli) {
             throw ga::util::RuntimeError("ga-sim: --accountant names unknown "
                                          "accountant \"" + parsed.name + "\"");
         }
-        scenario.grid.pricings.clear();
-        scenario.grid.accountant_specs = {
+        scenario.grid.pricings = {
             ga::acct::AccountantSpec{parsed.name, parsed.params}};
     }
 
