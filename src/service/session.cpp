@@ -56,6 +56,20 @@ std::string checksum_hex(std::uint64_t value) {
 
 JsonValue object() { return JsonValue{JsonValue::Object{}}; }
 
+/// Refuses a request (bad_request) whose derived `figure` on `machine` is
+/// not finite: the response could not render it, and it must not reach the
+/// session's state. `job` names the job of a multi-job request.
+void require_finite(double value, std::string_view verb,
+                    std::string_view figure, std::string_view machine,
+                    std::optional<std::size_t> job = std::nullopt) {
+    if (std::isfinite(value)) return;
+    std::string what(verb);
+    if (job.has_value()) what += ": job " + std::to_string(*job);
+    throw ProtocolError("bad_request", what + " has a non-finite " +
+                                           std::string(figure) + " on " +
+                                           std::string(machine));
+}
+
 }  // namespace
 
 // ------------------------------------------------------------ construction
@@ -207,20 +221,12 @@ std::vector<ServeSession::MachineFigures> ServeSession::price_request(
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const std::span<MachineFigures> row(figures.data() + i * n, n);
         price_job(jobs[i], jobs[i].submit_s, row);
+        check_figures(row, "submit_jobs", i);
         double dearest = 0.0;
         for (std::size_t c = 0; c < n; ++c) {
-            const auto require_finite = [&](double value, const char* what) {
-                if (std::isfinite(value)) return;
-                throw ProtocolError(
-                    "bad_request",
-                    "submit_jobs: job " + std::to_string(i) + " has a " +
-                        "non-finite predicted " + what + " on " +
-                        cluster_cfgs_[c].entry.node.name);
-            };
-            require_finite(row[c].runtime_s, "runtime");
-            require_finite(row[c].energy_j, "energy");
-            require_finite(row[c].cost, "cost");
-            require_finite(jobs[i].submit_s + row[c].runtime_s, "finish time");
+            require_finite(jobs[i].submit_s + row[c].runtime_s, "submit_jobs",
+                           "predicted finish time",
+                           cluster_cfgs_[c].entry.node.name, i);
             dearest = std::max(dearest, row[c].cost);
         }
         spend_bound += dearest;
@@ -231,6 +237,36 @@ std::vector<ServeSession::MachineFigures> ServeSession::price_request(
                             "primary_spent non-finite");
     }
     return figures;
+}
+
+void ServeSession::check_figures(std::span<const MachineFigures> figures,
+                                 std::string_view verb,
+                                 std::optional<std::size_t> job) const {
+    for (std::size_t c = 0; c < figures.size(); ++c) {
+        const std::string& machine = cluster_cfgs_[c].entry.node.name;
+        require_finite(figures[c].runtime_s, verb, "predicted runtime",
+                       machine, job);
+        require_finite(figures[c].energy_j, verb, "predicted energy", machine,
+                       job);
+        require_finite(figures[c].cost, verb, "predicted cost", machine, job);
+    }
+}
+
+std::vector<std::pair<std::string, double>> ServeSession::account_costs(
+    const std::string& user, const ga::acct::JobUsage& usage,
+    const ga::machine::CatalogEntry& machine, std::string_view verb) const {
+    std::vector<std::pair<std::string, double>> costs;
+    for (std::string& currency : ledger_.account_currencies(user)) {
+        for (const auto& [name, accountant] : currency_pricers_) {
+            if (name != currency) continue;
+            const double cost = accountant->charge(usage, machine);
+            require_finite(cost, verb, "cost in " + currency,
+                           machine.node.name);
+            costs.emplace_back(std::move(currency), cost);
+            break;
+        }
+    }
+    return costs;
 }
 
 ServeSession::Routed ServeSession::route(
@@ -547,6 +583,7 @@ JsonValue ServeSession::handle_quote(const Request& r) {
 
     std::vector<MachineFigures> figures(cluster_cfgs_.size());
     price_job(job, priced_at, figures);
+    check_figures(figures, "quote");
     const Routed routed = route(job.cores, figures);
     JsonValue::Array machines;
     machines.reserve(routed.choices.size());
@@ -582,16 +619,10 @@ JsonValue ServeSession::handle_quote(const Request& r) {
             usage.cores = job.cores;
             usage.priced_at_s = priced_at;
             JsonValue costs = object();
-            for (const std::string& currency :
-                 ledger_.account_currencies(user->as_string())) {
-                for (const auto& [name, accountant] : currency_pricers_) {
-                    if (name == currency) {
-                        costs.set(currency,
-                                  JsonValue(accountant->charge(
-                                      usage, cluster_cfgs_[c].entry)));
-                        break;
-                    }
-                }
+            for (auto& [currency, cost] :
+                 account_costs(user->as_string(), usage,
+                               cluster_cfgs_[c].entry, "quote")) {
+                costs.set(currency, JsonValue(cost));
             }
             result.set("currency_costs", std::move(costs));
         }
@@ -638,6 +669,7 @@ JsonValue ServeSession::handle_charge(const Request& r) {
                             "non-negative and cores at least 1");
     }
 
+    (void)account_costs(user, usage, cfg->entry, "charge");
     const ga::acct::ChargeOutcome outcome =
         ledger_.charge(user, usage, cfg->entry);
     JsonValue costs = object();

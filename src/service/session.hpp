@@ -52,6 +52,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/accounting.hpp"
@@ -153,6 +154,16 @@ private:
     /// `primary_spent` non-finite.
     [[nodiscard]] std::vector<MachineFigures> price_request(
         const std::vector<JobSpec>& jobs) const;
+    /// Throws bad_request, naming `verb`, the figure and the machine, when
+    /// one machine's runtime, energy or cost is not finite.
+    void check_figures(std::span<const MachineFigures> figures,
+                       std::string_view verb,
+                       std::optional<std::size_t> job = std::nullopt) const;
+    /// What `usage` on `machine` costs `user` in each currency the account
+    /// holds; throws bad_request, naming `verb`, when a cost is not finite.
+    [[nodiscard]] std::vector<std::pair<std::string, double>> account_costs(
+        const std::string& user, const ga::acct::JobUsage& usage,
+        const ga::machine::CatalogEntry& machine, std::string_view verb) const;
     [[nodiscard]] Routed route(int cores, std::span<const MachineFigures> figures);
     [[nodiscard]] ga::io::JsonValue submit_one(
         const JobSpec& job, std::span<const MachineFigures> figures);

@@ -1,6 +1,7 @@
 #include "service/snapshot.hpp"
 
 #include <bit>
+#include <cmath>
 #include <cstdio>
 #include <limits>
 
@@ -80,8 +81,14 @@ public:
         return static_cast<std::int32_t>(u32(field));
     }
 
+    /// Every double in a session's state is finite; a NaN or an infinity
+    /// could only come from a damaged or forged snapshot.
     double f64(std::string_view field) {
-        return std::bit_cast<double>(u64(field));
+        const double v = std::bit_cast<double>(u64(field));
+        if (!std::isfinite(v)) {
+            fail("non-finite value reading " + std::string(field));
+        }
+        return v;
     }
 
     bool boolean(std::string_view field) {

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -246,6 +247,20 @@ TEST(Snapshot, RejectsCorruptedPayload) {
     std::string bytes = encode_snapshot(sample_state());
     bytes[40] = static_cast<char>(static_cast<unsigned char>(bytes[40]) ^ 0xFF);
     expect_decode_error(bytes, "checksum mismatch");
+}
+
+TEST(Snapshot, RejectsNonFiniteFieldsByName) {
+    // Checksummed and well-formed, but a NaN clock or an infinite spend
+    // would poison the restored session, so the decoder names the field.
+    SessionState nan_clock = sample_state();
+    nan_clock.clock_s = std::numeric_limits<double>::quiet_NaN();
+    expect_decode_error(encode_snapshot(nan_clock),
+                        "non-finite value reading clock_s");
+    SessionState inf_spent = sample_state();
+    inf_spent.ledger.accounts.front().holdings.front().second.spent =
+        std::numeric_limits<double>::infinity();
+    expect_decode_error(encode_snapshot(inf_spent),
+                        "non-finite value reading ledger.holding.spent");
 }
 
 TEST(Snapshot, RejectsTruncationInsideAField) {
@@ -503,6 +518,31 @@ TEST(Session, NonFiniteSubmitIsRefusedWithoutStateChange) {
         EXPECT_EQ(encode_snapshot(session.export_state()), before) << request;
         (void)result_of(session.handle_line(R"({"id":3,"type":"stats"})"));
     }
+}
+
+TEST(Session, NonFiniteQuoteAndChargeAreRefusedWithoutStateChange) {
+    // Figures that overflow are refused before the handler builds its
+    // response, naming the figure and the machine; the session is left as
+    // it was.
+    ServeSession session(ci_scenario());
+    (void)result_of(session.handle_line(
+        R"({"id":1,"type":"create_account","user":"bob","budget":1000000})"));
+    const std::string before = encode_snapshot(session.export_state());
+    const std::pair<std::string, std::string> cases[] = {
+        {R"({"id":2,"type":"quote","cores":8,"runtime_ic_s":1e308,"power_ic_w":150})",
+         "quote has a non-finite predicted energy on FASTER"},
+        {R"({"id":3,"type":"quote","user":"bob","cores":8,"runtime_ic_s":1e308,"power_ic_w":150})",
+         "quote has a non-finite predicted energy on FASTER"},
+        {R"({"id":4,"type":"charge","user":"bob","machine":"IC","duration_s":1e308,"energy_j":1e308,"cores":4})",
+         "charge has a non-finite cost in credits on IC"},
+    };
+    for (const auto& [request, message] : cases) {
+        const std::string response = session.handle_line(request);
+        EXPECT_EQ(error_code_of(response), "bad_request") << response;
+        EXPECT_NE(response.find(message), std::string::npos) << response;
+        EXPECT_EQ(encode_snapshot(session.export_state()), before) << request;
+    }
+    (void)result_of(session.handle_line(R"({"id":5,"type":"stats"})"));
 }
 
 }  // namespace
