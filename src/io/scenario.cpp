@@ -170,7 +170,8 @@ ga::sim::CurrencyBudget get_currency_budget(const JsonValue& v,
     return cb;
 }
 
-/// Reads "options". The older "mixed_threshold" key lands in
+/// Reads "options". Older spellings: "policy_spec" and "accountant_spec"
+/// set the policy and the pricing, and "mixed_threshold" lands in
 /// `mixed_default` for scenario_from_json to apply to every Mixed spec.
 ga::sim::SimOptions get_options(const JsonValue& v, const std::string& path,
                                 std::optional<double>& mixed_default) {

@@ -35,12 +35,9 @@
 // live registries at load time, so register custom strategies before
 // loading.
 //
-// Older spellings still load: "options.policy_spec" and
-// "options.accountant_spec" set the policy and pricing (and win over
-// "policy"/"pricing" when both appear), "grid.policy_specs" and
-// "grid.accountant_specs" continue the "policies" and "pricings" axes, and
-// "options.mixed_threshold" becomes the "threshold" param of every Mixed
-// spec in the file that does not set one. The writer emits none of them.
+// Older spellings of the policy and pricing keys still load, each mapped
+// onto the keys above (listed in scenario.cpp and the README's schema);
+// the writer emits only the keys above.
 //
 // Loading is strict: unknown keys, wrong types, unknown names, and
 // malformed specs all throw ga::util::RuntimeError naming the offending
