@@ -19,11 +19,11 @@ namespace {
 using ga::io::JsonValue;
 
 /// The session's scheduling rules (sim/scheduler.hpp): strict FIFO, a
-/// queued-work-only wait estimate, and figures for every machine so quotes
-/// can show the ones a job cannot fit.
+/// queued-work-only wait estimate, figures for every machine so quotes can
+/// show the ones a job cannot fit, and no per-user rule.
 constexpr ga::sim::SchedulerRules kServiceRules{
     ga::sim::QueueOrder::StrictFifo, /*wait_counts_running=*/false,
-    /*price_infeasible=*/true};
+    /*price_infeasible=*/true, /*one_job_per_user=*/false};
 
 /// Service-layer instruments: process-wide request/error counters shared by
 /// every session in the process (the per-session tallies that back the
@@ -77,11 +77,7 @@ void require_finite(double value, std::string_view verb,
 ServeSession::ServeSession(ga::io::ScenarioFile scenario)
     : rng_(ga::util::Rng(scenario.workload.seed).split(0xA110C8)) {
     init_config(std::move(scenario));
-    int largest = 1;
-    for (const auto& cfg : cluster_cfgs_) {
-        largest = std::max(largest, cfg.total_cores());
-    }
-    core_.reset(cluster_cfgs_, *setup_, kServiceRules, largest);
+    core_.reset(cluster_cfgs_, *setup_, kServiceRules);
     std::vector<std::pair<std::string, ga::acct::AccountantSpec>> currencies;
     if (options_.currency_budgets.empty()) {
         currencies.emplace_back(std::string(ga::acct::Ledger::kDefaultCurrency),

@@ -18,9 +18,10 @@
 //     simulator also counts the remaining work of running jobs;
 //   * infeasible machines — the session prices them too, so quotes show
 //     every machine's figures; the batch simulator leaves them zeroed;
-//   * start predicate — the batch simulator adds the paper's
-//     one-running-job-per-user rule; the session (a front-end, not a
-//     fairness study) adds none;
+//   * per-user rule (`one_job_per_user`) — the batch simulator applies the
+//     paper's one running job per (user, cluster); the session (a
+//     front-end, not a fairness study) does not, and its queue entries
+//     carry user 0;
 //   * context counters — the session counts admitted jobs and budgets
 //     against `primary_spent`; it has no trace span or job total.
 //

@@ -6,13 +6,20 @@
 // jobs ordered by (finish time, id), and the routing views a policy reads.
 // `RunSetup` resolves a run's grid traces, pricing accountant and routing
 // policy from `SimOptions`. The drivers differ only through the
-// `SchedulerRules` value each passes and the callables it hands in: an
-// extra start predicate (`may_start`, the batch driver's
-// one-running-job-per-user rule) and start/finish observers. The table of
-// differences is in docs/ARCHITECTURE.md, `sim` section.
+// `SchedulerRules` value each passes (queue order, wait estimate, pricing
+// of infeasible machines, and the paper's one-running-job-per-user rule,
+// whose per-user flags the scheduler keeps) and the start/finish observers
+// each hands in. The table of differences is in docs/ARCHITECTURE.md,
+// `sim` section.
+//
+// The ready queues come in two interchangeable structures: `IndexedQueues`,
+// whose backfill window sits under a min-tree so a drain touches only the
+// entries it starts, and `LinearQueues`, the plain walk kept as the
+// bit-identity oracle.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
@@ -60,6 +67,9 @@ struct SchedulerRules {
     /// Whether machines the job cannot fit get runtime, energy, cost and
     /// wait figures too (true) or stay zeroed (false).
     bool price_infeasible = false;
+    /// The paper's one-running-job-per-(user, cluster) rule: whether a
+    /// queued job waits while its user runs a job on the same cluster.
+    bool one_job_per_user = true;
 };
 
 /// Runtime state of one cluster.
@@ -80,7 +90,7 @@ struct ClusterState {
 struct QueuedJob {
     std::uint64_t id = 0;    ///< trace index (batch) or submission seq (service)
     int cores = 0;
-    std::uint32_t user = 0;  ///< key of the batch driver's per-user rule
+    std::uint32_t user = 0;  ///< key of the per-user rule (`SchedulerRules`)
     double runtime_s = 0.0;  ///< predicted runtime on the queue's cluster
 };
 
@@ -128,15 +138,18 @@ public:
     /// No immediate-start bypass: submits always enqueue and drain.
     static constexpr bool kImmediateStart = false;
 
-    void reset(std::size_t n_clusters, int /*max_cores*/) {
-        queues_.assign(n_clusters, {});
-    }
+    void reset(std::size_t n_clusters) { queues_.assign(n_clusters, {}); }
 
     void push(std::size_t c, const QueuedJob& job) { queues_[c].push_back(job); }
 
     [[nodiscard]] std::size_t depth(std::size_t c) const noexcept {
         return queues_[c].size();
     }
+
+    /// The walk applies the per-user rule entry by entry through
+    /// `can_start`, so there is no index to update.
+    void set_user_blocked(std::size_t /*c*/, std::uint32_t /*user*/,
+                          bool /*blocked*/) noexcept {}
 
     /// Offers entries' (cores, user) to `can_start` in FIFO order; an entry
     /// it accepts goes to `start` and leaves the queue.
@@ -167,24 +180,36 @@ public:
         }
     }
 
+    template <typename Fn>
+    void for_each(std::size_t c, Fn&& fn) const {
+        for (const QueuedJob& job : queues_[c]) fn(job);
+    }
+
 private:
     std::vector<std::deque<QueuedJob>> queues_;
 };
 
-/// The indexed queue behind `BatchSimulator::run` and the session. Three
-/// structural changes over the linear deque, each preserving FIFO scan
-/// order (so scheduling decisions stay bit-identical):
+/// The indexed queue behind `BatchSimulator::run` and the session: a
+/// skip-ahead drain touches only the entries it starts.
 ///
-///   * each entry's core demand and user sit in their own contiguous
-///     8-byte records, apart from its id and runtime, so the hot
-///     kBackfillDepth scan streams only what the start test reads;
-///   * a per-cluster bucket count of queued core demands with a cached
-///     minimum lets a drain pass exit in O(1) whenever the smallest queued
-///     demand exceeds the free cores (the common state of a saturated
-///     cluster) — skipped jobs could not have started, so the early exit is
-///     unobservable;
-///   * the outage walk compacts in one O(queue) pass instead of the
-///     linear queue's per-erase shifting.
+/// Per cluster, the first `kBackfillDepth` entries (the backfill window)
+/// sit in a position array in FIFO order, and the deep tail behind them is
+/// a plain FIFO of `QueuedJob`s. A min-tree over the window positions holds
+/// at each entry's leaf its core demand while its user may start on the
+/// cluster, and `kBlocked` otherwise; the holes that started and stranded
+/// entries leave hold `kBlocked` too. Each user's window positions form a
+/// list, so `set_user_blocked` flips exactly that user's leaves when the
+/// scheduler starts or finishes one of its jobs.
+///
+/// A skip-ahead drain tops the window up from the tail, then repeatedly
+/// starts the leftmost entry whose leaf fits the free cores. A drain only
+/// removes eligibility (cores leave the pool, users start running), so no
+/// entry it passes over could start later in the same drain: it starts
+/// exactly the entries the linear walk starts, in the same order. The
+/// window tops up only when a drain begins, so entries that slide into it
+/// wait for the next drain, as in the linear walk. A strict-FIFO drain reads
+/// only the front of the tail and never fills the window; a queue drains
+/// under one order between resets.
 ///
 /// It also opts into the submit fast path (`kImmediateStart`): a job
 /// arriving at an empty queue that can start now skips the queue entirely.
@@ -192,136 +217,238 @@ class IndexedQueues {
 public:
     static constexpr bool kImmediateStart = true;
 
-    /// Demands above this share the top bucket: the cached minimum stays a
-    /// lower bound, so only the early exit weakens for them.
-    static constexpr int kMaxIndexedCores = 1 << 16;
-
-    void reset(std::size_t n_clusters, int max_cores) {
-        max_cores_ = std::clamp(max_cores, 1, kMaxIndexedCores);
+    void reset(std::size_t n_clusters) {
         if (clusters_.size() != n_clusters) clusters_.resize(n_clusters);
-        for (auto& pc : clusters_) {
-            pc.demands.clear();
-            pc.payloads.clear();
-            pc.by_cores.assign(static_cast<std::size_t>(max_cores_) + 1, 0);
-            pc.min_cores = max_cores_ + 1;
-        }
+        for (PerCluster& pc : clusters_) pc.clear();
     }
 
     void push(std::size_t c, const QueuedJob& job) {
-        PerCluster& pc = clusters_[c];
-        pc.demands.push_back(Demand{job.cores, job.user});
-        pc.payloads.push_back(Payload{job.id, job.runtime_s});
-        const int b = bucket(job.cores);
-        ++pc.by_cores[b];
-        pc.min_cores = std::min(pc.min_cores, b);
+        clusters_[c].tail.push_back(job);
     }
 
     [[nodiscard]] std::size_t depth(std::size_t c) const noexcept {
-        return clusters_[c].demands.size();
+        return clusters_[c].live + clusters_[c].tail.size();
+    }
+
+    /// Records whether `user` may start on cluster `c`, flipping the leaves
+    /// of that user's window entries to match.
+    void set_user_blocked(std::size_t c, std::uint32_t user, bool blocked) {
+        PerCluster& pc = clusters_[c];
+        User& u = pc.user(user);
+        u.blocked = blocked;
+        for (std::int32_t p = u.head; p != kNone; p = pc.links[pos(p)].next) {
+            pc.set_leaf(pos(p), blocked ? kBlocked : pc.slots[pos(p)].cores);
+        }
     }
 
     template <typename CanStart, typename Start>
     void drain(std::size_t c, const ClusterState& cs, QueueOrder order,
                CanStart&& can_start, Start&& start) {
         PerCluster& pc = clusters_[c];
-        // Early exit: the smallest queued demand is a lower bound for every
-        // entry, so nothing can start when it exceeds the free cores. Only
-        // a successful start changes either side, so the bound is
-        // re-checked after starts, not per scanned entry.
-        if (pc.demands.empty() || cs.free_cores < min_queued_cores(pc)) {
+        if (order == QueueOrder::StrictFifo) {
+            while (!pc.tail.empty() &&
+                   can_start(pc.tail.front().cores, pc.tail.front().user)) {
+                const QueuedJob job = pc.tail.front();
+                pc.tail.pop_front();
+                start(job);
+            }
             return;
         }
-        auto demand = pc.demands.begin();
-        const std::size_t window = scan_window(order);
-        std::size_t scanned = 0;
-        for (; demand != pc.demands.end() && scanned < window; ++scanned) {
-            if (can_start(demand->cores, demand->user)) {
-                const auto payload =
-                    pc.payloads.begin() + (demand - pc.demands.begin());
-                start(QueuedJob{payload->id, demand->cores, demand->user,
-                                payload->runtime_s});
-                --pc.by_cores[bucket(demand->cores)];
-                demand = pc.demands.erase(demand);
-                pc.payloads.erase(payload);
-                if (pc.demands.empty() || cs.free_cores < min_queued_cores(pc)) {
-                    return;
-                }
-            } else if (order == QueueOrder::StrictFifo) {
-                return;
-            } else {
-                ++demand;
-            }
+        pc.fill_window();
+        // `start` takes the job's cores and, under the per-user rule, blocks
+        // its user's leaves, so each search sees the state the linear walk
+        // would test the next entry against.
+        for (std::size_t p = pc.first_fit(cs.free_cores); p != kNoFit;
+             p = pc.first_fit(cs.free_cores)) {
+            const QueuedJob job = pc.slots[p];
+            // The leaf has passed the start test already; offering the entry
+            // keeps `can_start` the one place a start is decided and counted.
+            if (!can_start(job.cores, job.user)) return;
+            pc.erase(p);
+            start(job);
         }
     }
 
     template <typename Remove>
     void remove_if(std::size_t c, Remove&& remove) {
         PerCluster& pc = clusters_[c];
-        // Single-pass compaction, visiting each entry once, first to last,
+        // Visits each entry once, window before tail, first to last,
         // preserving the FIFO side-effect order of the linear walk.
-        std::size_t kept = 0;
-        for (std::size_t i = 0; i < pc.demands.size(); ++i) {
-            if (remove(entry(pc, i))) {
-                --pc.by_cores[bucket(pc.demands[i].cores)];
-                continue;
-            }
-            pc.demands[kept] = pc.demands[i];
-            pc.payloads[kept] = pc.payloads[i];
-            ++kept;
+        for (std::size_t p = 0; p < pc.slots.size(); ++p) {
+            if (!pc.is_hole(p) && remove(pc.slots[p])) pc.erase(p);
         }
-        pc.demands.resize(kept);
-        pc.payloads.resize(kept);
+        std::size_t kept = 0;
+        for (std::size_t i = 0; i < pc.tail.size(); ++i) {
+            if (remove(pc.tail[i])) continue;
+            pc.tail[kept++] = pc.tail[i];
+        }
+        pc.tail.resize(kept);
     }
 
     template <typename Fn>
     void for_each(std::size_t c, Fn&& fn) const {
         const PerCluster& pc = clusters_[c];
-        for (std::size_t i = 0; i < pc.demands.size(); ++i) fn(entry(pc, i));
+        for (std::size_t p = 0; p < pc.slots.size(); ++p) {
+            if (!pc.is_hole(p)) fn(pc.slots[p]);
+        }
+        for (const QueuedJob& job : pc.tail) fn(job);
     }
 
 private:
-    struct Demand {
-        int cores;
-        std::uint32_t user;
+    /// The leaf of a hole, or of an entry whose user may not start: above
+    /// every free-core count.
+    static constexpr int kBlocked = std::numeric_limits<int>::max();
+    static constexpr std::int32_t kNone = -1;  ///< end of a user's list
+    static constexpr std::int32_t kHole = -2;  ///< `Link::prev` of a hole
+    static constexpr std::size_t kNoFit = std::numeric_limits<std::size_t>::max();
+    /// Window positions before a compaction. Holes pile up wherever entries
+    /// start, so twice the window makes a compaction rare.
+    static constexpr std::size_t kPositions = 2 * kBackfillDepth;
+
+    [[nodiscard]] static std::size_t pos(std::int32_t p) noexcept {
+        return static_cast<std::size_t>(p);
+    }
+
+    /// A window position's neighbours in its user's list.
+    struct Link {
+        std::int32_t prev = kNone;
+        std::int32_t next = kNone;
     };
-    struct Payload {
-        std::uint64_t id;
-        double runtime_s;
+    struct User {
+        std::int32_t head = kNone;  ///< first window position of the user's
+        bool blocked = false;       ///< the user may not start on the cluster
     };
+
     struct PerCluster {
-        std::deque<Demand> demands;    ///< FIFO, scanned by every drain
-        std::deque<Payload> payloads;  ///< index-aligned, read on a start
-        std::vector<std::uint32_t> by_cores;  ///< queued count per core demand
-        int min_cores = 0;  ///< lazily-advanced lower bound of the smallest
+        std::deque<QueuedJob> tail;    ///< FIFO behind the window
+        std::vector<QueuedJob> slots;  ///< window positions, FIFO order
+        std::vector<Link> links;       ///< index-aligned with `slots`
+        /// Min-tree over `span` leaves: node i has children 2i and 2i + 1,
+        /// and position p's leaf is node `span + p`.
+        std::vector<int> tree;
+        std::size_t span = 0;  ///< a power of two covering `slots`
+        std::size_t live = 0;  ///< window entries: positions minus holes
+        std::vector<User> users;  ///< by user id, grown on demand
+
+        void clear() {
+            tail.clear();
+            slots.clear();
+            links.clear();
+            tree.clear();
+            span = 0;
+            live = 0;
+            users.clear();
+        }
+
+        User& user(std::uint32_t id) {
+            if (id >= users.size()) users.resize(static_cast<std::size_t>(id) + 1);
+            return users[id];
+        }
+
+        [[nodiscard]] bool is_hole(std::size_t p) const noexcept {
+            return links[p].prev == kHole;
+        }
+
+        [[nodiscard]] int leaf(std::size_t p) const noexcept {
+            return is_hole(p) || users[slots[p].user].blocked ? kBlocked
+                                                              : slots[p].cores;
+        }
+
+        /// The leftmost position whose leaf is at most `free_cores`.
+        [[nodiscard]] std::size_t first_fit(int free_cores) const noexcept {
+            if (span == 0 || tree[1] > free_cores) return kNoFit;
+            std::size_t i = 1;
+            while (i < span) {
+                i *= 2;
+                if (tree[i] > free_cores) ++i;
+            }
+            return i - span;
+        }
+
+        void set_leaf(std::size_t p, int value) noexcept {
+            std::size_t i = span + p;
+            tree[i] = value;
+            for (i /= 2; i > 0; i /= 2) {
+                const int low = std::min(tree[2 * i], tree[2 * i + 1]);
+                if (tree[i] == low) break;
+                tree[i] = low;
+            }
+        }
+
+        /// Pushes position `p` onto its user's list.
+        void link(std::size_t p) {
+            User& u = user(slots[p].user);
+            links[p] = Link{kNone, u.head};
+            if (u.head != kNone) links[pos(u.head)].prev = static_cast<std::int32_t>(p);
+            u.head = static_cast<std::int32_t>(p);
+        }
+
+        /// Moves tail entries into the window until it holds kBackfillDepth.
+        void fill_window() {
+            while (live < kBackfillDepth && !tail.empty()) {
+                if (slots.size() == kPositions) compact();
+                const std::size_t p = slots.size();
+                slots.push_back(tail.front());
+                tail.pop_front();
+                links.emplace_back();
+                link(p);
+                ++live;
+                if (slots.size() > span) {
+                    rebuild_tree();
+                } else {
+                    set_leaf(p, leaf(p));
+                }
+            }
+        }
+
+        /// Turns window position `p` into a hole.
+        void erase(std::size_t p) {
+            const Link l = links[p];
+            if (l.prev != kNone) {
+                links[pos(l.prev)].next = l.next;
+            } else {
+                users[slots[p].user].head = l.next;
+            }
+            if (l.next != kNone) links[pos(l.next)].prev = l.prev;
+            links[p].prev = kHole;
+            set_leaf(p, kBlocked);
+            // An empty window starts its positions over; every leaf is
+            // kBlocked already.
+            if (--live == 0) {
+                slots.clear();
+                links.clear();
+            }
+        }
+
+        /// Drops the holes, keeping the entries' order, and rebuilds the
+        /// user lists and the tree over the new positions.
+        void compact() {
+            std::size_t kept = 0;
+            for (std::size_t p = 0; p < slots.size(); ++p) {
+                if (is_hole(p)) continue;
+                users[slots[p].user].head = kNone;
+                slots[kept++] = slots[p];
+            }
+            slots.resize(kept);
+            links.resize(kept);
+            for (std::size_t p = 0; p < kept; ++p) link(p);
+            rebuild_tree();
+        }
+
+        void rebuild_tree() {
+            span = std::bit_ceil(slots.size());
+            tree.assign(2 * span, kBlocked);
+            for (std::size_t p = 0; p < slots.size(); ++p) tree[span + p] = leaf(p);
+            for (std::size_t i = span - 1; i > 0; --i) {
+                tree[i] = std::min(tree[2 * i], tree[2 * i + 1]);
+            }
+        }
     };
 
-    [[nodiscard]] static QueuedJob entry(const PerCluster& pc, std::size_t i) {
-        return QueuedJob{pc.payloads[i].id, pc.demands[i].cores,
-                         pc.demands[i].user, pc.payloads[i].runtime_s};
-    }
-
-    [[nodiscard]] int bucket(int cores) const noexcept {
-        return std::clamp(cores, 0, max_cores_);
-    }
-
-    [[nodiscard]] int min_queued_cores(PerCluster& pc) const noexcept {
-        while (pc.min_cores <= max_cores_ &&
-               pc.by_cores[pc.min_cores] == 0) {
-            ++pc.min_cores;
-        }
-        return pc.min_cores;
-    }
-
-    int max_cores_ = 1;
     std::vector<PerCluster> clusters_;
 };
 
-/// The default callables: no extra start predicate, nothing to observe.
-struct AnyJob {
-    bool operator()(std::uint32_t /*user*/, std::size_t /*c*/) const noexcept {
-        return true;
-    }
-};
+/// The default callable: nothing to observe.
 struct NoHook {
     template <typename... Args>
     void operator()(const Args&... /*args*/) const noexcept {}
@@ -336,9 +463,8 @@ public:
     /// Starts over with every cluster idle at full capacity, no queued or
     /// running jobs and zeroed tallies, keeping storage capacity. `clusters`
     /// and `setup` must outlive every later call until the next reset.
-    /// `max_job_cores` sizes the queue index.
     void reset(std::span<const ClusterConfig> clusters, const RunSetup& setup,
-               SchedulerRules rules, int max_job_cores) {
+               SchedulerRules rules) {
         configs_ = clusters;
         setup_ = &setup;
         rules_ = rules;
@@ -347,7 +473,11 @@ public:
             state_[c].capacity = clusters[c].total_cores();
             state_[c].free_cores = state_[c].capacity;
         }
-        queues_.reset(clusters.size(), max_job_cores);
+        queues_.reset(clusters.size());
+        user_running_.resize(clusters.size());
+        for (std::vector<std::uint8_t>& flags : user_running_) {
+            flags.assign(flags.size(), 0);
+        }
         running_.clear();
         views_.assign(clusters.size(), ClusterStatus{});
         choices_.assign(clusters.size(), MachineChoice{});
@@ -422,15 +552,15 @@ public:
     }
 
     /// Queues `job` on cluster `c` at `now` and drains that queue, so the
-    /// job — or any job the drain reaches — starts as soon as cores and
-    /// `may_start` allow. Returns whether `job` is running on return.
-    template <typename MayStart = AnyJob, typename OnStart = NoHook>
+    /// job — or any job the drain reaches — starts as soon as cores and the
+    /// rules allow. Returns whether `job` is running on return.
+    template <typename OnStart = NoHook>
     bool submit(std::size_t c, const QueuedJob& job, double now,
-                MayStart&& may_start = {}, OnStart&& on_start = {}) {
+                OnStart&& on_start = {}) {
         ClusterState& cs = state_[c];
         const double queued_cs = static_cast<double>(job.cores) * job.runtime_s;
         if (Queues::kImmediateStart && queues_.depth(c) == 0 &&
-            job.cores <= cs.free_cores && may_start(job.user, c)) {
+            job.cores <= cs.free_cores && user_may_start(c, job.user)) {
             // Fast path: the job would be the sole queue entry and the
             // drain would start it at once, so skip the queue bookkeeping.
             // The add/subtract pair replays the enqueue+drain arithmetic on
@@ -444,7 +574,7 @@ public:
         queues_.push(c, job);
         cs.queued_core_seconds += queued_cs;
         bool started = false;
-        drain(c, now, may_start,
+        drain(c, now,
               [&](const QueuedJob& begun, std::size_t where, double when) {
                   started = started || begun.id == job.id;
                   on_start(begun, where, when);
@@ -453,13 +583,11 @@ public:
     }
 
     /// Completes every running job finishing at or before `t`, in
-    /// (finish time, id) order: each returns its cores, then `on_finish`
-    /// sees it, then its cluster's queue drains at its finish time.
-    /// Returns the number of completions.
-    template <typename OnFinish = NoHook, typename MayStart = AnyJob,
-              typename OnStart = NoHook>
+    /// (finish time, id) order: each returns its cores and frees its user,
+    /// then `on_finish` sees it, then its cluster's queue drains at its
+    /// finish time. Returns the number of completions.
+    template <typename OnFinish = NoHook, typename OnStart = NoHook>
     std::uint64_t complete_until(double t, OnFinish&& on_finish = {},
-                                 MayStart&& may_start = {},
                                  OnStart&& on_start = {}) {
         std::uint64_t completed = 0;
         while (!running_.empty() && running_.front().finish_s <= t) {
@@ -474,8 +602,11 @@ public:
             cs.running_cores -= static_cast<double>(done.cores);
             ++cs.completed;
             ++completed;
+            if (rules_.one_job_per_user) {
+                set_user_running(done.cluster, done.user, false);
+            }
             on_finish(done);
-            drain(done.cluster, done.finish_s, may_start, on_start);
+            drain(done.cluster, done.finish_s, on_start);
         }
         return completed;
     }
@@ -518,8 +649,9 @@ public:
 
     /// Restores cluster `c` from a checkpoint: `saved` supplies the free
     /// cores, counters and queued-work sum as they were, the running terms
-    /// are rebuilt from `running` (whose `cluster` must be `c`), and the
-    /// jobs go back in place.
+    /// and, under the per-user rule, the running users are rebuilt from
+    /// `running` (whose `cluster` must be `c`), and the jobs go back in
+    /// place.
     void restore(std::size_t c, const ClusterState& saved,
                  std::span<const RunningJob> running,
                  std::span<const QueuedJob> queued) {
@@ -532,6 +664,7 @@ public:
             cs.running_cores += static_cast<double>(job.cores);
             running_.push_back(job);
             std::push_heap(running_.begin(), running_.end(), later);
+            if (rules_.one_job_per_user) set_user_running(c, job.user, true);
         }
         for (const QueuedJob& job : queued) queues_.push(c, job);
     }
@@ -557,29 +690,45 @@ private:
                                       static_cast<std::uint32_t>(c), job.cores,
                                       job.user});
         std::push_heap(running_.begin(), running_.end(), later);
+        if (rules_.one_job_per_user) set_user_running(c, job.user, true);
         on_start(job, c, now);
     }
 
+    /// Whether the per-user rule lets `user` start a job on cluster `c`.
+    [[nodiscard]] bool user_may_start(std::size_t c,
+                                      std::uint32_t user) const noexcept {
+        if (!rules_.one_job_per_user) return true;
+        const std::vector<std::uint8_t>& flags = user_running_[c];
+        return user >= flags.size() || flags[user] == 0;
+    }
+
+    /// Flags whether `user` runs a job on cluster `c`, and has the queues
+    /// block or release that user's entries.
+    void set_user_running(std::size_t c, std::uint32_t user, bool running) {
+        std::vector<std::uint8_t>& flags = user_running_[c];
+        if (user >= flags.size()) {
+            flags.resize(static_cast<std::size_t>(user) + 1, 0);
+        }
+        flags[user] = running ? 1 : 0;
+        queues_.set_user_blocked(c, user, running);
+    }
+
     /// Starts queued jobs on cluster `c` at `now`, in the rules' order.
-    template <typename MayStart, typename OnStart>
-    void drain(std::size_t c, double now, MayStart& may_start,
-               OnStart&& on_start) {
+    template <typename OnStart>
+    void drain(std::size_t c, double now, OnStart&& on_start) {
         ++drains_;
         ClusterState& cs = state_[c];
-        // Counted in a local so the scan loop keeps it in a register.
-        std::uint64_t scans = 0;
         queues_.drain(
             c, cs, rules_.order,
             [&](int cores, std::uint32_t user) {
-                ++scans;
-                return cores <= cs.free_cores && may_start(user, c);
+                ++scans_;
+                return cores <= cs.free_cores && user_may_start(c, user);
             },
             [&](const QueuedJob& job) {
                 cs.queued_core_seconds -=
                     static_cast<double>(job.cores) * job.runtime_s;
                 start(c, job, now, on_start);
             });
-        scans_ += scans;
     }
 
     std::span<const ClusterConfig> configs_;
@@ -587,6 +736,9 @@ private:
     SchedulerRules rules_;
     std::vector<ClusterState> state_;
     Queues queues_;
+    /// Per cluster, by user id: whether the user runs a job there (the
+    /// per-user rule's state; grown on demand, untouched without the rule).
+    std::vector<std::vector<std::uint8_t>> user_running_;
     std::vector<RunningJob> running_;  ///< binary min-heap (see `later`)
     std::vector<ClusterStatus> views_;
     std::vector<MachineChoice> choices_;

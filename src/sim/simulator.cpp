@@ -46,12 +46,7 @@ BatchSimulator::BatchSimulator(ga::workload::Workload workload,
     // one-running-job-per-(user, cluster) rule makes per-user capacity
     // equivalent to everyone owning one such machine.
     std::uint32_t max_user = 0;
-    max_job_cores_ = 1;
-    for (const auto& j : workload_.jobs) {
-        max_user = std::max(max_user, j.user);
-        max_job_cores_ = std::max(max_job_cores_, j.cores);
-    }
-    n_users_ = static_cast<std::size_t>(max_user) + 1;
+    for (const auto& j : workload_.jobs) max_user = std::max(max_user, j.user);
     for (auto& c : clusters_) {
         if (c.nodes == 0) c.nodes = static_cast<int>(max_user) + 1;
     }
@@ -111,11 +106,13 @@ double BatchSimulator::job_work_core_hours(std::size_t job_index) const {
 namespace {
 
 /// The batch driver's scheduling rules (sim/scheduler.hpp): skip-ahead
-/// queues, a wait estimate over running and queued work, and infeasible
-/// machines left unpriced.
+/// queues, a wait estimate over running and queued work, infeasible
+/// machines left unpriced, and the paper's one running job per (user,
+/// cluster).
 constexpr SchedulerRules kBatchRules{QueueOrder::SkipAhead,
                                      /*wait_counts_running=*/true,
-                                     /*price_infeasible=*/false};
+                                     /*price_infeasible=*/false,
+                                     /*one_job_per_user=*/true};
 
 /// All mutable state of one simulation run, pooled per thread: `run` is
 /// const and each invocation borrows its thread's RunState (resetting every
@@ -134,9 +131,6 @@ struct RunState {
     std::vector<double> currency_remaining;
     std::vector<double> currency_spent;
     std::vector<double> currency_charged;
-    // One flag per (cluster, user): the paper's one-running-job-per-user
-    // rule, flat array instead of hash sets.
-    std::vector<std::uint8_t> user_running;
     double budget_remaining = std::numeric_limits<double>::infinity();
     SimResult result;
 };
@@ -212,10 +206,9 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
 
     // ---- state ----
     RunState<Queues>& rs = pooled_run_state<Queues>();
-    rs.core.reset(clusters_, setup, kBatchRules, max_job_cores_);
+    rs.core.reset(clusters_, setup, kBatchRules);
     rs.start_time.assign(jobs.size(), 0.0);
     rs.charged.assign(jobs.size(), 0.0);
-    rs.user_running.assign(n_clusters * n_users_, 0);
     rs.budget_remaining = options.budget > 0.0
                               ? options.budget
                               : std::numeric_limits<double>::infinity();
@@ -266,23 +259,14 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
         return usage;
     };
 
-    // The paper's one-running-job-per-(user, cluster) rule: the batch
-    // driver's start predicate, its flags kept by the start/finish hooks.
-    const auto may_start = [&](std::uint32_t user, std::size_t c) {
-        return rs.user_running[c * n_users_ + user] == 0;
-    };
-    const auto on_start = [&](const QueuedJob& job, std::size_t c,
-                              double now) {
-        rs.user_running[c * n_users_ + job.user] = 1;
-        rs.start_time[job.id] = now;
-    };
+    const auto on_start = [&](const QueuedJob& job, std::size_t /*c*/,
+                              double now) { rs.start_time[job.id] = now; };
     // Metrics at completion. Carbon is metered at the job's actual start
     // time: Eq. 2's operational term reads grid intensity when the job
     // runs, which differs from the submit time for queued jobs.
     const auto on_finish = [&](const RunningJob& done) {
         const std::size_t c = done.cluster;
         const auto j = static_cast<std::uint32_t>(done.id);
-        rs.user_running[c * n_users_ + done.user] = 0;
         const auto usage = job_usage(j, c, rs.start_time[j]);
         ++result.jobs_completed;
         result.work_core_hours += work_[j];
@@ -295,7 +279,7 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
         result.makespan_s = std::max(result.makespan_s, done.finish_s);
     };
     const auto complete_until = [&](double t) {
-        rs.core.complete_until(t, on_finish, may_start, on_start);
+        rs.core.complete_until(t, on_finish, on_start);
     };
 
     // The outage: the cluster's lost cores never return, and queued jobs
@@ -391,7 +375,7 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
         rs.core.submit(c,
                        QueuedJob{j, job.cores, job.user,
                                  pred_runtime_[j * n_clusters + c]},
-                       now, may_start, on_start);
+                       now, on_start);
     }
     if (outage.has_value()) {
         complete_until(outage->at_s);

@@ -159,8 +159,6 @@ private:
     std::vector<double> pred_runtime_;
     std::vector<double> pred_power_;
     std::vector<double> work_;  ///< per-job machine-averaged core-hours
-    std::size_t n_users_ = 0;   ///< max trace user id + 1 (flat-array sizing)
-    int max_job_cores_ = 1;     ///< largest core demand (queue bucket sizing)
 };
 
 }  // namespace ga::sim
