@@ -206,6 +206,151 @@ TEST(BitIdentity, OutageMidQueueRefundsStrandedJobsExactly) {
                 1e-12 * std::abs(solo_r.total_cost));
 }
 
+/// The predicted runtime of `sim`'s job `j` on the IC cluster.
+double ic_runtime(const sm::BatchSimulator& sim, std::uint32_t j) {
+    const auto& w = sim.workload();
+    return w.extrapolate(w.jobs[j])[w.predictor->machine_index("IC")].runtime_s;
+}
+
+TEST(BitIdentity, FreeUserSkipsItsWideEntryForANarrowOne) {
+    // J0 and J1 fill the node. Behind them, user 1 queues a 16-core job,
+    // then a 4-core one; user 2 queues a 2-core job, and user 1 another
+    // 2-core one. J1's finish frees 8 cores: the drain passes user 1's wide
+    // entry on demand alone, starts user 1's narrow one and then user 2's,
+    // and leaves user 1's last entry waiting on the per-user rule although
+    // its cores fit.
+    std::vector<wl::TraceJob> jobs;
+    jobs.push_back(make_job(0, 0, 0, 40, 0.0, 10'000.0));
+    jobs.push_back(make_job(1, 3, 0, 8, 0.0, 500.0));
+    // Distinct runtimes, so each finish time names its job's start.
+    jobs.push_back(make_job(2, 1, 0, 16, 1.0, 100.0));
+    jobs.push_back(make_job(3, 1, 1, 4, 2.0, 110.0));
+    jobs.push_back(make_job(4, 2, 2, 2, 3.0, 120.0));
+    jobs.push_back(make_job(5, 1, 3, 2, 4.0, 130.0));
+    const sm::BatchSimulator sim(craft_workload(std::move(jobs)), one_ic());
+    const auto r = run_both(sim, sm::SimOptions{});
+    EXPECT_EQ(r.jobs_completed, 6u);
+    const double freed = ic_runtime(sim, 1);
+    EXPECT_FALSE(contains_time(r.finish_times_s, freed + ic_runtime(sim, 2)));
+    EXPECT_TRUE(contains_time(r.finish_times_s, freed + ic_runtime(sim, 3)));
+    EXPECT_TRUE(contains_time(r.finish_times_s, freed + ic_runtime(sim, 4)));
+    EXPECT_FALSE(contains_time(r.finish_times_s, freed + ic_runtime(sim, 5)));
+}
+
+TEST(BitIdentity, EntriesSlidingIntoTheWindowWaitForTheNextDrain) {
+    // J0 fills the node while 259 one-core jobs queue: users 1, 2 and 3
+    // first, then 253 more of user 1's, then users 4, 5 and 6 at queue
+    // positions 256-258, just past the backfill window. J0's finish drains
+    // the queue with 48 free cores: it starts the three jobs in front, and
+    // the three that slide into the window behind them wait for the next
+    // drain, a submit one second later, although they fit at once.
+    std::vector<wl::TraceJob> jobs;
+    std::uint32_t id = 0;
+    jobs.push_back(make_job(id++, 0, 0, 48, 0.0, 10'000.0));
+    for (std::uint32_t user = 1; user <= 3; ++user) {
+        jobs.push_back(make_job(id++, user, 0, 1, 1.0, 1'000.0));
+    }
+    for (int i = 0; i < 253; ++i) {
+        jobs.push_back(make_job(id++, 1, 1, 1, 1.0, 1'000.0));
+    }
+    const std::uint32_t first_outside = id;
+    for (std::uint32_t user = 4; user <= 6; ++user) {
+        jobs.push_back(make_job(id++, user, 2, 1, 1.0, 100.0));
+    }
+    const double finish0 = [&] {
+        const sm::BatchSimulator probe(craft_workload(jobs), one_ic());
+        return ic_runtime(probe, 0);
+    }();
+    // The next drain: a job too wide to start, submitted a second later.
+    jobs.push_back(make_job(id++, 7, 0, 48, finish0 + 1.0, 100.0));
+    const sm::BatchSimulator sim(craft_workload(std::move(jobs)), one_ic());
+    const auto r = run_both(sim, sm::SimOptions{});
+    EXPECT_EQ(r.jobs_completed, static_cast<std::uint64_t>(id));
+    for (std::uint32_t j = 1; j <= 3; ++j) {
+        EXPECT_TRUE(contains_time(r.finish_times_s, finish0 + ic_runtime(sim, j)));
+    }
+    for (std::uint32_t j = first_outside; j < first_outside + 3; ++j) {
+        const double run = ic_runtime(sim, j);
+        EXPECT_FALSE(contains_time(r.finish_times_s, finish0 + run))
+            << "job " << j << " slid into the window during the drain";
+        EXPECT_TRUE(contains_time(r.finish_times_s, finish0 + 1.0 + run))
+            << "job " << j << " must start at the next drain";
+    }
+}
+
+TEST(BitIdentity, BlockedFrontOutlastsManyWindowsOfStarts) {
+    // User 0 runs one long job, so its queued jobs stay blocked: one at the
+    // front of the queue and one in every fifty that follow. Behind the
+    // front, 600 one-core jobs from other users arrive and start at once,
+    // far more than twice the backfill window, so the window's storage
+    // cycles past its blocked entries many times. When the long job ends,
+    // the front starts at once.
+    std::vector<wl::TraceJob> jobs;
+    std::uint32_t id = 0;
+    jobs.push_back(make_job(id++, 0, 0, 1, 0.0, 100'000.0));
+    jobs.push_back(make_job(id++, 0, 1, 1, 1.0, 50.0));
+    for (std::uint32_t i = 0; i < 600; ++i) {
+        const std::uint32_t user = i % 50 == 49 ? 0 : 1 + i;
+        jobs.push_back(make_job(id++, user, i % 3, 1, 2.0 + 10.0 * i, 30.0));
+    }
+    const sm::BatchSimulator sim(craft_workload(std::move(jobs)), one_ic());
+    const auto r = run_both(sim, sm::SimOptions{});
+    EXPECT_EQ(r.jobs_completed, static_cast<std::uint64_t>(id));
+    EXPECT_TRUE(contains_time(r.finish_times_s,
+                              ic_runtime(sim, 0) + ic_runtime(sim, 1)));
+}
+
+TEST(BitIdentity, OutageStrandsAroundHiddenEntriesAndHoles) {
+    // A two-node IC cluster (96 cores). User 0's long 80-core job leaves
+    // 16 free. Its queued jobs A (4 cores) and D (50) are hidden by the
+    // per-user rule; B (60) and F (30) do not fit; C and E start at submit,
+    // leaving holes between them. The outage takes a node, stranding B and
+    // D (wider than the 48 cores left) and refunding their charges, and
+    // keeps A and F, which start when the long job ends.
+    std::vector<wl::TraceJob> jobs;
+    jobs.push_back(make_job(0, 0, 0, 80, 0.0, 5'000.0));
+    jobs.push_back(make_job(1, 0, 1, 4, 1.0, 100.0));    // A
+    jobs.push_back(make_job(2, 1, 0, 60, 2.0, 100.0));   // B
+    jobs.push_back(make_job(3, 2, 0, 4, 3.0, 50.0));     // C
+    jobs.push_back(make_job(4, 0, 2, 50, 4.0, 100.0));   // D
+    jobs.push_back(make_job(5, 3, 0, 4, 5.0, 50.0));     // E
+    jobs.push_back(make_job(6, 4, 0, 30, 6.0, 100.0));   // F
+    const sm::BatchSimulator sim(craft_workload(std::move(jobs)),
+                                 {sm::ClusterConfig{mc::find("IC"), 2}});
+    sm::SimOptions options;
+    options.budget = 1e9;
+    options.outage = sm::ClusterOutage{0, 200.0, 1};
+    const auto r = run_both(sim, options);
+    EXPECT_EQ(r.jobs_completed, 5u);
+    EXPECT_EQ(r.jobs_skipped, 2u);
+    const double finish0 = ic_runtime(sim, 0);
+    EXPECT_TRUE(contains_time(r.finish_times_s, finish0 + ic_runtime(sim, 1)));
+    EXPECT_TRUE(contains_time(r.finish_times_s, finish0 + ic_runtime(sim, 6)));
+}
+
+TEST(BitIdentity, CoreBoundQueueSkipsFreeUsersOnDemand) {
+    // Wide jobs (17 to 48 cores) on one 48-core node arrive faster than it
+    // runs them: one or two jobs run at a time, so almost every queued
+    // entry's user is free and core demand alone decides which entries a
+    // drain skips. The queue grows past the backfill window.
+    std::vector<wl::TraceJob> jobs;
+    std::uint64_t lcg = 12345;
+    const auto next = [&lcg](std::uint64_t n) {
+        lcg = lcg * 6364136223846793005ULL + 1442695040888963407ULL;
+        return (lcg >> 33) % n;
+    };
+    const int widths[] = {17, 24, 33, 40, 48};
+    for (std::uint32_t i = 0; i < 600; ++i) {
+        jobs.push_back(make_job(i, static_cast<std::uint32_t>(next(40)),
+                                static_cast<std::uint32_t>(next(4)),
+                                widths[next(5)], 5.0 * i,
+                                200.0 + static_cast<double>(next(800))));
+    }
+    const sm::BatchSimulator sim(craft_workload(std::move(jobs)), one_ic());
+    const auto r = run_both(sim, sm::SimOptions{});
+    EXPECT_EQ(r.jobs_completed, 600u);
+}
+
 TEST(BitIdentity, GeneratedTraceScalarsPinnedHexfloat) {
     // A generated 2k-job trace over the default four clusters, one run per
     // arrival process, with makespan and total cost pinned bit-exactly.
