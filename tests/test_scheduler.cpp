@@ -12,6 +12,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <ostream>
 #include <span>
 #include <string>
 #include <tuple>
@@ -122,6 +123,8 @@ struct RulesCase {
     std::string name;
     sm::SchedulerRules rules;
 };
+
+void PrintTo(const RulesCase& rules, std::ostream* os) { *os << rules.name; }
 
 const RulesCase kRules[] = {
     {"Batch", {sm::QueueOrder::SkipAhead, true, false, true}},

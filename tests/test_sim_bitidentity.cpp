@@ -88,7 +88,7 @@ TEST(BitIdentity, ExactCapacityFitStartsAndOneCoreMoreWaits) {
     // J0 takes 24 cores. J1 (24 cores) fits the free half exactly and must
     // start at submit; J2 (25 cores > 24+... free 0 now) queues until a
     // finish frees capacity. Exact-fit comparisons are the <= boundary the
-    // index's bucket minimum must not shift.
+    // index's min-tree search must not shift.
     std::vector<wl::TraceJob> jobs;
     jobs.push_back(make_job(0, 0, 0, 24, 0.0, 1000.0));
     jobs.push_back(make_job(1, 1, 0, 24, 10.0, 400.0));
