@@ -602,9 +602,7 @@ public:
             cs.running_cores -= static_cast<double>(done.cores);
             ++cs.completed;
             ++completed;
-            if (rules_.one_job_per_user) {
-                set_user_running(done.cluster, done.user, false);
-            }
+            set_user_running(done.cluster, done.user, false);
             on_finish(done);
             drain(done.cluster, done.finish_s, on_start);
         }
@@ -664,7 +662,7 @@ public:
             cs.running_cores += static_cast<double>(job.cores);
             running_.push_back(job);
             std::push_heap(running_.begin(), running_.end(), later);
-            if (rules_.one_job_per_user) set_user_running(c, job.user, true);
+            set_user_running(c, job.user, true);
         }
         for (const QueuedJob& job : queued) queues_.push(c, job);
     }
@@ -690,7 +688,7 @@ private:
                                       static_cast<std::uint32_t>(c), job.cores,
                                       job.user});
         std::push_heap(running_.begin(), running_.end(), later);
-        if (rules_.one_job_per_user) set_user_running(c, job.user, true);
+        set_user_running(c, job.user, true);
         on_start(job, c, now);
     }
 
@@ -702,9 +700,10 @@ private:
         return user >= flags.size() || flags[user] == 0;
     }
 
-    /// Flags whether `user` runs a job on cluster `c`, and has the queues
-    /// block or release that user's entries.
+    /// Under the per-user rule, flags whether `user` runs a job on cluster
+    /// `c` and has the queues block or release that user's entries.
     void set_user_running(std::size_t c, std::uint32_t user, bool running) {
+        if (!rules_.one_job_per_user) return;
         std::vector<std::uint8_t>& flags = user_running_[c];
         if (user >= flags.size()) {
             flags.resize(static_cast<std::size_t>(user) + 1, 0);
