@@ -1,5 +1,6 @@
 // Scheduler-level oracle: `Scheduler<IndexedQueues>` against
-// `Scheduler<LinearQueues>`, below either driver, under both drivers' rules.
+// `Scheduler<LinearQueues>`, below `BatchSimulator` and `ServeSession`, under
+// the rules of each.
 //
 // A seeded random stream of submits, completions and outages drives both
 // cores. After every step they must agree on the started (id, cluster, time)
@@ -42,7 +43,8 @@ struct Core {
             started.emplace_back(job.id, c, now);
         };
     }
-    /// As both drivers do: completions due by `now` first, then the submit.
+    /// As `BatchSimulator` and `ServeSession` do: completions due by `now`
+    /// first, then the submit.
     void submit(std::size_t c, const sm::QueuedJob& job, double now) {
         core.complete_until(now, sm::NoHook{}, on_start());
         submitted_running.push_back(core.submit(c, job, now, on_start()));
@@ -83,7 +85,7 @@ using RunningKey =
     std::tuple<double, std::uint64_t, std::uint32_t, int, std::uint32_t>;
 using ClusterKey = std::tuple<int, int, double, std::uint64_t, std::uint64_t>;
 
-/// Everything a driver can observe of a core, in comparable form.
+/// Everything a caller can observe of a core, in comparable form.
 struct Observed {
     std::vector<Started> started;
     std::vector<std::uint64_t> stranded;
@@ -117,7 +119,7 @@ Observed observe(const Core<Queues>& c, std::size_t n_clusters) {
     return o;
 }
 
-/// The batch driver's rules, the session's, and skip-ahead without the
+/// The batch simulator's rules, the session's, and skip-ahead without the
 /// per-user rule (the index with every user free).
 struct RulesCase {
     std::string name;

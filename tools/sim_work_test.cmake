@@ -1,4 +1,4 @@
-# CTest driver for the work goldens (registered as `ga_sim_work_goldens` in
+# CTest script for the work goldens (registered as `ga_sim_work_goldens` in
 # tools/CMakeLists.txt).
 #
 # Runs ga-sim with --metrics-out over every committed scenario and compares
