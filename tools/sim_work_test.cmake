@@ -1,17 +1,24 @@
-# CTest script for the work goldens (registered as `ga_sim_work_goldens` in
-# tools/CMakeLists.txt).
+# CTest script for the work and payload goldens (registered as
+# `ga_sim_work_goldens` in tools/CMakeLists.txt).
 #
-# Runs ga-sim with --metrics-out over every committed scenario and compares
-# the `counters` block of the metrics export with
-# examples/scenarios/golden/<stem>.work.json, exactly. The counters are
-# logical work (events, starts, queue drains and the queue entries those
-# drains offered a start), so they do not depend on the host or the thread
-# count: a change that moves one changes the work the simulator does, and
-# regenerates the file in the same commit.
+# Runs ga-sim with --output and --metrics-out over every committed scenario
+# and checks two files against examples/scenarios/golden/, both exactly:
 #
-# The golden layout is Python's `json.dumps(counters, indent=2,
+# - <stem>.results.json: the results payload. It pins every number the
+#   scenario reports (costs, carbon, per-machine counts), so a change to
+#   pricing, metering or routing that moves a bit fails here.
+# - <stem>.work.json: the `counters` block of the metrics export. The
+#   counters are logical work (events, starts, queue drains and the queue
+#   entries those drains offered a start), so they do not depend on the host
+#   or the thread count: a change that moves one changes the work the
+#   simulator does, and regenerates the file in the same commit.
+#
+# A scenario without either golden fails the test.
+#
+# The work golden layout is Python's `json.dumps(counters, indent=2,
 # sort_keys=True)` plus a newline; this script renders the export the same
-# way, so CI can diff the files with a one-line python3 helper.
+# way, so CI can diff the files with a one-line python3 helper. The payload
+# golden is ga-sim's `--output` file as written.
 #
 # Expected -D variables: GA_SIM (binary), SCENARIO_DIR (the committed
 # scenarios, with their goldens under golden/), WORKDIR (scratch root, wiped
@@ -33,9 +40,12 @@ endif()
 foreach(scenario IN LISTS scenarios)
   get_filename_component(stem "${scenario}" NAME_WE)
   set(golden "${SCENARIO_DIR}/golden/${stem}.work.json")
-  if(NOT EXISTS "${golden}")
-    message(FATAL_ERROR "no work golden for ${scenario}: ${golden}")
-  endif()
+  set(payload_golden "${SCENARIO_DIR}/golden/${stem}.results.json")
+  foreach(required IN ITEMS "${golden}" "${payload_golden}")
+    if(NOT EXISTS "${required}")
+      message(FATAL_ERROR "no golden for ${scenario}: ${required}")
+    endif()
+  endforeach()
   execute_process(
     COMMAND "${GA_SIM}" "${scenario}" --output "${WORKDIR}/${stem}.json"
             --metrics-out "${WORKDIR}/${stem}.metrics.json"
@@ -45,6 +55,15 @@ foreach(scenario IN LISTS scenarios)
     RESULT_VARIABLE sim_status)
   if(NOT sim_status EQUAL 0)
     message(FATAL_ERROR "ga-sim ${stem} exited with ${sim_status}:\n${sim_stderr}")
+  endif()
+
+  execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
+                  "${payload_golden}" "${WORKDIR}/${stem}.json"
+                  RESULT_VARIABLE differ)
+  if(NOT differ EQUAL 0)
+    message(FATAL_ERROR
+      "results payload of ${stem} differs from the golden:\n"
+      "  ${payload_golden}\n  ${WORKDIR}/${stem}.json")
   endif()
 
   file(READ "${WORKDIR}/${stem}.metrics.json" metrics)
@@ -69,5 +88,5 @@ foreach(scenario IN LISTS scenarios)
       "work counters of ${stem} differ from the golden:\n"
       "  ${golden}\n  ${WORKDIR}/${stem}.work.json\n${rendered}")
   endif()
-  message(STATUS "ga-sim ${stem}: work counters match the golden")
+  message(STATUS "ga-sim ${stem}: payload and work counters match the goldens")
 endforeach()
