@@ -203,6 +203,32 @@ double EnergyBasedAccounting::charge(const JobUsage& usage,
     return (pue * usage.energy_j + beta_ * potential_j) / 2.0;
 }
 
+CarbonSite::CarbonSite(const ga::machine::CatalogEntry& m,
+                       const ga::carbon::IntensityTrace* trace,
+                       ga::carbon::DepreciationMethod depreciation)
+    : entry_(&m),
+      trace_(trace),
+      depreciation_(depreciation),
+      per_core_g_per_hour_(ga::carbon::per_core_rate_g_per_hour(m, depreciation)) {}
+
+double CarbonSite::operational_g(const JobUsage& usage) const {
+    return ga::util::joules_to_kwh(usage.energy_j) * intensity_at(usage.priced_at_s);
+}
+
+double CarbonSite::embodied_g(const JobUsage& usage) const {
+    const double hours = ga::util::seconds_to_hours(usage.duration_s);
+    if (usage.gpus > 0) {
+        return hours * ga::carbon::gpu_job_rate_g_per_hour(*entry_, usage.gpus,
+                                                           depreciation_);
+    }
+    return hours * static_cast<double>(usage.cores) * per_core_g_per_hour_;
+}
+
+double CarbonSite::charge(const JobUsage& usage) const {
+    validate(usage, *entry_);
+    return operational_g(usage) + embodied_g(usage);
+}
+
 CarbonBasedAccounting::CarbonBasedAccounting(
     std::map<std::string, ga::carbon::IntensityTrace> intensity,
     ga::carbon::DepreciationMethod depreciation)
@@ -213,34 +239,14 @@ std::unique_ptr<Accountant> CarbonBasedAccounting::with_grid(
     return std::make_unique<CarbonBasedAccounting>(intensity, depreciation_);
 }
 
-double CarbonBasedAccounting::intensity_at(const ga::machine::CatalogEntry& m,
-                                           double t_seconds) const {
+CarbonSite CarbonBasedAccounting::site(const ga::machine::CatalogEntry& m) const {
     const auto it = intensity_.find(m.node.name);
-    if (it != intensity_.end()) return it->second.at(t_seconds);
-    return m.avg_carbon_intensity;
+    return CarbonSite(m, it != intensity_.end() ? &it->second : nullptr,
+                      depreciation_);
 }
 
-double CarbonBasedAccounting::operational_g(const JobUsage& usage,
-                                            const ga::machine::CatalogEntry& m) const {
-    return ga::util::joules_to_kwh(usage.energy_j) *
-           intensity_at(m, usage.priced_at_s);
-}
-
-double CarbonBasedAccounting::embodied_g(const JobUsage& usage,
-                                         const ga::machine::CatalogEntry& m) const {
-    const double hours = ga::util::seconds_to_hours(usage.duration_s);
-    if (usage.gpus > 0) {
-        return hours *
-               ga::carbon::gpu_job_rate_g_per_hour(m, usage.gpus, depreciation_);
-    }
-    return hours * static_cast<double>(usage.cores) *
-           ga::carbon::per_core_rate_g_per_hour(m, depreciation_);
-}
-
-double CarbonBasedAccounting::charge(const JobUsage& usage,
-                                     const ga::machine::CatalogEntry& m) const {
-    validate(usage, m);
-    return operational_g(usage, m) + embodied_g(usage, m);
+BoundCharge CarbonBasedAccounting::on(const ga::machine::CatalogEntry& m) const {
+    return [carbon = site(m)](const JobUsage& usage) { return carbon.charge(usage); };
 }
 
 // --------------------------------------------- beyond-paper composites
@@ -258,8 +264,13 @@ BlendedAccounting::BlendedAccounting(double core_weight, double carbon_weight,
 
 double BlendedAccounting::charge(const JobUsage& usage,
                                  const ga::machine::CatalogEntry& m) const {
-    return core_weight_ * runtime_.charge(usage, m) +
-           carbon_weight_ * carbon_.charge(usage, m);
+    return blend(runtime_.charge(usage, m), carbon_.charge(usage, m));
+}
+
+BoundCharge BlendedAccounting::on(const ga::machine::CatalogEntry& m) const {
+    return [this, &m, carbon = carbon_.site(m)](const JobUsage& usage) {
+        return blend(runtime_.charge(usage, m), carbon.charge(usage));
+    };
 }
 
 std::unique_ptr<Accountant> BlendedAccounting::with_grid(
@@ -277,7 +288,13 @@ CarbonTaxAccounting::CarbonTaxAccounting(double tax_per_g,
 
 double CarbonTaxAccounting::charge(const JobUsage& usage,
                                    const ga::machine::CatalogEntry& m) const {
-    return runtime_.charge(usage, m) + tax_per_g_ * carbon_.charge(usage, m);
+    return taxed(runtime_.charge(usage, m), carbon_.charge(usage, m));
+}
+
+BoundCharge CarbonTaxAccounting::on(const ga::machine::CatalogEntry& m) const {
+    return [this, &m, carbon = carbon_.site(m)](const JobUsage& usage) {
+        return taxed(runtime_.charge(usage, m), carbon.charge(usage));
+    };
 }
 
 std::unique_ptr<Accountant> CarbonTaxAccounting::with_grid(

@@ -70,6 +70,10 @@ struct JobUsage {
     double priced_at_s = 0.0;
 };
 
+/// An accountant bound to one machine (`Accountant::on`): prices a usage on
+/// that machine.
+using BoundCharge = std::function<double(const JobUsage&)>;
+
 /// Interface: price one job on one machine. Charges are in method-specific
 /// units (core-hours, joules, SU-like peak units, EBA joules, gCO2e).
 /// Implementations must be immutable after construction: `charge` is const
@@ -82,6 +86,16 @@ public:
 
     [[nodiscard]] virtual double charge(const JobUsage& usage,
                                         const ga::machine::CatalogEntry& m) const = 0;
+
+    /// Binds this accountant to machine `m`: the result prices a usage
+    /// exactly as `charge(usage, m)` does. A driver binds each machine once
+    /// per run, so an override resolves there what depends only on the
+    /// machine (a grid trace, an embodied rate) instead of on every charge.
+    /// The default forwards to `charge`. The result refers to this
+    /// accountant and to `m`, which must outlive it.
+    [[nodiscard]] virtual BoundCharge on(const ga::machine::CatalogEntry& m) const {
+        return [this, &m](const JobUsage& usage) { return charge(usage, m); };
+    }
 
     /// The registry name this instance was built under ("Runtime", "CBA",
     /// a custom name).
@@ -226,6 +240,42 @@ private:
     bool apply_pue_;
 };
 
+/// One machine as Carbon-Based Accounting prices it, resolved once: the
+/// facility's grid trace (or, without one, the machine's catalog average
+/// intensity) and the machine's per-core embodied rate D_f(y)/(24·365) under
+/// one depreciation method. Eq. 2 is implemented here and nowhere else;
+/// `CarbonBasedAccounting` prices through `site(m)`. A site refers to its
+/// catalog entry and trace, which must outlive it.
+class CarbonSite {
+public:
+    /// `trace` is the facility's grid trace, or nullptr for the catalog
+    /// average.
+    CarbonSite(const ga::machine::CatalogEntry& m,
+               const ga::carbon::IntensityTrace* trace,
+               ga::carbon::DepreciationMethod depreciation);
+
+    /// Grid intensity at an absolute time (gCO2e/kWh).
+    [[nodiscard]] double intensity_at(double t_seconds) const {
+        return trace_ != nullptr ? trace_->at(t_seconds)
+                                 : entry_->avg_carbon_intensity;
+    }
+
+    /// Operational term only (e_j · I_f(t) at `usage.priced_at_s`).
+    [[nodiscard]] double operational_g(const JobUsage& usage) const;
+
+    /// Embodied term only (d_j · provisioned share of D_f(y)/(24·365)).
+    [[nodiscard]] double embodied_g(const JobUsage& usage) const;
+
+    /// Eq. 2: both terms, after validating `usage` against the machine.
+    [[nodiscard]] double charge(const JobUsage& usage) const;
+
+private:
+    const ga::machine::CatalogEntry* entry_;
+    const ga::carbon::IntensityTrace* trace_;
+    ga::carbon::DepreciationMethod depreciation_;
+    double per_core_g_per_hour_;
+};
+
 /// Carbon-Based Accounting (Eq. 2).
 class CarbonBasedAccounting final : public Accountant {
 public:
@@ -237,7 +287,9 @@ public:
             ga::carbon::DepreciationMethod::DoubleDeclining);
 
     [[nodiscard]] double charge(const JobUsage& usage,
-                                const ga::machine::CatalogEntry& m) const override;
+                                const ga::machine::CatalogEntry& m) const override {
+        return site(m).charge(usage);
+    }
     [[nodiscard]] std::string_view name() const noexcept override {
         return "CBA";
     }
@@ -249,16 +301,29 @@ public:
         const std::map<std::string, ga::carbon::IntensityTrace>& intensity)
         const override;
 
+    /// Prices through `site(m)`.
+    [[nodiscard]] BoundCharge on(const ga::machine::CatalogEntry& m) const override;
+
+    /// Machine `m` as this accountant prices it; refers to this accountant's
+    /// trace for `m`, so it must not outlive the accountant.
+    [[nodiscard]] CarbonSite site(const ga::machine::CatalogEntry& m) const;
+
     /// Operational term only (e_j · I_f(t)).
     [[nodiscard]] double operational_g(const JobUsage& usage,
-                                       const ga::machine::CatalogEntry& m) const;
+                                       const ga::machine::CatalogEntry& m) const {
+        return site(m).operational_g(usage);
+    }
 
     /// Embodied term only (d_j · provisioned share of D_f(y)/(24·365)).
     [[nodiscard]] double embodied_g(const JobUsage& usage,
-                                    const ga::machine::CatalogEntry& m) const;
+                                    const ga::machine::CatalogEntry& m) const {
+        return site(m).embodied_g(usage);
+    }
 
     [[nodiscard]] double intensity_at(const ga::machine::CatalogEntry& m,
-                                      double t_seconds) const;
+                                      double t_seconds) const {
+        return site(m).intensity_at(t_seconds);
+    }
 
     [[nodiscard]] ga::carbon::DepreciationMethod depreciation() const noexcept {
         return depreciation_;
@@ -292,11 +357,17 @@ public:
     [[nodiscard]] std::unique_ptr<Accountant> with_grid(
         const std::map<std::string, ga::carbon::IntensityTrace>& intensity)
         const override;
+    /// Prices the carbon part through its CBA's site for `m`.
+    [[nodiscard]] BoundCharge on(const ga::machine::CatalogEntry& m) const override;
 
     [[nodiscard]] double core_weight() const noexcept { return core_weight_; }
     [[nodiscard]] double carbon_weight() const noexcept { return carbon_weight_; }
 
 private:
+    [[nodiscard]] double blend(double core_hours, double carbon_g) const noexcept {
+        return core_weight_ * core_hours + carbon_weight_ * carbon_g;
+    }
+
     double core_weight_;
     double carbon_weight_;
     RuntimeAccounting runtime_;
@@ -325,10 +396,16 @@ public:
     [[nodiscard]] std::unique_ptr<Accountant> with_grid(
         const std::map<std::string, ga::carbon::IntensityTrace>& intensity)
         const override;
+    /// Prices the carbon part through its CBA's site for `m`.
+    [[nodiscard]] BoundCharge on(const ga::machine::CatalogEntry& m) const override;
 
     [[nodiscard]] double tax_per_g() const noexcept { return tax_per_g_; }
 
 private:
+    [[nodiscard]] double taxed(double core_hours, double carbon_g) const noexcept {
+        return core_hours + tax_per_g_ * carbon_g;
+    }
+
     double tax_per_g_;
     RuntimeAccounting runtime_;
     CarbonBasedAccounting carbon_;

@@ -201,9 +201,8 @@ void ServeSession::price_job(const JobSpec& job, double priced_at,
             usage.duration_s * (job.power_ic_w * scale.power_factor);
         usage.cores = job.cores;
         usage.priced_at_s = priced_at;
-        out[c] = MachineFigures{
-            usage.duration_s, usage.energy_j,
-            setup_->pricer->charge(usage, cluster_cfgs_[c].entry)};
+        out[c] = MachineFigures{usage.duration_s, usage.energy_j,
+                                setup_->quotes[c](usage)};
     }
 }
 

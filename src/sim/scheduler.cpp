@@ -46,7 +46,14 @@ RunSetup::RunSetup(const SimOptions& options,
       pricer(bind(options.pricing)),
       routing(make_routing(options.policy, clusters)),
       fill_grid_intensity(routing->uses_grid_intensity()),
-      fill_grid_forecast(fill_grid_intensity && routing->uses_grid_forecast()) {}
+      fill_grid_forecast(fill_grid_intensity && routing->uses_grid_forecast()) {
+    sites.reserve(clusters.size());
+    quotes.reserve(clusters.size());
+    for (const ClusterConfig& c : clusters) {
+        sites.push_back(cba.site(c.entry));
+        quotes.push_back(pricer->on(c.entry));
+    }
+}
 
 std::unique_ptr<const ga::acct::Accountant> RunSetup::bind(
     const ga::acct::AccountantSpec& spec) const {

@@ -104,9 +104,14 @@ struct RunningJob {
 };
 
 /// The per-run configuration both drivers resolve the same way from
-/// `SimOptions` and a deployment. Immutable once built.
+/// `SimOptions` and a deployment. Immutable once built. The per-cluster
+/// `sites` and `quotes` refer into this setup's own `cba` and `pricer` and
+/// into the deployment's catalog entries, so the deployment must outlive
+/// the setup, which is neither copied nor moved.
 struct RunSetup {
     RunSetup(const SimOptions& options, std::span<const ClusterConfig> clusters);
+    RunSetup(const RunSetup&) = delete;
+    RunSetup& operator=(const RunSetup&) = delete;
 
     /// Builds `spec` from the accountant registry, rebound to the grid
     /// traces (`with_grid`) when the method is carbon-aware.
@@ -117,8 +122,12 @@ struct RunSetup {
     std::map<std::string, ga::carbon::IntensityTrace> traces;
     /// CBA over `traces`: intensity lookups and the carbon totals.
     ga::acct::CarbonBasedAccounting cba;
+    /// Per cluster: `cba.site` of its machine.
+    std::vector<ga::acct::CarbonSite> sites;
     /// `SimOptions::pricing`, bound to the grid traces.
     std::unique_ptr<const ga::acct::Accountant> pricer;
+    /// Per cluster: `pricer` bound to its machine (`Accountant::on`).
+    std::vector<ga::acct::BoundCharge> quotes;
     /// `SimOptions::policy`; a policy named after a cluster gets that
     /// cluster's `index` param.
     std::unique_ptr<const RoutingPolicy> routing;
@@ -529,10 +538,11 @@ public:
             view.queue_depth = queues_.depth(c);
             view.queue_wait_s = wait;
             if (setup_->fill_grid_intensity) {
-                view.grid_intensity_g_per_kwh = setup_->cba.intensity_at(entry, now);
+                const ga::acct::CarbonSite& site = setup_->sites[c];
+                view.grid_intensity_g_per_kwh = site.intensity_at(now);
                 if (setup_->fill_grid_forecast) {
-                    view.grid_forecast_g_per_kwh = setup_->cba.intensity_at(
-                        entry, now + kGridForecastHorizonS);
+                    view.grid_forecast_g_per_kwh =
+                        site.intensity_at(now + kGridForecastHorizonS);
                 }
             }
 

@@ -177,16 +177,22 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
     // ---- accounting and routing setup ----
     const RunSetup setup(options, clusters_);
     // Multi-currency admission accountants, index-aligned with
-    // options.currency_budgets.
+    // options.currency_budgets, and each one bound to every cluster
+    // (indexed [k * n_clusters + c]).
     const std::size_t n_currencies = options.currency_budgets.size();
     std::vector<std::unique_ptr<const ga::acct::Accountant>> currency_pricers;
+    std::vector<ga::acct::BoundCharge> currency_quotes;
     currency_pricers.reserve(n_currencies);
+    currency_quotes.reserve(n_currencies * n_clusters);
     for (const auto& cb : options.currency_budgets) {
         GA_REQUIRE(!cb.currency.empty(),
                    "simulator: currency name must not be empty");
         GA_REQUIRE(cb.budget >= 0.0,
                    "simulator: currency budget must be non-negative");
         currency_pricers.push_back(setup.bind(cb.accountant));
+        for (const ClusterConfig& cluster : clusters_) {
+            currency_quotes.push_back(currency_pricers.back()->on(cluster.entry));
+        }
     }
     for (std::size_t a = 0; a < n_currencies; ++a) {
         for (std::size_t b = a + 1; b < n_currencies; ++b) {
@@ -271,10 +277,9 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
         ++result.jobs_completed;
         result.work_core_hours += work_[j];
         result.energy_mwh += usage.energy_j / ga::util::kJoulesPerKwh / 1000.0;
-        result.operational_carbon_kg +=
-            setup.cba.operational_g(usage, clusters_[c].entry) / 1000.0;
-        result.attributed_carbon_kg +=
-            setup.cba.charge(usage, clusters_[c].entry) / 1000.0;
+        const ga::acct::CarbonSite& site = setup.sites[c];
+        result.operational_carbon_kg += site.operational_g(usage) / 1000.0;
+        result.attributed_carbon_kg += site.charge(usage) / 1000.0;
         result.finish_times_s.push_back(done.finish_s);
         result.makespan_s = std::max(result.makespan_s, done.finish_s);
     };
@@ -325,8 +330,7 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
                 choice.runtime_s = pred_runtime_[j * n_clusters + c];
                 choice.energy_j =
                     choice.runtime_s * pred_power_[j * n_clusters + c];
-                choice.cost = setup.pricer->charge(job_usage(j, c, now),
-                                                   clusters_[c].entry);
+                choice.cost = setup.quotes[c](job_usage(j, c, now));
             });
         ctx.now_s = now;
         ctx.budget_remaining = rs.budget_remaining;
@@ -349,7 +353,7 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
             bool affordable = true;
             for (std::size_t k = 0; k < n_currencies; ++k) {
                 rs.currency_charged[j * n_currencies + k] =
-                    currency_pricers[k]->charge(usage, clusters_[c].entry);
+                    currency_quotes[k * n_clusters + c](usage);
                 if (rs.currency_charged[j * n_currencies + k] >
                     rs.currency_remaining[k]) {
                     affordable = false;
