@@ -40,6 +40,11 @@
 //
 // A spec is the only way to name a method: `all_methods()` lists the
 // paper's five as bare specs, and `AccountantRegistry::make` builds one.
+//
+// A driver that prices many jobs on a fixed deployment binds the accountant
+// to each machine once (`Accountant::on`) and calls the bound form. CBA
+// resolves its `CarbonSite` there (the machine's grid trace and embodied
+// rate), so a charge no longer looks either up.
 #pragma once
 
 #include <functional>
