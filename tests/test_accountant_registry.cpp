@@ -3,7 +3,8 @@
 // the hexfloat charge baseline captured from the pre-registry
 // implementation), and end-to-end registry-driven simulator runs (spec
 // pricing, the pricing sweep axis, and the dual-budget core-hours + gCO2e
-// scenario).
+// scenario). Every builtin's per-machine bound form (`Accountant::on`) is
+// checked against `charge` bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -218,8 +219,68 @@ TEST(AccountantRegistry, ChargesBitIdenticalToPreRedesignBaseline) {
             SCOPED_TRACE(methods[mi].name + "/" + row.machine + "/usage" +
                          std::to_string(row.usage));
             EXPECT_EQ(accountant->charge(usage, entry), row.expected);
+            // The per-machine bound form (`Accountant::on`) prices the same.
+            EXPECT_EQ(accountant->on(entry)(usage), row.expected);
         }
     }
+}
+
+// ------------------------------------------------ bound per-machine charges
+TEST(BoundCharge, CarbonAwareMethodsMatchChargeBitForBit) {
+    // Regional traces for the simulation machines, as a regional-grid run
+    // builds them; the GPU nodes have no grid region and price at their
+    // catalog average intensity.
+    std::vector<mc::CatalogEntry> machines = mc::simulation_machines();
+    std::map<std::string, ga::carbon::IntensityTrace> traces;
+    for (const auto& m : machines) {
+        traces.emplace(m.node.name,
+                       ga::carbon::synthesize(ga::carbon::region(m.grid_region),
+                                              /*days=*/30, /*seed=*/77));
+    }
+    for (const auto& m : mc::gpu_nodes()) machines.push_back(m);
+
+    const std::vector<ac::AccountantSpec> specs = {
+        {"CBA", {}},
+        {"CBA", {{"depreciation", 1.0}}},
+        {"Blended", {}},
+        {"Blended", {{"core_weight", 2.0}, {"carbon_weight", 0.5},
+                     {"depreciation", 1.0}}},
+        {"CarbonTax", {}},
+        {"CarbonTax", {{"rate", 0.02}, {"depreciation", 1.0}}},
+    };
+    const std::vector<ac::JobUsage> usages = {
+        // duration_s, energy_j, cores, gpus (priced_at_s set below)
+        {3600.0, 1.8e6, 4, 0, 0.0},
+        {913.5, 4.27e5, 48, 0, 0.0},
+        {86400.0, 6.4e8, 128, 0, 0.0},
+        {42.25, 1.25e4, 1, 0, 0.0},
+        {7200.0, 9.6e6, 0, 2, 0.0},
+        {1800.0, 1.1e6, 0, 1, 0.0},
+    };
+    std::size_t compared = 0;
+    for (const auto& spec : specs) {
+        const auto accountant =
+            ac::AccountantRegistry::global().make(spec)->with_grid(traces);
+        ASSERT_NE(accountant, nullptr) << spec.label();
+        for (const auto& m : machines) {
+            const ac::BoundCharge bound = accountant->on(m);
+            for (ac::JobUsage u : usages) {
+                if (u.gpus > m.node.gpu_count) continue;
+                // 72 hourly samples, mid-hour, past the trace's first days.
+                for (int hour = 0; hour < 72; ++hour) {
+                    u.priced_at_s = 3600.0 * hour + 1234.5;
+                    ASSERT_EQ(bound(u), accountant->charge(u, m))
+                        << spec.label() << " on " << m.node.name << ", "
+                        << u.cores << " cores / " << u.gpus << " gpus, hour "
+                        << hour;
+                    ++compared;
+                }
+            }
+        }
+    }
+    // Every spec prices 4 CPU shapes on all 7 machines and 2 GPU shapes on
+    // the 3 GPU nodes.
+    EXPECT_EQ(compared, specs.size() * (4 * 7 + 2 * 3) * 72);
 }
 
 // ----------------------------------- registry accountants end-to-end in runs
@@ -289,6 +350,23 @@ private:
     double eur_per_kwh_;
     ac::RuntimeAccounting runtime_;
 };
+
+TEST(CustomAccountant, DefaultBindingPricesThroughCharge) {
+    // FlatBill does not override `on`: the default binding forwards to
+    // `charge`, so a custom method prices the same bound or not.
+    const FlatBillAccounting flat(0.05, 0.30);
+    std::vector<mc::CatalogEntry> machines = mc::simulation_machines();
+    for (const auto& m : mc::gpu_nodes()) machines.push_back(m);
+    for (const auto& m : machines) {
+        const ac::BoundCharge bound = flat.on(m);
+        for (int i = 0; i < 5; ++i) {
+            const ac::JobUsage& u = baseline_usages()[i];
+            if (u.gpus > m.node.gpu_count) continue;
+            EXPECT_EQ(bound(u), flat.charge(u, m))
+                << m.node.name << ", usage " << i;
+        }
+    }
+}
 
 TEST(CustomAccountant, RegisteredMethodRunsThroughSimulatorAndSweep) {
     auto& registry = ac::AccountantRegistry::global();
