@@ -325,11 +325,6 @@ public:
         return site(m).embodied_g(usage);
     }
 
-    [[nodiscard]] double intensity_at(const ga::machine::CatalogEntry& m,
-                                      double t_seconds) const {
-        return site(m).intensity_at(t_seconds);
-    }
-
     [[nodiscard]] ga::carbon::DepreciationMethod depreciation() const noexcept {
         return depreciation_;
     }
