@@ -266,7 +266,7 @@ TEST(BoundCharge, CarbonAwareMethodsMatchChargeBitForBit) {
             const ac::BoundCharge bound = accountant->on(m);
             for (ac::JobUsage u : usages) {
                 if (u.gpus > m.node.gpu_count) continue;
-                // 72 hourly samples, mid-hour, past the trace's first days.
+                // 72 hourly samples, each mid-hour: three days of the trace.
                 for (int hour = 0; hour < 72; ++hour) {
                     u.priced_at_s = 3600.0 * hour + 1234.5;
                     ASSERT_EQ(bound(u), accountant->charge(u, m))
