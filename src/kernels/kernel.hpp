@@ -7,6 +7,11 @@
 // and bytes moved — at loop-nest granularity. The resulting WorkProfile is
 // machine-independent and is what the CPU execution model (ga_machine) maps
 // onto each catalog machine to obtain the paper's (runtime, energy) pairs.
+//
+// The Fig. 4 / Table 1 benches and this module's tests run the kernels. The
+// simulator does not: its predictor reads the suite's test-scale profiles
+// from a committed table (workload/predictor.cpp), and the BenchmarkTable
+// golden test re-runs the kernels to check that table bit for bit.
 #pragma once
 
 #include <memory>

@@ -8,7 +8,9 @@
 // the paper's published (runtime, energy) pairs. Kernels in ga_kernels are
 // *really executed* to produce their work profiles (flop and byte counts are
 // counted by instrumentation, not assumed), and this model maps a profile to
-// any catalog machine.
+// any catalog machine. The simulator's predictor reads those profiles from a
+// committed table (workload/predictor.cpp) that a golden test re-derives
+// from the kernels, so simulations run no kernel.
 #pragma once
 
 #include "machine/spec.hpp"

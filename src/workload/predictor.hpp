@@ -3,7 +3,8 @@
 // "We then use a KNN trained on a set of benchmark applications to estimate
 // runtime and power consumption on the other machines."
 //
-// The benchmark set is the instrumented kernel suite (ga_kernels). For each
+// The benchmark set is the work the instrumented kernel suite (ga_kernels)
+// counts, read from a committed table rather than re-measured. For each
 // benchmark we compute its counters on IC and its runtime/power on every
 // simulation machine via the CPU execution model; the KNN then maps a job's
 // (GMM-synthesized) counters to per-machine scale factors relative to IC.
@@ -27,8 +28,11 @@ struct BenchmarkPoint {
     JobCounters counters_ic;  ///< per-core counters measured on IC
 };
 
-/// Runs the kernel suite at two scales and derives IC counters.
-/// Results are cached process-wide (kernels really execute once).
+/// The kernel suite's work profiles at test_scale() x {1, 2}, with their IC
+/// counters derived by counters_on_ic. The profiles are a committed table
+/// (the counts are machine-independent), so no kernel runs here; the
+/// BenchmarkTable golden test re-runs the kernels and checks it bit for bit.
+/// Built once per process.
 [[nodiscard]] const std::vector<BenchmarkPoint>& benchmark_points();
 
 /// Per-machine scaling relative to IC.
