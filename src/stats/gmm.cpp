@@ -34,7 +34,8 @@ double log_sum_exp(std::span<const double> xs) {
     const double peak = *std::max_element(xs.begin(), xs.end());
     if (!std::isfinite(peak)) return peak;
     double acc = 0.0;
-    for (const double x : xs) acc += std::exp(x - peak);
+    // exp(x - peak) is exactly 1 at the peak, so that term skips the call.
+    for (const double x : xs) acc += x == peak ? 1.0 : std::exp(x - peak);
     return peak + std::log(acc);
 }
 
@@ -171,33 +172,52 @@ Gmm Gmm::fit(std::span<const double> rows, std::size_t dim, const GmmOptions& op
     Gmm model(dim, std::move(comps));
 
     // ---- EM iterations ----
-    std::vector<double> resp(n * k);       // responsibilities
+    // The E step runs one component at a time over all rows, in contiguous
+    // column passes; every value sees the same operations in the same order
+    // as a row-at-a-time evaluation (log_pdf's), so the fit is unchanged to
+    // the bit.
+    std::vector<double> cols(n * dim);  // the rows, column-major
+    for (std::size_t r = 0; r < n; ++r) {
+        for (std::size_t d = 0; d < dim; ++d) cols[d * n + r] = rows[r * dim + d];
+    }
+    std::vector<double> z(n * dim);  // whitened residuals, column-major
+    std::vector<double> resp(k * n);  // log parts, then responsibilities
     std::vector<double> log_parts(k);
-    std::vector<double> z(dim);
     double prev_ll = -std::numeric_limits<double>::infinity();
     for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
-        // E step.
+        // E step: solve L z = (x - mu) column by column, summing the
+        // quadratic form |z|^2 in column order.
+        for (std::size_t c = 0; c < k; ++c) {
+            const auto& comp = model.components_[c];
+            const double log_prior =
+                std::log(std::max(comp.weight, 1e-300)) + comp.log_norm;
+            double* quad = &resp[c * n];
+            std::fill(quad, quad + n, 0.0);
+            for (std::size_t i = 0; i < dim; ++i) {
+                double* zi = &z[i * n];
+                const double* xi = &cols[i * n];
+                const double mu = comp.mean[i];
+                for (std::size_t r = 0; r < n; ++r) zi[r] = xi[r] - mu;
+                for (std::size_t kk = 0; kk < i; ++kk) {
+                    const double l = comp.chol[i * dim + kk];
+                    const double* zk = &z[kk * n];
+                    for (std::size_t r = 0; r < n; ++r) zi[r] -= l * zk[r];
+                }
+                const double diag = comp.chol[i * dim + i];
+                for (std::size_t r = 0; r < n; ++r) {
+                    zi[r] /= diag;
+                    quad[r] += zi[r] * zi[r];
+                }
+            }
+            for (std::size_t r = 0; r < n; ++r) quad[r] = log_prior - 0.5 * quad[r];
+        }
         double ll = 0.0;
         for (std::size_t r = 0; r < n; ++r) {
-            const auto xr = row(r);
-            for (std::size_t c = 0; c < k; ++c) {
-                const auto& comp = model.components_[c];
-                for (std::size_t i = 0; i < dim; ++i) {
-                    double s = xr[i] - comp.mean[i];
-                    for (std::size_t kk = 0; kk < i; ++kk) {
-                        s -= comp.chol[i * dim + kk] * z[kk];
-                    }
-                    z[i] = s / comp.chol[i * dim + i];
-                }
-                double quad = 0.0;
-                for (const double v : z) quad += v * v;
-                log_parts[c] = std::log(std::max(comp.weight, 1e-300)) +
-                               comp.log_norm - 0.5 * quad;
-            }
+            for (std::size_t c = 0; c < k; ++c) log_parts[c] = resp[c * n + r];
             const double norm = log_sum_exp(log_parts);
             ll += norm;
             for (std::size_t c = 0; c < k; ++c) {
-                resp[r * k + c] = std::exp(log_parts[c] - norm);
+                resp[c * n + r] = std::exp(log_parts[c] - norm);
             }
         }
         ll /= static_cast<double>(n);
@@ -205,26 +225,26 @@ Gmm Gmm::fit(std::span<const double> rows, std::size_t dim, const GmmOptions& op
 
         // M step.
         for (std::size_t c = 0; c < k; ++c) {
-            double nk = 0.0;
-            for (std::size_t r = 0; r < n; ++r) nk += resp[r * k + c];
-            nk = std::max(nk, 1e-12);
+            const double* w = &resp[c * n];
             auto& comp = model.components_[c];
-            comp.weight = nk / static_cast<double>(n);
+            // nk and the mean's weighted sums in one pass over the rows.
+            double nk = 0.0;
             std::fill(comp.mean.begin(), comp.mean.end(), 0.0);
             for (std::size_t r = 0; r < n; ++r) {
+                nk += w[r];
                 const auto xr = row(r);
-                const double w = resp[r * k + c];
-                for (std::size_t d = 0; d < dim; ++d) comp.mean[d] += w * xr[d];
+                for (std::size_t d = 0; d < dim; ++d) comp.mean[d] += w[r] * xr[d];
             }
+            nk = std::max(nk, 1e-12);
+            comp.weight = nk / static_cast<double>(n);
             for (auto& v : comp.mean) v /= nk;
             std::fill(comp.covariance.begin(), comp.covariance.end(), 0.0);
             for (std::size_t r = 0; r < n; ++r) {
                 const auto xr = row(r);
-                const double w = resp[r * k + c];
                 for (std::size_t i = 0; i < dim; ++i) {
                     const double di = xr[i] - comp.mean[i];
                     for (std::size_t j = 0; j <= i; ++j) {
-                        comp.covariance[i * dim + j] += w * di * (xr[j] - comp.mean[j]);
+                        comp.covariance[i * dim + j] += w[r] * di * (xr[j] - comp.mean[j]);
                     }
                 }
             }
