@@ -17,9 +17,7 @@ const ga::machine::CatalogEntry& ic_entry() {
 
 struct ProfileRow {
     const char* kernel;
-    double flops;
-    double mem_bytes;
-    double parallel_fraction;
+    ga::machine::WorkProfile profile;
 };
 
 // The work the kernel suite (ga::kernels::make_suite) counts at
@@ -28,20 +26,20 @@ struct ProfileRow {
 // BenchmarkTable golden test re-runs the kernels, compares bit for bit and
 // prints replacement rows when a kernel change moves a count.
 constexpr ProfileRow kSuiteProfiles[] = {
-    {"Cholesky", 0x1.218p+21, 0x1.5p+19, 0x1.dc28f5c28f5c3p-1},
-    {"Cholesky", 0x1.20fp+24, 0x1.1ap+22, 0x1.dc28f5c28f5c3p-1},
-    {"MD", 0x1.b2ace6p+27, 0x1.855cbp+28, 0x1.e666666666666p-1},
-    {"MD", 0x1.bd8fdb8p+28, 0x1.8f09fcp+29, 0x1.e666666666666p-1},
-    {"Pagerank", 0x1.4c08p+21, 0x1.a3ecp+24, 0x1.c28f5c28f5c29p-1},
-    {"Pagerank", 0x1.4c08p+22, 0x1.a3ecp+25, 0x1.c28f5c28f5c29p-1},
-    {"MatMul", 0x1.f4p+22, 0x1.2cp+21, 0x1.f5c28f5c28f5cp-1},
-    {"MatMul", 0x1.f4p+25, 0x1.f4p+23, 0x1.f5c28f5c28f5cp-1},
-    {"DNA Viz.", 0x1.e848p+18, 0x1.312ep+18, 0x1.999999999999ap-1},
-    {"DNA Viz.", 0x1.e848p+19, 0x1.312ep+19, 0x1.999999999999ap-1},
-    {"BFS", 0x0p+0, 0x1.964p+19, 0x1.8p-1},
-    {"BFS", 0x0p+0, 0x1.964p+20, 0x1.8p-1},
-    {"MST", 0x0p+0, 0x1.4a5ddc4bf88fcp+22, 0x1.3333333333333p-1},
-    {"MST", 0x0p+0, 0x1.5d4d7c4bf88fcp+23, 0x1.3333333333333p-1},
+    {"Cholesky", {0x1.218p+21, 0x1.5p+19, 0x1.dc28f5c28f5c3p-1}},
+    {"Cholesky", {0x1.20fp+24, 0x1.1ap+22, 0x1.dc28f5c28f5c3p-1}},
+    {"MD", {0x1.b2ace6p+27, 0x1.855cbp+28, 0x1.e666666666666p-1}},
+    {"MD", {0x1.bd8fdb8p+28, 0x1.8f09fcp+29, 0x1.e666666666666p-1}},
+    {"Pagerank", {0x1.4c08p+21, 0x1.a3ecp+24, 0x1.c28f5c28f5c29p-1}},
+    {"Pagerank", {0x1.4c08p+22, 0x1.a3ecp+25, 0x1.c28f5c28f5c29p-1}},
+    {"MatMul", {0x1.f4p+22, 0x1.2cp+21, 0x1.f5c28f5c28f5cp-1}},
+    {"MatMul", {0x1.f4p+25, 0x1.f4p+23, 0x1.f5c28f5c28f5cp-1}},
+    {"DNA Viz.", {0x1.e848p+18, 0x1.312ep+18, 0x1.999999999999ap-1}},
+    {"DNA Viz.", {0x1.e848p+19, 0x1.312ep+19, 0x1.999999999999ap-1}},
+    {"BFS", {0x0p+0, 0x1.964p+19, 0x1.8p-1}},
+    {"BFS", {0x0p+0, 0x1.964p+20, 0x1.8p-1}},
+    {"MST", {0x0p+0, 0x1.4a5ddc4bf88fcp+22, 0x1.3333333333333p-1}},
+    {"MST", {0x0p+0, 0x1.5d4d7c4bf88fcp+23, 0x1.3333333333333p-1}},
 };
 
 }  // namespace
@@ -64,9 +62,7 @@ const std::vector<BenchmarkPoint>& benchmark_points() {
         std::vector<BenchmarkPoint> out;
         out.reserve(std::size(kSuiteProfiles));
         for (const auto& row : kSuiteProfiles) {
-            const ga::machine::WorkProfile profile{row.flops, row.mem_bytes,
-                                                   row.parallel_fraction};
-            out.push_back({row.kernel, profile, counters_on_ic(profile)});
+            out.push_back({row.kernel, row.profile, counters_on_ic(row.profile)});
         }
         return out;
     }();

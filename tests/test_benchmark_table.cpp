@@ -28,7 +28,7 @@ bool same_bits(double a, double b) {
 std::string initializer(const std::string& kernel,
                         const ga::machine::WorkProfile& p) {
     char buf[160];
-    std::snprintf(buf, sizeof buf, "    {\"%s\", %a, %a, %a},\n", kernel.c_str(),
+    std::snprintf(buf, sizeof buf, "    {\"%s\", {%a, %a, %a}},\n", kernel.c_str(),
                   p.flops, p.mem_bytes, p.parallel_fraction);
     return buf;
 }
@@ -37,37 +37,24 @@ TEST(BenchmarkTable, MatchesTheKernelSuiteBitForBit) {
     const auto& table = wl::benchmark_points();
     std::string replacement;
     std::size_t row = 0;
-    bool matches = true;
+    bool same = true;
     for (const auto& kernel : ga::kernels::make_suite()) {
         const std::string name(kernel->name());
         for (const int scale : {1, 2}) {
             const auto profile = kernel->run(kernel->test_scale() * scale).profile;
             replacement += initializer(name, profile);
-            if (row >= table.size()) {
-                matches = false;
-            } else {
-                const auto& pinned = table[row];
-                const bool same =
-                    pinned.kernel == name &&
-                    same_bits(pinned.profile.flops, profile.flops) &&
-                    same_bits(pinned.profile.mem_bytes, profile.mem_bytes) &&
-                    same_bits(pinned.profile.parallel_fraction,
-                              profile.parallel_fraction);
-                EXPECT_TRUE(same) << "row " << row << " (" << name << " x" << scale
-                                  << "): table has "
-                                  << initializer(pinned.kernel, pinned.profile);
-                matches = matches && same;
-            }
+            same = same && row < table.size() && table[row].kernel == name &&
+                   same_bits(table[row].profile.flops, profile.flops) &&
+                   same_bits(table[row].profile.mem_bytes, profile.mem_bytes) &&
+                   same_bits(table[row].profile.parallel_fraction,
+                             profile.parallel_fraction);
             ++row;
         }
     }
-    EXPECT_EQ(table.size(), row);
-    if (!matches || table.size() != row) {
-        ADD_FAILURE() << "the kernels now count these rows; to accept them, "
-                         "replace kSuiteProfiles in src/workload/predictor.cpp "
-                         "with:\n"
-                      << replacement;
-    }
+    EXPECT_TRUE(same && row == table.size())
+        << "the kernels now count these rows; to accept them, replace "
+           "kSuiteProfiles in src/workload/predictor.cpp with:\n"
+        << replacement;
 }
 
 TEST(BenchmarkTable, IcCountersAreDerivedFromEachProfile) {
