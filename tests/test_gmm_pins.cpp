@@ -2,10 +2,9 @@
 // counters, so a change to one bit of a fitted parameter moves every result
 // golden; these pins say which parameter moved, and by how much, first.
 //
-// The expectations are hexfloats recorded from `Gmm::fit` as it was before
-// its E and M steps were restructured for speed; a faster fit must keep
-// every operation's order and reproduce them exactly. Never regenerate them
-// to make a change pass.
+// The expectations are hexfloats recorded from a row-at-a-time EM loop. A
+// faster fit must keep every value's operations in the same order and
+// reproduce them exactly; never regenerate them to make a change pass.
 #include <gtest/gtest.h>
 
 #include <bit>
@@ -110,8 +109,10 @@ TEST(GmmPins, CounterGmmAtSeedOneConvergesEarly) {
 }
 
 // Three overlapping, correlated 3-D clusters. Every simulator caller fits
-// 2-D data, where the triangular solve subtracts one term per row; in 3-D
-// the last row subtracts two, so this pins their order too.
+// 2-D data, where the triangular solve subtracts one term per row and the
+// quadratic form adds two squares, so no reordering shows; in 3-D the last
+// row subtracts two terms and the form adds three squares, so this pins
+// their order too.
 std::vector<double> three_cluster_3d(std::uint64_t seed) {
     ga::util::Rng rng(seed);
     const double centers[3][3] = {{-1.2, 0.3, 0.8}, {1.0, -0.4, 0.0}, {0.2, 1.2, -1.0}};
