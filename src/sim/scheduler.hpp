@@ -194,6 +194,9 @@ public:
         for (const QueuedJob& job : queues_[c]) fn(job);
     }
 
+    /// There is no index, so no leaf is ever written.
+    [[nodiscard]] std::uint64_t leaf_writes() const noexcept { return 0; }
+
 private:
     std::vector<std::deque<QueuedJob>> queues_;
 };
@@ -303,6 +306,14 @@ public:
         for (const QueuedJob& job : pc.tail) fn(job);
     }
 
+    /// Min-tree leaves written since the reset, over every cluster: each
+    /// `set_leaf`, plus each entry's leaf a rebuild fills.
+    [[nodiscard]] std::uint64_t leaf_writes() const noexcept {
+        std::uint64_t writes = 0;
+        for (const PerCluster& pc : clusters_) writes += pc.leaf_writes;
+        return writes;
+    }
+
 private:
     /// The leaf of a hole, or of an entry whose user may not start: above
     /// every free-core count.
@@ -338,6 +349,7 @@ private:
         std::size_t span = 0;  ///< a power of two covering `slots`
         std::size_t live = 0;  ///< window entries: positions minus holes
         std::vector<User> users;  ///< by user id, grown on demand
+        std::uint64_t leaf_writes = 0;
 
         void clear() {
             tail.clear();
@@ -347,6 +359,7 @@ private:
             span = 0;
             live = 0;
             users.clear();
+            leaf_writes = 0;
         }
 
         User& user(std::uint32_t id) {
@@ -375,6 +388,7 @@ private:
         }
 
         void set_leaf(std::size_t p, int value) noexcept {
+            ++leaf_writes;
             std::size_t i = span + p;
             tree[i] = value;
             for (i /= 2; i > 0; i /= 2) {
@@ -448,6 +462,7 @@ private:
             span = std::bit_ceil(slots.size());
             tree.assign(2 * span, kBlocked);
             for (std::size_t p = 0; p < slots.size(); ++p) tree[span + p] = leaf(p);
+            leaf_writes += slots.size();
             for (std::size_t i = span - 1; i > 0; --i) {
                 tree[i] = std::min(tree[2 * i], tree[2 * i + 1]);
             }
@@ -503,6 +518,10 @@ public:
     /// Drain passes, and queue entries offered a start, since the reset.
     [[nodiscard]] std::uint64_t drains() const noexcept { return drains_; }
     [[nodiscard]] std::uint64_t scans() const noexcept { return scans_; }
+    /// Index leaves the queues wrote since the reset (0 for `LinearQueues`).
+    [[nodiscard]] std::uint64_t leaf_writes() const noexcept {
+        return queues_.leaf_writes();
+    }
 
     /// The backlog wait estimate of cluster `c` at `now`, in seconds.
     [[nodiscard]] double wait_estimate(std::size_t c, double now) const noexcept {

@@ -148,6 +148,7 @@ struct SimMetrics {
     ga::obs::Counter& jobs_started;
     ga::obs::Counter& queue_scans;
     ga::obs::Counter& queue_drains;
+    ga::obs::Counter& queue_leaf_writes;
     ga::obs::Counter& runs;
 };
 
@@ -162,6 +163,7 @@ SimMetrics& sim_metrics() {
         registry.counter_handle("sim.jobs.started"),
         registry.counter_handle("sim.queue.scans"),
         registry.counter_handle("sim.queue.drains"),
+        registry.counter_handle("sim.queue.leaf_writes"),
         registry.counter_handle("sim.runs"),
     };
     return metrics;
@@ -408,6 +410,7 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
         metrics.jobs_started.inc(jobs_started);
         metrics.queue_scans.inc(rs.core.scans());
         metrics.queue_drains.inc(rs.core.drains());
+        metrics.queue_leaf_writes.inc(rs.core.leaf_writes());
     }
     return std::move(rs.result);
 }
