@@ -207,11 +207,29 @@ private:
 /// Per cluster, the first `kBackfillDepth` entries (the backfill window)
 /// sit in a position array in FIFO order, and the deep tail behind them is
 /// a plain FIFO of `QueuedJob`s. A min-tree over the window positions holds
-/// at each entry's leaf its core demand while its user may start on the
-/// cluster, and `kBlocked` otherwise; the holes that started and stranded
-/// entries leave hold `kBlocked` too. Each user's window positions form a
-/// list, so `set_user_blocked` flips exactly that user's leaves when the
-/// scheduler starts or finishes one of its jobs.
+/// at an entry's leaf its core demand when two things hold: its user may
+/// start on the cluster, and it is a prefix minimum of that user's window
+/// entries (it has strictly fewer cores than each earlier one). Every other
+/// leaf, holes that started and stranded entries leave included, holds
+/// `kBlocked`. Indexing only prefix minima loses no start:
+///   - take any free-core count F and a user's leftmost entry e with at most
+///     F cores;
+///   - each earlier entry of that user has more than F cores, so more than
+///     e, and e is a prefix minimum;
+///   - so the leftmost fit over prefix minima is the leftmost fit over all
+///     eligible entries, with or without the per-user rule.
+///
+/// Each user's window positions form a list in FIFO order, and its prefix
+/// minima a chain through that list from its first entry, with falling core
+/// counts. The structure is kept at four points:
+///   - `fill_window` makes an appended entry a prefix minimum iff it has
+///     fewer cores than the user's last one;
+///   - removing a prefix minimum promotes the entries after it that become
+///     prefix minima, walking the list up to the user's next prefix minimum
+///     or the first entry with the removed one's cores;
+///   - `set_user_blocked` rewrites only the chain's leaves when the
+///     scheduler starts or finishes one of the user's jobs;
+///   - a compaction recomputes the chains in position order.
 ///
 /// A skip-ahead drain tops the window up from the tail, then repeatedly
 /// starts the leftmost entry whose leaf fits the free cores. A drain only
@@ -242,13 +260,14 @@ public:
         return clusters_[c].live + clusters_[c].tail.size();
     }
 
-    /// Records whether `user` may start on cluster `c`, flipping the leaves
-    /// of that user's window entries to match.
+    /// Records whether `user` may start on cluster `c`, rewriting the leaves
+    /// of that user's prefix minima to match; every other leaf of the user
+    /// holds `kBlocked` either way.
     void set_user_blocked(std::size_t c, std::uint32_t user, bool blocked) {
         PerCluster& pc = clusters_[c];
         User& u = pc.user(user);
         u.blocked = blocked;
-        for (std::int32_t p = u.head; p != kNone; p = pc.links[pos(p)].next) {
+        for (std::int32_t p = u.head; p != kNone; p = pc.links[pos(p)].next_min) {
             pc.set_leaf(pos(p), blocked ? kBlocked : pc.slots[pos(p)].cores);
         }
     }
@@ -269,15 +288,16 @@ public:
         pc.fill_window();
         // `start` takes the job's cores and, under the per-user rule, blocks
         // its user's leaves, so each search sees the state the linear walk
-        // would test the next entry against.
+        // would test the next entry against. The entry leaves after it, so
+        // the promotions of a blocked user write no leaf.
         for (std::size_t p = pc.first_fit(cs.free_cores); p != kNoFit;
              p = pc.first_fit(cs.free_cores)) {
             const QueuedJob job = pc.slots[p];
             // The leaf has passed the start test already; offering the entry
             // keeps `can_start` the one place a start is decided and counted.
             if (!can_start(job.cores, job.user)) return;
-            pc.erase(p);
             start(job);
+            pc.erase(p);
         }
     }
 
@@ -315,11 +335,12 @@ public:
     }
 
 private:
-    /// The leaf of a hole, or of an entry whose user may not start: above
-    /// every free-core count.
+    /// The leaf of a hole, of an entry that is not a prefix minimum, or of
+    /// one whose user may not start: above every free-core count.
     static constexpr int kBlocked = std::numeric_limits<int>::max();
-    static constexpr std::int32_t kNone = -1;  ///< end of a user's list
-    static constexpr std::int32_t kHole = -2;  ///< `Link::prev` of a hole
+    static constexpr std::int32_t kNone = -1;    ///< end of a list or chain
+    static constexpr std::int32_t kHole = -2;    ///< `Link::prev` of a hole
+    static constexpr std::int32_t kNotMin = -3;  ///< `Link::next_min` off the chain
     static constexpr std::size_t kNoFit = std::numeric_limits<std::size_t>::max();
     /// Window positions before a compaction. Holes pile up wherever entries
     /// start, so twice the window makes a compaction rare.
@@ -329,14 +350,18 @@ private:
         return static_cast<std::size_t>(p);
     }
 
-    /// A window position's neighbours in its user's list.
+    /// A window position's neighbours in its user's list and, for a prefix
+    /// minimum, the user's next prefix minimum.
     struct Link {
         std::int32_t prev = kNone;
         std::int32_t next = kNone;
+        std::int32_t next_min = kNotMin;
     };
     struct User {
-        std::int32_t head = kNone;  ///< first window position of the user's
-        bool blocked = false;       ///< the user may not start on the cluster
+        std::int32_t head = kNone;      ///< first window position: a prefix minimum
+        std::int32_t tail = kNone;      ///< last window position
+        std::int32_t last_min = kNone;  ///< last prefix minimum: the fewest cores
+        bool blocked = false;           ///< the user may not start on the cluster
     };
 
     struct PerCluster {
@@ -372,8 +397,9 @@ private:
         }
 
         [[nodiscard]] int leaf(std::size_t p) const noexcept {
-            return is_hole(p) || users[slots[p].user].blocked ? kBlocked
-                                                              : slots[p].cores;
+            return links[p].next_min == kNotMin || users[slots[p].user].blocked
+                       ? kBlocked
+                       : slots[p].cores;
         }
 
         /// The leftmost position whose leaf is at most `free_cores`.
@@ -398,15 +424,28 @@ private:
             }
         }
 
-        /// Pushes position `p` onto its user's list.
-        void link(std::size_t p) {
+        /// Appends position `p`, the last, to its user's list, and to the
+        /// user's chain iff it has fewer cores than the chain's last entry.
+        void append(std::size_t p) {
             User& u = user(slots[p].user);
-            links[p] = Link{kNone, u.head};
-            if (u.head != kNone) links[pos(u.head)].prev = static_cast<std::int32_t>(p);
-            u.head = static_cast<std::int32_t>(p);
+            const auto at = static_cast<std::int32_t>(p);
+            links[p] = Link{u.tail, kNone, kNotMin};
+            if (u.tail != kNone) {
+                links[pos(u.tail)].next = at;
+            } else {
+                u.head = at;
+            }
+            u.tail = at;
+            if (u.last_min != kNone) {
+                if (slots[pos(u.last_min)].cores <= slots[p].cores) return;
+                links[pos(u.last_min)].next_min = at;
+            }
+            links[p].next_min = kNone;
+            u.last_min = at;
         }
 
         /// Moves tail entries into the window until it holds kBackfillDepth.
+        /// A new position's leaf holds `kBlocked` until it is written.
         void fill_window() {
             while (live < kBackfillDepth && !tail.empty()) {
                 if (slots.size() == kPositions) compact();
@@ -414,27 +453,63 @@ private:
                 slots.push_back(tail.front());
                 tail.pop_front();
                 links.emplace_back();
-                link(p);
+                append(p);
                 ++live;
                 if (slots.size() > span) {
                     rebuild_tree();
-                } else {
+                } else if (leaf(p) != kBlocked) {
                     set_leaf(p, leaf(p));
                 }
             }
         }
 
+        /// Before prefix minimum `p` leaves its user's chain, puts in its
+        /// place the entries after it that then have fewer cores than each
+        /// earlier one. Each entry between `p` and the next prefix minimum
+        /// has at least p's cores, so the walk ends at the first with
+        /// exactly that many.
+        void promote_after(std::size_t p) {
+            User& u = users[slots[p].user];
+            const int cores = slots[p].cores;
+            const std::int32_t next_min = links[p].next_min;
+            std::int32_t last = kNone;  // the chain entry before the walk
+            for (std::int32_t m = u.head; pos(m) != p; m = links[pos(m)].next_min) {
+                last = m;
+            }
+            int fewest = last == kNone ? kBlocked : slots[pos(last)].cores;
+            for (std::int32_t e = links[p].next; e != next_min && fewest > cores;
+                 e = links[pos(e)].next) {
+                const std::size_t q = pos(e);
+                if (slots[q].cores >= fewest) continue;
+                fewest = slots[q].cores;
+                if (last != kNone) links[pos(last)].next_min = e;
+                links[q].next_min = kNone;
+                last = e;
+                if (!u.blocked) set_leaf(q, fewest);
+            }
+            if (last != kNone) links[pos(last)].next_min = next_min;
+            if (next_min == kNone) u.last_min = last;
+        }
+
         /// Turns window position `p` into a hole.
         void erase(std::size_t p) {
+            User& u = users[slots[p].user];
+            if (links[p].next_min != kNotMin) {
+                promote_after(p);
+                if (!u.blocked) set_leaf(p, kBlocked);
+            }
             const Link l = links[p];
             if (l.prev != kNone) {
                 links[pos(l.prev)].next = l.next;
             } else {
-                users[slots[p].user].head = l.next;
+                u.head = l.next;
             }
-            if (l.next != kNone) links[pos(l.next)].prev = l.prev;
-            links[p].prev = kHole;
-            set_leaf(p, kBlocked);
+            if (l.next != kNone) {
+                links[pos(l.next)].prev = l.prev;
+            } else {
+                u.tail = l.prev;
+            }
+            links[p] = Link{kHole, kNone, kNotMin};
             // An empty window starts its positions over; every leaf is
             // kBlocked already.
             if (--live == 0) {
@@ -444,17 +519,18 @@ private:
         }
 
         /// Drops the holes, keeping the entries' order, and rebuilds the
-        /// user lists and the tree over the new positions.
+        /// user lists, their chains and the tree over the new positions.
         void compact() {
             std::size_t kept = 0;
             for (std::size_t p = 0; p < slots.size(); ++p) {
                 if (is_hole(p)) continue;
-                users[slots[p].user].head = kNone;
+                User& u = users[slots[p].user];
+                u.head = u.tail = u.last_min = kNone;
                 slots[kept++] = slots[p];
             }
             slots.resize(kept);
             links.resize(kept);
-            for (std::size_t p = 0; p < kept; ++p) link(p);
+            for (std::size_t p = 0; p < kept; ++p) append(p);
             rebuild_tree();
         }
 
