@@ -8,11 +8,14 @@
 // tallies and the running jobs. Midway each core is checkpointed and
 // restored into a fresh core, which must carry on exactly as the one it came
 // from; under the per-user rule that means users running at the checkpoint
-// stay blocked.
+// stay blocked. Two streams run: a mixed one over twelve users, and a
+// heavy-user one whose long runs of equal core counts leave each user few
+// prefix minima in the window, so starts and outages keep promoting entries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <ostream>
 #include <span>
 #include <string>
@@ -136,8 +139,64 @@ const RulesCase kRules[] = {
 
 class SchedulerOracle : public ::testing::TestWithParam<RulesCase> {};
 
-TEST_P(SchedulerOracle, IndexedMatchesLinearThroughARestore) {
-    const sm::SchedulerRules rules = GetParam().rules;
+/// The first stream: twelve users, mostly narrow jobs and some up to the
+/// cluster's capacity, and two outages at random steps.
+struct MixedStream {
+    int outages_left = 2;
+
+    /// Whether step `step`, which drew `roll`, takes cores from a cluster.
+    bool outage_now(int /*step*/, double roll) {
+        if (roll < 0.99 || outages_left == 0) return false;
+        --outages_left;
+        return true;
+    }
+    static constexpr int kLostCores = 8;
+
+    sm::QueuedJob next(ga::util::Rng& rng, std::uint64_t id, int capacity,
+                       double& now) {
+        const int cores = rng.bernoulli(0.15)
+                              ? static_cast<int>(rng.uniform_int(1, capacity))
+                              : static_cast<int>(rng.uniform_int(1, 12));
+        if (!rng.bernoulli(0.3)) now += rng.uniform(0.0, 4.0);
+        return sm::QueuedJob{id, cores,
+                             static_cast<std::uint32_t>(rng.uniform_int(0, 11)),
+                             static_cast<double>(rng.uniform_int(20, 400))};
+    }
+};
+
+/// sim_paper's shape: three heavy users, each submitting long runs of one
+/// core count broken by strictly narrower jobs, so most of a user's window
+/// entries are not prefix minima, and one outage while the queues are deep.
+struct HeavyUserStream {
+    static constexpr int kWidths[] = {8, 16, 24, 40, 48};
+    int run_cores[3] = {0, 0, 0};  ///< each user's current run, 0 before one
+
+    static bool outage_now(int step, double /*roll*/) { return step == 2400; }
+    static constexpr int kLostCores = 20;
+
+    sm::QueuedJob next(ga::util::Rng& rng, std::uint64_t id, int capacity,
+                       double& now) {
+        const auto user = static_cast<std::uint32_t>(rng.uniform_int(0, 2));
+        int& run = run_cores[user];
+        if (run == 0 || rng.bernoulli(0.02)) {
+            run = kWidths[rng.uniform_int(0, std::size(kWidths) - 1)];
+        }
+        const int cores = rng.bernoulli(0.1)
+                              ? static_cast<int>(rng.uniform_int(1, run - 1))
+                              : run;
+        if (!rng.bernoulli(0.3)) now += rng.uniform(0.0, 4.0);
+        return sm::QueuedJob{id, std::min(cores, capacity), user,
+                             static_cast<double>(rng.uniform_int(20, 400))};
+    }
+};
+
+/// Drives an indexed and a linear core through seeded `Stream`s of submits,
+/// completions and outages, and from midway a restored twin of each,
+/// comparing them after every step. Adds the number of queued jobs the
+/// outages stranded to `stranded`.
+template <typename Stream>
+void expect_indexed_matches_linear(const sm::SchedulerRules& rules,
+                                   std::size_t& stranded) {
     // A 48-core and a 64-core cluster: small enough for deep queues, two so
     // the per-user flags are per cluster.
     const std::vector<sm::ClusterConfig> clusters{
@@ -154,11 +213,11 @@ TEST_P(SchedulerOracle, IndexedMatchesLinearThroughARestore) {
         Core<sm::IndexedQueues> indexed_restored;
         Core<sm::LinearQueues> linear_restored;
 
+        Stream stream;
         ga::util::Rng rng(seed);
         constexpr int kSteps = 6000;
         double now = 0.0;
         std::uint64_t next_id = 0;
-        int shrinks_left = 2;
         std::size_t deepest = 0;
         for (int step = 0; step < kSteps; ++step) {
             SCOPED_TRACE("step " + std::to_string(step));
@@ -171,42 +230,33 @@ TEST_P(SchedulerOracle, IndexedMatchesLinearThroughARestore) {
             // the second lets them drain.
             const double advance = step < kSteps / 2 ? 2.0 : 120.0;
             const double roll = rng.uniform();
-            if (roll < 0.6) {
+            if (stream.outage_now(step, roll)) {
                 const auto c =
                     static_cast<std::size_t>(rng.uniform_int(0, 1));
-                const int capacity = indexed.core.cluster(c).capacity;
-                const int cores =
-                    rng.bernoulli(0.15)
-                        ? static_cast<int>(rng.uniform_int(1, capacity))
-                        : static_cast<int>(rng.uniform_int(1, 12));
-                if (!rng.bernoulli(0.3)) now += rng.uniform(0.0, 4.0);
-                const sm::QueuedJob job{
-                    next_id++, cores,
-                    static_cast<std::uint32_t>(rng.uniform_int(0, 11)),
-                    static_cast<double>(rng.uniform_int(20, 400))};
+                indexed.shrink(c, Stream::kLostCores);
+                linear.shrink(c, Stream::kLostCores);
+                if (restored) {
+                    indexed_restored.shrink(c, Stream::kLostCores);
+                    linear_restored.shrink(c, Stream::kLostCores);
+                }
+            } else if (roll < 0.6) {
+                const auto c =
+                    static_cast<std::size_t>(rng.uniform_int(0, 1));
+                const sm::QueuedJob job = stream.next(
+                    rng, next_id++, indexed.core.cluster(c).capacity, now);
                 indexed.submit(c, job, now);
                 linear.submit(c, job, now);
                 if (restored) {
                     indexed_restored.submit(c, job, now);
                     linear_restored.submit(c, job, now);
                 }
-            } else if (roll < 0.99 || shrinks_left == 0) {
+            } else {
                 now += rng.uniform(0.0, advance);
                 indexed.complete_until(now);
                 linear.complete_until(now);
                 if (restored) {
                     indexed_restored.complete_until(now);
                     linear_restored.complete_until(now);
-                }
-            } else {
-                --shrinks_left;
-                const auto c =
-                    static_cast<std::size_t>(rng.uniform_int(0, 1));
-                indexed.shrink(c, 8);
-                linear.shrink(c, 8);
-                if (restored) {
-                    indexed_restored.shrink(c, 8);
-                    linear_restored.shrink(c, 8);
                 }
             }
             const Observed expected = observe(linear, clusters.size());
@@ -223,7 +273,21 @@ TEST_P(SchedulerOracle, IndexedMatchesLinearThroughARestore) {
         // The stream must have reached past the window and started jobs.
         EXPECT_GT(deepest, 2 * sm::kBackfillDepth);
         EXPECT_GT(linear.started.size(), 1000u);
+        stranded += linear.stranded.size();
     }
+}
+
+TEST_P(SchedulerOracle, IndexedMatchesLinearThroughARestore) {
+    std::size_t stranded = 0;
+    expect_indexed_matches_linear<MixedStream>(GetParam().rules, stranded);
+}
+
+TEST_P(SchedulerOracle, HeavyUsersMatchLinearThroughARestore) {
+    std::size_t stranded = 0;
+    expect_indexed_matches_linear<HeavyUserStream>(GetParam().rules, stranded);
+    // The outage lands on deep queues and strands entries in and behind the
+    // window, prefix minima among them.
+    EXPECT_GT(stranded, 0u);
 }
 
 INSTANTIATE_TEST_SUITE_P(

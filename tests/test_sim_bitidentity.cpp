@@ -237,6 +237,36 @@ TEST(BitIdentity, FreeUserSkipsItsWideEntryForANarrowOne) {
     EXPECT_FALSE(contains_time(r.finish_times_s, freed + ic_runtime(sim, 5)));
 }
 
+TEST(BitIdentity, LaterNarrowEntryStartsFirstThenEarlierWideOnes) {
+    // J0 holds 20 of the 48 cores for the whole run and J1 24 for a while,
+    // leaving 4. User 1 queues W (24 cores), X (30), Y (28) and Z (24), then
+    // N (4), which starts at once. Until then only W and N have fewer cores
+    // than each earlier entry of user 1. When N ends, with J1 gone, W
+    // starts, and X, Y and Z take its place as such entries. So W's finish
+    // starts Y (X needs 30), Y's finish starts Z, and X waits for J0.
+    std::vector<wl::TraceJob> jobs;
+    jobs.push_back(make_job(0, 0, 0, 20, 0.0, 100'000.0));
+    jobs.push_back(make_job(1, 3, 0, 24, 0.0, 300.0));
+    jobs.push_back(make_job(2, 1, 0, 24, 1.0, 100.0));  // W
+    jobs.push_back(make_job(3, 1, 1, 30, 2.0, 110.0));  // X
+    jobs.push_back(make_job(4, 1, 2, 28, 3.0, 120.0));  // Y
+    jobs.push_back(make_job(5, 1, 3, 24, 4.0, 130.0));  // Z
+    jobs.push_back(make_job(6, 1, 0, 4, 5.0, 600.0));   // N
+    const sm::BatchSimulator sim(craft_workload(std::move(jobs)), one_ic());
+    const auto r = run_both(sim, sm::SimOptions{});
+    EXPECT_EQ(r.jobs_completed, 7u);
+    const double n_end = 5.0 + ic_runtime(sim, 6);
+    ASSERT_LT(ic_runtime(sim, 1), n_end);  // J1 is gone when N ends
+    const double w_end = n_end + ic_runtime(sim, 2);
+    const double y_end = w_end + ic_runtime(sim, 4);
+    EXPECT_TRUE(contains_time(r.finish_times_s, n_end));
+    EXPECT_TRUE(contains_time(r.finish_times_s, w_end));
+    EXPECT_TRUE(contains_time(r.finish_times_s, y_end));
+    EXPECT_TRUE(contains_time(r.finish_times_s, y_end + ic_runtime(sim, 5)));
+    EXPECT_TRUE(contains_time(r.finish_times_s,
+                              ic_runtime(sim, 0) + ic_runtime(sim, 3)));
+}
+
 TEST(BitIdentity, EntriesSlidingIntoTheWindowWaitForTheNextDrain) {
     // J0 fills the node while 259 one-core jobs queue: users 1, 2 and 3
     // first, then 253 more of user 1's, then users 4, 5 and 6 at queue
