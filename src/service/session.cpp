@@ -210,18 +210,34 @@ std::vector<ServeSession::MachineFigures> ServeSession::price_request(
     const std::vector<JobSpec>& jobs) const {
     const std::size_t n = cluster_cfgs_.size();
     std::vector<MachineFigures> figures(jobs.size() * n);
-    // An upper bound on what the request can add to primary_spent: every
-    // job admitted on its dearest machine.
+    // Upper bounds on what the request can add to primary_spent (every job
+    // admitted on its dearest machine) and, per cluster, to the queued-work
+    // sum and the running sum of cores * finish (every job queued or
+    // started there).
     double spend_bound = primary_spent_;
+    std::vector<double> queued_bound(n);
+    std::vector<double> running_bound(n);
+    for (std::size_t c = 0; c < n; ++c) {
+        queued_bound[c] = core_.cluster(c).queued_core_seconds;
+        running_bound[c] = core_.cluster(c).sum_cores_end;
+    }
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const std::span<MachineFigures> row(figures.data() + i * n, n);
         price_job(jobs[i], jobs[i].submit_s, row);
         check_figures(row, "submit_jobs", i);
+        const auto cores = static_cast<double>(jobs[i].cores);
         double dearest = 0.0;
         for (std::size_t c = 0; c < n; ++c) {
-            require_finite(jobs[i].submit_s + row[c].runtime_s, "submit_jobs",
-                           "predicted finish time",
-                           cluster_cfgs_[c].entry.node.name, i);
+            const std::string& machine = cluster_cfgs_[c].entry.node.name;
+            const double finish = jobs[i].submit_s + row[c].runtime_s;
+            require_finite(finish, "submit_jobs", "predicted finish time",
+                           machine, i);
+            require_finite(cores * row[c].runtime_s, "submit_jobs",
+                           "cores * runtime", machine, i);
+            require_finite(cores * finish, "submit_jobs", "cores * finish",
+                           machine, i);
+            queued_bound[c] += cores * row[c].runtime_s;
+            running_bound[c] += cores * finish;
             dearest = std::max(dearest, row[c].cost);
         }
         spend_bound += dearest;
@@ -230,6 +246,14 @@ std::vector<ServeSession::MachineFigures> ServeSession::price_request(
         throw ProtocolError("bad_request",
                             "submit_jobs: the request's costs could make "
                             "primary_spent non-finite");
+    }
+    for (std::size_t c = 0; c < n; ++c) {
+        if (!std::isfinite(queued_bound[c]) || !std::isfinite(running_bound[c])) {
+            throw ProtocolError("bad_request",
+                                "submit_jobs: the request's work could make " +
+                                    cluster_cfgs_[c].entry.node.name +
+                                    "'s core-second sums non-finite");
+        }
     }
     return figures;
 }

@@ -151,8 +151,10 @@ private:
     void price_job(const JobSpec& job, double priced_at,
                    std::span<MachineFigures> out) const;
     /// Every job's figures at its submit time, before anything is admitted;
-    /// throws bad_request when one is not finite or the request could make
-    /// `primary_spent` non-finite.
+    /// throws bad_request when one is not finite, when a job's cores times
+    /// its runtime or finish time is not finite on some machine, or when the
+    /// request could make `primary_spent` or a cluster's queued-work or
+    /// running-work sum non-finite.
     [[nodiscard]] std::vector<MachineFigures> price_request(
         const std::vector<JobSpec>& jobs) const;
     /// Throws bad_request, naming `verb`, the figure and the machine, when

@@ -545,4 +545,41 @@ TEST(Session, NonFiniteQuoteAndChargeAreRefusedWithoutStateChange) {
     (void)result_of(session.handle_line(R"({"id":5,"type":"stats"})"));
 }
 
+TEST(Session, WorkSumOverflowIsRefusedWithoutStateChange) {
+    // Under Runtime pricing a 64-core job of runtime_ic_s 1e307 has a finite
+    // cost, but its cores * runtime is not finite. Two such jobs used to be
+    // accepted: the immediate-start path's `+= inf; -= inf` left the
+    // cluster's queued-work sum NaN, the checkpoint succeeded, and restoring
+    // it failed. Two jobs of 5e305 overflow only together, on Theta.
+    const ga::io::ScenarioFile runtime_priced =
+        ga::io::scenario_from_json(parse_json(R"({
+            "name": "runtime-priced",
+            "workload": {"base_jobs": 360, "repetitions": 2, "users": 40,
+                         "span_days": 2.0, "seed": 2023},
+            "options": {"pricing": "Runtime"}})"));
+    ServeSession session(runtime_priced);
+    (void)result_of(session.handle_line(
+        R"({"id":1,"type":"submit_jobs","jobs":[{"user":"u1","cores":8,"runtime_ic_s":3600,"power_ic_w":150}]})"));
+    const std::string before = encode_snapshot(session.export_state());
+    const std::pair<std::string, std::string> cases[] = {
+        {R"({"user":"a","cores":64,"runtime_ic_s":1e307,"power_ic_w":1},{"user":"b","cores":64,"runtime_ic_s":1e307,"power_ic_w":1})",
+         "job 0 has a non-finite cores * runtime on FASTER"},
+        {R"({"user":"a","cores":64,"runtime_ic_s":5e305,"power_ic_w":1},{"user":"b","cores":64,"runtime_ic_s":5e305,"power_ic_w":1})",
+         "could make Theta's core-second sums non-finite"},
+    };
+    for (const auto& [jobs, message] : cases) {
+        const std::string response = session.handle_line(
+            R"({"id":2,"type":"submit_jobs","jobs":[)" + jobs + "]}");
+        EXPECT_EQ(error_code_of(response), "bad_request") << response;
+        EXPECT_NE(response.find(message), std::string::npos) << response;
+        EXPECT_EQ(encode_snapshot(session.export_state()), before) << jobs;
+    }
+    // A later checkpoint restores.
+    (void)result_of(session.handle_line(
+        R"({"id":3,"type":"submit_jobs","jobs":[{"user":"u2","cores":4,"runtime_ic_s":60,"power_ic_w":75}]})"));
+    const std::string frozen = encode_snapshot(session.export_state());
+    const ServeSession restored(runtime_priced, decode_snapshot(frozen));
+    EXPECT_EQ(encode_snapshot(restored.export_state()), frozen);
+}
+
 }  // namespace
