@@ -149,6 +149,7 @@ struct SimMetrics {
     ga::obs::Counter& queue_scans;
     ga::obs::Counter& queue_drains;
     ga::obs::Counter& queue_leaf_writes;
+    ga::obs::Counter& route_quotes;
     ga::obs::Counter& runs;
 };
 
@@ -164,6 +165,7 @@ SimMetrics& sim_metrics() {
         registry.counter_handle("sim.queue.scans"),
         registry.counter_handle("sim.queue.drains"),
         registry.counter_handle("sim.queue.leaf_writes"),
+        registry.counter_handle("sim.route.quotes"),
         registry.counter_handle("sim.runs"),
     };
     return metrics;
@@ -310,6 +312,8 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
         if (tracing) tracer.span_end("sim.outage.compact", outage.at_s);
     };
 
+    std::uint64_t route_quotes = 0;
+
     // ---- event loop: submits in trace order, each preceded by the
     // completions (and the outage) due by its time. At equal times
     // finishes go first, then the outage, then the submit; equal-time
@@ -333,6 +337,7 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
                 choice.energy_j =
                     choice.runtime_s * pred_power_[j * n_clusters + c];
                 choice.cost = setup.quotes[c](job_usage(j, c, now));
+                ++route_quotes;
             });
         ctx.now_s = now;
         ctx.budget_remaining = rs.budget_remaining;
@@ -411,6 +416,7 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
         metrics.queue_scans.inc(rs.core.scans());
         metrics.queue_drains.inc(rs.core.drains());
         metrics.queue_leaf_writes.inc(rs.core.leaf_writes());
+        metrics.route_quotes.inc(route_quotes);
     }
     return std::move(rs.result);
 }
