@@ -775,10 +775,12 @@ public:
 private:
     /// Heap order: a min-heap on (finish time, id), a total order because
     /// ids are unique, so the pop sequence never depends on the heap layout.
-    static bool later(const RunningJob& a, const RunningJob& b) noexcept {
+    /// A function object, so the heap algorithms inline the comparison.
+    static constexpr auto later = [](const RunningJob& a,
+                                     const RunningJob& b) noexcept {
         if (a.finish_s != b.finish_s) return a.finish_s > b.finish_s;
         return a.id > b.id;
-    }
+    };
 
     template <typename OnStart>
     void start(std::size_t c, const QueuedJob& job, double now,
