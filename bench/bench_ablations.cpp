@@ -175,6 +175,7 @@ int main() {
     ga::sim::SweepGrid burst_grid;
     burst_grid.policies = {{"Greedy", {}}};
     burst_grid.arrival_compressions = {1.0, 2.0, 4.0, 8.0};
+    burst_grid.base.finish_times = true;  // for the mean finish time
     ga::util::TablePrinter burst_table(
         {"Compression", "Jobs done", "Makespan (d)", "Mean finish (h)"});
     for (const auto& outcome : runner.run(burst_grid)) {

@@ -30,6 +30,7 @@ int main(int argc, char** argv) {
     grid.policies = ga::sim::all_policies();
     grid.pricings = {{"EBA", {}}};
     grid.budgets = {budget, 0.0};
+    grid.base.finish_times = true;  // Fig 5b counts jobs finished over time
     const auto outcomes = ga::bench::sweep(simulator, grid);
 
     // ---- 5a: work at fixed allocation + 5c: machine distribution ----

@@ -224,9 +224,10 @@ double CarbonSite::embodied_g(const JobUsage& usage) const {
     return hours * static_cast<double>(usage.cores) * per_core_g_per_hour_;
 }
 
-double CarbonSite::charge(const JobUsage& usage) const {
+CarbonSite::Metered CarbonSite::meter(const JobUsage& usage) const {
     validate(usage, *entry_);
-    return operational_g(usage) + embodied_g(usage);
+    const double operational = operational_g(usage);
+    return {operational, operational + embodied_g(usage)};
 }
 
 CarbonBasedAccounting::CarbonBasedAccounting(

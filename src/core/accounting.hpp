@@ -271,8 +271,21 @@ public:
     /// Embodied term only (d_j · provisioned share of D_f(y)/(24·365)).
     [[nodiscard]] double embodied_g(const JobUsage& usage) const;
 
-    /// Eq. 2: both terms, after validating `usage` against the machine.
-    [[nodiscard]] double charge(const JobUsage& usage) const;
+    /// Eq. 2's operational term and the charge it is part of.
+    struct Metered {
+        double operational_g = 0.0;
+        double total_g = 0.0;
+    };
+
+    /// Eq. 2 from one validation of `usage` against the machine and one
+    /// intensity lookup: the operational term and the total, so a meter
+    /// that reports both reads the grid once.
+    [[nodiscard]] Metered meter(const JobUsage& usage) const;
+
+    /// Eq. 2: `meter(usage).total_g`.
+    [[nodiscard]] double charge(const JobUsage& usage) const {
+        return meter(usage).total_g;
+    }
 
 private:
     const ga::machine::CatalogEntry* entry_;

@@ -103,6 +103,22 @@ double BatchSimulator::job_work_core_hours(std::size_t job_index) const {
     return work_[job_index];
 }
 
+ga::acct::JobUsage BatchSimulator::job_usage(std::size_t j, std::size_t c,
+                                             int cores, double at_s) const {
+    const std::size_t at = j * clusters_.size() + c;
+    ga::acct::JobUsage usage;
+    usage.duration_s = pred_runtime_[at];
+    usage.energy_j = usage.duration_s * pred_power_[at];
+    usage.cores = cores;
+    usage.priced_at_s = at_s;
+    return usage;
+}
+
+QuoteKey QuoteKey::of(const SimOptions& options) {
+    return QuoteKey{options.pricing, options.regional_grids, options.grid_seed,
+                    options.arrival_compression};
+}
+
 namespace {
 
 /// The batch driver's scheduling rules (sim/scheduler.hpp): skip-ahead
@@ -124,7 +140,8 @@ template <typename Queues>
 struct RunState {
     Scheduler<Queues> core;
     std::vector<double> start_time;  // actual start, for CBA's Eq. 2 term
-    std::vector<double> charged;     // submit-time charge, for outage refunds
+    // Submit-time charge, for outage refunds; empty without an outage.
+    std::vector<double> charged;
     // Multi-currency state, empty unless currency_budgets was set:
     // remaining/spent per currency, and per-(job, currency) submit-time
     // quotes (indexed [job * n_currencies + k]) for outage refunds.
@@ -173,10 +190,43 @@ SimMetrics& sim_metrics() {
 
 }  // namespace
 
-template <typename Queues>
-SimResult BatchSimulator::run_impl(const SimOptions& options) const {
+QuoteTable BatchSimulator::quote_table(const QuoteKey& key) const {
+    GA_REQUIRE(key.arrival_compression > 0.0,
+               "simulator: arrival compression must be positive");
+    // The setup sees only the key's fields, so nothing else can reach a
+    // quote.
+    SimOptions options;
+    options.pricing = key.pricing;
+    options.regional_grids = key.regional_grids;
+    options.grid_seed = key.grid_seed;
+    options.arrival_compression = key.arrival_compression;
+    const RunSetup setup(options, clusters_);
+
     const std::size_t n_clusters = clusters_.size();
     const auto& jobs = workload_.jobs;
+    QuoteTable table{key, std::vector<double>(jobs.size() * n_clusters, 0.0)};
+    std::uint64_t evaluated = 0;
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        const double now = jobs[j].submit_s / key.arrival_compression;
+        for (std::size_t c = 0; c < n_clusters; ++c) {
+            if (jobs[j].cores > clusters_[c].total_cores()) continue;
+            table.quotes[j * n_clusters + c] =
+                setup.quotes[c](job_usage(j, c, jobs[j].cores, now));
+            ++evaluated;
+        }
+    }
+    if (ga::obs::metrics_enabled()) sim_metrics().route_quotes.inc(evaluated);
+    return table;
+}
+
+template <typename Queues>
+SimResult BatchSimulator::run_impl(const SimOptions& options,
+                                   const QuoteTable& quotes) const {
+    const std::size_t n_clusters = clusters_.size();
+    const auto& jobs = workload_.jobs;
+    GA_REQUIRE(quotes.key == QuoteKey::of(options) &&
+                   quotes.quotes.size() == jobs.size() * n_clusters,
+               "simulator: quote table prices differently from the options");
 
     // ---- accounting and routing setup ----
     const RunSetup setup(options, clusters_);
@@ -218,7 +268,12 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
     RunState<Queues>& rs = pooled_run_state<Queues>();
     rs.core.reset(clusters_, setup, kBatchRules);
     rs.start_time.assign(jobs.size(), 0.0);
-    rs.charged.assign(jobs.size(), 0.0);
+    const bool refunds = options.outage.has_value();
+    if (refunds) {
+        rs.charged.assign(jobs.size(), 0.0);
+    } else {
+        rs.charged.clear();
+    }
     rs.budget_remaining = options.budget > 0.0
                               ? options.budget
                               : std::numeric_limits<double>::infinity();
@@ -240,7 +295,8 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
     rs.result = SimResult{};
 
     SimResult& result = rs.result;
-    result.finish_times_s.reserve(jobs.size());
+    const bool record_finish_times = options.finish_times;
+    if (record_finish_times) result.finish_times_s.reserve(jobs.size());
 
     // ---- observability (write-only; never feeds back into the run) ----
     // The tracing flag is sampled once so every event pays one branch; the
@@ -259,16 +315,6 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
             std::max(ctx.trace_span_s, job.submit_s / options.arrival_compression);
     }
 
-    auto job_usage = [&](std::uint32_t j, std::size_t c,
-                         double start_time) {
-        ga::acct::JobUsage usage;
-        usage.duration_s = pred_runtime_[j * n_clusters + c];
-        usage.energy_j = usage.duration_s * pred_power_[j * n_clusters + c];
-        usage.cores = jobs[j].cores;
-        usage.priced_at_s = start_time;
-        return usage;
-    };
-
     const auto on_start = [&](const QueuedJob& job, std::size_t /*c*/,
                               double now) { rs.start_time[job.id] = now; };
     // Metrics at completion. Carbon is metered at the job's actual start
@@ -276,15 +322,15 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
     // runs, which differs from the submit time for queued jobs.
     const auto on_finish = [&](const RunningJob& done) {
         const std::size_t c = done.cluster;
-        const auto j = static_cast<std::uint32_t>(done.id);
-        const auto usage = job_usage(j, c, rs.start_time[j]);
+        const std::size_t j = done.id;
+        const auto usage = job_usage(j, c, done.cores, rs.start_time[j]);
         ++result.jobs_completed;
         result.work_core_hours += work_[j];
         result.energy_mwh += usage.energy_j / ga::util::kJoulesPerKwh / 1000.0;
-        const ga::acct::CarbonSite& site = setup.sites[c];
-        result.operational_carbon_kg += site.operational_g(usage) / 1000.0;
-        result.attributed_carbon_kg += site.charge(usage) / 1000.0;
-        result.finish_times_s.push_back(done.finish_s);
+        const auto carbon = setup.sites[c].meter(usage);
+        result.operational_carbon_kg += carbon.operational_g / 1000.0;
+        result.attributed_carbon_kg += carbon.total_g / 1000.0;
+        if (record_finish_times) result.finish_times_s.push_back(done.finish_s);
         result.makespan_s = std::max(result.makespan_s, done.finish_s);
     };
     const auto complete_until = [&](double t) {
@@ -312,8 +358,6 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
         if (tracing) tracer.span_end("sim.outage.compact", outage.at_s);
     };
 
-    std::uint64_t route_quotes = 0;
-
     // ---- event loop: submits in trace order, each preceded by the
     // completions (and the outage) due by its time. At equal times
     // finishes go first, then the outage, then the submit; equal-time
@@ -336,8 +380,7 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
                 choice.runtime_s = pred_runtime_[j * n_clusters + c];
                 choice.energy_j =
                     choice.runtime_s * pred_power_[j * n_clusters + c];
-                choice.cost = setup.quotes[c](job_usage(j, c, now));
-                ++route_quotes;
+                choice.cost = quotes.quotes[j * n_clusters + c];
             });
         ctx.now_s = now;
         ctx.budget_remaining = rs.budget_remaining;
@@ -356,7 +399,7 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
         // submit time and admit only if all can pay (all-or-nothing, the
         // paper's dual-budget incentive); then debit every currency.
         if (n_currencies > 0) {
-            const auto usage = job_usage(j, c, now);
+            const auto usage = job_usage(j, c, job.cores, now);
             bool affordable = true;
             for (std::size_t k = 0; k < n_currencies; ++k) {
                 rs.currency_charged[j * n_currencies + k] =
@@ -381,7 +424,7 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
         }
         rs.budget_remaining -= choices[c].cost;
         result.total_cost += choices[c].cost;
-        rs.charged[j] = choices[c].cost;
+        if (refunds) rs.charged[j] = choices[c].cost;
 
         rs.core.submit(c,
                        QueuedJob{j, job.cores, job.user,
@@ -416,17 +459,21 @@ SimResult BatchSimulator::run_impl(const SimOptions& options) const {
         metrics.queue_scans.inc(rs.core.scans());
         metrics.queue_drains.inc(rs.core.drains());
         metrics.queue_leaf_writes.inc(rs.core.leaf_writes());
-        metrics.route_quotes.inc(route_quotes);
     }
     return std::move(rs.result);
 }
 
 SimResult BatchSimulator::run(const SimOptions& options) const {
-    return run_impl<IndexedQueues>(options);
+    return run_impl<IndexedQueues>(options, quote_table(QuoteKey::of(options)));
+}
+
+SimResult BatchSimulator::run(const SimOptions& options,
+                              const QuoteTable& quotes) const {
+    return run_impl<IndexedQueues>(options, quotes);
 }
 
 SimResult BatchSimulator::run_reference(const SimOptions& options) const {
-    return run_impl<LinearQueues>(options);
+    return run_impl<LinearQueues>(options, quote_table(QuoteKey::of(options)));
 }
 
 }  // namespace ga::sim

@@ -91,8 +91,37 @@ struct SimOptions {
     /// burstier window while keeping job order and characteristics.
     double arrival_compression = 1.0;
     std::optional<ClusterOutage> outage;  ///< optional mid-run capacity loss
+    /// Whether the run records `SimResult::finish_times_s`. What a caller
+    /// reads, not what it simulates: no scenario file, label or session
+    /// fingerprint carries it, and every other result field is the same
+    /// either way.
+    bool finish_times = false;
 
     friend bool operator==(const SimOptions&, const SimOptions&) = default;
+};
+
+/// The four options a job's submit-time route quote reads besides the job
+/// and the cluster. A quote never reads the policy, the budgets, the outage
+/// or run state (accountants are immutable), so runs that agree on these
+/// price every submit alike.
+struct QuoteKey {
+    ga::acct::AccountantSpec pricing{"EBA", {}};
+    bool regional_grids = false;
+    std::uint64_t grid_seed = 77;
+    double arrival_compression = 1.0;
+
+    [[nodiscard]] static QuoteKey of(const SimOptions& options);
+
+    friend bool operator==(const QuoteKey&, const QuoteKey&) = default;
+};
+
+/// Every job's route quote under one `QuoteKey`: the job priced at its
+/// submit time on each cluster its cores fit at full capacity. An outage
+/// only shrinks a cluster, so no run prices a job anywhere else; those
+/// entries hold 0.
+struct QuoteTable {
+    QuoteKey key;
+    std::vector<double> quotes;  ///< [job * n_clusters + cluster]
 };
 
 /// Aggregated outcome of one simulation run.
@@ -105,7 +134,9 @@ struct SimResult {
     double operational_carbon_kg = 0.0;
     double attributed_carbon_kg = 0.0;  ///< operational + embodied share
     double makespan_s = 0.0;
-    std::vector<double> finish_times_s;            ///< sorted, one per job
+    /// Sorted, one per completed job; empty unless
+    /// `SimOptions::finish_times` was set.
+    std::vector<double> finish_times_s;
     std::map<std::string, std::size_t> jobs_per_machine;
     /// Per-currency totals charged at admission (net of outage refunds);
     /// empty unless `SimOptions::currency_budgets` was set.
@@ -127,13 +158,25 @@ public:
     explicit BatchSimulator(ga::workload::Workload workload)
         : BatchSimulator(std::move(workload), default_clusters()) {}
 
+    /// Runs `options` over a quote table of its own.
     [[nodiscard]] SimResult run(const SimOptions& options) const;
+
+    /// Runs `options` over `quotes`, which must have been built by this
+    /// simulator for `QuoteKey::of(options)`; a run refuses any other
+    /// table. Sweeps build one table per key and share it among the runs
+    /// that price alike; the results are those of `run(options)`.
+    [[nodiscard]] SimResult run(const SimOptions& options,
+                                const QuoteTable& quotes) const;
 
     /// The linear-scan executor (`LinearQueues`, sim/scheduler.hpp), kept
     /// as the bit-identity oracle for `run` and as the baseline the bench
     /// harness measures the indexed queue against. Same contract and
     /// thread-safety as `run`; byte-identical results on every input.
     [[nodiscard]] SimResult run_reference(const SimOptions& options) const;
+
+    /// Prices every job at its submit time on every cluster it fits, under
+    /// `key`. Const and thread-safe, like `run`.
+    [[nodiscard]] QuoteTable quote_table(const QuoteKey& key) const;
 
     [[nodiscard]] const std::vector<ClusterConfig>& clusters() const noexcept {
         return clusters_;
@@ -149,7 +192,12 @@ private:
     /// The event loop, parameterized on the ready-queue structure (the
     /// indexed fast path or the linear reference).
     template <typename Queues>
-    [[nodiscard]] SimResult run_impl(const SimOptions& options) const;
+    [[nodiscard]] SimResult run_impl(const SimOptions& options,
+                                     const QuoteTable& quotes) const;
+
+    /// Job `j` on cluster `c` with `cores` cores, priced at `at_s`.
+    [[nodiscard]] ga::acct::JobUsage job_usage(std::size_t j, std::size_t c,
+                                               int cores, double at_s) const;
 
     ga::workload::Workload workload_;
     std::vector<ClusterConfig> clusters_;

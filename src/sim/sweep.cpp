@@ -1,7 +1,9 @@
 #include "sim/sweep.hpp"
 
+#include <algorithm>
 #include <cstdio>
 #include <exception>
+#include <functional>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -79,6 +81,78 @@ std::string make_label(const std::string& policy_label, const SimOptions& o,
 template <typename T>
 std::vector<T> axis_or(const std::vector<T>& axis, T fallback) {
     return axis.empty() ? std::vector<T>{std::move(fallback)} : axis;
+}
+
+/// The quote tables a spec list reads: one per distinct `QuoteKey`, in
+/// order of first use, and each spec's table.
+struct TablePlan {
+    std::vector<QuoteKey> keys;
+    std::vector<std::size_t> table_of;  ///< index-aligned with the specs
+};
+
+TablePlan plan_tables(const std::vector<ScenarioSpec>& specs) {
+    TablePlan plan;
+    plan.table_of.reserve(specs.size());
+    for (const ScenarioSpec& spec : specs) {
+        const QuoteKey key = QuoteKey::of(spec.options);
+        const auto it = std::find(plan.keys.begin(), plan.keys.end(), key);
+        plan.table_of.push_back(
+            static_cast<std::size_t>(it - plan.keys.begin()));
+        if (it == plan.keys.end()) plan.keys.push_back(key);
+    }
+    return plan;
+}
+
+/// One grid point, as `run` and `run_serial` both execute it. Spans carry
+/// the point index as their logical timestamp (sweeps have no shared
+/// sim-clock); wall durations, when metrics are on, go to the histogram.
+void run_point(const BatchSimulator& simulator, const ScenarioSpec& spec,
+               std::size_t index, const QuoteTable& quotes,
+               SweepOutcome& outcome) {
+    SweepMetrics& metrics = sweep_metrics();
+    auto& tracer = ga::obs::Tracer::global();
+    if (ga::obs::tracing_enabled()) {
+        tracer.span_begin("sweep.point", static_cast<double>(index));
+    }
+    metrics.active_points.add_value(1.0);
+    outcome.spec = spec;
+    if (ga::obs::metrics_enabled()) {
+        const ga::obs::WallTimer timer;
+        outcome.result = simulator.run(spec.options, quotes);
+        metrics.point_seconds.observe(timer.seconds());
+    } else {
+        outcome.result = simulator.run(spec.options, quotes);
+    }
+    metrics.active_points.add_value(-1.0);
+    metrics.points_completed.inc();
+    if (ga::obs::tracing_enabled()) {
+        tracer.span_end("sweep.point", static_cast<double>(index));
+    }
+}
+
+/// Runs `task(i)` for every i in [0, n) on `pool` and waits for all of
+/// them; then rethrows the first exception a task threw.
+void run_on(ga::util::ThreadPool& pool, std::size_t n,
+            const std::function<void(std::size_t)>& task) {
+    // Leaf of the declared lock hierarchy, like parallel_for's error
+    // collection. A task never touches the Ledger (budgets live in the
+    // run's own state); it takes only the registry locks, while RunSetup
+    // builds the policy and the accountant, and the obs leaves, and has
+    // released all of them before the catch block takes this one.
+    ga::util::Mutex error_mutex GA_ACQUIRED_AFTER(ga::util::ThreadPool::mutex_);
+    std::exception_ptr error;
+    for (std::size_t i = 0; i < n; ++i) {
+        pool.submit([&task, &error_mutex, &error, i] {
+            try {
+                task(i);
+            } catch (...) {
+                const ga::util::LockGuard lock(error_mutex);
+                if (!error) error = std::current_exception();
+            }
+        });
+    }
+    pool.wait_idle();
+    if (error) std::rethrow_exception(error);
 }
 
 }  // namespace
@@ -159,48 +233,18 @@ SweepRunner::SweepRunner(const BatchSimulator& simulator, std::size_t threads)
 
 std::vector<SweepOutcome> SweepRunner::run(
     const std::vector<ScenarioSpec>& specs) {
+    // The tables first, one task per key, then the points, which only read
+    // them.
+    const TablePlan plan = plan_tables(specs);
+    std::vector<QuoteTable> tables(plan.keys.size());
+    run_on(pool_, tables.size(), [&](std::size_t t) {
+        tables[t] = simulator_->quote_table(plan.keys[t]);
+    });
     std::vector<SweepOutcome> outcomes(specs.size());
-    // Leaf of the declared lock hierarchy, like parallel_for's error
-    // collection. A task's run never touches the Ledger (budgets live in
-    // the run's own state); it takes only the registry locks, while
-    // RunSetup builds the policy and the accountant, and the obs leaves,
-    // and has released all of them before the catch block takes this one.
-    ga::util::Mutex error_mutex GA_ACQUIRED_AFTER(ga::util::ThreadPool::mutex_);
-    std::exception_ptr error;
-    SweepMetrics& metrics = sweep_metrics();
-    auto& tracer = ga::obs::Tracer::global();
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        pool_.submit([this, &outcomes, &specs, &error_mutex, &error, &metrics,
-                      &tracer, i] {
-            try {
-                // Spans carry the point index as their logical timestamp
-                // (sweeps have no shared sim-clock); wall durations, when
-                // metrics are on, go to the histogram instead.
-                if (ga::obs::tracing_enabled()) {
-                    tracer.span_begin("sweep.point", static_cast<double>(i));
-                }
-                metrics.active_points.add_value(1.0);
-                outcomes[i].spec = specs[i];
-                if (ga::obs::metrics_enabled()) {
-                    const ga::obs::WallTimer timer;
-                    outcomes[i].result = simulator_->run(specs[i].options);
-                    metrics.point_seconds.observe(timer.seconds());
-                } else {
-                    outcomes[i].result = simulator_->run(specs[i].options);
-                }
-                metrics.active_points.add_value(-1.0);
-                metrics.points_completed.inc();
-                if (ga::obs::tracing_enabled()) {
-                    tracer.span_end("sweep.point", static_cast<double>(i));
-                }
-            } catch (...) {
-                const ga::util::LockGuard lock(error_mutex);
-                if (!error) error = std::current_exception();
-            }
-        });
-    }
-    pool_.wait_idle();
-    if (error) std::rethrow_exception(error);
+    run_on(pool_, specs.size(), [&](std::size_t i) {
+        run_point(*simulator_, specs[i], i, tables[plan.table_of[i]],
+                  outcomes[i]);
+    });
     return outcomes;
 }
 
@@ -210,10 +254,16 @@ std::vector<SweepOutcome> SweepRunner::run(const SweepGrid& grid) {
 
 std::vector<SweepOutcome> SweepRunner::run_serial(
     const std::vector<ScenarioSpec>& specs) const {
+    const TablePlan plan = plan_tables(specs);
+    std::vector<QuoteTable> tables;
+    tables.reserve(plan.keys.size());
+    for (const QuoteKey& key : plan.keys) {
+        tables.push_back(simulator_->quote_table(key));
+    }
     std::vector<SweepOutcome> outcomes(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        outcomes[i].spec = specs[i];
-        outcomes[i].result = simulator_->run(specs[i].options);
+        run_point(*simulator_, specs[i], i, tables[plan.table_of[i]],
+                  outcomes[i]);
     }
     return outcomes;
 }

@@ -12,6 +12,12 @@
 // Concurrency is sound by construction: `BatchSimulator::run` is const and
 // keeps all mutable state in a per-run `RunState`, so parallel execution is
 // bit-identical to running the same specs serially.
+//
+// Points that price alike share one route-quote table (`QuoteTable`,
+// sim/simulator.hpp): a sweep builds one per distinct `QuoteKey` before it
+// runs any point, hands each point its key's table, and frees them when it
+// returns. A paper grid of policies x budgets over two pricings prices each
+// submit twice instead of once per point.
 #pragma once
 
 #include <cstddef>
@@ -92,16 +98,18 @@ public:
     explicit SweepRunner(const BatchSimulator& simulator,
                          std::size_t threads = 0);
 
-    /// Runs every spec; outcome i corresponds to specs[i]. Results are
-    /// bit-identical to `run_serial` on the same specs.
+    /// Runs every spec; outcome i corresponds to specs[i]. The quote tables
+    /// are built on the pool first, one task per key, then the points.
+    /// Results are bit-identical to `run_serial` on the same specs, and to
+    /// `BatchSimulator::run(spec.options)`.
     [[nodiscard]] std::vector<SweepOutcome> run(
         const std::vector<ScenarioSpec>& specs);
 
     /// Expands the grid and runs it.
     [[nodiscard]] std::vector<SweepOutcome> run(const SweepGrid& grid);
 
-    /// Serial reference executor (same ordering), for determinism checks
-    /// and baselines.
+    /// Serial reference executor (same ordering, same quote tables, same
+    /// per-point metrics and spans), for determinism checks and baselines.
     [[nodiscard]] std::vector<SweepOutcome> run_serial(
         const std::vector<ScenarioSpec>& specs) const;
 

@@ -10,9 +10,16 @@
 namespace ga::testutil {
 
 /// Field-for-field SimResult equality — the engine's bit-identity bar
-/// (parallel==serial, enum==spec). Exact ==, no tolerances.
+/// (parallel==serial, enum==spec). Exact ==, no tolerances. Runs record
+/// finish times only on request, so each result that completed a job must
+/// carry them (`SimOptions::finish_times`); otherwise the comparison would
+/// skip them unseen.
 inline void expect_identical(const ga::sim::SimResult& a,
                              const ga::sim::SimResult& b) {
+    for (const ga::sim::SimResult* r : {&a, &b}) {
+        EXPECT_TRUE(r->jobs_completed == 0 || !r->finish_times_s.empty())
+            << "a compared run recorded no finish times";
+    }
     EXPECT_EQ(a.work_core_hours, b.work_core_hours);
     EXPECT_EQ(a.jobs_completed, b.jobs_completed);
     EXPECT_EQ(a.jobs_skipped, b.jobs_skipped);

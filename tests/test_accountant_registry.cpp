@@ -278,9 +278,33 @@ TEST(BoundCharge, CarbonAwareMethodsMatchChargeBitForBit) {
             }
         }
     }
-    // Every spec prices 4 CPU shapes on all 7 machines and 2 GPU shapes on
-    // the 3 GPU nodes.
-    EXPECT_EQ(compared, specs.size() * (4 * 7 + 2 * 3) * 72);
+    // One more input: a CBA site's one-lookup meter, whose total is the
+    // charge and whose operational term is `operational_g`, under both
+    // depreciation methods.
+    for (const auto depreciation : {ga::carbon::DepreciationMethod::DoubleDeclining,
+                                    ga::carbon::DepreciationMethod::Linear}) {
+        const ac::CarbonBasedAccounting cba(traces, depreciation);
+        for (const auto& m : machines) {
+            const ac::CarbonSite site = cba.site(m);
+            for (ac::JobUsage u : usages) {
+                if (u.gpus > m.node.gpu_count) continue;
+                for (int hour = 0; hour < 72; ++hour) {
+                    u.priced_at_s = 3600.0 * hour + 1234.5;
+                    const ac::CarbonSite::Metered metered = site.meter(u);
+                    ASSERT_EQ(metered.total_g, cba.charge(u, m)) << m.node.name;
+                    ASSERT_EQ(metered.total_g,
+                              site.operational_g(u) + site.embodied_g(u))
+                        << m.node.name;
+                    ASSERT_EQ(metered.operational_g, cba.operational_g(u, m))
+                        << m.node.name;
+                    ++compared;
+                }
+            }
+        }
+    }
+    // Every spec, and the meter under each depreciation method, prices 4 CPU
+    // shapes on all 7 machines and 2 GPU shapes on the 3 GPU nodes.
+    EXPECT_EQ(compared, (specs.size() + 2) * (4 * 7 + 2 * 3) * 72);
 }
 
 // ----------------------------------- registry accountants end-to-end in runs
@@ -314,6 +338,7 @@ TEST(SpecPricing, SweepAxisMatchesDirectRunsAndLabels) {
     grid.policies = {sm::PolicySpec{"Greedy", {}}};
     grid.pricings = {ac::AccountantSpec{"EBA", {}},
                      ac::AccountantSpec{"CarbonTax", {{"rate", 0.02}}}};
+    grid.base.finish_times = true;
     const auto specs = grid.expand();
     ASSERT_EQ(specs.size(), 2u);
     EXPECT_EQ(specs[0].label, "Greedy/EBA");
@@ -326,6 +351,7 @@ TEST(SpecPricing, SweepAxisMatchesDirectRunsAndLabels) {
     ASSERT_EQ(outcomes.size(), 2u);
     sm::SimOptions direct;
     direct.pricing = ac::AccountantSpec{"CarbonTax", {{"rate", 0.02}}};
+    direct.finish_times = true;
     expect_identical(outcomes[1].result, shared_simulator().run(direct));
 }
 
@@ -380,6 +406,7 @@ TEST(CustomAccountant, RegisteredMethodRunsThroughSimulatorAndSweep) {
 
     sm::SimOptions o;
     o.pricing = ac::AccountantSpec{"FlatBill", {{"kwh", 0.45}}};
+    o.finish_times = true;
     const auto direct = shared_simulator().run(o);
     EXPECT_EQ(direct.jobs_completed + direct.jobs_skipped,
               shared_simulator().workload().jobs.size());
@@ -387,6 +414,7 @@ TEST(CustomAccountant, RegisteredMethodRunsThroughSimulatorAndSweep) {
     // And by name through the sweep engine, bit-identical to the direct run.
     sm::SweepGrid grid;
     grid.pricings = {ac::AccountantSpec{"FlatBill", {{"kwh", 0.45}}}};
+    grid.base.finish_times = true;
     sm::SweepRunner runner(shared_simulator(), 2);
     const auto outcomes = runner.run(grid);
     ASSERT_EQ(outcomes.size(), 1u);
@@ -406,7 +434,8 @@ TEST(DualBudget, UnlimitedCurrenciesMatchTheSingleBudgetRunExactly) {
     // Metering two unlimited currencies must not perturb scheduling: every
     // SimResult field outside currency_spent is bit-identical.
     sm::SimOptions plain;
-    sm::SimOptions metered;
+    plain.finish_times = true;
+    sm::SimOptions metered = plain;
     metered.currency_budgets = {core_hours(0.0), carbon_credits(0.0)};
     const auto a = shared_simulator().run(plain);
     auto b = shared_simulator().run(metered);
@@ -464,6 +493,7 @@ TEST(DualBudget, SweepParallelBitIdenticalToSerial) {
             spec.options.policy = {policy, {}};
             spec.options.currency_budgets = {
                 core_hours(full_ch), carbon_credits(full_g * carbon_frac)};
+            spec.options.finish_times = true;
             specs.push_back(std::move(spec));
         }
     }

@@ -288,7 +288,8 @@ TEST(ObsDeterminism, SimResultsByteIdenticalWithInstrumentationOn) {
     trace.span_days = 1.0;
     trace.seed = 99;
     const sm::BatchSimulator sim(wl::build_workload(trace));
-    const sm::SimOptions options;
+    sm::SimOptions options;
+    options.finish_times = true;
 
     const auto baseline = sim.run(options);
     {
@@ -311,6 +312,7 @@ TEST(ObsDeterminism, ParallelSweepIdenticalWithInstrumentationOn) {
     const sm::BatchSimulator sim(wl::build_workload(trace));
 
     sm::SweepGrid grid;
+    grid.base.finish_times = true;
     grid.grid_seeds = {1, 2, 3, 4, 5, 6};
     const auto specs = grid.expand();
 

@@ -335,6 +335,7 @@ TEST(CustomPolicy, RegisteredStrategyRunsThroughSimulatorAndSweep) {
     sm::SimOptions o;
     o.policy = sm::PolicySpec{"IntensityCap", {{"cap", 100.0}}};
     o.regional_grids = true;
+    o.finish_times = true;
     const auto direct = shared_simulator().run(o);
     EXPECT_EQ(direct.jobs_completed + direct.jobs_skipped,
               shared_simulator().workload().jobs.size());
@@ -343,6 +344,7 @@ TEST(CustomPolicy, RegisteredStrategyRunsThroughSimulatorAndSweep) {
     sm::SweepGrid grid;
     grid.policies = {sm::PolicySpec{"IntensityCap", {{"cap", 100.0}}}};
     grid.regional_grids = {true};
+    grid.base.finish_times = true;
     sm::SweepRunner runner(shared_simulator(), 2);
     const auto outcomes = runner.run(grid);
     ASSERT_EQ(outcomes.size(), 1u);

@@ -441,6 +441,8 @@ TEST(ScenarioFiles, Fig5FileMatchesInCodeGrid) {
     small.workload.base_jobs = 60;
     small.workload.users = 10;
     small.workload.span_days = 1.0;
+    small.grid.base.finish_times = true;
+    in_code.base.finish_times = true;
     const ga::sim::BatchSimulator simulator(
         ga::workload::build_workload(small.workload));
     ga::sim::SweepRunner runner(simulator, 2);
@@ -488,9 +490,10 @@ TEST(ScenarioFiles, CiSmokeReproducesGoldenResults) {
     const ga::sim::BatchSimulator simulator(
         ga::workload::build_workload(scenario.workload));
     ga::sim::SweepRunner runner(simulator, 3);
-    const auto specs = scenario.grid.expand();
-    const auto parallel = runner.run(specs);
-    const auto serial = runner.run_serial(specs);
+    auto recorded = scenario.grid;
+    recorded.base.finish_times = true;
+    const auto parallel = runner.run(recorded.expand());
+    const auto serial = runner.run_serial(recorded.expand());
     ASSERT_EQ(parallel.size(), serial.size());
     for (std::size_t i = 0; i < parallel.size(); ++i) {
         ga::testutil::expect_identical(parallel[i].result, serial[i].result);

@@ -201,12 +201,34 @@ TEST(Simulator, FixedPolicyRoutesEverythingToOneMachine) {
 }
 
 TEST(Simulator, FinishTimesSortedAndBounded) {
-    const auto r = run_policy({"EFT", {}}, "EBA");
-    ASSERT_FALSE(r.finish_times_s.empty());
+    sm::SimOptions o;
+    o.policy = {"EFT", {}};
+    o.finish_times = true;
+    const auto r = shared_simulator().run(o);
+    ASSERT_EQ(r.finish_times_s.size(), r.jobs_completed);
     for (std::size_t i = 1; i < r.finish_times_s.size(); ++i) {
         EXPECT_LE(r.finish_times_s[i - 1], r.finish_times_s[i]);
     }
     EXPECT_DOUBLE_EQ(r.finish_times_s.back(), r.makespan_s);
+}
+
+TEST(Simulator, DefaultRunRecordsNoFinishTimes) {
+    // Finish times are recorded only on request; nothing else moves.
+    sm::SimOptions o;
+    o.policy = {"EFT", {}};
+    const auto plain = shared_simulator().run(o);
+    EXPECT_GT(plain.jobs_completed, 0u);
+    EXPECT_TRUE(plain.finish_times_s.empty());
+    o.finish_times = true;
+    const auto recorded = shared_simulator().run(o);
+    EXPECT_EQ(recorded.finish_times_s.size(), recorded.jobs_completed);
+    EXPECT_EQ(recorded.work_core_hours, plain.work_core_hours);
+    EXPECT_EQ(recorded.jobs_completed, plain.jobs_completed);
+    EXPECT_EQ(recorded.total_cost, plain.total_cost);
+    EXPECT_EQ(recorded.energy_mwh, plain.energy_mwh);
+    EXPECT_EQ(recorded.attributed_carbon_kg, plain.attributed_carbon_kg);
+    EXPECT_EQ(recorded.makespan_s, plain.makespan_s);
+    EXPECT_EQ(recorded.jobs_per_machine, plain.jobs_per_machine);
 }
 
 TEST(Simulator, GreedyMinimizesTotalCost) {
@@ -399,7 +421,9 @@ TEST(Simulator, SubmitStartsEligibleJobBehindBlockedQueueHead) {
     jobs.push_back(make_job(2, 1, 0, 24, 20.0, 200.0));
     const sm::BatchSimulator sim(craft_workload(std::move(jobs)),
                                  {sm::ClusterConfig{mc::find("IC"), 1}});
-    const auto r = sim.run(sm::SimOptions{});
+    sm::SimOptions o;
+    o.finish_times = true;
+    const auto r = sim.run(o);
     ASSERT_EQ(r.jobs_completed, 3u);
 
     const double r0 = ic_runtime(sim, 0);

@@ -50,9 +50,10 @@ std::vector<sm::ClusterConfig> one_ic() {
     return {sm::ClusterConfig{mc::find("IC"), 1}};
 }
 
-/// Runs both executors, demands bit-identity, returns the indexed result.
-sm::SimResult run_both(const sm::BatchSimulator& sim,
-                       const sm::SimOptions& options) {
+/// Runs both executors with finish times recorded, demands bit-identity,
+/// returns the indexed result.
+sm::SimResult run_both(const sm::BatchSimulator& sim, sm::SimOptions options) {
+    options.finish_times = true;
     const auto indexed = sim.run(options);
     ga::testutil::expect_identical(indexed, sim.run_reference(options));
     return indexed;

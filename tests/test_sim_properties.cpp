@@ -118,6 +118,7 @@ std::vector<sm::SimOptions> scenario_matrix() {
     grids.arrival_compression = 3.0;
     all.push_back(grids);
 
+    for (sm::SimOptions& options : all) options.finish_times = true;
     return all;
 }
 
@@ -154,7 +155,8 @@ TEST(SimProperties, OutageRefundsConserveBudgetAcrossSeeds) {
         const auto sim =
             make_simulator(seed, 1'000, 40, wl::ArrivalProcess::Diurnal);
         sm::SimOptions healthy;
-        sm::SimOptions outage;
+        healthy.finish_times = true;
+        sm::SimOptions outage = healthy;
         outage.outage = sm::ClusterOutage{0, 3'600.0, 32};
 
         const auto healthy_result = sim.run(healthy);
@@ -193,7 +195,8 @@ TEST(SimProperties, DatacenterScaleTierStaysIdenticalAndConserves) {
     ASSERT_EQ(total, 100'000u);
 
     sm::SimOptions plain;
-    sm::SimOptions stressed;
+    plain.finish_times = true;
+    sm::SimOptions stressed = plain;
     stressed.arrival_compression = 6.0;
     stressed.outage = sm::ClusterOutage{3, 24.0 * 3600.0, 40};
     for (const auto& options : {plain, stressed}) {

@@ -189,17 +189,26 @@ TEST(SweepGrid, SpecOnlyGridNeedsNoEnumAxis) {
 
 // ------------------------------------------------------------ SweepRunner
 TEST(SweepRunner, ParallelResultsBitIdenticalToSerial) {
-    // A full policy x pricing x budget grid, run over 4 worker threads and
-    // compared field-for-field against serial BatchSimulator::run calls.
+    // A full policy x pricing x budget grid over every field a route quote
+    // reads (pricing, regional grids, grid seed, arrival compression), run
+    // over 4 worker threads and compared field-for-field against serial
+    // BatchSimulator::run calls. The sweep shares one quote table among the
+    // 8 points of each of the 16 quote keys; each direct run builds its
+    // own, so a key that merged two pricings would show here.
     const double budget =
         shared_simulator().run(sm::SimOptions{}).total_cost * 0.5;
     sm::SweepGrid grid;
+    grid.base.finish_times = true;
     grid.policies = {sm::PolicySpec{"Greedy", {}}, sm::PolicySpec{"Energy", {}},
                      sm::PolicySpec{"EFT", {}}, sm::PolicySpec{"Mixed", {}}};
     grid.pricings = {ga::acct::AccountantSpec{"EBA", {}},
                      ga::acct::AccountantSpec{"CBA", {}}};
     grid.budgets = {0.0, budget};
+    grid.regional_grids = {false, true};
+    grid.grid_seeds = {77, 5};
+    grid.arrival_compressions = {1.0, 4.0};
     const auto specs = grid.expand();
+    ASSERT_EQ(specs.size(), 128u);
 
     sm::SweepRunner runner(shared_simulator(), 4);
     EXPECT_EQ(runner.threads(), 4u);
@@ -229,6 +238,7 @@ TEST(SweepRunner, RegistryPoliciesParallelBitIdenticalToSerial) {
                          sm::beyond_paper_policies().end());
     grid.budgets = {0.0, budget};
     grid.regional_grids = {true};
+    grid.base.finish_times = true;
     const auto specs = grid.expand();
     ASSERT_EQ(specs.size(), 8u);
 
@@ -240,6 +250,35 @@ TEST(SweepRunner, RegistryPoliciesParallelBitIdenticalToSerial) {
         expect_identical(parallel[i].result, serial[i].result);
         expect_identical(parallel[i].result,
                          shared_simulator().run(specs[i].options));
+    }
+}
+
+TEST(QuoteTable, RunsShareATableOnlyWhenTheyPriceAlike) {
+    sm::SimOptions o;
+    o.finish_times = true;
+    const sm::QuoteTable table =
+        shared_simulator().quote_table(sm::QuoteKey::of(o));
+    ASSERT_EQ(table.quotes.size(), shared_simulator().workload().jobs.size() *
+                                       shared_simulator().clusters().size());
+    expect_identical(shared_simulator().run(o, table), shared_simulator().run(o));
+
+    // Policy, budget and outage never reach a quote: the table serves.
+    sm::SimOptions other = o;
+    other.policy = {"EFT", {}};
+    other.budget = 1e9;
+    other.outage = sm::ClusterOutage{0, 3600.0, 4};
+    expect_identical(shared_simulator().run(other, table),
+                     shared_simulator().run(other));
+
+    // Each of the four quote fields makes the table another run's.
+    std::vector<sm::SimOptions> refused(4, o);
+    refused[0].pricing = {"CBA", {}};
+    refused[1].regional_grids = true;
+    refused[2].grid_seed = 5;
+    refused[3].arrival_compression = 2.0;
+    for (const sm::SimOptions& options : refused) {
+        EXPECT_THROW((void)shared_simulator().run(options, table),
+                     ga::util::PreconditionError);
     }
 }
 
@@ -286,6 +325,7 @@ TEST(Scenario, PartialOutageConservesJobsAndDegradesService) {
 
 TEST(Scenario, ArrivalCompressionPreservesJobsAndPullsWorkEarlier) {
     sm::SimOptions baseline;
+    baseline.finish_times = true;
     sm::SimOptions burst = baseline;
     burst.arrival_compression = 8.0;
     const auto a = shared_simulator().run(baseline);

@@ -44,7 +44,8 @@ options:
                      (output is bit-identical to the parallel run)
   --out json|csv     output format (default json)
   --output FILE      write the payload to FILE instead of stdout
-  --finish-times     include per-job finish times in the JSON payload
+  --finish-times     record per-job finish times and include them in the
+                     JSON payload (runs record none without it)
   --policy SPEC      replace the grid's policy axis with one registry policy,
                      e.g. --policy "CarbonAware(forecast=1)"
   --accountant SPEC  replace the grid's pricing axis likewise,
@@ -223,6 +224,8 @@ int run(const CliOptions& cli) {
             ga::acct::AccountantSpec{parsed.name, parsed.params}};
     }
 
+    // Finish times are recorded only for the payload that prints them.
+    scenario.grid.base.finish_times = cli.finish_times;
     const std::vector<ga::sim::ScenarioSpec> specs = scenario.grid.expand();
     if (cli.list) {
         for (const auto& spec : specs) {
