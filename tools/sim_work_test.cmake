@@ -1,17 +1,18 @@
 # CTest script for the work and payload goldens (registered as
 # `ga_sim_work_goldens` in tools/CMakeLists.txt).
 #
-# Runs ga-sim with --output and --metrics-out over every committed scenario
-# and checks two files against examples/scenarios/golden/, both exactly:
+# Runs ga-sim with --output and --metrics-out over every committed scenario,
+# once on the sweep pool and once with --serial, and checks two files of
+# each run against examples/scenarios/golden/, both exactly:
 #
 # - <stem>.results.json: the results payload. It pins every number the
 #   scenario reports (costs, carbon, per-machine counts), so a change to
 #   pricing, metering or routing that moves a bit fails here.
 # - <stem>.work.json: the `counters` block of the metrics export. The
 #   counters are logical work (events, starts, queue drains and the queue
-#   entries those drains offered a start), so they do not depend on the host
-#   or the thread count: a change that moves one changes the work the
-#   simulator does, and regenerates the file in the same commit.
+#   entries those drains offered a start), so they do not depend on the host,
+#   the thread count or the executor: a change that moves one changes the
+#   work the simulator does, and regenerates the file in the same commit.
 #
 # A scenario without either golden fails the test.
 #
@@ -46,47 +47,57 @@ foreach(scenario IN LISTS scenarios)
       message(FATAL_ERROR "no golden for ${scenario}: ${required}")
     endif()
   endforeach()
-  execute_process(
-    COMMAND "${GA_SIM}" "${scenario}" --output "${WORKDIR}/${stem}.json"
-            --metrics-out "${WORKDIR}/${stem}.metrics.json"
-    WORKING_DIRECTORY "${WORKDIR}"
-    OUTPUT_QUIET
-    ERROR_VARIABLE sim_stderr
-    RESULT_VARIABLE sim_status)
-  if(NOT sim_status EQUAL 0)
-    message(FATAL_ERROR "ga-sim ${stem} exited with ${sim_status}:\n${sim_stderr}")
-  endif()
+  # The pooled sweep and the serial reference executor: both must give
+  # the golden payload and the golden counters.
+  foreach(mode IN ITEMS pool serial)
+    set(run "${stem}.${mode}")
+    set(mode_args)
+    if(mode STREQUAL "serial")
+      set(mode_args --serial)
+    endif()
+    execute_process(
+      COMMAND "${GA_SIM}" "${scenario}" ${mode_args}
+              --output "${WORKDIR}/${run}.json"
+              --metrics-out "${WORKDIR}/${run}.metrics.json"
+      WORKING_DIRECTORY "${WORKDIR}"
+      OUTPUT_QUIET
+      ERROR_VARIABLE sim_stderr
+      RESULT_VARIABLE sim_status)
+    if(NOT sim_status EQUAL 0)
+      message(FATAL_ERROR "ga-sim ${run} exited with ${sim_status}:\n${sim_stderr}")
+    endif()
 
-  execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
-                  "${payload_golden}" "${WORKDIR}/${stem}.json"
-                  RESULT_VARIABLE differ)
-  if(NOT differ EQUAL 0)
-    message(FATAL_ERROR
-      "results payload of ${stem} differs from the golden:\n"
-      "  ${payload_golden}\n  ${WORKDIR}/${stem}.json")
-  endif()
+    execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
+                    "${payload_golden}" "${WORKDIR}/${run}.json"
+                    RESULT_VARIABLE differ)
+    if(NOT differ EQUAL 0)
+      message(FATAL_ERROR
+        "results payload of ${run} differs from the golden:\n"
+        "  ${payload_golden}\n  ${WORKDIR}/${run}.json")
+    endif()
 
-  file(READ "${WORKDIR}/${stem}.metrics.json" metrics)
-  string(JSON n_counters LENGTH "${metrics}" counters)
-  set(rendered "{")
-  set(separator "\n")
-  math(EXPR last "${n_counters} - 1")
-  foreach(i RANGE ${last})
-    string(JSON key MEMBER "${metrics}" counters ${i})
-    string(JSON value GET "${metrics}" counters "${key}")
-    string(APPEND rendered "${separator}  \"${key}\": ${value}")
-    set(separator ",\n")
+    file(READ "${WORKDIR}/${run}.metrics.json" metrics)
+    string(JSON n_counters LENGTH "${metrics}" counters)
+    set(rendered "{")
+    set(separator "\n")
+    math(EXPR last "${n_counters} - 1")
+    foreach(i RANGE ${last})
+      string(JSON key MEMBER "${metrics}" counters ${i})
+      string(JSON value GET "${metrics}" counters "${key}")
+      string(APPEND rendered "${separator}  \"${key}\": ${value}")
+      set(separator ",\n")
+    endforeach()
+    string(APPEND rendered "\n}\n")
+    file(WRITE "${WORKDIR}/${run}.work.json" "${rendered}")
+
+    execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
+                    "${golden}" "${WORKDIR}/${run}.work.json"
+                    RESULT_VARIABLE differ)
+    if(NOT differ EQUAL 0)
+      message(FATAL_ERROR
+        "work counters of ${run} differ from the golden:\n"
+        "  ${golden}\n  ${WORKDIR}/${run}.work.json\n${rendered}")
+    endif()
   endforeach()
-  string(APPEND rendered "\n}\n")
-  file(WRITE "${WORKDIR}/${stem}.work.json" "${rendered}")
-
-  execute_process(COMMAND "${CMAKE_COMMAND}" -E compare_files
-                  "${golden}" "${WORKDIR}/${stem}.work.json"
-                  RESULT_VARIABLE differ)
-  if(NOT differ EQUAL 0)
-    message(FATAL_ERROR
-      "work counters of ${stem} differ from the golden:\n"
-      "  ${golden}\n  ${WORKDIR}/${stem}.work.json\n${rendered}")
-  endif()
-  message(STATUS "ga-sim ${stem}: payload and work counters match the goldens")
+  message(STATUS "ga-sim ${stem}: payloads and work counters of the pooled and serial runs match the goldens")
 endforeach()
