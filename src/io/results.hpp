@@ -7,7 +7,8 @@
 // `ga-sim` reproducibility contract (parallel == serial == golden) pin.
 //
 // Per-job finish times are omitted by default (they dominate the payload at
-// paper scale); pass `include_finish_times` to keep them. The CSV form
+// paper scale); pass `include_finish_times` to keep them, from runs that
+// recorded them (`SimOptions::finish_times`). The CSV form
 // carries the scalar fields only — per-machine job counts and per-currency
 // spend live in the JSON form, whose maps serialize in sorted key order.
 #pragma once
