@@ -225,7 +225,7 @@ int run(const CliOptions& cli) {
     }
 
     // Finish times are recorded only for the payload that prints them.
-    scenario.grid.base.finish_times = cli.finish_times;
+    scenario.grid.base.finish_times = cli.finish_times && cli.format == "json";
     const std::vector<ga::sim::ScenarioSpec> specs = scenario.grid.expand();
     if (cli.list) {
         for (const auto& spec : specs) {
