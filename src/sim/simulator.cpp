@@ -12,6 +12,42 @@
 
 namespace ga::sim {
 
+namespace {
+
+struct SimMetrics {
+    ga::obs::Counter& finish_events;
+    ga::obs::Counter& submit_events;
+    ga::obs::Counter& outage_events;
+    ga::obs::Counter& jobs_started;
+    ga::obs::Counter& queue_scans;
+    ga::obs::Counter& queue_drains;
+    ga::obs::Counter& queue_leaf_writes;
+    ga::obs::Counter& route_quotes;
+    ga::obs::Counter& predictions;
+    ga::obs::Counter& runs;
+};
+
+/// Handles resolved once per process, outside any lock (the registry
+/// mutex is a hierarchy leaf; see obs/metrics.hpp).
+SimMetrics& sim_metrics() {
+    auto& registry = ga::obs::Registry::global();
+    static SimMetrics metrics{
+        registry.counter_handle("sim.events.finish"),
+        registry.counter_handle("sim.events.submit"),
+        registry.counter_handle("sim.events.outage"),
+        registry.counter_handle("sim.jobs.started"),
+        registry.counter_handle("sim.queue.scans"),
+        registry.counter_handle("sim.queue.drains"),
+        registry.counter_handle("sim.queue.leaf_writes"),
+        registry.counter_handle("sim.route.quotes"),
+        registry.counter_handle("sim.predictions"),
+        registry.counter_handle("sim.runs"),
+    };
+    return metrics;
+}
+
+}  // namespace
+
 std::vector<ClusterConfig> default_clusters() {
     using ga::machine::CatalogId;
     return {
@@ -71,6 +107,7 @@ BatchSimulator::BatchSimulator(ga::workload::Workload workload,
     std::map<std::pair<std::uint32_t, std::uint32_t>,
              std::vector<ga::workload::MachineScaling>>
         scaling_cache;
+    std::uint64_t predictions = 0;
     for (std::size_t j = 0; j < n_jobs; ++j) {
         const auto& job = workload_.jobs[j];
         const auto key = std::make_pair(job.user, job.app);
@@ -79,6 +116,7 @@ BatchSimulator::BatchSimulator(ga::workload::Workload workload,
             it = scaling_cache
                      .emplace(key, workload_.predictor->predict(job.counters))
                      .first;
+            ++predictions;
         }
         const auto& scaling = *it;
         double work_sum = 0.0;
@@ -96,6 +134,7 @@ BatchSimulator::BatchSimulator(ga::workload::Workload workload,
         }
         work_[j] = feasible > 0 ? work_sum / static_cast<double>(feasible) : 0.0;
     }
+    if (ga::obs::metrics_enabled()) sim_metrics().predictions.inc(predictions);
 }
 
 double BatchSimulator::job_work_core_hours(std::size_t job_index) const {
@@ -156,36 +195,6 @@ template <typename Queues>
 RunState<Queues>& pooled_run_state() {
     static thread_local RunState<Queues> state;
     return state;
-}
-
-struct SimMetrics {
-    ga::obs::Counter& finish_events;
-    ga::obs::Counter& submit_events;
-    ga::obs::Counter& outage_events;
-    ga::obs::Counter& jobs_started;
-    ga::obs::Counter& queue_scans;
-    ga::obs::Counter& queue_drains;
-    ga::obs::Counter& queue_leaf_writes;
-    ga::obs::Counter& route_quotes;
-    ga::obs::Counter& runs;
-};
-
-/// Handles resolved once per process, outside any lock (the registry
-/// mutex is a hierarchy leaf; see obs/metrics.hpp).
-SimMetrics& sim_metrics() {
-    auto& registry = ga::obs::Registry::global();
-    static SimMetrics metrics{
-        registry.counter_handle("sim.events.finish"),
-        registry.counter_handle("sim.events.submit"),
-        registry.counter_handle("sim.events.outage"),
-        registry.counter_handle("sim.jobs.started"),
-        registry.counter_handle("sim.queue.scans"),
-        registry.counter_handle("sim.queue.drains"),
-        registry.counter_handle("sim.queue.leaf_writes"),
-        registry.counter_handle("sim.route.quotes"),
-        registry.counter_handle("sim.runs"),
-    };
-    return metrics;
 }
 
 }  // namespace
