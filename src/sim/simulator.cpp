@@ -104,25 +104,24 @@ BatchSimulator::BatchSimulator(ga::workload::Workload workload,
             workload_.predictor->machine_index(clusters_[c].entry.node.name);
     }
 
-    std::map<std::pair<std::uint32_t, std::uint32_t>,
-             std::vector<ga::workload::MachineScaling>>
-        scaling_cache;
+    // By user id, then app index, grown on demand: the pair's scaling,
+    // predicted from the counters of its first job (empty until then).
+    std::vector<std::vector<std::vector<ga::workload::MachineScaling>>> memo;
     std::uint64_t predictions = 0;
     for (std::size_t j = 0; j < n_jobs; ++j) {
         const auto& job = workload_.jobs[j];
-        const auto key = std::make_pair(job.user, job.app);
-        auto it = scaling_cache.find(key);
-        if (it == scaling_cache.end()) {
-            it = scaling_cache
-                     .emplace(key, workload_.predictor->predict(job.counters))
-                     .first;
+        if (job.user >= memo.size()) memo.resize(std::size_t{job.user} + 1);
+        auto& apps = memo[job.user];
+        if (job.app >= apps.size()) apps.resize(std::size_t{job.app} + 1);
+        auto& scaling = apps[job.app];
+        if (scaling.empty()) {
+            scaling = workload_.predictor->predict(job.counters);
             ++predictions;
         }
-        const auto& scaling = *it;
         double work_sum = 0.0;
         std::size_t feasible = 0;
         for (std::size_t c = 0; c < n_clusters; ++c) {
-            const auto& s = scaling.second[pred_index[c]];
+            const auto& s = scaling[pred_index[c]];
             const double runtime = job.runtime_ic_s * s.runtime_factor;
             const double power = job.power_ic_w * s.power_factor;
             pred_runtime_[j * n_clusters + c] = runtime;

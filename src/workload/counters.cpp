@@ -1,7 +1,7 @@
 #include "workload/counters.hpp"
 
 #include <cmath>
-#include <map>
+#include <optional>
 
 #include "util/error.hpp"
 #include "workload/predictor.hpp"
@@ -53,25 +53,16 @@ void synthesize_counters(std::vector<TraceJob>& jobs, const ga::stats::Gmm& gmm,
     ga::util::Rng rng(seed);
     // Repetitions of the same (user, app) share one counter vector — the
     // paper's "same cross-platform characteristics" assumption. Sample on
-    // first sight of the key, reuse afterwards.
-    struct Key {
-        std::uint32_t user;
-        std::uint32_t app;
-        bool operator<(const Key& o) const noexcept {
-            return user != o.user ? user < o.user : app < o.app;
-        }
-    };
-    std::map<Key, JobCounters> cache;
+    // first sight of the pair, in job order, reuse afterwards. The memo is
+    // by user id, then app index, grown on demand.
+    std::vector<std::vector<std::optional<JobCounters>>> memo;
     for (auto& job : jobs) {
-        const Key key{job.user, job.app};
-        const auto it = cache.find(key);
-        if (it != cache.end()) {
-            job.counters = it->second;
-            continue;
-        }
-        const JobCounters c = counters_from_sample(gmm.sample(rng));
-        cache.emplace(key, c);
-        job.counters = c;
+        if (job.user >= memo.size()) memo.resize(std::size_t{job.user} + 1);
+        auto& apps = memo[job.user];
+        if (job.app >= apps.size()) apps.resize(std::size_t{job.app} + 1);
+        auto& counters = apps[job.app];
+        if (!counters) counters = counters_from_sample(gmm.sample(rng));
+        job.counters = *counters;
     }
 }
 
