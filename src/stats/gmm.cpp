@@ -223,34 +223,34 @@ Gmm Gmm::fit(std::span<const double> rows, std::size_t dim, const GmmOptions& op
         ll /= static_cast<double>(n);
         model.trace_.push_back(ll);
 
-        // M step.
+        // M step: nk, each mean coordinate and each covariance entry is
+        // summed in a local over the rows, in row order, in contiguous
+        // passes over `cols`; every value sees the operations of a
+        // row-at-a-time sum, in the same order.
         for (std::size_t c = 0; c < k; ++c) {
             const double* w = &resp[c * n];
             auto& comp = model.components_[c];
-            // nk and the mean's weighted sums in one pass over the rows.
             double nk = 0.0;
-            std::fill(comp.mean.begin(), comp.mean.end(), 0.0);
-            for (std::size_t r = 0; r < n; ++r) {
-                nk += w[r];
-                const auto xr = row(r);
-                for (std::size_t d = 0; d < dim; ++d) comp.mean[d] += w[r] * xr[d];
-            }
+            for (std::size_t r = 0; r < n; ++r) nk += w[r];
             nk = std::max(nk, 1e-12);
             comp.weight = nk / static_cast<double>(n);
-            for (auto& v : comp.mean) v /= nk;
-            std::fill(comp.covariance.begin(), comp.covariance.end(), 0.0);
-            for (std::size_t r = 0; r < n; ++r) {
-                const auto xr = row(r);
-                for (std::size_t i = 0; i < dim; ++i) {
-                    const double di = xr[i] - comp.mean[i];
-                    for (std::size_t j = 0; j <= i; ++j) {
-                        comp.covariance[i * dim + j] += w[r] * di * (xr[j] - comp.mean[j]);
-                    }
-                }
+            for (std::size_t d = 0; d < dim; ++d) {
+                const double* xd = &cols[d * n];
+                double sum = 0.0;
+                for (std::size_t r = 0; r < n; ++r) sum += w[r] * xd[r];
+                comp.mean[d] = sum / nk;
             }
             for (std::size_t i = 0; i < dim; ++i) {
+                const double* xi = &cols[i * n];
+                const double mi = comp.mean[i];
                 for (std::size_t j = 0; j <= i; ++j) {
-                    comp.covariance[i * dim + j] /= nk;
+                    const double* xj = &cols[j * n];
+                    const double mj = comp.mean[j];
+                    double sum = 0.0;
+                    for (std::size_t r = 0; r < n; ++r) {
+                        sum += w[r] * (xi[r] - mi) * (xj[r] - mj);
+                    }
+                    comp.covariance[i * dim + j] = sum / nk;
                     comp.covariance[j * dim + i] = comp.covariance[i * dim + j];
                 }
             }
