@@ -1,9 +1,12 @@
 #include "sim/sweep.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdio>
+#include <deque>
 #include <exception>
 #include <functional>
+#include <mutex>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -83,25 +86,56 @@ std::vector<T> axis_or(const std::vector<T>& axis, T fallback) {
     return axis.empty() ? std::vector<T>{std::move(fallback)} : axis;
 }
 
-/// The quote tables a spec list reads: one per distinct `QuoteKey`, in
-/// order of first use, and each spec's table.
-struct TablePlan {
-    std::vector<QuoteKey> keys;
-    std::vector<std::size_t> table_of;  ///< index-aligned with the specs
-};
-
-TablePlan plan_tables(const std::vector<ScenarioSpec>& specs) {
-    TablePlan plan;
-    plan.table_of.reserve(specs.size());
-    for (const ScenarioSpec& spec : specs) {
-        const QuoteKey key = QuoteKey::of(spec.options);
-        const auto it = std::find(plan.keys.begin(), plan.keys.end(), key);
-        plan.table_of.push_back(
-            static_cast<std::size_t>(it - plan.keys.begin()));
-        if (it == plan.keys.end()) plan.keys.push_back(key);
+/// The quote tables a spec list reads, one per distinct `QuoteKey`. A
+/// key's table is built when the first of its points is taken and freed
+/// when the last of them finishes, so a sweep holds only the tables of the
+/// keys it has points in flight for.
+class QuoteTables {
+public:
+    QuoteTables(const BatchSimulator& simulator,
+                const std::vector<ScenarioSpec>& specs)
+        : simulator_(simulator) {
+        slot_of_.reserve(specs.size());
+        for (const ScenarioSpec& spec : specs) {
+            const QuoteKey key = QuoteKey::of(spec.options);
+            std::size_t t = 0;
+            while (t < slots_.size() && slots_[t].key != key) ++t;
+            if (t == slots_.size()) slots_.emplace_back(key);
+            ++slots_[t].points_left;
+            slot_of_.push_back(t);
+        }
     }
-    return plan;
-}
+
+    /// Spec i's table. The first caller for a key builds it; concurrent
+    /// callers for the same key wait for that build.
+    const QuoteTable& acquire(std::size_t i) {
+        Slot& slot = slots_[slot_of_[i]];
+        std::call_once(slot.built, [this, &slot] {
+            slot.table = simulator_.quote_table(slot.key);
+        });
+        return slot.table;
+    }
+
+    /// Spec i's point has finished with its table; the last of a key's
+    /// points frees it.
+    void release(std::size_t i) {
+        Slot& slot = slots_[slot_of_[i]];
+        if (slot.points_left.fetch_sub(1) == 1) slot.table = QuoteTable{};
+    }
+
+private:
+    struct Slot {
+        explicit Slot(QuoteKey k) : key(std::move(k)) {}
+        QuoteKey key;
+        std::once_flag built;
+        QuoteTable table;
+        std::atomic<std::size_t> points_left{0};
+    };
+
+    const BatchSimulator& simulator_;
+    std::deque<Slot> slots_;  ///< in order of first use; never moved
+    std::vector<std::size_t> slot_of_;  ///< index-aligned with the specs
+};
 
 /// One grid point, as `run` and `run_serial` both execute it. Spans carry
 /// the point index as their logical timestamp (sweeps have no shared
@@ -233,17 +267,11 @@ SweepRunner::SweepRunner(const BatchSimulator& simulator, std::size_t threads)
 
 std::vector<SweepOutcome> SweepRunner::run(
     const std::vector<ScenarioSpec>& specs) {
-    // The tables first, one task per key, then the points, which only read
-    // them.
-    const TablePlan plan = plan_tables(specs);
-    std::vector<QuoteTable> tables(plan.keys.size());
-    run_on(pool_, tables.size(), [&](std::size_t t) {
-        tables[t] = simulator_->quote_table(plan.keys[t]);
-    });
+    QuoteTables tables(*simulator_, specs);
     std::vector<SweepOutcome> outcomes(specs.size());
     run_on(pool_, specs.size(), [&](std::size_t i) {
-        run_point(*simulator_, specs[i], i, tables[plan.table_of[i]],
-                  outcomes[i]);
+        run_point(*simulator_, specs[i], i, tables.acquire(i), outcomes[i]);
+        tables.release(i);
     });
     return outcomes;
 }
@@ -254,16 +282,11 @@ std::vector<SweepOutcome> SweepRunner::run(const SweepGrid& grid) {
 
 std::vector<SweepOutcome> SweepRunner::run_serial(
     const std::vector<ScenarioSpec>& specs) const {
-    const TablePlan plan = plan_tables(specs);
-    std::vector<QuoteTable> tables;
-    tables.reserve(plan.keys.size());
-    for (const QuoteKey& key : plan.keys) {
-        tables.push_back(simulator_->quote_table(key));
-    }
+    QuoteTables tables(*simulator_, specs);
     std::vector<SweepOutcome> outcomes(specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
-        run_point(*simulator_, specs[i], i, tables[plan.table_of[i]],
-                  outcomes[i]);
+        run_point(*simulator_, specs[i], i, tables.acquire(i), outcomes[i]);
+        tables.release(i);
     }
     return outcomes;
 }

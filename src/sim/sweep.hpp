@@ -98,9 +98,10 @@ public:
     explicit SweepRunner(const BatchSimulator& simulator,
                          std::size_t threads = 0);
 
-    /// Runs every spec; outcome i corresponds to specs[i]. The quote tables
-    /// are built on the pool first, one task per key, then the points.
-    /// Results are bit-identical to `run_serial` on the same specs, and to
+    /// Runs every spec; outcome i corresponds to specs[i]. Points sharing a
+    /// `QuoteKey` share one quote table, built on the pool by the first of
+    /// them to start and freed when the last of them finishes. Results are
+    /// bit-identical to `run_serial` on the same specs, and to
     /// `BatchSimulator::run(spec.options)`.
     [[nodiscard]] std::vector<SweepOutcome> run(
         const std::vector<ScenarioSpec>& specs);
