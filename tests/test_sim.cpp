@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <numeric>
 #include <optional>
@@ -12,8 +13,10 @@
 
 #include "carbon/grids.hpp"
 #include "machine/catalog.hpp"
+#include "obs/metrics.hpp"
 #include "sim/policy.hpp"
 #include "sim/simulator.hpp"
+#include "sim_result_matchers.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -434,6 +437,50 @@ TEST(Simulator, SubmitStartsEligibleJobBehindBlockedQueueHead) {
     // ...while J1 (same user as J0) correctly waits for J0's finish.
     EXPECT_TRUE(contains_time(r.finish_times_s, r0 + r1));
     EXPECT_TRUE(contains_time(r.finish_times_s, r0));
+}
+
+TEST(Simulator, RepeatedPairTakesItsFirstJobsPredictions) {
+    // The constructor predicts a (user, app) pair once, from its first
+    // job's counters. A later job of the pair carrying other counters gets
+    // the same predictions, as a job carrying the first job's counters
+    // would; a job of another pair gets its own.
+    std::vector<wl::TraceJob> jobs;
+    jobs.push_back(make_job(0, 3, 1, 8, 0.0, 1000.0));
+    jobs.push_back(make_job(1, 3, 1, 8, 10.0, 1000.0));
+    jobs[1].counters = {9.0, 0.5};  // compute-bound, unlike job 0
+    auto alike = jobs;
+    alike[1].counters = alike[0].counters;
+    auto unshared = jobs;
+    unshared[1].app = 2;
+
+    const bool prior = ga::obs::metrics_enabled();
+    ga::obs::set_metrics_enabled(true);
+    const auto& predictions =
+        ga::obs::Registry::global().counter_handle("sim.predictions");
+    const auto built = [&](std::vector<wl::TraceJob> trace,
+                           std::uint64_t expected_predictions) {
+        const std::uint64_t before = predictions.value();
+        sm::BatchSimulator sim(craft_workload(std::move(trace)));
+        EXPECT_EQ(predictions.value() - before, expected_predictions);
+        return sim;
+    };
+    const sm::BatchSimulator sim = built(jobs, 1);
+    const sm::BatchSimulator reference = built(alike, 1);
+    const sm::BatchSimulator other = built(unshared, 2);
+    ga::obs::set_metrics_enabled(prior);
+
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    EXPECT_EQ(bits(sim.job_work_core_hours(1)),
+              bits(reference.job_work_core_hours(1)));
+    EXPECT_EQ(bits(sim.job_work_core_hours(1)), bits(sim.job_work_core_hours(0)));
+    // Job 1's own counters would have predicted differently.
+    EXPECT_NE(other.job_work_core_hours(1), sim.job_work_core_hours(1));
+    sm::SimOptions o;
+    o.policy = {"EFT", {}};
+    o.finish_times = true;
+    const auto r = sim.run(o);
+    ASSERT_EQ(r.jobs_completed, 2u);
+    ga::testutil::expect_identical(r, reference.run(o));
 }
 
 TEST(Simulator, RejectsNonPositionalJobIds) {

@@ -225,6 +225,30 @@ TEST(SweepRunner, ParallelResultsBitIdenticalToSerial) {
     }
 }
 
+TEST(SweepRunner, OneKeyPerPointMatchesDirectRuns) {
+    // ga-bench's sweep shape: every point its own arrival compression, so
+    // its own quote key and table, each built when its point starts and
+    // freed when it finishes. Serial and on 2 threads, each point must
+    // equal a direct run of its options.
+    sm::SweepGrid grid;
+    grid.base.finish_times = true;
+    grid.arrival_compressions = {1.0, 1.0 + 1e-9, 1.5, 2.0, 3.0, 4.0};
+    const auto specs = grid.expand();
+    ASSERT_EQ(specs.size(), 6u);
+
+    sm::SweepRunner runner(shared_simulator(), 2);
+    const auto parallel = runner.run(specs);
+    const auto serial = runner.run_serial(specs);
+    ASSERT_EQ(parallel.size(), specs.size());
+    ASSERT_EQ(serial.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_EQ(parallel[i].spec.label, specs[i].label);
+        const auto direct = shared_simulator().run(specs[i].options);
+        expect_identical(parallel[i].result, direct);
+        expect_identical(serial[i].result, direct);
+    }
+}
+
 TEST(SweepRunner, RegistryPoliciesParallelBitIdenticalToSerial) {
     // The acceptance bar for the open policy API: the three beyond-paper
     // context-aware policies, swept by name alongside a paper policy, keep

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
+#include <utility>
 #include <vector>
 
 #include "util/error.hpp"
@@ -17,6 +20,27 @@ namespace {
 
 namespace wl = ga::workload;
 namespace mc = ga::machine;
+
+std::uint64_t bits(double v) { return std::bit_cast<std::uint64_t>(v); }
+
+/// Every field of two traces' jobs, doubles bit for bit.
+void expect_same_jobs(const std::vector<wl::TraceJob>& a,
+                      const std::vector<wl::TraceJob>& b) {
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        EXPECT_EQ(a[i].id, b[i].id) << "job " << i;
+        EXPECT_EQ(a[i].user, b[i].user) << "job " << i;
+        EXPECT_EQ(a[i].app, b[i].app) << "job " << i;
+        EXPECT_EQ(a[i].cores, b[i].cores) << "job " << i;
+        EXPECT_EQ(bits(a[i].submit_s), bits(b[i].submit_s)) << "job " << i;
+        EXPECT_EQ(bits(a[i].runtime_ic_s), bits(b[i].runtime_ic_s)) << "job " << i;
+        EXPECT_EQ(bits(a[i].power_ic_w), bits(b[i].power_ic_w)) << "job " << i;
+        EXPECT_EQ(bits(a[i].counters.gips), bits(b[i].counters.gips))
+            << "job " << i;
+        EXPECT_EQ(bits(a[i].counters.llc_mps), bits(b[i].counters.llc_mps))
+            << "job " << i;
+    }
+}
 
 wl::TraceOptions small_options() {
     wl::TraceOptions o;
@@ -131,6 +155,42 @@ TEST(Counters, RepetitionsShareCounters) {
             EXPECT_DOUBLE_EQ(it->second, j.counters.gips);
         }
     }
+}
+
+TEST(Counters, SparseOutOfOrderPairsSampleOnFirstSight) {
+    // Pairs arrive sparse and out of order: user 900 before user 2, app 5
+    // before app 0, and pairs that recur after others. Each pair's counters
+    // must be those a (user, app) map memo samples on the pair's first
+    // sight, in job order.
+    const std::vector<std::pair<std::uint32_t, std::uint32_t>> pairs = {
+        {900, 5}, {2, 5}, {900, 0}, {2, 0}, {900, 5}, {0, 3},
+        {2, 5},   {7, 1}, {0, 3},   {900, 0}, {2, 0}, {7, 0}};
+    std::vector<wl::TraceJob> jobs(pairs.size());
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+        jobs[i].id = static_cast<std::uint32_t>(i);
+        jobs[i].user = pairs[i].first;
+        jobs[i].app = pairs[i].second;
+    }
+    const auto gmm = wl::fit_counter_gmm(600, 3);
+    wl::synthesize_counters(jobs, gmm, 9);
+
+    ga::util::Rng rng(9);
+    std::map<std::pair<std::uint32_t, std::uint32_t>, wl::JobCounters> memo;
+    for (std::size_t i = 0; i < pairs.size(); ++i) {
+        auto it = memo.find(pairs[i]);
+        if (it == memo.end()) {
+            it = memo.emplace(pairs[i],
+                              wl::counters_from_sample(gmm.sample(rng)))
+                     .first;
+        }
+        EXPECT_EQ(bits(jobs[i].counters.gips), bits(it->second.gips))
+            << "job " << i;
+        EXPECT_EQ(bits(jobs[i].counters.llc_mps), bits(it->second.llc_mps))
+            << "job " << i;
+    }
+    ASSERT_EQ(memo.size(), 7u);
+    // Distinct pairs drew distinct samples.
+    EXPECT_NE(jobs[0].counters.gips, jobs[1].counters.gips);
 }
 
 // ---------------------------------------------------------------- predictor
@@ -368,6 +428,26 @@ TEST(TraceDiurnal, KnobDomainsAreValidated) {
     expect_rejected([](wl::TraceOptions& o) { o.burst_fraction = 1.01; });
     expect_rejected([](wl::TraceOptions& o) { o.burst_width_s = 0.0; });
     expect_rejected([](wl::TraceOptions& o) { o.burst_mean_jobs = 0.5; });
+}
+
+TEST(Workload, BuildMatchesItsStagesInOrder) {
+    // build_workload fits the counter GMM beside the trace; its jobs must be
+    // those of the three stages run one after the other with its seeds. On
+    // ci_smoke's workload and on a diurnal trace.
+    wl::TraceOptions smoke;
+    smoke.base_jobs = 360;
+    smoke.users = 40;
+    smoke.span_days = 2.0;
+    smoke.seed = 2023;
+    for (const wl::TraceOptions& o : {smoke, diurnal_options()}) {
+        const wl::Workload built = wl::build_workload(o);
+        auto jobs = wl::generate_trace(o);
+        const auto gmm = wl::fit_counter_gmm(/*training_rows=*/4000,
+                                             o.seed ^ 0x9E5u);
+        wl::synthesize_counters(jobs, gmm, o.seed ^ 0x51Du);
+        expect_same_jobs(built.jobs, jobs);
+        ASSERT_NE(built.predictor, nullptr);
+    }
 }
 
 }  // namespace
