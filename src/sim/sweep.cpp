@@ -106,6 +106,9 @@ public:
         }
     }
 
+    QuoteTables(const QuoteTables&) = delete;
+    QuoteTables& operator=(const QuoteTables&) = delete;
+
     /// Spec i's table. The first caller for a key builds it; concurrent
     /// callers for the same key wait for that build.
     const QuoteTable& acquire(std::size_t i) {
