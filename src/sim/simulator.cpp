@@ -89,7 +89,7 @@ BatchSimulator::BatchSimulator(ga::workload::Workload workload,
 
     // Precompute per-job, per-cluster predictions. Predictions depend only on
     // the job's counters; repetitions share counters, so memoize per (user,
-    // app).
+    // app), predicting on a pair's first sight in job order.
     const std::size_t n_jobs = workload_.jobs.size();
     const std::size_t n_clusters = clusters_.size();
     pred_runtime_.resize(n_jobs * n_clusters);
@@ -104,16 +104,12 @@ BatchSimulator::BatchSimulator(ga::workload::Workload workload,
             workload_.predictor->machine_index(clusters_[c].entry.node.name);
     }
 
-    // By user id, then app index, grown on demand: the pair's scaling,
-    // predicted from the counters of its first job (empty until then).
-    std::vector<std::vector<std::vector<ga::workload::MachineScaling>>> memo;
+    // A pair's scaling is empty until its first job.
+    ga::workload::PairMemo<std::vector<ga::workload::MachineScaling>> memo;
     std::uint64_t predictions = 0;
     for (std::size_t j = 0; j < n_jobs; ++j) {
         const auto& job = workload_.jobs[j];
-        if (job.user >= memo.size()) memo.resize(std::size_t{job.user} + 1);
-        auto& apps = memo[job.user];
-        if (job.app >= apps.size()) apps.resize(std::size_t{job.app} + 1);
-        auto& scaling = apps[job.app];
+        auto& scaling = memo[job];
         if (scaling.empty()) {
             scaling = workload_.predictor->predict(job.counters);
             ++predictions;

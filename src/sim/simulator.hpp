@@ -150,7 +150,10 @@ struct SimResult {
 class BatchSimulator {
 public:
     /// Requires positional job ids (`jobs[i].id == i`) and non-decreasing
-    /// submit times, as `generate_trace` produces them.
+    /// submit times, as `generate_trace` produces them. Precomputes every
+    /// job's runtime and power on every cluster, predicting each (user,
+    /// app) pair once, from its first job's counters; the pair's later
+    /// jobs reuse that prediction. `sim.predictions` counts the calls.
     BatchSimulator(ga::workload::Workload workload,
                    std::vector<ClusterConfig> clusters);
 

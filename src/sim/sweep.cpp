@@ -1,6 +1,5 @@
 #include "sim/sweep.hpp"
 
-#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <deque>

@@ -53,14 +53,10 @@ void synthesize_counters(std::vector<TraceJob>& jobs, const ga::stats::Gmm& gmm,
     ga::util::Rng rng(seed);
     // Repetitions of the same (user, app) share one counter vector — the
     // paper's "same cross-platform characteristics" assumption. Sample on
-    // first sight of the pair, in job order, reuse afterwards. The memo is
-    // by user id, then app index, grown on demand.
-    std::vector<std::vector<std::optional<JobCounters>>> memo;
+    // first sight of the pair, in job order, reuse afterwards.
+    PairMemo<std::optional<JobCounters>> memo;
     for (auto& job : jobs) {
-        if (job.user >= memo.size()) memo.resize(std::size_t{job.user} + 1);
-        auto& apps = memo[job.user];
-        if (job.app >= apps.size()) apps.resize(std::size_t{job.app} + 1);
-        auto& counters = apps[job.app];
+        auto& counters = memo[job];
         if (!counters) counters = counters_from_sample(gmm.sample(rng));
         job.counters = *counters;
     }

@@ -50,6 +50,23 @@ struct TraceJob {
     }
 };
 
+/// One value per (user, app) repetition key: a vector of per-app slots for
+/// each user id, grown on demand. A slot starts value-initialized.
+template <typename T>
+class PairMemo {
+public:
+    /// The slot of `job`'s (user, app) pair.
+    T& operator[](const TraceJob& job) {
+        if (job.user >= slots_.size()) slots_.resize(std::size_t{job.user} + 1);
+        std::vector<T>& apps = slots_[job.user];
+        if (job.app >= apps.size()) apps.resize(std::size_t{job.app} + 1);
+        return apps[job.app];
+    }
+
+private:
+    std::vector<std::vector<T>> slots_;
+};
+
 /// Arrival-time process for the generated trace.
 enum class ArrivalProcess {
     /// Legacy paper mode: submissions uniform over the span. The default —
