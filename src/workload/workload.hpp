@@ -34,7 +34,8 @@ struct Workload {
 
 /// Builds the workload over the Table-5 simulation machines.
 /// `options` defaults to the paper's 142,380-job scale; pass a smaller
-/// `base_jobs` for tests.
+/// `base_jobs` for tests. Generates the trace and fits the counter GMM on
+/// two threads; the jobs are those of the stages run one after the other.
 [[nodiscard]] Workload build_workload(const TraceOptions& options = {});
 
 }  // namespace ga::workload
