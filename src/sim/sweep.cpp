@@ -109,7 +109,8 @@ public:
     QuoteTables& operator=(const QuoteTables&) = delete;
 
     /// Spec i's table. The first caller for a key builds it; concurrent
-    /// callers for the same key wait for that build.
+    /// callers for the same key wait for that build, so no caller may hold
+    /// a lock the build takes (RunSetup takes the registry locks).
     const QuoteTable& acquire(std::size_t i) {
         Slot& slot = slots_[slot_of_[i]];
         std::call_once(slot.built, [this, &slot] {
