@@ -95,12 +95,23 @@ void Ledger::define_currency(std::string currency,
     pricers_.insert_or_assign(std::move(currency), std::move(accountant));
 }
 
-void Ledger::define_currency(std::string currency, const AccountantSpec& spec) {
+namespace {
+
+std::shared_ptr<const Accountant> build_accountant(
+    const AccountantSpec& spec, const AccountantBinder& bind) {
+    if (bind) return bind(spec);
+    return AccountantRegistry::global().make(spec);
+}
+
+}  // namespace
+
+void Ledger::define_currency(std::string currency, const AccountantSpec& spec,
+                             const AccountantBinder& bind) {
     GA_REQUIRE(!currency.empty(), "ledger: currency name must not be empty");
     // Build from the registry before locking: registry locks sit above the
     // ledger lock in the declared hierarchy.
-    std::shared_ptr<const Accountant> accountant(
-        AccountantRegistry::global().make(spec));
+    std::shared_ptr<const Accountant> accountant = build_accountant(spec, bind);
+    GA_REQUIRE(accountant != nullptr, "ledger: currency accountant required");
     const ga::util::LockGuard lock(mutex_);
     pricer_specs_.insert_or_assign(currency, spec);
     pricers_.insert_or_assign(std::move(currency), std::move(accountant));
@@ -138,6 +149,7 @@ void Ledger::create_account(const std::string& user,
         return;
     }
     accounts_.push_back(Account{user, std::move(holdings), next_id_});
+    account_index_.emplace(user, accounts_.size() - 1);
 }
 
 bool Ledger::has_account(const std::string& user) const {
@@ -146,15 +158,13 @@ bool Ledger::has_account(const std::string& user) const {
 }
 
 Ledger::Account* Ledger::find_account(const std::string& user) {
-    const auto it = std::find_if(accounts_.begin(), accounts_.end(),
-                                 [&user](const Account& a) { return a.user == user; });
-    return it == accounts_.end() ? nullptr : &*it;
+    const auto it = account_index_.find(user);
+    return it == account_index_.end() ? nullptr : &accounts_[it->second];
 }
 
 const Ledger::Account* Ledger::find_account(const std::string& user) const {
-    const auto it = std::find_if(accounts_.begin(), accounts_.end(),
-                                 [&user](const Account& a) { return a.user == user; });
-    return it == accounts_.end() ? nullptr : &*it;
+    const auto it = account_index_.find(user);
+    return it == account_index_.end() ? nullptr : &accounts_[it->second];
 }
 
 namespace {
@@ -481,7 +491,8 @@ LedgerState Ledger::export_state() const {
     return state;
 }
 
-void Ledger::import_state(const LedgerState& state) {
+void Ledger::import_state(const LedgerState& state,
+                          const AccountantBinder& bind) {
     // Validate and rebuild everything into locals first: the registry is
     // consulted before the ledger lock is taken (registry locks order
     // before the ledger lock), and a throw leaves this ledger untouched.
@@ -490,9 +501,11 @@ void Ledger::import_state(const LedgerState& state) {
     std::map<std::string, AccountantSpec, std::less<>> specs;
     for (const auto& [currency, spec] : state.currencies) {
         GA_REQUIRE(!currency.empty(), "ledger: currency name must not be empty");
-        pricers.insert_or_assign(currency,
-                                 std::shared_ptr<const Accountant>(
-                                     AccountantRegistry::global().make(spec)));
+        std::shared_ptr<const Accountant> accountant =
+            build_accountant(spec, bind);
+        GA_REQUIRE(accountant != nullptr,
+                   "ledger: currency accountant required");
+        pricers.insert_or_assign(currency, std::move(accountant));
         specs.insert_or_assign(currency, spec);
     }
 
@@ -514,10 +527,11 @@ void Ledger::import_state(const LedgerState& state) {
 
     std::vector<Account> accounts;
     accounts.reserve(state.accounts.size());
-    std::unordered_set<std::string> seen_users;
+    std::unordered_map<std::string, std::size_t> index;
+    index.reserve(state.accounts.size());
     for (const auto& as : state.accounts) {
         GA_REQUIRE(!as.user.empty(), "ledger: snapshot account without a user");
-        if (!seen_users.insert(as.user).second) {
+        if (!index.try_emplace(as.user, accounts.size()).second) {
             throw ga::util::RuntimeError("ledger: snapshot has duplicate "
                                          "accounts for user " + as.user);
         }
@@ -539,6 +553,7 @@ void Ledger::import_state(const LedgerState& state) {
     pricers_ = std::move(pricers);
     pricer_specs_ = std::move(specs);
     accounts_ = std::move(accounts);
+    account_index_ = std::move(index);
     history_ = state.transactions;
     refunded_.clear();
     refunded_.insert(state.refunded.begin(), state.refunded.end());

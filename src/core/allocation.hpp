@@ -15,10 +15,12 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
+#include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
@@ -131,6 +133,13 @@ struct LedgerState {
     bool operator==(const LedgerState&) const = default;
 };
 
+/// Builds a currency's accountant from its registry spec. The ledger's
+/// default is `AccountantRegistry::global().make`; a caller that prices on
+/// regional grids passes one that also binds the grid traces (as
+/// `ga::sim::RunSetup::bind` does).
+using AccountantBinder =
+    std::function<std::unique_ptr<const Accountant>(const AccountantSpec&)>;
+
 /// Per-user multi-currency accounts plus an audit trail. Thread-safe: all
 /// members lock internally, and concurrent charges against one account sum
 /// exactly (each admission check and debit is atomic).
@@ -146,8 +155,11 @@ public:
     void define_currency(std::string currency,
                          std::shared_ptr<const Accountant> accountant);
 
-    /// Convenience: builds the accountant from the registry.
-    void define_currency(std::string currency, const AccountantSpec& spec);
+    /// Builds the accountant from `spec`, through `bind` when given and from
+    /// the registry otherwise, and keeps the spec so export_state can record
+    /// it. `bind` runs before the ledger lock is taken.
+    void define_currency(std::string currency, const AccountantSpec& spec,
+                         const AccountantBinder& bind = {});
 
     [[nodiscard]] bool has_currency(std::string_view currency) const;
 
@@ -239,12 +251,14 @@ public:
     [[nodiscard]] LedgerState export_state() const;
 
     /// Replaces the entire ledger contents with `state`. Accountants are
-    /// rebuilt from the registry *before* the ledger lock is taken
-    /// (registry locks are GA_ACQUIRED_BEFORE the ledger lock in the
-    /// declared hierarchy). Throws RuntimeError on malformed state —
-    /// unknown accountant names, non-increasing transaction ids, duplicate
-    /// users, invalid allocations — leaving the ledger unchanged.
-    void import_state(const LedgerState& state);
+    /// rebuilt from their specs, through `bind` when given (as
+    /// define_currency), *before* the ledger lock is taken (registry locks
+    /// are GA_ACQUIRED_BEFORE the ledger lock in the declared hierarchy).
+    /// Throws RuntimeError on malformed state — unknown accountant names,
+    /// non-increasing transaction ids, duplicate users, invalid allocations —
+    /// leaving the ledger unchanged.
+    void import_state(const LedgerState& state,
+                      const AccountantBinder& bind = {});
 
 private:
     struct Account {
@@ -289,7 +303,11 @@ private:
     /// for currencies defined from a raw accountant (export then throws).
     std::map<std::string, AccountantSpec, std::less<>> pricer_specs_
         GA_GUARDED_BY(mutex_);
+    /// Creation order, which export_state keeps.
     std::vector<Account> accounts_ GA_GUARDED_BY(mutex_);
+    /// User -> position in `accounts_`.
+    std::unordered_map<std::string, std::size_t> account_index_
+        GA_GUARDED_BY(mutex_);
     /// Append-only, ids strictly increasing.
     std::vector<Transaction> history_ GA_GUARDED_BY(mutex_);
     /// O(1) double-refund check.

@@ -3,7 +3,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <sstream>
 #include <system_error>
@@ -107,6 +106,11 @@ namespace {
 /// document ("[[[[…") overflow the stack; 256 is far beyond any legitimate
 /// scenario or bench file.
 constexpr std::size_t kMaxNestingDepth = 256;
+
+/// Members a non-empty object reserves before its first: a ga-serve request
+/// has up to eight (a job has seven), so this spares the vector's
+/// one-two-four-eight regrowth on the request path.
+constexpr std::size_t kObjectReserve = 8;
 
 class Parser {
 public:
@@ -235,16 +239,21 @@ private:
         expect('"');
         std::string out;
         while (true) {
+            // Copy the run up to the next quote, escape or control
+            // character in one append.
+            const std::size_t run = pos_;
+            while (!eof()) {
+                const auto c = static_cast<unsigned char>(peek());
+                if (c == '"' || c == '\\' || c < 0x20) break;
+                ++pos_;
+            }
+            out.append(text_.data() + run, pos_ - run);
             if (eof()) fail("unterminated string");
             const char c = text_[pos_++];
             if (c == '"') return out;
-            if (static_cast<unsigned char>(c) < 0x20) {
+            if (c != '\\') {
                 --pos_;
                 fail("unescaped control character in string");
-            }
-            if (c != '\\') {
-                out.push_back(c);
-                continue;
             }
             if (eof()) fail("unterminated escape sequence");
             const char esc = text_[pos_++];
@@ -362,6 +371,7 @@ private:
             --depth_;
             return JsonValue(std::move(object));
         }
+        object.reserve(kObjectReserve);
         while (true) {
             skip_whitespace();
             if (eof() || peek() != '"') fail("expected object key string");
@@ -412,7 +422,10 @@ JsonValue load_json_file(const std::filesystem::path& path) {
 
 // ----------------------------------------------------------------- writer
 
-std::string format_double(double v) {
+namespace {
+
+/// Appends format_double's text for `v`.
+void append_double(std::string& out, double v) {
     if (!std::isfinite(v)) {
         throw RuntimeError("json: cannot serialize non-finite number");
     }
@@ -421,14 +434,20 @@ std::string format_double(double v) {
     if (ec != std::errc{}) {
         throw RuntimeError("json: number formatting failed");
     }
-    return std::string(buf, end);
+    out.append(buf, end);
 }
 
-namespace {
-
-void write_escaped_string(std::string& out, std::string_view s) {
+/// Appends `s` as a string literal, copying each run of characters that
+/// need no escape in one append.
+void append_escaped(std::string& out, std::string_view s) {
+    static constexpr char kHex[] = "0123456789abcdef";
     out.push_back('"');
-    for (const char c : s) {
+    std::size_t run = 0;
+    for (std::size_t i = 0; i < s.size(); ++i) {
+        const auto c = static_cast<unsigned char>(s[i]);
+        if (c >= 0x20 && c != '"' && c != '\\') continue;
+        out.append(s.data() + run, i - run);
+        run = i + 1;
         switch (c) {
             case '"': out += "\\\""; break;
             case '\\': out += "\\\\"; break;
@@ -438,79 +457,119 @@ void write_escaped_string(std::string& out, std::string_view s) {
             case '\r': out += "\\r"; break;
             case '\t': out += "\\t"; break;
             default:
-                if (static_cast<unsigned char>(c) < 0x20) {
-                    char buf[8];
-                    std::snprintf(buf, sizeof(buf), "\\u%04x",
-                                  static_cast<unsigned>(c));
-                    out += buf;
-                } else {
-                    out.push_back(c);
-                }
+                out += "\\u00";
+                out.push_back(kHex[c >> 4]);
+                out.push_back(kHex[c & 0xF]);
         }
     }
+    out.append(s.data() + run, s.size() - run);
     out.push_back('"');
-}
-
-void write_value(std::string& out, const JsonValue& value, int indent,
-                 int depth) {
-    const auto newline_indent = [&out, indent](int d) {
-        if (indent <= 0) return;
-        out.push_back('\n');
-        out.append(static_cast<std::size_t>(indent) *
-                       static_cast<std::size_t>(d),
-                   ' ');
-    };
-    switch (value.kind()) {
-        case JsonValue::Kind::Null: out += "null"; break;
-        case JsonValue::Kind::Bool: out += value.as_bool() ? "true" : "false"; break;
-        case JsonValue::Kind::Number: out += format_double(value.as_number()); break;
-        case JsonValue::Kind::String: write_escaped_string(out, value.as_string()); break;
-        case JsonValue::Kind::Array: {
-            const auto& array = value.as_array();
-            if (array.empty()) {
-                out += "[]";
-                break;
-            }
-            out.push_back('[');
-            for (std::size_t i = 0; i < array.size(); ++i) {
-                if (i != 0) out.push_back(',');
-                newline_indent(depth + 1);
-                write_value(out, array[i], indent, depth + 1);
-            }
-            newline_indent(depth);
-            out.push_back(']');
-            break;
-        }
-        case JsonValue::Kind::Object: {
-            const auto& object = value.as_object();
-            if (object.empty()) {
-                out += "{}";
-                break;
-            }
-            out.push_back('{');
-            bool first = true;
-            for (const auto& [key, member] : object) {
-                if (!first) out.push_back(',');
-                first = false;
-                newline_indent(depth + 1);
-                write_escaped_string(out, key);
-                out.push_back(':');
-                if (indent > 0) out.push_back(' ');
-                write_value(out, member, indent, depth + 1);
-            }
-            newline_indent(depth);
-            out.push_back('}');
-            break;
-        }
-    }
 }
 
 }  // namespace
 
+std::string format_double(double v) {
+    std::string out;
+    append_double(out, v);
+    return out;
+}
+
+void JsonWriter::newline_indent(int depth) {
+    if (indent_ <= 0) return;
+    out_.push_back('\n');
+    out_.append(static_cast<std::size_t>(indent_) *
+                    static_cast<std::size_t>(depth),
+                ' ');
+}
+
+void JsonWriter::begin_item() {
+    if (after_key_) {
+        after_key_ = false;
+        return;
+    }
+    if (depth_ == 0) return;
+    if (!first_) out_.push_back(',');
+    first_ = false;
+    newline_indent(depth_);
+}
+
+void JsonWriter::end_item() {
+    if (depth_ == 0 && indent_ > 0) out_.push_back('\n');
+}
+
+void JsonWriter::open(char bracket) {
+    begin_item();
+    out_.push_back(bracket);
+    ++depth_;
+    first_ = true;
+}
+
+void JsonWriter::close(char bracket) {
+    --depth_;
+    // An empty container stays on one line: "[]", "{}".
+    if (!first_) newline_indent(depth_);
+    out_.push_back(bracket);
+    first_ = false;  // the container was an item of its parent
+    end_item();
+}
+
+void JsonWriter::key(std::string_view name) {
+    begin_item();
+    append_escaped(out_, name);
+    out_.push_back(':');
+    if (indent_ > 0) out_.push_back(' ');
+    after_key_ = true;
+}
+
+void JsonWriter::null_value() {
+    begin_item();
+    out_ += "null";
+    end_item();
+}
+
+void JsonWriter::value(bool b) {
+    begin_item();
+    out_ += b ? "true" : "false";
+    end_item();
+}
+
+void JsonWriter::value(double n) {
+    begin_item();
+    append_double(out_, n);
+    end_item();
+}
+
+void JsonWriter::value(std::string_view s) {
+    begin_item();
+    append_escaped(out_, s);
+    end_item();
+}
+
+void JsonWriter::write(const JsonValue& v) {
+    switch (v.kind()) {
+        case JsonValue::Kind::Null: null_value(); break;
+        case JsonValue::Kind::Bool: value(v.as_bool()); break;
+        case JsonValue::Kind::Number: value(v.as_number()); break;
+        case JsonValue::Kind::String: value(v.as_string()); break;
+        case JsonValue::Kind::Array:
+            begin_array();
+            for (const JsonValue& element : v.as_array()) write(element);
+            end_array();
+            break;
+        case JsonValue::Kind::Object:
+            begin_object();
+            for (const auto& [name, member] : v.as_object()) {
+                key(name);
+                write(member);
+            }
+            end_object();
+            break;
+    }
+}
+
 std::string write_json(const JsonValue& value, int indent) {
     std::string out;
-    write_value(out, value, indent, 0);
-    if (indent > 0) out.push_back('\n');
+    JsonWriter(out, indent).write(value);
     return out;
 }
 

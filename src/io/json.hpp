@@ -5,7 +5,9 @@
 // writing the same DOM twice produces the same bytes, the property the
 // golden-run reproducibility checks rely on. Numbers are doubles written in
 // their shortest round-trip form (std::to_chars), so every double survives
-// a write -> parse cycle bit-exactly.
+// a write -> parse cycle bit-exactly. `JsonWriter` is the one serializer:
+// `write_json` walks a DOM onto it, and hot writers (ga-serve's responses)
+// stream onto it without building a DOM.
 //
 // The parser is strict (RFC 8259: no comments, no trailing commas, no
 // duplicate keys) and reports failures as `ga::util::RuntimeError` with
@@ -92,6 +94,62 @@ private:
 
 /// Reads and parses a JSON file; parse errors are prefixed with the path.
 [[nodiscard]] JsonValue load_json_file(const std::filesystem::path& path);
+
+/// Streaming serializer: appends one document to a caller's string as the
+/// caller walks it, with no DOM in between. The bytes are exactly those
+/// `write_json` gives the equivalent DOM, trailing pretty-mode newline
+/// included (write_json is this writer walking the DOM). The caller keeps
+/// the document well formed: `key` only directly inside an object, each key
+/// followed by one value, every container closed. Numbers are written by
+/// `format_double`'s rules and refused (RuntimeError) when not finite; what
+/// was appended before a refusal stays in the string, so a caller that must
+/// not emit a partial document truncates it.
+class JsonWriter {
+public:
+    /// Appends to `out`, which must outlive the writer. `indent` as for
+    /// write_json.
+    explicit JsonWriter(std::string& out, int indent = 0) noexcept
+        : out_(out), indent_(indent) {}
+
+    void begin_object() { open('{'); }
+    void end_object() { close('}'); }
+    void begin_array() { open('['); }
+    void end_array() { close(']'); }
+    /// Names the next value of the enclosing object.
+    void key(std::string_view name);
+
+    void null_value();
+    void value(bool b);
+    void value(double n);
+    void value(std::string_view s);
+    void value(const char* s) { value(std::string_view(s)); }
+    /// Writes a whole DOM value (named apart from `value`, so a
+    /// `std::string` argument cannot also convert to a JsonValue).
+    void write(const JsonValue& v);
+
+    /// `key(name)` then `value(v)`. Integers have no overload: cast them to
+    /// double, the JSON number type.
+    template <typename T>
+    void member(std::string_view name, const T& v) {
+        key(name);
+        value(v);
+    }
+
+private:
+    void open(char bracket);
+    void close(char bracket);
+    /// Separator and indentation before a value or key at the current depth.
+    void begin_item();
+    void newline_indent(int depth);
+    /// Pretty mode's trailing newline once the top-level value is complete.
+    void end_item();
+
+    std::string& out_;
+    int indent_ = 0;
+    int depth_ = 0;
+    bool first_ = true;      ///< no item yet in the innermost container
+    bool after_key_ = false; ///< a key was written; its value comes next
+};
 
 /// Serializes a document. `indent` > 0 pretty-prints with that many spaces
 /// per level; 0 writes the compact single-line form. Deterministic: the

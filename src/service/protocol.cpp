@@ -1,6 +1,7 @@
 #include "service/protocol.hpp"
 
 #include <cmath>
+#include <limits>
 #include <utility>
 
 namespace ga::service {
@@ -60,31 +61,30 @@ std::optional<std::uint64_t> recover_request_id(std::string_view line) noexcept 
     }
 }
 
-ga::io::JsonValue ok_response(std::uint64_t id, ga::io::JsonValue result) {
-    ga::io::JsonValue response{ga::io::JsonValue::Object{}};
-    response.set("id", ga::io::JsonValue(static_cast<double>(id)));
-    response.set("ok", ga::io::JsonValue(true));
-    response.set("result", std::move(result));
-    return response;
+void begin_ok_response(ga::io::JsonWriter& out, std::uint64_t id) {
+    out.begin_object();
+    out.member("id", static_cast<double>(id));
+    out.member("ok", true);
+    out.key("result");
 }
 
-ga::io::JsonValue error_response(std::optional<std::uint64_t> id,
-                                 std::string_view code,
-                                 std::string_view message) {
-    ga::io::JsonValue error{ga::io::JsonValue::Object{}};
-    error.set("code", ga::io::JsonValue(code));
-    error.set("message", ga::io::JsonValue(message));
-    ga::io::JsonValue response{ga::io::JsonValue::Object{}};
-    response.set("id", id.has_value()
-                           ? ga::io::JsonValue(static_cast<double>(*id))
-                           : ga::io::JsonValue(nullptr));
-    response.set("ok", ga::io::JsonValue(false));
-    response.set("error", std::move(error));
-    return response;
-}
-
-std::string render(const ga::io::JsonValue& value) {
-    return ga::io::write_json(value, /*indent=*/0);
+void write_error_response(std::string& out, std::optional<std::uint64_t> id,
+                          std::string_view code, std::string_view message) {
+    ga::io::JsonWriter w(out);
+    w.begin_object();
+    w.key("id");
+    if (id.has_value()) {
+        w.value(static_cast<double>(*id));
+    } else {
+        w.null_value();
+    }
+    w.member("ok", false);
+    w.key("error");
+    w.begin_object();
+    w.member("code", code);
+    w.member("message", message);
+    w.end_object();
+    w.end_object();
 }
 
 void check_keys(const ga::io::JsonValue& body,
@@ -153,6 +153,19 @@ std::uint64_t uint_field(const ga::io::JsonValue& body, std::string_view key,
                                 "' must be a non-negative integer");
     }
     return static_cast<std::uint64_t>(n);
+}
+
+int int_field(const ga::io::JsonValue& body, std::string_view key,
+              std::string_view context) {
+    const std::uint64_t n = uint_field(body, key, context);
+    constexpr int kMax = std::numeric_limits<int>::max();
+    if (n > static_cast<std::uint64_t>(kMax)) {
+        throw ProtocolError("bad_request",
+                            std::string(context) + ": field '" +
+                                std::string(key) + "' must be at most " +
+                                std::to_string(kMax));
+    }
+    return static_cast<int>(n);
 }
 
 }  // namespace ga::service

@@ -8,7 +8,8 @@
 //
 // `id` is a client-chosen non-negative integer (at most 2^53 so it survives
 // JSON's double transport losslessly) echoed verbatim in the response, and
-// `type` names the handler. Responses are:
+// `type` names the handler. Responses are compact single lines, streamed
+// through `ga::io::JsonWriter` (no response DOM is built):
 //
 //   {"id": 7, "ok": true,  "result": {...}}
 //   {"id": 7, "ok": false, "error": {"code": "unknown_user", "message": "..."}}
@@ -71,18 +72,14 @@ inline constexpr std::uint64_t kMaxRequestId = 1ULL << 53;
 [[nodiscard]] std::optional<std::uint64_t> recover_request_id(
     std::string_view line) noexcept;
 
-/// {"id": N, "ok": true, "result": ...}
-[[nodiscard]] ga::io::JsonValue ok_response(std::uint64_t id,
-                                            ga::io::JsonValue result);
+/// Opens {"id": N, "ok": true, "result": on `out`. The caller writes the
+/// result value, then closes the envelope with `out.end_object()`.
+void begin_ok_response(ga::io::JsonWriter& out, std::uint64_t id);
 
-/// {"id": N|null, "ok": false, "error": {"code": ..., "message": ...}}
-[[nodiscard]] ga::io::JsonValue error_response(std::optional<std::uint64_t> id,
-                                               std::string_view code,
-                                               std::string_view message);
-
-/// Compact single-line rendering (write_json with indent 0) — the byte
-/// representation the determinism contract pins.
-[[nodiscard]] std::string render(const ga::io::JsonValue& value);
+/// Appends {"id": N|null, "ok": false, "error": {"code": ..., "message":
+/// ...}} to `out`, compact.
+void write_error_response(std::string& out, std::optional<std::uint64_t> id,
+                          std::string_view code, std::string_view message);
 
 // ---- strict payload field access ---------------------------------------
 // Helpers the handlers use to pull typed fields from the request object.
@@ -111,5 +108,10 @@ void check_keys(const ga::io::JsonValue& body,
 [[nodiscard]] std::uint64_t uint_field(const ga::io::JsonValue& body,
                                        std::string_view key,
                                        std::string_view context);
+
+/// Non-negative integer that fits an `int` (core and GPU counts): a larger
+/// value is refused, naming the field, rather than narrowed.
+[[nodiscard]] int int_field(const ga::io::JsonValue& body, std::string_view key,
+                            std::string_view context);
 
 }  // namespace ga::service

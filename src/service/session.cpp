@@ -54,8 +54,6 @@ std::string checksum_hex(std::uint64_t value) {
     return out;
 }
 
-JsonValue object() { return JsonValue{JsonValue::Object{}}; }
-
 /// Refuses a request (bad_request) whose derived `figure` on `machine` is
 /// not finite: the response could not render it, and it must not reach the
 /// session's state. `job` names the job of a multi-job request.
@@ -90,10 +88,16 @@ ServeSession::ServeSession(ga::io::ScenarioFile scenario)
     std::sort(currencies.begin(), currencies.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     for (auto& [currency, spec] : currencies) {
-        ledger_.define_currency(currency, spec);
-        currency_pricers_.emplace_back(
-            currency, ga::acct::AccountantRegistry::global().make(spec));
+        ledger_.define_currency(currency, spec, currency_binder());
+        currency_pricers_.emplace_back(currency, setup_->bind(spec));
     }
+}
+
+ga::acct::AccountantBinder ServeSession::currency_binder() const {
+    const ga::sim::RunSetup& setup = *setup_;
+    return [&setup](const ga::acct::AccountantSpec& spec) {
+        return setup.bind(spec);
+    };
 }
 
 ServeSession::ServeSession(ga::io::ScenarioFile scenario,
@@ -117,7 +121,7 @@ ServeSession::ServeSession(ga::io::ScenarioFile scenario,
                 "' does not match the configured deployment");
         }
     }
-    ledger_.import_state(state.ledger);
+    ledger_.import_state(state.ledger, currency_binder());
     clock_ = state.clock_s;
     next_seq_ = state.next_seq;
     rng_ = ga::util::Rng::from_state(state.rng);
@@ -241,6 +245,23 @@ std::vector<ServeSession::MachineFigures> ServeSession::price_request(
             dearest = std::max(dearest, row[c].cost);
         }
         spend_bound += dearest;
+        // An account holder's outcome shows the ledger's costs, so they
+        // pass a finite check before the first job is admitted.
+        if (ledger_.has_account(jobs[i].user)) {
+            const std::vector<std::string> currencies =
+                ledger_.account_currencies(jobs[i].user);
+            for (std::size_t c = 0; c < n; ++c) {
+                ga::acct::JobUsage usage;
+                usage.duration_s = row[c].runtime_s;
+                usage.energy_j = row[c].energy_j;
+                usage.cores = jobs[i].cores;
+                usage.priced_at_s = jobs[i].submit_s;
+                for (const std::string& currency : currencies) {
+                    (void)currency_cost(currency, usage, cluster_cfgs_[c].entry,
+                                        "submit_jobs", i);
+                }
+            }
+        }
     }
     if (!std::isfinite(spend_bound)) {
         throw ProtocolError("bad_request",
@@ -271,21 +292,20 @@ void ServeSession::check_figures(std::span<const MachineFigures> figures,
     }
 }
 
-std::vector<std::pair<std::string, double>> ServeSession::account_costs(
-    const std::string& user, const ga::acct::JobUsage& usage,
-    const ga::machine::CatalogEntry& machine, std::string_view verb) const {
-    std::vector<std::pair<std::string, double>> costs;
-    for (std::string& currency : ledger_.account_currencies(user)) {
-        for (const auto& [name, accountant] : currency_pricers_) {
-            if (name != currency) continue;
-            const double cost = accountant->charge(usage, machine);
-            require_finite(cost, verb, "cost in " + currency,
-                           machine.node.name);
-            costs.emplace_back(std::move(currency), cost);
-            break;
-        }
+double ServeSession::currency_cost(const std::string& currency,
+                                   const ga::acct::JobUsage& usage,
+                                   const ga::machine::CatalogEntry& machine,
+                                   std::string_view verb,
+                                   std::optional<std::size_t> job) const {
+    for (const auto& [name, accountant] : currency_pricers_) {
+        if (name != currency) continue;
+        const double cost = accountant->charge(usage, machine);
+        require_finite(cost, verb, "cost in " + currency, machine.node.name,
+                       job);
+        return cost;
     }
-    return costs;
+    throw ga::util::RuntimeError("session: currency '" + currency +
+                                 "' has no accountant");
 }
 
 ServeSession::Routed ServeSession::route(
@@ -313,10 +333,11 @@ ServeSession::Routed ServeSession::route(
     return routed;
 }
 
-JsonValue ServeSession::submit_one(const JobSpec& job,
-                                   std::span<const MachineFigures> figures) {
-    JsonValue out = object();
-    out.set("user", JsonValue(job.user));
+void ServeSession::submit_one(const JobSpec& job,
+                              std::span<const MachineFigures> figures,
+                              ga::io::JsonWriter& out) {
+    out.begin_object();
+    out.member("user", job.user);
 
     (void)core_.complete_until(job.submit_s);
     clock_ = std::max(clock_, job.submit_s);
@@ -324,19 +345,21 @@ JsonValue ServeSession::submit_one(const JobSpec& job,
 
     const auto reject = [&](std::string_view reason) {
         ++jobs_rejected_;
-        out.set("status", JsonValue("rejected"));
-        out.set("reason", JsonValue(reason));
-        return out;
+        out.member("status", "rejected");
+        out.member("reason", reason);
+        out.end_object();
     };
 
     if (!routed.chosen.has_value()) {
-        return reject("infeasible");
+        reject("infeasible");
+        return;
     }
     const std::size_t c = *routed.chosen;
     const MachineFigures& chosen = figures[c];
 
     if (options_.budget > 0.0 && chosen.cost > options_.budget - primary_spent_) {
-        return reject("budget");
+        reject("budget");
+        return;
     }
 
     if (ledger_.has_account(job.user)) {
@@ -347,46 +370,48 @@ JsonValue ServeSession::submit_one(const JobSpec& job,
         usage.priced_at_s = job.submit_s;
         const ga::acct::ChargeOutcome outcome =
             ledger_.charge(job.user, usage, cluster_cfgs_[c].entry);
-        JsonValue costs = object();
+        out.key("costs");
+        out.begin_object();
         for (const auto& [currency, amount] : outcome.costs) {
-            costs.set(currency, JsonValue(amount));
+            out.member(currency, amount);
         }
-        out.set("costs", std::move(costs));
+        out.end_object();
         if (!outcome.admitted) {
             ++jobs_rejected_;
-            out.set("status", JsonValue("rejected"));
-            out.set("reason", JsonValue("refused"));
-            out.set("refused_currency", JsonValue(outcome.refused_currency));
-            return out;
+            out.member("status", "rejected");
+            out.member("reason", "refused");
+            out.member("refused_currency", outcome.refused_currency);
+            out.end_object();
+            return;
         }
-        JsonValue::Array transactions;
-        transactions.reserve(outcome.transactions.size());
+        out.key("transactions");
+        out.begin_array();
         for (const std::uint64_t id : outcome.transactions) {
-            transactions.emplace_back(static_cast<double>(id));
+            out.value(static_cast<double>(id));
         }
-        out.set("transactions", JsonValue(std::move(transactions)));
+        out.end_array();
     } else {
         // Accounting is opt-in per user: jobs from accountless users run
         // uncharged (the routing cost is still reported and still counts
         // against the primary budget gate above).
-        out.set("uncharged", JsonValue(true));
+        out.member("uncharged", true);
     }
 
     primary_spent_ += chosen.cost;
     ++jobs_submitted_;
     const std::uint64_t seq = next_seq_++;
-    out.set("seq", JsonValue(static_cast<double>(seq)));
-    out.set("machine", JsonValue(cluster_cfgs_[c].entry.node.name));
-    out.set("cost", JsonValue(chosen.cost));
-    out.set("runtime_s", JsonValue(chosen.runtime_s));
+    out.member("seq", static_cast<double>(seq));
+    out.member("machine", cluster_cfgs_[c].entry.node.name);
+    out.member("cost", chosen.cost);
+    out.member("runtime_s", chosen.runtime_s);
     if (core_.submit(c, ga::sim::QueuedJob{seq, job.cores, 0, chosen.runtime_s},
                      job.submit_s)) {
-        out.set("status", JsonValue("running"));
-        out.set("finish_s", JsonValue(job.submit_s + chosen.runtime_s));
+        out.member("status", "running");
+        out.member("finish_s", job.submit_s + chosen.runtime_s);
     } else {
-        out.set("status", JsonValue("queued"));
+        out.member("status", "queued");
     }
-    return out;
+    out.end_object();
 }
 
 ServeSession::JobSpec ServeSession::generate_job(ga::util::Rng& rng,
@@ -415,7 +440,8 @@ ServeSession::JobSpec ServeSession::generate_job(ga::util::Rng& rng,
 
 // --------------------------------------------------------------- handlers
 
-JsonValue ServeSession::handle_create_account(const Request& r) {
+void ServeSession::handle_create_account(const Request& r,
+                                         ga::io::JsonWriter& out) {
     check_keys(r.body, {"user", "budget", "budgets"}, "create_account");
     const std::string& user = string_field(r.body, "user", "create_account");
     std::map<std::string, double> budgets;
@@ -461,17 +487,17 @@ JsonValue ServeSession::handle_create_account(const Request& r) {
         }
     }
     ledger_.create_account(user, budgets);
-    JsonValue currencies{JsonValue::Array{}};
-    for (const auto& [currency, amount] : budgets) {
-        currencies.as_array().emplace_back(currency);
-    }
-    JsonValue result = object();
-    result.set("user", JsonValue(user));
-    result.set("currencies", std::move(currencies));
-    return result;
+    out.begin_object();
+    out.member("user", user);
+    out.key("currencies");
+    out.begin_array();
+    for (const auto& [currency, amount] : budgets) out.value(currency);
+    out.end_array();
+    out.end_object();
 }
 
-JsonValue ServeSession::handle_submit_jobs(const Request& r) {
+void ServeSession::handle_submit_jobs(const Request& r,
+                                      ga::io::JsonWriter& out) {
     check_keys(r.body, {"jobs", "generate"}, "submit_jobs");
     std::vector<JobSpec> jobs;
     // The generate path draws from a copy of the session RNG, committed
@@ -499,8 +525,7 @@ JsonValue ServeSession::handle_submit_jobs(const Request& r) {
                        "submit_jobs.job");
             JobSpec job;
             job.user = string_field(entry, "user", "submit_jobs.job");
-            job.cores = static_cast<int>(
-                uint_field(entry, "cores", "submit_jobs.job"));
+            job.cores = int_field(entry, "cores", "submit_jobs.job");
             job.runtime_ic_s =
                 number_field(entry, "runtime_ic_s", "submit_jobs.job");
             job.power_ic_w =
@@ -568,25 +593,26 @@ JsonValue ServeSession::handle_submit_jobs(const Request& r) {
     const std::vector<MachineFigures> figures = price_request(jobs);
     rng_ = rng;
     const std::size_t n = cluster_cfgs_.size();
-    JsonValue::Array outcomes;
-    outcomes.reserve(jobs.size());
+    out.begin_object();
+    out.key("jobs");
+    out.begin_array();
     for (std::size_t i = 0; i < jobs.size(); ++i) {
-        outcomes.push_back(submit_one(
-            jobs[i], std::span<const MachineFigures>(figures).subspan(i * n, n)));
+        submit_one(jobs[i],
+                   std::span<const MachineFigures>(figures).subspan(i * n, n),
+                   out);
     }
-    JsonValue result = object();
-    result.set("jobs", JsonValue(std::move(outcomes)));
-    result.set("clock_s", JsonValue(clock_));
-    return result;
+    out.end_array();
+    out.member("clock_s", clock_);
+    out.end_object();
 }
 
-JsonValue ServeSession::handle_quote(const Request& r) {
+void ServeSession::handle_quote(const Request& r, ga::io::JsonWriter& out) {
     check_keys(r.body,
                {"user", "cores", "runtime_ic_s", "power_ic_w", "gips",
                 "llc_mps", "priced_at_s"},
                "quote");
     JobSpec job;
-    job.cores = static_cast<int>(uint_field(r.body, "cores", "quote"));
+    job.cores = int_field(r.body, "cores", "quote");
     job.runtime_ic_s = number_field(r.body, "runtime_ic_s", "quote");
     job.power_ic_w = number_field(r.body, "power_ic_w", "quote");
     job.counters.gips = number_field_or(r.body, "gips", "quote", 1.0);
@@ -604,26 +630,11 @@ JsonValue ServeSession::handle_quote(const Request& r) {
     price_job(job, priced_at, figures);
     check_figures(figures, "quote");
     const Routed routed = route(job.cores, figures);
-    JsonValue::Array machines;
-    machines.reserve(routed.choices.size());
-    for (std::size_t c = 0; c < routed.choices.size(); ++c) {
-        JsonValue entry = object();
-        entry.set("machine", JsonValue(cluster_cfgs_[c].entry.node.name));
-        entry.set("feasible", JsonValue(routed.choices[c].feasible));
-        entry.set("runtime_s", JsonValue(routed.choices[c].runtime_s));
-        entry.set("energy_j", JsonValue(routed.choices[c].energy_j));
-        entry.set("cost", JsonValue(routed.choices[c].cost));
-        entry.set("queue_wait_s", JsonValue(routed.choices[c].queue_wait_s));
-        machines.push_back(std::move(entry));
-    }
-    JsonValue result = object();
-    result.set("machines", JsonValue(std::move(machines)));
-    result.set("chosen", routed.chosen.has_value()
-                             ? JsonValue(cluster_cfgs_[*routed.chosen].entry.node.name)
-                             : JsonValue(nullptr));
 
     // With a user holding an account, also quote the chosen machine under
     // every currency the account holds (what `charge` would cost).
+    std::vector<std::string> currencies;
+    std::vector<double> currency_costs;
     if (const JsonValue* user = r.body.find("user")) {
         if (!user->is_string()) {
             throw ProtocolError("bad_request",
@@ -637,19 +648,47 @@ JsonValue ServeSession::handle_quote(const Request& r) {
             usage.energy_j = figures[c].energy_j;
             usage.cores = job.cores;
             usage.priced_at_s = priced_at;
-            JsonValue costs = object();
-            for (auto& [currency, cost] :
-                 account_costs(user->as_string(), usage,
-                               cluster_cfgs_[c].entry, "quote")) {
-                costs.set(currency, JsonValue(cost));
+            currencies = ledger_.account_currencies(user->as_string());
+            for (const std::string& currency : currencies) {
+                currency_costs.push_back(currency_cost(
+                    currency, usage, cluster_cfgs_[c].entry, "quote"));
             }
-            result.set("currency_costs", std::move(costs));
         }
     }
-    return result;
+
+    out.begin_object();
+    out.key("machines");
+    out.begin_array();
+    for (std::size_t c = 0; c < routed.choices.size(); ++c) {
+        const ga::sim::MachineChoice& choice = routed.choices[c];
+        out.begin_object();
+        out.member("machine", cluster_cfgs_[c].entry.node.name);
+        out.member("feasible", choice.feasible);
+        out.member("runtime_s", choice.runtime_s);
+        out.member("energy_j", choice.energy_j);
+        out.member("cost", choice.cost);
+        out.member("queue_wait_s", choice.queue_wait_s);
+        out.end_object();
+    }
+    out.end_array();
+    out.key("chosen");
+    if (routed.chosen.has_value()) {
+        out.value(cluster_cfgs_[*routed.chosen].entry.node.name);
+    } else {
+        out.null_value();
+    }
+    if (!currencies.empty()) {
+        out.key("currency_costs");
+        out.begin_object();
+        for (std::size_t k = 0; k < currencies.size(); ++k) {
+            out.member(currencies[k], currency_costs[k]);
+        }
+        out.end_object();
+    }
+    out.end_object();
 }
 
-JsonValue ServeSession::handle_charge(const Request& r) {
+void ServeSession::handle_charge(const Request& r, ga::io::JsonWriter& out) {
     check_keys(r.body,
                {"user", "machine", "duration_s", "energy_j", "cores", "gpus",
                 "priced_at_s"},
@@ -675,10 +714,10 @@ JsonValue ServeSession::handle_charge(const Request& r) {
     ga::acct::JobUsage usage;
     usage.duration_s = number_field(r.body, "duration_s", "charge");
     usage.energy_j = number_field(r.body, "energy_j", "charge");
-    usage.cores = static_cast<int>(uint_field(r.body, "cores", "charge"));
-    usage.gpus = static_cast<int>(r.body.find("gpus") != nullptr
-                                      ? uint_field(r.body, "gpus", "charge")
-                                      : 0);
+    usage.cores = int_field(r.body, "cores", "charge");
+    usage.gpus = r.body.find("gpus") != nullptr
+                     ? int_field(r.body, "gpus", "charge")
+                     : 0;
     usage.priced_at_s =
         number_field_or(r.body, "priced_at_s", "charge", clock_);
     if (!(usage.duration_s >= 0.0) || !(usage.energy_j >= 0.0) ||
@@ -688,30 +727,33 @@ JsonValue ServeSession::handle_charge(const Request& r) {
                             "non-negative and cores at least 1");
     }
 
-    (void)account_costs(user, usage, cfg->entry, "charge");
+    for (const std::string& currency : ledger_.account_currencies(user)) {
+        (void)currency_cost(currency, usage, cfg->entry, "charge");
+    }
     const ga::acct::ChargeOutcome outcome =
         ledger_.charge(user, usage, cfg->entry);
-    JsonValue costs = object();
+    out.begin_object();
+    out.member("admitted", outcome.admitted);
+    out.key("costs");
+    out.begin_object();
     for (const auto& [currency, amount] : outcome.costs) {
-        costs.set(currency, JsonValue(amount));
+        out.member(currency, amount);
     }
-    JsonValue result = object();
-    result.set("admitted", JsonValue(outcome.admitted));
-    result.set("costs", std::move(costs));
+    out.end_object();
     if (outcome.admitted) {
-        JsonValue::Array transactions;
-        transactions.reserve(outcome.transactions.size());
+        out.key("transactions");
+        out.begin_array();
         for (const std::uint64_t id : outcome.transactions) {
-            transactions.emplace_back(static_cast<double>(id));
+            out.value(static_cast<double>(id));
         }
-        result.set("transactions", JsonValue(std::move(transactions)));
+        out.end_array();
     } else {
-        result.set("refused_currency", JsonValue(outcome.refused_currency));
+        out.member("refused_currency", outcome.refused_currency);
     }
-    return result;
+    out.end_object();
 }
 
-JsonValue ServeSession::handle_refund(const Request& r) {
+void ServeSession::handle_refund(const Request& r, ga::io::JsonWriter& out) {
     check_keys(r.body, {"user", "transaction"}, "refund");
     const std::string& user = string_field(r.body, "user", "refund");
     const std::uint64_t transaction =
@@ -726,89 +768,91 @@ JsonValue ServeSession::handle_refund(const Request& r) {
     } catch (const ga::util::RuntimeError& e) {
         throw ProtocolError("refund_rejected", e.what());
     }
-    JsonValue result = object();
-    result.set("refund", JsonValue(static_cast<double>(refund_id)));
-    return result;
+    out.begin_object();
+    out.member("refund", static_cast<double>(refund_id));
+    out.end_object();
 }
 
-JsonValue ServeSession::handle_balance(const Request& r) {
+void ServeSession::handle_balance(const Request& r, ga::io::JsonWriter& out) {
     check_keys(r.body, {"user"}, "balance");
     const std::string& user = string_field(r.body, "user", "balance");
     if (!ledger_.has_account(user)) {
         throw ProtocolError("unknown_user",
                             "balance: no account for user '" + user + "'");
     }
-    JsonValue currencies = object();
+    out.begin_object();
+    out.member("user", user);
+    out.key("currencies");
+    out.begin_object();
     for (const std::string& currency : ledger_.account_currencies(user)) {
         const double spent = ledger_.spent(user, currency);
         const double remaining = ledger_.remaining(user, currency);
-        JsonValue entry = object();
-        entry.set("budget", JsonValue(spent + remaining));
-        entry.set("spent", JsonValue(spent));
-        entry.set("remaining", JsonValue(remaining));
-        currencies.set(currency, std::move(entry));
+        out.key(currency);
+        out.begin_object();
+        out.member("budget", spent + remaining);
+        out.member("spent", spent);
+        out.member("remaining", remaining);
+        out.end_object();
     }
-    JsonValue result = object();
-    result.set("user", JsonValue(user));
-    result.set("currencies", std::move(currencies));
-    return result;
+    out.end_object();
+    out.end_object();
 }
 
-JsonValue ServeSession::handle_stats(const Request& r) {
+void ServeSession::handle_stats(const Request& r, ga::io::JsonWriter& out) {
     check_keys(r.body, {}, "stats");
+    // The totals come before the per-cluster entries they sum.
     std::uint64_t running = 0;
     std::uint64_t queued = 0;
     std::uint64_t completed = 0;
-    JsonValue::Array clusters;
-    clusters.reserve(cluster_cfgs_.size());
     for (std::size_t c = 0; c < cluster_cfgs_.size(); ++c) {
         const ga::sim::ClusterState& cluster = core_.cluster(c);
-        const std::uint64_t cluster_running = cluster.started - cluster.completed;
-        running += cluster_running;
+        running += cluster.started - cluster.completed;
         queued += core_.depth(c);
         completed += cluster.completed;
-        JsonValue entry = object();
-        entry.set("name", JsonValue(cluster_cfgs_[c].entry.node.name));
-        entry.set("capacity_cores", JsonValue(cluster.capacity));
-        entry.set("free_cores", JsonValue(cluster.free_cores));
-        entry.set("running", JsonValue(static_cast<double>(cluster_running)));
-        entry.set("queued", JsonValue(static_cast<double>(core_.depth(c))));
-        entry.set("started", JsonValue(static_cast<double>(cluster.started)));
-        entry.set("completed",
-                  JsonValue(static_cast<double>(cluster.completed)));
-        clusters.push_back(std::move(entry));
     }
-    JsonValue result = object();
-    result.set("clock_s", JsonValue(clock_));
-    result.set("jobs_submitted",
-               JsonValue(static_cast<double>(jobs_submitted_)));
-    result.set("jobs_rejected", JsonValue(static_cast<double>(jobs_rejected_)));
-    result.set("jobs_running", JsonValue(static_cast<double>(running)));
-    result.set("jobs_queued", JsonValue(static_cast<double>(queued)));
-    result.set("jobs_completed", JsonValue(static_cast<double>(completed)));
-    result.set("primary_spent", JsonValue(primary_spent_));
-    result.set("transactions",
-               JsonValue(static_cast<double>(ledger_.history_size())));
-    result.set("clusters", JsonValue(std::move(clusters)));
-    return result;
+    out.begin_object();
+    out.member("clock_s", clock_);
+    out.member("jobs_submitted", static_cast<double>(jobs_submitted_));
+    out.member("jobs_rejected", static_cast<double>(jobs_rejected_));
+    out.member("jobs_running", static_cast<double>(running));
+    out.member("jobs_queued", static_cast<double>(queued));
+    out.member("jobs_completed", static_cast<double>(completed));
+    out.member("primary_spent", primary_spent_);
+    out.member("transactions", static_cast<double>(ledger_.history_size()));
+    out.key("clusters");
+    out.begin_array();
+    for (std::size_t c = 0; c < cluster_cfgs_.size(); ++c) {
+        const ga::sim::ClusterState& cluster = core_.cluster(c);
+        out.begin_object();
+        out.member("name", cluster_cfgs_[c].entry.node.name);
+        out.member("capacity_cores", static_cast<double>(cluster.capacity));
+        out.member("free_cores", static_cast<double>(cluster.free_cores));
+        out.member("running",
+                   static_cast<double>(cluster.started - cluster.completed));
+        out.member("queued", static_cast<double>(core_.depth(c)));
+        out.member("started", static_cast<double>(cluster.started));
+        out.member("completed", static_cast<double>(cluster.completed));
+        out.end_object();
+    }
+    out.end_array();
+    out.end_object();
 }
 
-JsonValue ServeSession::handle_metrics(const Request& r) {
+void ServeSession::handle_metrics(const Request& r, ga::io::JsonWriter& out) {
     check_keys(r.body, {}, "metrics");
-    JsonValue result = object();
+    out.begin_object();
     // Per-session tallies of lines handled, including this request (it is
     // counted when its line enters handle_line).
-    result.set("requests", JsonValue(static_cast<double>(requests_served_)));
-    result.set("errors", JsonValue(static_cast<double>(request_errors_)));
-    result.set("metrics_enabled", JsonValue(ga::obs::metrics_enabled()));
+    out.member("requests", static_cast<double>(requests_served_));
+    out.member("errors", static_cast<double>(request_errors_));
+    out.member("metrics_enabled", ga::obs::metrics_enabled());
     // Process-wide registry snapshot; all-zero (but present) when metrics
     // collection is disabled.
-    result.set("prometheus",
-               JsonValue(ga::obs::Registry::global().render_prometheus()));
-    return result;
+    out.member("prometheus", ga::obs::Registry::global().render_prometheus());
+    out.end_object();
 }
 
-JsonValue ServeSession::handle_advance(const Request& r) {
+void ServeSession::handle_advance(const Request& r, ga::io::JsonWriter& out) {
     check_keys(r.body, {"to_s"}, "advance");
     const double to = number_field(r.body, "to_s", "advance");
     if (to < clock_) {
@@ -817,47 +861,48 @@ JsonValue ServeSession::handle_advance(const Request& r) {
     }
     const std::uint64_t completed = core_.complete_until(to);
     clock_ = std::max(clock_, to);
-    JsonValue result = object();
-    result.set("clock_s", JsonValue(clock_));
-    result.set("completed", JsonValue(static_cast<double>(completed)));
-    return result;
+    out.begin_object();
+    out.member("clock_s", clock_);
+    out.member("completed", static_cast<double>(completed));
+    out.end_object();
 }
 
-JsonValue ServeSession::handle_checkpoint(const Request& r) {
+void ServeSession::handle_checkpoint(const Request& r,
+                                     ga::io::JsonWriter& out) {
     check_keys(r.body, {"path"}, "checkpoint");
     const std::string& path = string_field(r.body, "path", "checkpoint");
     const SessionState state = export_state();
     const std::string bytes = encode_snapshot(state);
     write_snapshot_file(path, state);
-    JsonValue result = object();
-    result.set("path", JsonValue(path));
-    result.set("bytes", JsonValue(static_cast<double>(bytes.size())));
-    result.set("checksum",
-               JsonValue(checksum_hex(snapshot_checksum(
-                   std::string_view(bytes).substr(32)))));
-    return result;
+    out.begin_object();
+    out.member("path", path);
+    out.member("bytes", static_cast<double>(bytes.size()));
+    out.member("checksum", checksum_hex(snapshot_checksum(
+                               std::string_view(bytes).substr(32))));
+    out.end_object();
 }
 
-JsonValue ServeSession::handle_shutdown(const Request& r) {
+void ServeSession::handle_shutdown(const Request& r, ga::io::JsonWriter& out) {
     check_keys(r.body, {}, "shutdown");
     shutdown_ = true;
-    JsonValue result = object();
-    result.set("stopping", JsonValue(true));
-    return result;
+    out.begin_object();
+    out.member("stopping", true);
+    out.end_object();
 }
 
-JsonValue ServeSession::dispatch(const Request& request) {
-    if (request.type == "create_account") return handle_create_account(request);
-    if (request.type == "submit_jobs") return handle_submit_jobs(request);
-    if (request.type == "quote") return handle_quote(request);
-    if (request.type == "charge") return handle_charge(request);
-    if (request.type == "refund") return handle_refund(request);
-    if (request.type == "balance") return handle_balance(request);
-    if (request.type == "stats") return handle_stats(request);
-    if (request.type == "metrics") return handle_metrics(request);
-    if (request.type == "advance") return handle_advance(request);
-    if (request.type == "checkpoint") return handle_checkpoint(request);
-    if (request.type == "shutdown") return handle_shutdown(request);
+void ServeSession::dispatch(const Request& request, ga::io::JsonWriter& out) {
+    const std::string& type = request.type;
+    if (type == "create_account") return handle_create_account(request, out);
+    if (type == "submit_jobs") return handle_submit_jobs(request, out);
+    if (type == "quote") return handle_quote(request, out);
+    if (type == "charge") return handle_charge(request, out);
+    if (type == "refund") return handle_refund(request, out);
+    if (type == "balance") return handle_balance(request, out);
+    if (type == "stats") return handle_stats(request, out);
+    if (type == "metrics") return handle_metrics(request, out);
+    if (type == "advance") return handle_advance(request, out);
+    if (type == "checkpoint") return handle_checkpoint(request, out);
+    if (type == "shutdown") return handle_shutdown(request, out);
     throw ProtocolError("unknown_type",
                         "unknown request type '" + request.type + "'");
 }
@@ -866,29 +911,37 @@ std::string ServeSession::handle_line(std::string_view line) {
     ServeMetrics& metrics = serve_metrics();
     ++requests_served_;
     metrics.requests.inc();
+    // Most response lines take a few hundred bytes: one allocation up front
+    // spares the string's doubling from its small buffer.
+    std::string response;
+    response.reserve(1024);
     std::optional<std::uint64_t> id;
+    // A refused request may have written part of its result: the error
+    // line replaces it.
+    const auto fail = [&](std::string_view code, std::string_view message) {
+        ++request_errors_;
+        metrics.errors.inc();
+        response.clear();
+        write_error_response(response, id, code, message);
+        return std::move(response);
+    };
     try {
-        Request request = parse_request(line);
+        const Request request = parse_request(line);
         id = request.id;
-        JsonValue result = dispatch(request);
-        return render(ok_response(request.id, std::move(result)));
+        ga::io::JsonWriter out(response);
+        begin_ok_response(out, request.id);
+        dispatch(request, out);
+        out.end_object();
+        return response;
     } catch (const ProtocolError& e) {
-        ++request_errors_;
-        metrics.errors.inc();
         if (!id.has_value()) id = recover_request_id(line);
-        return render(error_response(id, e.code(), e.what()));
+        return fail(e.code(), e.what());
     } catch (const ga::util::PreconditionError& e) {
-        ++request_errors_;
-        metrics.errors.inc();
-        return render(error_response(id, "precondition", e.what()));
+        return fail("precondition", e.what());
     } catch (const ga::util::RuntimeError& e) {
-        ++request_errors_;
-        metrics.errors.inc();
-        return render(error_response(id, "state_error", e.what()));
+        return fail("state_error", e.what());
     } catch (const std::exception& e) {
-        ++request_errors_;
-        metrics.errors.inc();
-        return render(error_response(id, "internal", e.what()));
+        return fail("internal", e.what());
     }
 }
 

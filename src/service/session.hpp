@@ -131,30 +131,40 @@ private:
     };
 
     void init_config(ga::io::ScenarioFile scenario);
+    /// Builds a currency's accountant as `setup_` binds the routing price
+    /// (to the grid traces on regional grids); for the ledger's currencies,
+    /// fresh and restored.
+    [[nodiscard]] ga::acct::AccountantBinder currency_binder() const;
 
-    [[nodiscard]] ga::io::JsonValue dispatch(const Request& request);
+    /// Runs the request's handler, which writes its result value to `out`.
+    /// A handler refuses a request (throws) before its first state change;
+    /// after that, every figure it writes has passed a finite check, so a
+    /// write cannot fail half-way through an applied request.
+    void dispatch(const Request& request, ga::io::JsonWriter& out);
 
     // one handler per request type
-    [[nodiscard]] ga::io::JsonValue handle_create_account(const Request& r);
-    [[nodiscard]] ga::io::JsonValue handle_submit_jobs(const Request& r);
-    [[nodiscard]] ga::io::JsonValue handle_quote(const Request& r);
-    [[nodiscard]] ga::io::JsonValue handle_charge(const Request& r);
-    [[nodiscard]] ga::io::JsonValue handle_refund(const Request& r);
-    [[nodiscard]] ga::io::JsonValue handle_balance(const Request& r);
-    [[nodiscard]] ga::io::JsonValue handle_stats(const Request& r);
-    [[nodiscard]] ga::io::JsonValue handle_metrics(const Request& r);
-    [[nodiscard]] ga::io::JsonValue handle_advance(const Request& r);
-    [[nodiscard]] ga::io::JsonValue handle_checkpoint(const Request& r);
-    [[nodiscard]] ga::io::JsonValue handle_shutdown(const Request& r);
+    void handle_create_account(const Request& r, ga::io::JsonWriter& out);
+    void handle_submit_jobs(const Request& r, ga::io::JsonWriter& out);
+    void handle_quote(const Request& r, ga::io::JsonWriter& out);
+    void handle_charge(const Request& r, ga::io::JsonWriter& out);
+    void handle_refund(const Request& r, ga::io::JsonWriter& out);
+    void handle_balance(const Request& r, ga::io::JsonWriter& out);
+    void handle_stats(const Request& r, ga::io::JsonWriter& out);
+    void handle_metrics(const Request& r, ga::io::JsonWriter& out);
+    void handle_advance(const Request& r, ga::io::JsonWriter& out);
+    void handle_checkpoint(const Request& r, ga::io::JsonWriter& out);
+    void handle_shutdown(const Request& r, ga::io::JsonWriter& out);
 
     /// `job`'s figures on every cluster, priced at `priced_at`.
     void price_job(const JobSpec& job, double priced_at,
                    std::span<MachineFigures> out) const;
     /// Every job's figures at its submit time, before anything is admitted;
     /// throws bad_request when one is not finite, when a job's cores times
-    /// its runtime or finish time is not finite on some machine, or when the
-    /// request could make `primary_spent` or a cluster's queued-work or
-    /// running-work sum non-finite.
+    /// its runtime or finish time is not finite on some machine, when an
+    /// account holder's job would cost a non-finite amount in one of its
+    /// currencies on some machine, or when the request could make
+    /// `primary_spent` or a cluster's queued-work or running-work sum
+    /// non-finite.
     [[nodiscard]] std::vector<MachineFigures> price_request(
         const std::vector<JobSpec>& jobs) const;
     /// Throws bad_request, naming `verb`, the figure and the machine, when
@@ -162,14 +172,17 @@ private:
     void check_figures(std::span<const MachineFigures> figures,
                        std::string_view verb,
                        std::optional<std::size_t> job = std::nullopt) const;
-    /// What `usage` on `machine` costs `user` in each currency the account
-    /// holds; throws bad_request, naming `verb`, when a cost is not finite.
-    [[nodiscard]] std::vector<std::pair<std::string, double>> account_costs(
-        const std::string& user, const ga::acct::JobUsage& usage,
-        const ga::machine::CatalogEntry& machine, std::string_view verb) const;
+    /// What `usage` on `machine` costs in `currency` (one an account
+    /// holds); throws bad_request, naming `verb` (and `job`), when the cost
+    /// is not finite.
+    [[nodiscard]] double currency_cost(
+        const std::string& currency, const ga::acct::JobUsage& usage,
+        const ga::machine::CatalogEntry& machine, std::string_view verb,
+        std::optional<std::size_t> job = std::nullopt) const;
     [[nodiscard]] Routed route(int cores, std::span<const MachineFigures> figures);
-    [[nodiscard]] ga::io::JsonValue submit_one(
-        const JobSpec& job, std::span<const MachineFigures> figures);
+    /// Admits, queues or rejects one priced job and writes its outcome.
+    void submit_one(const JobSpec& job, std::span<const MachineFigures> figures,
+                    ga::io::JsonWriter& out);
     [[nodiscard]] JobSpec generate_job(ga::util::Rng& rng, double submit_s) const;
 
     // ---- configuration (immutable after construction) -------------------
@@ -181,7 +194,9 @@ private:
     std::unique_ptr<const ga::sim::RunSetup> setup_;
     /// Session copies of the defined currencies' accountants (sorted by
     /// currency) for quote-time pricing; the Ledger holds its own instances
-    /// for the authoritative charge path.
+    /// for the authoritative charge path. Both are built by
+    /// `setup_->bind`, so on regional grids they price with the grid traces
+    /// as the routing price does.
     std::vector<std::pair<std::string, std::unique_ptr<const ga::acct::Accountant>>>
         currency_pricers_;
     std::size_t generate_users_ = 1;  ///< user-pool size for the generate path

@@ -14,10 +14,11 @@
 // bit-identical to running the same specs serially.
 //
 // Points that price alike share one route-quote table (`QuoteTable`,
-// sim/simulator.hpp): a sweep builds one per distinct `QuoteKey` before it
-// runs any point, hands each point its key's table, and frees them when it
-// returns. A paper grid of policies x budgets over two pricings prices each
-// submit twice instead of once per point.
+// sim/simulator.hpp): a sweep builds a `QuoteKey`'s table when the first of
+// its points starts, hands it to each of that key's points, and frees it
+// when the last of them finishes, so a sweep holds only the tables of the
+// keys in flight. A paper grid of policies x budgets over two pricings
+// prices each submit twice instead of once per point.
 #pragma once
 
 #include <cstddef>

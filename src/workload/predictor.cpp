@@ -134,17 +134,19 @@ std::vector<MachineScaling> CrossPlatformPredictor::predict(
         std::bit_cast<std::uint64_t>(counters.gips) * 0x9E3779B97F4A7C15ULL ^
         std::bit_cast<std::uint64_t>(counters.llc_mps);
 
+    // IC keeps the default scaling of exactly 1: the trace's runtime/power
+    // are ground truth on IC, so prediction noise must not perturb them.
+    // Each machine seeds its own noise stream, so skipping IC's draws
+    // leaves the others' bits.
     std::vector<MachineScaling> out(machines_.size());
     for (std::size_t m = 0; m < machines_.size(); ++m) {
+        if (m == ic_index_) continue;
         ga::util::Rng noise_rng(ga::util::SplitMix64(key ^ (m * 0xD1B54A32ULL)).next());
         out[m].runtime_factor =
             std::exp(raw[m * 2] + noise_rng.normal(0.0, noise_sigma_));
         out[m].power_factor =
             std::exp(raw[m * 2 + 1] + noise_rng.normal(0.0, noise_sigma_));
     }
-    // Pin the IC scaling to exactly 1: the trace's runtime/power are ground
-    // truth on IC, prediction noise must not perturb them.
-    out[ic_index_] = MachineScaling{1.0, 1.0};
     return out;
 }
 

@@ -5,6 +5,8 @@
 
 #include <cmath>
 #include <limits>
+#include <string>
+#include <string_view>
 
 #include "io/json.hpp"
 #include "util/error.hpp"
@@ -12,6 +14,7 @@
 namespace {
 
 using ga::io::JsonValue;
+using ga::io::JsonWriter;
 using ga::io::parse_json;
 using ga::io::write_json;
 using ga::util::RuntimeError;
@@ -177,6 +180,193 @@ TEST(Json, SetReplacesInPlace) {
     ASSERT_EQ(doc.as_object().size(), 2u);
     EXPECT_EQ(doc.at("a").as_number(), 3.0);
     EXPECT_EQ(doc.as_object()[0].first, "a");  // order kept
+}
+
+// ------------------------------------------------------ pinned bytes
+// The expected strings below were written by the DOM serializer that
+// JsonWriter replaced; they pin write_json's bytes across that change.
+
+/// A document touching every writer path: empty and nested containers in
+/// objects and arrays, every escape, and integral, fractional, negative,
+/// large and tiny doubles.
+JsonValue pinned_document() {
+    JsonValue::Object nested;
+    nested.emplace_back("list", JsonValue::Array{1.0, JsonValue::Array{},
+                                                 JsonValue::Object{}, nullptr});
+    nested.emplace_back(
+        "deep", JsonValue::Object{{"a", JsonValue::Object{
+                                            {"b", JsonValue::Array{true, false}}}}});
+    JsonValue doc;
+    doc.set("empty_object", JsonValue::Object{});
+    doc.set("empty_array", JsonValue::Array{});
+    doc.set("nested", std::move(nested));
+    doc.set("escapes", "q\"b\\s/\b\f\n\r\t\x01\x1f\x7f caf\xc3\xa9");
+    doc.set("esc\"aped\nkey", "");
+    doc.set("integral", JsonValue::Array{0.0, -0.0, -3.0, 77.0, 1e6, 123456789.0,
+                                         9007199254740992.0, 1e21, 1e300});
+    doc.set("fractional", JsonValue::Array{0.1, -2.5, 1.0 / 3.0, 1e-7,
+                                           6.02214076e23, 5e-324, 2.5e-300});
+    return doc;
+}
+
+const std::string kPinnedCompact =
+    R"({"empty_object":{},"empty_array":[],"nested":{"list":[1,[],{},null],)"
+    R"("deep":{"a":{"b":[true,false]}}},)"
+    R"("escapes":"q\"b\\s/\b\f\n\r\t\u0001\u001f)" "\x7f" R"( caf)" "\xc3\xa9" R"(",)"
+    R"("esc\"aped\nkey":"",)"
+    R"("integral":[0,-0,-3,77,1e+06,123456789,9007199254740992,1e+21,1e+300],)"
+    R"("fractional":[0.1,-2.5,0.3333333333333333,1e-07,6.02214076e+23,5e-324,2.5e-300]})";
+
+const std::string kPinnedPretty = R"({
+  "empty_object": {},
+  "empty_array": [],
+  "nested": {
+    "list": [
+      1,
+      [],
+      {},
+      null
+    ],
+    "deep": {
+      "a": {
+        "b": [
+          true,
+          false
+        ]
+      }
+    }
+  },
+  "escapes": "q\"b\\s/\b\f\n\r\t\u0001\u001f)" "\x7f" R"( caf)" "\xc3\xa9" R"(",
+  "esc\"aped\nkey": "",
+  "integral": [
+    0,
+    -0,
+    -3,
+    77,
+    1e+06,
+    123456789,
+    9007199254740992,
+    1e+21,
+    1e+300
+  ],
+  "fractional": [
+    0.1,
+    -2.5,
+    0.3333333333333333,
+    1e-07,
+    6.02214076e+23,
+    5e-324,
+    2.5e-300
+  ]
+}
+)";
+
+TEST(Json, WriteBytesArePinned) {
+    EXPECT_EQ(write_json(pinned_document(), 0), kPinnedCompact);
+    EXPECT_EQ(write_json(pinned_document(), 2), kPinnedPretty);
+    // Scalars at the top level; pretty mode ends the document with a newline.
+    EXPECT_EQ(write_json(JsonValue(2.5), 0), "2.5");
+    EXPECT_EQ(write_json(JsonValue(nullptr), 2), "null\n");
+    EXPECT_EQ(write_json(JsonValue::Array{}, 4), "[]\n");
+}
+
+/// pinned_document() streamed by hand, with no DOM.
+void stream_pinned_document(JsonWriter& w) {
+    w.begin_object();
+    w.key("empty_object");
+    w.begin_object();
+    w.end_object();
+    w.key("empty_array");
+    w.begin_array();
+    w.end_array();
+    w.key("nested");
+    w.begin_object();
+    w.key("list");
+    w.begin_array();
+    w.value(1.0);
+    w.begin_array();
+    w.end_array();
+    w.begin_object();
+    w.end_object();
+    w.null_value();
+    w.end_array();
+    w.key("deep");
+    w.begin_object();
+    w.key("a");
+    w.begin_object();
+    w.key("b");
+    w.begin_array();
+    w.value(true);
+    w.value(false);
+    w.end_array();
+    w.end_object();
+    w.end_object();
+    w.end_object();
+    w.member("escapes", "q\"b\\s/\b\f\n\r\t\x01\x1f\x7f caf\xc3\xa9");
+    w.member("esc\"aped\nkey", std::string());
+    w.key("integral");
+    w.begin_array();
+    for (const double v : {0.0, -0.0, -3.0, 77.0, 1e6, 123456789.0,
+                           9007199254740992.0, 1e21, 1e300}) {
+        w.value(v);
+    }
+    w.end_array();
+    w.key("fractional");
+    w.begin_array();
+    for (const double v :
+         {0.1, -2.5, 1.0 / 3.0, 1e-7, 6.02214076e23, 5e-324, 2.5e-300}) {
+        w.value(v);
+    }
+    w.end_array();
+    w.end_object();
+}
+
+TEST(JsonWriter, StreamEqualsWriteJsonOfTheSameDom) {
+    for (const int indent : {0, 2, 3}) {
+        std::string streamed;
+        JsonWriter w(streamed, indent);
+        stream_pinned_document(w);
+        EXPECT_EQ(streamed, write_json(pinned_document(), indent)) << indent;
+    }
+    std::string compact;
+    JsonWriter w(compact);
+    stream_pinned_document(w);
+    EXPECT_EQ(compact, kPinnedCompact);
+}
+
+TEST(JsonWriter, AppendsToTheCallersString) {
+    std::string out = "prefix ";
+    JsonWriter w(out);
+    w.write(parse_json(R"({"a":[1,"x"]})"));
+    EXPECT_EQ(out, R"(prefix {"a":[1,"x"]})");
+}
+
+TEST(JsonWriter, RefusesNonFiniteNumbers) {
+    for (const double v : {std::nan(""), std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()}) {
+        std::string out;
+        JsonWriter w(out);
+        w.begin_array();
+        EXPECT_THROW(w.value(v), RuntimeError);
+    }
+}
+
+TEST(Json, ParsesStringRunsAroundEscapes) {
+    EXPECT_EQ(parse_json(R"("\nab\\\"cdéef\t")").as_string(),
+              "\nab\\\"cd\xc3\xa9" "ef\t");
+    EXPECT_EQ(parse_json(R"("plain run")").as_string(), "plain run");
+    EXPECT_EQ(parse_json(R"("")").as_string(), "");
+    // A control character after a run is reported at its own column.
+    try {
+        (void)parse_json("\"abc\x01\"");
+        FAIL() << "expected RuntimeError";
+    } catch (const RuntimeError& e) {
+        EXPECT_NE(std::string_view(e.what()).find(
+                      "column 5: unescaped control character"),
+                  std::string_view::npos)
+            << e.what();
+    }
+    EXPECT_THROW((void)parse_json("\"unterminated run"), RuntimeError);
 }
 
 }  // namespace

@@ -91,6 +91,103 @@ TEST(LedgerAccounts, GrantSupplementsOneHolding) {
                  ga::util::RuntimeError);
 }
 
+TEST(LedgerAccounts, IndexFollowsReplaceRecreateAndImport) {
+    // Accounts are found through a per-user index, while export_state keeps
+    // creation order: a replaced account keeps its place, a re-created one
+    // after an import is appended, and an import rebuilds the index.
+    ac::Ledger ledger;
+    ledger.define_currency("credits", {"Runtime", {}});
+    for (int i = 0; i < 200; ++i) {
+        ledger.create_account("u" + std::to_string(i), 1.0 + i);
+    }
+    ledger.create_account("u57", 1000.0);  // replace in place
+    const ac::LedgerState state = ledger.export_state();
+    ASSERT_EQ(state.accounts.size(), 200u);
+    for (int i = 0; i < 200; ++i) {
+        const std::string user = "u" + std::to_string(i);
+        EXPECT_EQ(state.accounts[static_cast<std::size_t>(i)].user, user);
+        EXPECT_DOUBLE_EQ(ledger.remaining(user), i == 57 ? 1000.0 : 1.0 + i);
+    }
+    EXPECT_FALSE(ledger.has_account("u200"));
+
+    // An import replaces every account: users only the old ledger held are
+    // gone, and the imported ones are found at their positions.
+    ac::Ledger restored;
+    restored.define_currency("credits", {"Runtime", {}});
+    restored.create_account("old", 5.0);
+    restored.import_state(state);
+    EXPECT_FALSE(restored.has_account("old"));
+    EXPECT_EQ(restored.export_state(), state);
+    for (int i = 0; i < 200; ++i) {
+        const std::string user = "u" + std::to_string(i);
+        EXPECT_DOUBLE_EQ(restored.remaining(user), i == 57 ? 1000.0 : 1.0 + i);
+    }
+    restored.create_account("u3", 7.0);  // replace an imported account
+    restored.create_account("old", 9.0);  // re-create a dropped user
+    const ac::LedgerState after = restored.export_state();
+    ASSERT_EQ(after.accounts.size(), 201u);
+    EXPECT_EQ(after.accounts[3].user, "u3");
+    EXPECT_DOUBLE_EQ(after.accounts[3].holdings.front().second.budget, 7.0);
+    EXPECT_EQ(after.accounts.back().user, "old");
+    EXPECT_DOUBLE_EQ(restored.remaining("old"), 9.0);
+
+    // A refused import leaves the accounts and their index as they were.
+    ac::LedgerState duplicate = state;
+    duplicate.accounts.push_back(duplicate.accounts.front());
+    EXPECT_THROW(restored.import_state(duplicate), ga::util::RuntimeError);
+    EXPECT_EQ(restored.export_state(), after);
+    EXPECT_DOUBLE_EQ(restored.remaining("old"), 9.0);
+}
+
+/// Runtime accounting at twice the price: what a binder returns in place of
+/// the registry's accountant.
+class DoubledRuntime final : public ac::Accountant {
+public:
+    [[nodiscard]] double charge(const ac::JobUsage& usage,
+                                const mc::CatalogEntry& m) const override {
+        return 2.0 * runtime_.charge(usage, m);
+    }
+    [[nodiscard]] std::string_view name() const noexcept override {
+        return "Runtime";
+    }
+    [[nodiscard]] std::string_view unit() const noexcept override {
+        return runtime_.unit();
+    }
+
+private:
+    ac::RuntimeAccounting runtime_;
+};
+
+TEST(LedgerCurrencies, BinderBuildsTheAccountantAndKeepsTheSpec) {
+    int binds = 0;
+    const ac::AccountantBinder doubled = [&binds](const ac::AccountantSpec&) {
+        ++binds;
+        return std::make_unique<DoubledRuntime>();
+    };
+    const auto& m = mc::find(mc::CatalogId::Desktop);
+    ac::Ledger ledger;
+    ledger.define_currency("credits", {"Runtime", {}}, doubled);
+    EXPECT_EQ(binds, 1);
+    ledger.create_account("alice", 100.0);
+    // 2 cores x 1 h = 2 core-hours, doubled.
+    const auto charged = [&m](ac::Ledger& l) {
+        return l.charge("alice", cpu_job(3600.0, 1.0, 2), m).costs.at("credits");
+    };
+    EXPECT_DOUBLE_EQ(charged(ledger), 4.0);
+    // The spec, not the bound accountant, is what a snapshot records.
+    const ac::LedgerState state = ledger.export_state();
+    ASSERT_EQ(state.currencies.size(), 1u);
+    EXPECT_EQ(state.currencies.front().second.name, "Runtime");
+
+    ac::Ledger rebound;
+    rebound.import_state(state, doubled);
+    EXPECT_EQ(binds, 2);
+    EXPECT_DOUBLE_EQ(charged(rebound), 4.0);
+    ac::Ledger plain;
+    plain.import_state(state);
+    EXPECT_DOUBLE_EQ(charged(plain), 2.0);
+}
+
 // ----------------------------------------------------- dual-budget charges
 TEST(LedgerCharge, MultiCurrencyAdmitsWhenAllCanPayAndDebitsAll) {
     ac::Ledger ledger;

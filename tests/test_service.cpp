@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <limits>
+#include <memory>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -21,6 +22,7 @@
 #include "service/session.hpp"
 #include "service/snapshot.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace {
 
@@ -96,8 +98,9 @@ TEST(Protocol, RecoverRequestIdBestEffort) {
 }
 
 TEST(Protocol, ErrorResponseWithoutIdRendersNull) {
-    const std::string line = ga::service::render(
-        ga::service::error_response(std::nullopt, "parse_error", "boom"));
+    std::string line;
+    ga::service::write_error_response(line, std::nullopt, "parse_error",
+                                      "boom");
     EXPECT_EQ(line.find(R"({"id":null,"ok":false)"), 0u) << line;
 }
 
@@ -455,7 +458,7 @@ TEST(Session, ChargeRefundRestoresBalance) {
     EXPECT_NE(refunded.find("refund"), nullptr);
     const JsonValue after = result_of(
         session.handle_line(R"({"id":5,"type":"balance","user":"alice"})"));
-    EXPECT_EQ(ga::service::render(before), ga::service::render(after));
+    EXPECT_EQ(ga::io::write_json(before, 0), ga::io::write_json(after, 0));
 }
 
 /// Pulls `response.error.code` after asserting `ok` is false.
@@ -580,6 +583,252 @@ TEST(Session, WorkSumOverflowIsRefusedWithoutStateChange) {
     const std::string frozen = encode_snapshot(session.export_state());
     const ServeSession restored(runtime_priced, decode_snapshot(frozen));
     EXPECT_EQ(encode_snapshot(restored.export_state()), frozen);
+}
+
+TEST(Session, NonFiniteCurrencyCostIsRefusedWithoutStateChange) {
+    // An account holder's submit shows the ledger's cost in each of its
+    // currencies. Here that currency (CarbonTax at rate 1e308) overflows
+    // while the routing price (EBA) stays finite. The request used to admit
+    // job 0, refuse job 1 in the ledger, and then fail to render: an error
+    // after a half-applied request.
+    const ga::io::ScenarioFile taxed = ga::io::scenario_from_json(parse_json(R"({
+        "name": "taxed",
+        "workload": {"base_jobs": 360, "repetitions": 2, "users": 40,
+                     "span_days": 2.0, "seed": 2023},
+        "options": {"pricing": "EBA", "currency_budgets": [
+            {"currency": "tax", "budget": 1,
+             "accountant": {"name": "CarbonTax", "params": {"rate": 1e308}}}]}})"));
+    ServeSession session(taxed);
+    (void)result_of(session.handle_line(
+        R"({"id":1,"type":"create_account","user":"a","budgets":{"tax":1e308}})"));
+    const std::string before = encode_snapshot(session.export_state());
+    const std::string response = session.handle_line(
+        R"({"id":2,"type":"submit_jobs","jobs":[{"user":"anon","cores":8,"runtime_ic_s":3600,"power_ic_w":150},{"user":"a","cores":8,"runtime_ic_s":3600000,"power_ic_w":150}]})");
+    EXPECT_EQ(error_code_of(response), "bad_request") << response;
+    EXPECT_NE(response.find("job 1 has a non-finite cost in tax on"),
+              std::string::npos)
+        << response;
+    EXPECT_EQ(encode_snapshot(session.export_state()), before);
+}
+
+TEST(Session, QuoteWithNonStringUserIsExactlyTheErrorLine) {
+    ServeSession session(ci_scenario());
+    EXPECT_EQ(
+        session.handle_line(
+            R"({"id":5,"type":"quote","user":7,"cores":8,"runtime_ic_s":600,"power_ic_w":150})"),
+        R"({"id":5,"ok":false,"error":{"code":"bad_request","message":"quote: 'user' must be a string"}})");
+}
+
+/// Prices every job at a negative cost; the ledger refuses to charge it.
+class NegativeAccounting final : public ga::acct::Accountant {
+public:
+    [[nodiscard]] double charge(const JobUsage& /*usage*/,
+                                const ga::machine::CatalogEntry& /*m*/)
+        const override {
+        return -1.0;
+    }
+    [[nodiscard]] std::string_view name() const noexcept override {
+        return "Negative";
+    }
+    [[nodiscard]] std::string_view unit() const noexcept override {
+        return "credits";
+    }
+};
+
+TEST(Session, HandlerThrowingMidResultLeavesOnlyTheErrorLine) {
+    // An account holder's submit writes its job's "user" before the ledger
+    // charges it; the ledger then refuses the negative cost by throwing.
+    auto& registry = ga::acct::AccountantRegistry::global();
+    if (!registry.contains("Negative")) {
+        registry.register_accountant("Negative", [](const AccountantSpec&) {
+            return std::make_unique<NegativeAccounting>();
+        });
+    }
+    const ga::io::ScenarioFile negative = ga::io::scenario_from_json(parse_json(R"({
+        "name": "negative-priced",
+        "workload": {"base_jobs": 360, "repetitions": 2, "users": 40,
+                     "span_days": 2.0, "seed": 2023},
+        "options": {"pricing": "Negative"}})"));
+    ServeSession session(negative);
+    (void)result_of(session.handle_line(
+        R"({"id":1,"type":"create_account","user":"alice","budget":100})"));
+    const std::string response = session.handle_line(
+        R"({"id":2,"type":"submit_jobs","jobs":[{"user":"alice","cores":8,"runtime_ic_s":3600,"power_ic_w":150}]})");
+    const JsonValue doc = parse_json(response);  // one document, no prefix
+    EXPECT_EQ(doc.find("error")->find("code")->as_string(), "precondition")
+        << response;
+    std::string expected;
+    ga::service::write_error_response(
+        expected, 2, "precondition",
+        doc.find("error")->find("message")->as_string());
+    EXPECT_EQ(response, expected);
+}
+
+/// A seeded stream over every verb but checkpoint and shutdown, with
+/// account holders and accountless users, multi-job and generated submits,
+/// refunds, clock advances and refused requests.
+std::vector<std::string> seeded_stream(std::uint64_t seed, std::size_t n) {
+    ga::util::Rng rng(seed);
+    std::vector<std::string> lines;
+    std::uint64_t id = 0;
+    const auto add = [&](const std::string& body) {
+        lines.push_back(R"({"id":)" + std::to_string(++id) + "," + body + "}");
+    };
+    const auto job = [&](const std::string& user, double submit_s) {
+        return R"({"user":")" + user + R"(","cores":)" +
+               std::to_string(1 << rng.uniform_int(0, 6)) +
+               R"(,"runtime_ic_s":)" +
+               ga::io::format_double(rng.uniform(1.0, 20000.0)) +
+               R"(,"power_ic_w":)" +
+               ga::io::format_double(rng.uniform(10.0, 2000.0)) +
+               R"(,"gips":)" + ga::io::format_double(rng.uniform(0.5, 4.0)) +
+               R"(,"submit_s":)" + ga::io::format_double(submit_s) + "}";
+    };
+    for (int u = 0; u < 4; ++u) {
+        add(R"("type":"create_account","user":"u)" + std::to_string(u) +
+            R"(","budget":)" + ga::io::format_double(rng.uniform(1e4, 1e7)));
+    }
+    double clock = 0.0;
+    for (std::size_t i = 0; i < n; ++i) {
+        const std::string user = "u" + std::to_string(rng.uniform_int(0, 5));
+        clock += rng.uniform(0.0, 50.0);
+        switch (rng.uniform_int(0, 9)) {
+            case 0:
+            case 1:
+                add(R"("type":"submit_jobs","jobs":[)" + job(user, clock) +
+                    "," + job("anon", clock) + "]");
+                break;
+            case 2:
+                add(R"("type":"submit_jobs","generate":{"count":3,"start_s":)" +
+                    ga::io::format_double(clock) + "}");
+                clock += 3.0;
+                break;
+            case 3: {
+                std::string quote = job(user, clock);
+                quote.replace(quote.find(R"("submit_s")"), std::string::npos,
+                              R"("priced_at_s":)" +
+                                  ga::io::format_double(clock) + "}");
+                add(R"("type":"quote",)" + quote.substr(1, quote.size() - 2));
+                break;
+            }
+            case 4:
+                add(R"("type":"charge","user":")" + user +
+                    R"(","machine":"Theta","duration_s":)" +
+                    ga::io::format_double(rng.uniform(1.0, 1e4)) +
+                    R"(,"energy_j":)" +
+                    ga::io::format_double(rng.uniform(1.0, 1e7)) +
+                    R"(,"cores":4,"gpus":1})");
+                break;
+            case 5:
+                add(R"("type":"refund","user":")" + user +
+                    R"(","transaction":)" +
+                    std::to_string(rng.uniform_int(1, 40)));
+                break;
+            case 6: add(R"("type":"balance","user":")" + user + "\""); break;
+            case 7: add(R"("type":"stats")"); break;
+            case 8:
+                add(R"("type":"advance","to_s":)" + ga::io::format_double(clock));
+                break;
+            default: add(R"("type":"metrics")"); break;
+        }
+    }
+    // Escapes in an echoed user name and in an error message.
+    add(R"("type":"create_account","user":"t\tü\u0001\"","budget":5)");
+    add(R"("type":"balance","us\"er":"u0")");
+    lines.emplace_back("{nope");
+    return lines;
+}
+
+TEST(Session, EveryStreamedResponseIsCanonicalJson) {
+    // The streamed response bytes are what write_json gives the parsed DOM:
+    // one compact document per line, and the same bytes the DOM path wrote.
+    ServeSession session(ci_scenario());
+    std::size_t ok = 0;
+    std::size_t failed = 0;
+    for (const std::string& line : seeded_stream(/*seed=*/20251, 400)) {
+        const std::string response = session.handle_line(line);
+        const JsonValue doc = parse_json(response);
+        EXPECT_EQ(ga::io::write_json(doc, 0), response) << line;
+        (doc.find("ok")->as_bool() ? ok : failed) += 1;
+    }
+    // The stream exercises both envelopes.
+    EXPECT_GT(ok, 300u);
+    EXPECT_GT(failed, 2u);
+}
+
+TEST(Session, CountsAboveIntMaxAreRefusedWithoutStateChange) {
+    // Each count used to be narrowed to an int: a quote of 2^32 + 8 cores
+    // priced 8, a submit of 2^32 + 1 cores ran 1, and a charge billed 2^32 +
+    // 2 cores and 2^32 GPUs as 2 and 0.
+    ServeSession session(ci_scenario());
+    (void)result_of(session.handle_line(
+        R"({"id":1,"type":"create_account","user":"bob","budget":1000000})"));
+    const std::string before = encode_snapshot(session.export_state());
+    const std::pair<std::string, std::string> cases[] = {
+        {R"({"id":2,"type":"quote","cores":4294967304,"runtime_ic_s":600,"power_ic_w":150})",
+         "quote: field 'cores' must be at most 2147483647"},
+        {R"({"id":3,"type":"submit_jobs","jobs":[{"user":"bob","cores":4294967297,"runtime_ic_s":600,"power_ic_w":150}]})",
+         "submit_jobs.job: field 'cores' must be at most 2147483647"},
+        {R"({"id":4,"type":"charge","user":"bob","machine":"IC","duration_s":60,"energy_j":1000,"cores":4294967298,"gpus":4294967296})",
+         "charge: field 'cores' must be at most 2147483647"},
+        {R"({"id":5,"type":"charge","user":"bob","machine":"IC","duration_s":60,"energy_j":1000,"cores":2,"gpus":4294967296})",
+         "charge: field 'gpus' must be at most 2147483647"},
+    };
+    for (const auto& [request, message] : cases) {
+        const std::string response = session.handle_line(request);
+        EXPECT_EQ(error_code_of(response), "bad_request") << response;
+        EXPECT_NE(response.find(message), std::string::npos) << response;
+        EXPECT_EQ(encode_snapshot(session.export_state()), before) << request;
+    }
+    // The largest int is still a count (the quote prices it).
+    (void)result_of(session.handle_line(
+        R"({"id":6,"type":"quote","cores":2147483647,"runtime_ic_s":600,"power_ic_w":150})"));
+}
+
+TEST(Session, CurrencyCostsOnRegionalGridsMatchTheRoutingCost) {
+    // On regional grids the routing price reads the grid traces, and so do
+    // the ledger's and the quote's currency accountants: an account
+    // holder's charge is the job's routing cost, bit for bit, also after a
+    // restore rebuilt the ledger's accountants.
+    const ga::io::ScenarioFile regional =
+        ga::io::scenario_from_json(parse_json(R"({
+            "name": "regional-cba",
+            "workload": {"base_jobs": 360, "repetitions": 2, "users": 40,
+                         "span_days": 2.0, "seed": 2023},
+            "options": {"regional_grids": true, "pricing": "CBA"}})"));
+    const auto check = [](ServeSession& session, double submit_s) {
+        const std::string at = ga::io::format_double(submit_s);
+        const JsonValue submitted = result_of(session.handle_line(
+            R"({"id":2,"type":"submit_jobs","jobs":[{"user":"alice","cores":8,"runtime_ic_s":3600,"power_ic_w":150,"submit_s":)" +
+            at + "}]}"));
+        const JsonValue& job = submitted.at("jobs").as_array().front();
+        EXPECT_EQ(job.at("costs").at("credits").as_number(),
+                  job.at("cost").as_number());
+        const JsonValue quoted = result_of(session.handle_line(
+            R"({"id":3,"type":"quote","user":"alice","cores":8,"runtime_ic_s":3600,"power_ic_w":150,"priced_at_s":)" +
+            at + "}"));
+        const std::string& chosen = quoted.at("chosen").as_string();
+        const JsonValue* machine_cost = nullptr;
+        for (const JsonValue& m : quoted.at("machines").as_array()) {
+            if (m.at("machine").as_string() == chosen) machine_cost = &m.at("cost");
+        }
+        EXPECT_NE(machine_cost, nullptr) << chosen;
+        if (machine_cost != nullptr) {
+            EXPECT_EQ(quoted.at("currency_costs").at("credits").as_number(),
+                      machine_cost->as_number());
+        }
+        return job.at("cost").as_number();
+    };
+    ServeSession session(regional);
+    (void)result_of(session.handle_line(
+        R"({"id":1,"type":"create_account","user":"alice","budget":1e12})"));
+    const double first = check(session, 36000.0);
+    ServeSession restored(regional,
+                          decode_snapshot(encode_snapshot(session.export_state())));
+    // The same job an hour later, before and after the restore.
+    const double later = check(session, 39600.0);
+    EXPECT_EQ(check(restored, 39600.0), later);
+    EXPECT_NE(first, later);  // the grid's intensity moved the cost
 }
 
 }  // namespace

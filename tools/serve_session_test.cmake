@@ -16,7 +16,8 @@
 # GOLDEN (committed transcript), WORKDIR (scratch root, wiped per run).
 # Optional: EXTRA_ARGS — extra ga-serve flags for every run (the metrics
 # variant passes --metrics to prove instrumentation never changes the
-# transcript bytes).
+# transcript bytes; the socket variants pass --socket;serve.sock, so stdin
+# goes through the poll loop that also serves the socket).
 foreach(var GA_SERVE SCENARIO SCRIPT GOLDEN WORKDIR)
   if(NOT DEFINED ${var})
     message(FATAL_ERROR "serve_session_test.cmake: missing -D${var}=...")
