@@ -251,11 +251,8 @@ std::vector<ServeSession::MachineFigures> ServeSession::price_request(
             const std::vector<std::string> currencies =
                 ledger_.account_currencies(jobs[i].user);
             for (std::size_t c = 0; c < n; ++c) {
-                ga::acct::JobUsage usage;
-                usage.duration_s = row[c].runtime_s;
-                usage.energy_j = row[c].energy_j;
-                usage.cores = jobs[i].cores;
-                usage.priced_at_s = jobs[i].submit_s;
+                const ga::acct::JobUsage usage =
+                    usage_of(row[c], jobs[i].cores, jobs[i].submit_s);
                 for (const std::string& currency : currencies) {
                     (void)currency_cost(currency, usage, cluster_cfgs_[c].entry,
                                         "submit_jobs", i);
@@ -277,6 +274,16 @@ std::vector<ServeSession::MachineFigures> ServeSession::price_request(
         }
     }
     return figures;
+}
+
+ga::acct::JobUsage ServeSession::usage_of(const MachineFigures& figures,
+                                          int cores, double priced_at) {
+    ga::acct::JobUsage usage;
+    usage.duration_s = figures.runtime_s;
+    usage.energy_j = figures.energy_j;
+    usage.cores = cores;
+    usage.priced_at_s = priced_at;
+    return usage;
 }
 
 void ServeSession::check_figures(std::span<const MachineFigures> figures,
@@ -351,25 +358,19 @@ void ServeSession::submit_one(const JobSpec& job,
     };
 
     if (!routed.chosen.has_value()) {
-        reject("infeasible");
-        return;
+        return reject("infeasible");
     }
     const std::size_t c = *routed.chosen;
     const MachineFigures& chosen = figures[c];
 
     if (options_.budget > 0.0 && chosen.cost > options_.budget - primary_spent_) {
-        reject("budget");
-        return;
+        return reject("budget");
     }
 
     if (ledger_.has_account(job.user)) {
-        ga::acct::JobUsage usage;
-        usage.duration_s = chosen.runtime_s;
-        usage.energy_j = chosen.energy_j;
-        usage.cores = job.cores;
-        usage.priced_at_s = job.submit_s;
         const ga::acct::ChargeOutcome outcome =
-            ledger_.charge(job.user, usage, cluster_cfgs_[c].entry);
+            ledger_.charge(job.user, usage_of(chosen, job.cores, job.submit_s),
+                           cluster_cfgs_[c].entry);
         out.key("costs");
         out.begin_object();
         for (const auto& [currency, amount] : outcome.costs) {
@@ -643,11 +644,8 @@ void ServeSession::handle_quote(const Request& r, ga::io::JsonWriter& out) {
         if (routed.chosen.has_value() &&
             ledger_.has_account(user->as_string())) {
             const std::size_t c = *routed.chosen;
-            ga::acct::JobUsage usage;
-            usage.duration_s = figures[c].runtime_s;
-            usage.energy_j = figures[c].energy_j;
-            usage.cores = job.cores;
-            usage.priced_at_s = priced_at;
+            const ga::acct::JobUsage usage =
+                usage_of(figures[c], job.cores, priced_at);
             currencies = ledger_.account_currencies(user->as_string());
             for (const std::string& currency : currencies) {
                 currency_costs.push_back(currency_cost(

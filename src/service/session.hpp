@@ -167,6 +167,10 @@ private:
     /// non-finite.
     [[nodiscard]] std::vector<MachineFigures> price_request(
         const std::vector<JobSpec>& jobs) const;
+    /// What a ledger charges for `figures` on `cores` cores, priced at
+    /// `priced_at`.
+    [[nodiscard]] static ga::acct::JobUsage usage_of(
+        const MachineFigures& figures, int cores, double priced_at);
     /// Throws bad_request, naming `verb`, the figure and the machine, when
     /// one machine's runtime, energy or cost is not finite.
     void check_figures(std::span<const MachineFigures> figures,
