@@ -23,6 +23,7 @@ struct SimMetrics {
     ga::obs::Counter& queue_drains;
     ga::obs::Counter& queue_leaf_writes;
     ga::obs::Counter& route_quotes;
+    ga::obs::Counter& route_decisions;
     ga::obs::Counter& predictions;
     ga::obs::Counter& runs;
 };
@@ -40,6 +41,7 @@ SimMetrics& sim_metrics() {
         registry.counter_handle("sim.queue.drains"),
         registry.counter_handle("sim.queue.leaf_writes"),
         registry.counter_handle("sim.route.quotes"),
+        registry.counter_handle("sim.route.decisions"),
         registry.counter_handle("sim.predictions"),
         registry.counter_handle("sim.runs"),
     };
@@ -367,6 +369,7 @@ SimResult BatchSimulator::run_impl(const SimOptions& options,
     // finishes go first, then the outage, then the submit; equal-time
     // finishes and submits go in job-id order.
     std::optional<ClusterOutage> outage = options.outage;
+    std::uint64_t decisions = 0;  // the policy's `choose` calls
     for (const auto& job : jobs) {
         const double now = job.submit_s / options.arrival_compression;
         if (outage.has_value() && outage->at_s <= now) {
@@ -389,6 +392,7 @@ SimResult BatchSimulator::run_impl(const SimOptions& options,
         ctx.now_s = now;
         ctx.budget_remaining = rs.budget_remaining;
         ++ctx.jobs_submitted;
+        ++decisions;
         const auto chosen = setup.routing->choose(ctx, choices);
         if (!chosen) {
             ++result.jobs_skipped;
@@ -463,6 +467,7 @@ SimResult BatchSimulator::run_impl(const SimOptions& options,
         metrics.queue_scans.inc(rs.core.scans());
         metrics.queue_drains.inc(rs.core.drains());
         metrics.queue_leaf_writes.inc(rs.core.leaf_writes());
+        metrics.route_decisions.inc(decisions);
     }
     return std::move(rs.result);
 }
