@@ -143,18 +143,31 @@ std::string handle_timed(ga::service::ServeSession& session,
     return response;
 }
 
+/// Writes one response line to `out` and flushes it.
+void write_line(const std::string& response, std::FILE* out) {
+    std::fwrite(response.data(), 1, response.size(), out);
+    std::fputc('\n', out);
+    std::fflush(out);
+}
+
 /// Responds to every complete frame buffered in `framer`; returns false
 /// once a shutdown was acknowledged.
 bool drain_frames(ga::service::ServeSession& session,
                   ga::util::LineFramer& framer, std::FILE* out) {
     while (auto frame = framer.next()) {
-        const std::string response = handle_timed(session, *frame);
-        std::fwrite(response.data(), 1, response.size(), out);
-        std::fputc('\n', out);
-        std::fflush(out);
+        write_line(handle_timed(session, *frame), out);
         if (session.shutdown_requested()) return false;
     }
     return true;
+}
+
+/// At the end of the stream, responds to a last request that lacks its
+/// closing newline, as to any other line.
+void answer_unterminated(ga::service::ServeSession& session,
+                         ga::util::LineFramer& framer, std::FILE* out) {
+    if (auto last = framer.finish()) {
+        write_line(handle_timed(session, *last), out);
+    }
 }
 
 /// Blocks until stdin has bytes and returns what arrived (0 at EOF or on
@@ -182,12 +195,7 @@ int serve_stdio(ga::service::ServeSession& session) {
         framer.feed(std::string_view(buffer, n));
         if (!drain_frames(session, framer, stdout)) return 0;
     }
-    if (auto last = framer.finish()) {
-        const std::string response = handle_timed(session, *last);
-        std::fwrite(response.data(), 1, response.size(), stdout);
-        std::fputc('\n', stdout);
-        std::fflush(stdout);
-    }
+    answer_unterminated(session, framer, stdout);
     return 0;
 }
 
@@ -263,6 +271,7 @@ int serve_multiplexed(ga::service::ServeSession& session,
                 const std::size_t n = read_stdin(buffer, sizeof buffer);
                 if (n == 0) {
                     // stdin EOF ends the daemon: the driving process is gone.
+                    answer_unterminated(session, stdin_framer, stdout);
                     running = false;
                 } else {
                     stdin_framer.feed(std::string_view(buffer, n));

@@ -1,19 +1,27 @@
 #!/usr/bin/env python3
-"""ga-serve answers stdin line by line.
+"""ga-serve answers stdin line by line, and answers a last unterminated line.
 
     serve_stdin_test.py GA_SERVE SCENARIO
 
 Starts ga-serve on a pipe with no --socket, writes one request, waits at
 most 10 s for its response line, and only then writes the next. A daemon
 that buffered stdin until more bytes or EOF arrived would never answer the
-first request. Exits 0 when every request is answered in turn.
+first request.
+
+Then pipes one request without a closing newline and closes stdin, once
+without --socket and (where AF_UNIX sockets exist) once with it: each loop
+must answer that request before it exits at end of input.
+
+Exits 0 when every request is answered.
 """
 
 import json
 import os
 import selectors
+import socket
 import subprocess
 import sys
+import tempfile
 import time
 
 TIMEOUT_S = 10.0
@@ -40,10 +48,37 @@ def read_line(proc, selector, pending):
     return line, rest
 
 
+def answers_unterminated(argv, extra_args):
+    """Whether ga-serve answers a request that ends the input unterminated."""
+    request = {"id": 1, "type": "stats"}
+    try:
+        out = subprocess.run([argv[1], argv[2]] + extra_args,
+                             input=json.dumps(request).encode(),
+                             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
+                             timeout=TIMEOUT_S, check=True).stdout
+    except (subprocess.CalledProcessError, subprocess.TimeoutExpired) as error:
+        print("unterminated request %s: %s" % (extra_args, error),
+              file=sys.stderr)
+        return False
+    lines = out.splitlines()
+    if len(lines) != 1 or json.loads(lines[0]).get("id") != request["id"]:
+        print("unterminated request %s: got %r" % (extra_args, out),
+              file=sys.stderr)
+        return False
+    return True
+
+
 def main(argv):
     if len(argv) != 3:
         print(__doc__, file=sys.stderr)
         return 2
+    variants = [[]]
+    with tempfile.TemporaryDirectory(prefix="ga_serve_stdin_") as scratch:
+        if hasattr(socket, "AF_UNIX"):
+            variants.append(["--socket", os.path.join(scratch, "s.sock")])
+        for extra_args in variants:
+            if not answers_unterminated(argv, extra_args):
+                return 1
     proc = subprocess.Popen([argv[1], argv[2]], stdin=subprocess.PIPE,
                             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL)
     selector = selectors.DefaultSelector()
@@ -71,7 +106,10 @@ def main(argv):
         if proc.poll() is None:
             proc.kill()
             proc.wait()
-    print("ga-serve answered %d requests line by line" % len(REQUESTS))
+    print("ga-serve answered %d requests line by line and an unterminated "
+          "last request %s" % (len(REQUESTS),
+                               "with and without --socket"
+                               if len(variants) == 2 else "on stdin"))
     return 0
 
 
