@@ -139,9 +139,10 @@ ServeSession::ServeSession(ga::io::ScenarioFile scenario,
         std::vector<ga::sim::RunningJob> running;
         running.reserve(saved.running.size());
         for (const auto& job : saved.running) {
+            // The snapshot keeps no start times; the session reads none.
             running.push_back(ga::sim::RunningJob{
                 job.finish_s, job.seq, static_cast<std::uint32_t>(c),
-                job.cores, 0});
+                job.cores, 0, 0.0});
         }
         std::vector<ga::sim::QueuedJob> queued;
         queued.reserve(saved.queue.size());

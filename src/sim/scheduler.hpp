@@ -101,6 +101,9 @@ struct RunningJob {
     std::uint32_t cluster = 0;
     int cores = 0;
     std::uint32_t user = 0;
+    /// When `Scheduler::start` started it; a checkpoint does not carry it,
+    /// so a restored job holds what its restorer passes.
+    double start_s = 0.0;
 };
 
 /// The per-run configuration both drivers resolve the same way from
@@ -793,7 +796,7 @@ private:
         ++cs.started;
         running_.push_back(RunningJob{finish, job.id,
                                       static_cast<std::uint32_t>(c), job.cores,
-                                      job.user});
+                                      job.user, now});
         std::push_heap(running_.begin(), running_.end(), later);
         set_user_running(c, job.user, true);
         on_start(job, c, now);

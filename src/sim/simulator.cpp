@@ -175,7 +175,6 @@ constexpr SchedulerRules kBatchRules{QueueOrder::SkipAhead,
 template <typename Queues>
 struct RunState {
     Scheduler<Queues> core;
-    std::vector<double> start_time;  // actual start, for CBA's Eq. 2 term
     // Submit-time charge, for outage refunds; empty without an outage.
     std::vector<double> charged;
     // Multi-currency state, empty unless currency_budgets was set:
@@ -273,7 +272,6 @@ SimResult BatchSimulator::run_impl(const SimOptions& options,
     // ---- state ----
     RunState<Queues>& rs = pooled_run_state<Queues>();
     rs.core.reset(clusters_, setup, kBatchRules);
-    rs.start_time.assign(jobs.size(), 0.0);
     const bool refunds = options.outage.has_value();
     if (refunds) {
         rs.charged.assign(jobs.size(), 0.0);
@@ -321,15 +319,13 @@ SimResult BatchSimulator::run_impl(const SimOptions& options,
             std::max(ctx.trace_span_s, job.submit_s / options.arrival_compression);
     }
 
-    const auto on_start = [&](const QueuedJob& job, std::size_t /*c*/,
-                              double now) { rs.start_time[job.id] = now; };
     // Metrics at completion. Carbon is metered at the job's actual start
     // time: Eq. 2's operational term reads grid intensity when the job
     // runs, which differs from the submit time for queued jobs.
     const auto on_finish = [&](const RunningJob& done) {
         const std::size_t c = done.cluster;
         const std::size_t j = done.id;
-        const auto usage = job_usage(j, c, done.cores, rs.start_time[j]);
+        const auto usage = job_usage(j, c, done.cores, done.start_s);
         ++result.jobs_completed;
         result.work_core_hours += work_[j];
         result.energy_mwh += usage.energy_j / ga::util::kJoulesPerKwh / 1000.0;
@@ -340,7 +336,7 @@ SimResult BatchSimulator::run_impl(const SimOptions& options,
         result.makespan_s = std::max(result.makespan_s, done.finish_s);
     };
     const auto complete_until = [&](double t) {
-        rs.core.complete_until(t, on_finish, on_start);
+        rs.core.complete_until(t, on_finish);
     };
 
     // The outage: the cluster's lost cores never return, and queued jobs
@@ -437,7 +433,7 @@ SimResult BatchSimulator::run_impl(const SimOptions& options,
         rs.core.submit(c,
                        QueuedJob{j, job.cores, job.user,
                                  pred_runtime_[j * n_clusters + c]},
-                       now, on_start);
+                       now);
     }
     if (outage.has_value()) {
         complete_until(outage->at_s);
