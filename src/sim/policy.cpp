@@ -48,10 +48,17 @@ const ClusterStatus& cluster_of(const SchedulingContext& ctx,
 }
 
 
+/// Base for builtins that never read the budget fields, so sweeps ladder
+/// their runs over budgets.
+class BudgetBlindPolicy : public RoutingPolicy {
+public:
+    bool uses_budget() const noexcept override { return false; }
+};
+
 /// Intermediate base for builtins that never read the grid-intensity
 /// fields: one shared override, impossible to forget on a new grid-blind
 /// strategy.
-class GridBlindPolicy : public RoutingPolicy {
+class GridBlindPolicy : public BudgetBlindPolicy {
 public:
     bool uses_grid_intensity() const noexcept override { return false; }
 };
@@ -162,7 +169,7 @@ private:
 /// intensity — the spatial carbon-shifting the related work (CEO-DC,
 /// carbon-aware HPC resource management) argues for. "forecast" = 1 uses
 /// the one-hour-ahead sample instead of the current one.
-class CarbonAwarePolicy final : public RoutingPolicy {
+class CarbonAwarePolicy final : public BudgetBlindPolicy {
 public:
     explicit CarbonAwarePolicy(bool forecast) : forecast_(forecast) {}
 
@@ -225,6 +232,7 @@ public:
         return argmin(choices, completion);
     }
     std::string_view name() const noexcept override { return "BudgetPacing"; }
+    bool uses_budget() const noexcept override { return true; }
 
 private:
     double slack_;

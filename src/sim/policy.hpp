@@ -135,6 +135,16 @@ public:
     [[nodiscard]] virtual bool uses_grid_forecast() const noexcept {
         return true;
     }
+
+    /// Whether `choose` reads the context's `budget_total` or
+    /// `budget_remaining`. Defaults to true, so custom policies are never
+    /// laddered. A policy that returns false routes runs that differ only
+    /// in budget alike until their budgets first admit a job differently,
+    /// so sweeps run such runs as one event loop
+    /// (`BatchSimulator::run_ladder`). Unlike the grid flags, a false that
+    /// is wrong changes results: override only a policy that never reads
+    /// the budget.
+    [[nodiscard]] virtual bool uses_budget() const noexcept { return true; }
 };
 
 /// A named, parameterized policy selection — the unit the sweep engine

@@ -171,7 +171,7 @@ constexpr SchedulerRules kBatchRules{QueueOrder::SkipAhead,
 /// field but keeping vector capacity), so concurrent runs over the same
 /// simulator never share mutable data — the sweep engine (`sim/sweep.hpp`)
 /// stays sound — while repeated runs (sweeps, benches) stop churning the
-/// allocator on million-job traces.
+/// allocator on million-job traces. A ladder's fork is a copy of it.
 template <typename Queues>
 struct RunState {
     Scheduler<Queues> core;
@@ -184,6 +184,7 @@ struct RunState {
     std::vector<double> currency_spent;
     std::vector<double> currency_charged;
     double budget_remaining = std::numeric_limits<double>::infinity();
+    std::optional<ClusterOutage> outage;  ///< until it is applied
     SimResult result;
 };
 
@@ -192,6 +193,30 @@ RunState<Queues>& pooled_run_state() {
     static thread_local RunState<Queues> state;
     return state;
 }
+
+/// A budget as the admission check reads it: 0 (or less) is unlimited.
+double budget_limit(double budget) {
+    return budget > 0.0 ? budget : std::numeric_limits<double>::infinity();
+}
+
+/// A ladder member riding along the leader: all it holds is its own
+/// remaining budget, debited and credited with the leader's.
+struct Lane {
+    std::size_t member = 0;
+    double budget_remaining = 0.0;
+};
+
+/// A member whose budget decided a job otherwise than the leader's: a copy
+/// of the leader's state that resumes at that job's admission, with the
+/// route the policy chose for it.
+template <typename Queues>
+struct Fork {
+    std::size_t member = 0;
+    std::size_t job = 0;
+    std::size_t cluster = 0;
+    double cost = 0.0;  ///< the chosen machine's route quote
+    RunState<Queues> state;
+};
 
 }  // namespace
 
@@ -225,8 +250,12 @@ QuoteTable BatchSimulator::quote_table(const QuoteKey& key) const {
 }
 
 template <typename Queues>
-SimResult BatchSimulator::run_impl(const SimOptions& options,
-                                   const QuoteTable& quotes) const {
+void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
+                                     const QuoteTable& quotes,
+                                     const MemberDone& done) const {
+    GA_REQUIRE(!ladder.empty(), "simulator: a ladder needs a member");
+    // Every member's options but the budget are the first member's.
+    const SimOptions& options = ladder.front();
     const std::size_t n_clusters = clusters_.size();
     const auto& jobs = workload_.jobs;
     GA_REQUIRE(quotes.key == QuoteKey::of(options) &&
@@ -269,25 +298,253 @@ SimResult BatchSimulator::run_impl(const SimOptions& options,
                    "simulator: outage cannot add nodes");
     }
 
-    // ---- state ----
+    // ---- the ladder: the smallest budget leads, the others ride along ----
+    std::size_t leader = 0;
+    if (ladder.size() > 1) {
+        GA_REQUIRE(!setup.routing->uses_budget(),
+                   "simulator: a ladder's policy must not read the budget");
+        for (std::size_t m = 0; m < ladder.size(); ++m) {
+            SimOptions same = ladder[m];
+            same.budget = options.budget;
+            GA_REQUIRE(same == options,
+                       "simulator: ladder members may differ only in budget");
+            if (budget_limit(ladder[m].budget) <
+                budget_limit(ladder[leader].budget)) {
+                leader = m;
+            }
+        }
+    }
+    std::vector<Lane> lanes;
+    for (std::size_t m = 0; m < ladder.size(); ++m) {
+        if (m != leader) lanes.push_back(Lane{m, budget_limit(ladder[m].budget)});
+    }
+    std::vector<Fork<Queues>> forks;
+
+    double trace_span_s = 0.0;
+    for (const auto& job : jobs) {
+        trace_span_s =
+            std::max(trace_span_s, job.submit_s / options.arrival_compression);
+    }
+    const bool refunds = options.outage.has_value();
+    const bool record_finish_times = options.finish_times;
+
+    // ---- observability (write-only; never feeds back into the run) ----
+    // The tracing flag is sampled once so every event pays one branch; the
+    // counter flush at the end of each member is the only registry touch.
+    auto& tracer = ga::obs::Tracer::global();
+    const bool tracing = ga::obs::tracing_enabled();
+
+    // Replays the trace on `rs` from job `first` to the end, for a member
+    // whose budget is `budget_total`. A fork enters at `first`'s admission,
+    // routed to `resume->cluster`; the leader routes every job itself,
+    // debits and credits the riding `lanes` with its own budget, and forks
+    // a lane at the first job whose admission the lane's budget decides
+    // otherwise. Returns the policy decisions the replay made.
+    const auto replay = [&](RunState<Queues>& rs, double budget_total,
+                            std::size_t first, const Fork<Queues>* resume)
+        -> std::uint64_t {
+        SimResult& result = rs.result;
+
+        // Scheduling context shared by every routing decision; the core
+        // refreshes the per-cluster views before each one.
+        SchedulingContext ctx;
+        ctx.budget_total = budget_total;
+        ctx.jobs_total = jobs.size();
+        ctx.trace_span_s = trace_span_s;
+        ctx.clusters = rs.core.views();
+
+        // Metrics at completion. Carbon is metered at the job's actual
+        // start time: Eq. 2's operational term reads grid intensity when
+        // the job runs, which differs from the submit time for queued jobs.
+        const auto on_finish = [&](const RunningJob& done) {
+            const std::size_t c = done.cluster;
+            const std::size_t j = done.id;
+            const auto usage = job_usage(j, c, done.cores, done.start_s);
+            ++result.jobs_completed;
+            result.work_core_hours += work_[j];
+            result.energy_mwh += usage.energy_j / ga::util::kJoulesPerKwh / 1000.0;
+            const auto carbon = setup.sites[c].meter(usage);
+            result.operational_carbon_kg += carbon.operational_g / 1000.0;
+            result.attributed_carbon_kg += carbon.total_g / 1000.0;
+            if (record_finish_times) result.finish_times_s.push_back(done.finish_s);
+            result.makespan_s = std::max(result.makespan_s, done.finish_s);
+        };
+        const auto complete_until = [&](double t) {
+            rs.core.complete_until(t, on_finish);
+        };
+
+        // The outage: the cluster's lost cores never return, and queued
+        // jobs that no longer fit the shrunken cluster are refunded (to the
+        // riding lanes too) and skipped.
+        const auto apply_outage = [&] {
+            const ClusterOutage outage = *rs.outage;
+            rs.outage.reset();
+            complete_until(outage.at_s);
+            if (tracing) tracer.span_begin("sim.outage.compact", outage.at_s);
+            const std::size_t c = outage.cluster;
+            const int lost = std::min(outage.nodes_lost, clusters_[c].nodes) *
+                             clusters_[c].entry.node.total_cores();
+            rs.core.shrink(c, lost, [&](const QueuedJob& job) {
+                rs.budget_remaining += rs.charged[job.id];
+                for (Lane& lane : lanes) {
+                    lane.budget_remaining += rs.charged[job.id];
+                }
+                result.total_cost -= rs.charged[job.id];
+                for (std::size_t k = 0; k < n_currencies; ++k) {
+                    rs.currency_remaining[k] +=
+                        rs.currency_charged[job.id * n_currencies + k];
+                    rs.currency_spent[k] -=
+                        rs.currency_charged[job.id * n_currencies + k];
+                }
+                ++result.jobs_skipped;
+            });
+            if (tracing) tracer.span_end("sim.outage.compact", outage.at_s);
+        };
+
+        // ---- event loop: submits in trace order, each preceded by the
+        // completions (and the outage) due by its time. At equal times
+        // finishes go first, then the outage, then the submit; equal-time
+        // finishes and submits go in job-id order.
+        std::uint64_t decisions = 0;  // the policy's `choose` calls
+        for (std::size_t j = first; j < jobs.size(); ++j) {
+            const auto& job = jobs[j];
+            const double now = job.submit_s / options.arrival_compression;
+            std::size_t c = 0;
+            double cost = 0.0;
+            if (resume != nullptr && j == first) {
+                c = resume->cluster;
+                cost = resume->cost;
+            } else {
+                if (rs.outage.has_value() && rs.outage->at_s <= now) {
+                    apply_outage();
+                }
+                complete_until(now);
+
+                // ---- submit: route through the policy ----
+                if (tracing) tracer.span_instant("sim.submit", now);
+                const auto choices = rs.core.route_view(
+                    now, job.cores, [&](std::size_t m, MachineChoice& choice) {
+                        choice.runtime_s = pred_runtime_[j * n_clusters + m];
+                        choice.energy_j =
+                            choice.runtime_s * pred_power_[j * n_clusters + m];
+                        choice.cost = quotes.quotes[j * n_clusters + m];
+                    });
+                ctx.now_s = now;
+                ctx.budget_remaining = rs.budget_remaining;
+                ctx.jobs_submitted = j + 1;
+                ++decisions;
+                const auto chosen = setup.routing->choose(ctx, choices);
+                if (!chosen) {
+                    ++result.jobs_skipped;
+                    continue;
+                }
+                c = *chosen;
+                cost = choices[c].cost;
+            }
+            const bool admitted = !(cost > rs.budget_remaining);
+            // A lane whose budget decides this job otherwise leaves here
+            // with a copy of the state as it stands before the decision.
+            for (std::size_t l = 0; l < lanes.size();) {
+                if (!(cost > lanes[l].budget_remaining) == admitted) {
+                    ++l;
+                    continue;
+                }
+                forks.push_back(Fork<Queues>{lanes[l].member, j, c, cost, rs});
+                forks.back().state.budget_remaining = lanes[l].budget_remaining;
+                lanes.erase(lanes.begin() + static_cast<std::ptrdiff_t>(l));
+            }
+            if (!admitted) {
+                ++result.jobs_skipped;
+                continue;
+            }
+            // Dual-budget admission: quote the job under every currency at
+            // the submit time and admit only if all can pay (all-or-nothing,
+            // the paper's dual-budget incentive); then debit every currency.
+            if (n_currencies > 0) {
+                const auto usage = job_usage(j, c, job.cores, now);
+                bool affordable = true;
+                for (std::size_t k = 0; k < n_currencies; ++k) {
+                    rs.currency_charged[j * n_currencies + k] =
+                        currency_quotes[k * n_clusters + c](usage);
+                    if (rs.currency_charged[j * n_currencies + k] >
+                        rs.currency_remaining[k]) {
+                        affordable = false;
+                    }
+                }
+                if (!affordable) {
+                    for (std::size_t k = 0; k < n_currencies; ++k) {
+                        rs.currency_charged[j * n_currencies + k] = 0.0;
+                    }
+                    ++result.jobs_skipped;
+                    continue;
+                }
+                for (std::size_t k = 0; k < n_currencies; ++k) {
+                    rs.currency_remaining[k] -=
+                        rs.currency_charged[j * n_currencies + k];
+                    rs.currency_spent[k] +=
+                        rs.currency_charged[j * n_currencies + k];
+                }
+            }
+            rs.budget_remaining -= cost;
+            for (Lane& lane : lanes) lane.budget_remaining -= cost;
+            result.total_cost += cost;
+            if (refunds) rs.charged[j] = cost;
+
+            rs.core.submit(c,
+                           QueuedJob{job.id, job.cores, job.user,
+                                     pred_runtime_[j * n_clusters + c]},
+                           now);
+        }
+        if (rs.outage.has_value()) apply_outage();
+        complete_until(std::numeric_limits<double>::infinity());
+
+        for (std::size_t c = 0; c < n_clusters; ++c) {
+            result.jobs_per_machine[clusters_[c].entry.node.name] +=
+                rs.core.cluster(c).completed;
+        }
+        for (std::size_t k = 0; k < n_currencies; ++k) {
+            result.currency_spent[options.currency_budgets[k].currency] =
+                rs.currency_spent[k];
+        }
+        std::sort(result.finish_times_s.begin(), result.finish_times_s.end());
+        return decisions;
+    };
+
+    // One member's work counters, as its direct run would flush them: a
+    // fork carries the prefix's scheduler counts, and a member that never
+    // forked reports the leader's.
+    const auto flush = [&](const RunState<Queues>& rs, std::uint64_t decisions) {
+        if (!ga::obs::metrics_enabled()) return;
+        std::uint64_t jobs_started = 0;
+        for (std::size_t c = 0; c < n_clusters; ++c) {
+            jobs_started += rs.core.cluster(c).started;
+        }
+        SimMetrics& metrics = sim_metrics();
+        metrics.runs.inc();
+        metrics.finish_events.inc(rs.result.jobs_completed);
+        metrics.submit_events.inc(jobs.size());
+        metrics.outage_events.inc(options.outage.has_value() ? 1 : 0);
+        metrics.jobs_started.inc(jobs_started);
+        metrics.queue_scans.inc(rs.core.scans());
+        metrics.queue_drains.inc(rs.core.drains());
+        metrics.queue_leaf_writes.inc(rs.core.leaf_writes());
+        metrics.route_decisions.inc(decisions);
+    };
+
+    // ---- the leader's state ----
     RunState<Queues>& rs = pooled_run_state<Queues>();
     rs.core.reset(clusters_, setup, kBatchRules);
-    const bool refunds = options.outage.has_value();
     if (refunds) {
         rs.charged.assign(jobs.size(), 0.0);
     } else {
         rs.charged.clear();
     }
-    rs.budget_remaining = options.budget > 0.0
-                              ? options.budget
-                              : std::numeric_limits<double>::infinity();
+    rs.budget_remaining = budget_limit(ladder[leader].budget);
     if (n_currencies > 0) {
         rs.currency_remaining.resize(n_currencies);
         for (std::size_t k = 0; k < n_currencies; ++k) {
             rs.currency_remaining[k] =
-                options.currency_budgets[k].budget > 0.0
-                    ? options.currency_budgets[k].budget
-                    : std::numeric_limits<double>::infinity();
+                budget_limit(options.currency_budgets[k].budget);
         }
         rs.currency_spent.assign(n_currencies, 0.0);
         rs.currency_charged.assign(jobs.size() * n_currencies, 0.0);
@@ -296,189 +553,51 @@ SimResult BatchSimulator::run_impl(const SimOptions& options,
         rs.currency_spent.clear();
         rs.currency_charged.clear();
     }
+    rs.outage = options.outage;
     rs.result = SimResult{};
+    if (record_finish_times) rs.result.finish_times_s.reserve(jobs.size());
 
-    SimResult& result = rs.result;
-    const bool record_finish_times = options.finish_times;
-    if (record_finish_times) result.finish_times_s.reserve(jobs.size());
-
-    // ---- observability (write-only; never feeds back into the run) ----
-    // The tracing flag is sampled once so every event pays one branch; the
-    // counter flush at the end of the run is the only registry touch.
-    auto& tracer = ga::obs::Tracer::global();
-    const bool tracing = ga::obs::tracing_enabled();
-
-    // Scheduling context shared by every routing decision; the core
-    // refreshes the per-cluster views before each one.
-    SchedulingContext ctx;
-    ctx.budget_total = options.budget;
-    ctx.jobs_total = jobs.size();
-    ctx.clusters = rs.core.views();
-    for (const auto& job : jobs) {
-        ctx.trace_span_s =
-            std::max(ctx.trace_span_s, job.submit_s / options.arrival_compression);
+    flush(rs, replay(rs, ladder[leader].budget, 0, nullptr));
+    done(leader, rs.result);
+    for (const Lane& lane : lanes) {
+        flush(rs, 0);
+        done(lane.member, rs.result);
     }
-
-    // Metrics at completion. Carbon is metered at the job's actual start
-    // time: Eq. 2's operational term reads grid intensity when the job
-    // runs, which differs from the submit time for queued jobs.
-    const auto on_finish = [&](const RunningJob& done) {
-        const std::size_t c = done.cluster;
-        const std::size_t j = done.id;
-        const auto usage = job_usage(j, c, done.cores, done.start_s);
-        ++result.jobs_completed;
-        result.work_core_hours += work_[j];
-        result.energy_mwh += usage.energy_j / ga::util::kJoulesPerKwh / 1000.0;
-        const auto carbon = setup.sites[c].meter(usage);
-        result.operational_carbon_kg += carbon.operational_g / 1000.0;
-        result.attributed_carbon_kg += carbon.total_g / 1000.0;
-        if (record_finish_times) result.finish_times_s.push_back(done.finish_s);
-        result.makespan_s = std::max(result.makespan_s, done.finish_s);
-    };
-    const auto complete_until = [&](double t) {
-        rs.core.complete_until(t, on_finish);
-    };
-
-    // The outage: the cluster's lost cores never return, and queued jobs
-    // that no longer fit the shrunken cluster are refunded and skipped.
-    const auto apply_outage = [&](const ClusterOutage& outage) {
-        if (tracing) tracer.span_begin("sim.outage.compact", outage.at_s);
-        const std::size_t c = outage.cluster;
-        const int lost = std::min(outage.nodes_lost, clusters_[c].nodes) *
-                         clusters_[c].entry.node.total_cores();
-        rs.core.shrink(c, lost, [&](const QueuedJob& job) {
-            rs.budget_remaining += rs.charged[job.id];
-            result.total_cost -= rs.charged[job.id];
-            for (std::size_t k = 0; k < n_currencies; ++k) {
-                rs.currency_remaining[k] +=
-                    rs.currency_charged[job.id * n_currencies + k];
-                rs.currency_spent[k] -=
-                    rs.currency_charged[job.id * n_currencies + k];
-            }
-            ++result.jobs_skipped;
-        });
-        if (tracing) tracer.span_end("sim.outage.compact", outage.at_s);
-    };
-
-    // ---- event loop: submits in trace order, each preceded by the
-    // completions (and the outage) due by its time. At equal times
-    // finishes go first, then the outage, then the submit; equal-time
-    // finishes and submits go in job-id order.
-    std::optional<ClusterOutage> outage = options.outage;
-    std::uint64_t decisions = 0;  // the policy's `choose` calls
-    for (const auto& job : jobs) {
-        const double now = job.submit_s / options.arrival_compression;
-        if (outage.has_value() && outage->at_s <= now) {
-            complete_until(outage->at_s);
-            apply_outage(*outage);
-            outage.reset();
-        }
-        complete_until(now);
-
-        // ---- submit: route through the policy ----
-        if (tracing) tracer.span_instant("sim.submit", now);
-        const std::uint32_t j = job.id;
-        const auto choices = rs.core.route_view(
-            now, job.cores, [&](std::size_t c, MachineChoice& choice) {
-                choice.runtime_s = pred_runtime_[j * n_clusters + c];
-                choice.energy_j =
-                    choice.runtime_s * pred_power_[j * n_clusters + c];
-                choice.cost = quotes.quotes[j * n_clusters + c];
-            });
-        ctx.now_s = now;
-        ctx.budget_remaining = rs.budget_remaining;
-        ++ctx.jobs_submitted;
-        ++decisions;
-        const auto chosen = setup.routing->choose(ctx, choices);
-        if (!chosen) {
-            ++result.jobs_skipped;
-            continue;
-        }
-        const std::size_t c = *chosen;
-        if (choices[c].cost > rs.budget_remaining) {
-            ++result.jobs_skipped;
-            continue;
-        }
-        // Dual-budget admission: quote the job under every currency at the
-        // submit time and admit only if all can pay (all-or-nothing, the
-        // paper's dual-budget incentive); then debit every currency.
-        if (n_currencies > 0) {
-            const auto usage = job_usage(j, c, job.cores, now);
-            bool affordable = true;
-            for (std::size_t k = 0; k < n_currencies; ++k) {
-                rs.currency_charged[j * n_currencies + k] =
-                    currency_quotes[k * n_clusters + c](usage);
-                if (rs.currency_charged[j * n_currencies + k] >
-                    rs.currency_remaining[k]) {
-                    affordable = false;
-                }
-            }
-            if (!affordable) {
-                for (std::size_t k = 0; k < n_currencies; ++k) {
-                    rs.currency_charged[j * n_currencies + k] = 0.0;
-                }
-                ++result.jobs_skipped;
-                continue;
-            }
-            for (std::size_t k = 0; k < n_currencies; ++k) {
-                rs.currency_remaining[k] -=
-                    rs.currency_charged[j * n_currencies + k];
-                rs.currency_spent[k] += rs.currency_charged[j * n_currencies + k];
-            }
-        }
-        rs.budget_remaining -= choices[c].cost;
-        result.total_cost += choices[c].cost;
-        if (refunds) rs.charged[j] = choices[c].cost;
-
-        rs.core.submit(c,
-                       QueuedJob{j, job.cores, job.user,
-                                 pred_runtime_[j * n_clusters + c]},
-                       now);
+    lanes.clear();
+    // Each fork replaces the pooled state's buffers, so a ladder holds at
+    // most its other members' forks at once.
+    for (Fork<Queues>& fork : forks) {
+        rs = std::move(fork.state);
+        flush(rs, replay(rs, ladder[fork.member].budget, fork.job, &fork));
+        done(fork.member, rs.result);
     }
-    if (outage.has_value()) {
-        complete_until(outage->at_s);
-        apply_outage(*outage);
-    }
-    complete_until(std::numeric_limits<double>::infinity());
+}
 
-    std::uint64_t jobs_started = 0;
-    for (std::size_t c = 0; c < n_clusters; ++c) {
-        result.jobs_per_machine[clusters_[c].entry.node.name] +=
-            rs.core.cluster(c).completed;
-        jobs_started += rs.core.cluster(c).started;
-    }
-    for (std::size_t k = 0; k < n_currencies; ++k) {
-        result.currency_spent[options.currency_budgets[k].currency] =
-            rs.currency_spent[k];
-    }
-    std::sort(result.finish_times_s.begin(), result.finish_times_s.end());
-
-    if (ga::obs::metrics_enabled()) {
-        SimMetrics& metrics = sim_metrics();
-        metrics.runs.inc();
-        metrics.finish_events.inc(result.jobs_completed);
-        metrics.submit_events.inc(jobs.size());
-        metrics.outage_events.inc(options.outage.has_value() ? 1 : 0);
-        metrics.jobs_started.inc(jobs_started);
-        metrics.queue_scans.inc(rs.core.scans());
-        metrics.queue_drains.inc(rs.core.drains());
-        metrics.queue_leaf_writes.inc(rs.core.leaf_writes());
-        metrics.route_decisions.inc(decisions);
-    }
-    return std::move(rs.result);
+void BatchSimulator::run_ladder(std::span<const SimOptions> ladder,
+                                const QuoteTable& quotes,
+                                const MemberDone& done) const {
+    run_ladder_impl<IndexedQueues>(ladder, quotes, done);
 }
 
 SimResult BatchSimulator::run(const SimOptions& options) const {
-    return run_impl<IndexedQueues>(options, quote_table(QuoteKey::of(options)));
+    return run(options, quote_table(QuoteKey::of(options)));
 }
 
 SimResult BatchSimulator::run(const SimOptions& options,
                               const QuoteTable& quotes) const {
-    return run_impl<IndexedQueues>(options, quotes);
+    SimResult result;
+    run_ladder_impl<IndexedQueues>(
+        std::span(&options, 1), quotes,
+        [&](std::size_t /*member*/, const SimResult& r) { result = r; });
+    return result;
 }
 
 SimResult BatchSimulator::run_reference(const SimOptions& options) const {
-    return run_impl<LinearQueues>(options, quote_table(QuoteKey::of(options)));
+    SimResult result;
+    run_ladder_impl<LinearQueues>(
+        std::span(&options, 1), quote_table(QuoteKey::of(options)),
+        [&](std::size_t /*member*/, const SimResult& r) { result = r; });
+    return result;
 }
 
 }  // namespace ga::sim

@@ -17,9 +17,11 @@
 // "work completed with a fixed allocation" experiments (Figs 5a, 6, 7a).
 #pragma once
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 
 #include "core/accounting.hpp"
 #include "sim/policy.hpp"
@@ -147,8 +149,16 @@ struct SimResult {
 /// piece of per-run mutable state in a stack-local `RunState`, and can be
 /// called concurrently from many threads over the same instance — the
 /// scenario-sweep engine (`sim/sweep.hpp`) relies on this.
+///
+/// Every run is a budget ladder (`run_ladder`); `run` and `run_reference`
+/// are ladders of one, so there is one event loop.
 class BatchSimulator {
 public:
+    /// Receives one ladder member's result: its index in the ladder and
+    /// what `run` of its options returns.
+    using MemberDone =
+        std::function<void(std::size_t member, const SimResult& result)>;
+
     /// Requires positional job ids (`jobs[i].id == i`) and non-decreasing
     /// submit times, as `generate_trace` produces them. Precomputes every
     /// job's runtime and power on every cluster, predicting each (user,
@@ -170,6 +180,26 @@ public:
     /// that price alike; the results are those of `run(options)`.
     [[nodiscard]] SimResult run(const SimOptions& options,
                                 const QuoteTable& quotes) const;
+
+    /// Runs a budget ladder over `quotes` (built for the members'
+    /// `QuoteKey`) as one event loop, and calls `done` once per member
+    /// with the result `run(ladder[m], quotes)` gives. The members' options
+    /// must be equal but for `budget`, and, when there are two or more, the
+    /// policy must not read the budget (`RoutingPolicy::uses_budget`), so
+    /// every member routes each job alike; a ladder that breaks either
+    /// rule is refused.
+    ///
+    /// The member with the smallest budget (0 is unlimited) leads: it runs
+    /// the trace, and every other member rides along as a lane that holds
+    /// only its remaining budget, debited as the leader admits a job and
+    /// credited with the leader's outage refunds, in the same order. At
+    /// the first job whose admission a lane's budget decides otherwise,
+    /// the lane forks: it takes a copy of the leader's state and, once the
+    /// leader has finished, resumes at that job's admission. `done` sees
+    /// the leader first, then the members that never forked (whose results
+    /// are the leader's), then the forks in the order they left.
+    void run_ladder(std::span<const SimOptions> ladder, const QuoteTable& quotes,
+                    const MemberDone& done) const;
 
     /// The linear-scan executor (`LinearQueues`, sim/scheduler.hpp), kept
     /// as the bit-identity oracle for `run` and as the baseline the bench
@@ -195,8 +225,8 @@ private:
     /// The event loop, parameterized on the ready-queue structure (the
     /// indexed fast path or the linear reference).
     template <typename Queues>
-    [[nodiscard]] SimResult run_impl(const SimOptions& options,
-                                     const QuoteTable& quotes) const;
+    void run_ladder_impl(std::span<const SimOptions> ladder,
+                         const QuoteTable& quotes, const MemberDone& done) const;
 
     /// Job `j` on cluster `c` with `cores` cores, priced at `at_s`.
     [[nodiscard]] ga::acct::JobUsage job_usage(std::size_t j, std::size_t c,

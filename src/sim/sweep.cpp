@@ -140,31 +140,72 @@ private:
     std::vector<std::size_t> slot_of_;  ///< index-aligned with the specs
 };
 
-/// One grid point, as `run` and `run_serial` both execute it. Spans carry
-/// the point index as their logical timestamp (sweeps have no shared
-/// sim-clock); wall durations, when metrics are on, go to the histogram.
-void run_point(const BatchSimulator& simulator, const ScenarioSpec& spec,
-               std::size_t index, const QuoteTable& quotes,
-               SweepOutcome& outcome) {
+/// The spec lists' budget ladders: the indices of specs whose options
+/// differ only in `budget`, in order of first appearance. Specs under a
+/// policy that reads the budget are ladders of one each.
+std::vector<std::vector<std::size_t>> budget_ladders(
+    const std::vector<ScenarioSpec>& specs) {
+    std::vector<SimOptions> keys;  // each ladder's options, budget zeroed
+    std::vector<std::vector<std::size_t>> ladders;
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        SimOptions key = specs[i].options;
+        key.budget = 0.0;
+        std::size_t l = 0;
+        while (l < keys.size() && keys[l] != key) ++l;
+        if (l == keys.size()) {
+            keys.push_back(std::move(key));
+            ladders.emplace_back();
+        }
+        ladders[l].push_back(i);
+    }
+    std::vector<std::vector<std::size_t>> runnable;
+    runnable.reserve(ladders.size());
+    for (std::vector<std::size_t>& ladder : ladders) {
+        if (ladder.size() > 1 && PolicyRegistry::global()
+                                     .make(specs[ladder.front()].options.policy)
+                                     ->uses_budget()) {
+            for (const std::size_t i : ladder) runnable.push_back({i});
+        } else {
+            runnable.push_back(std::move(ladder));
+        }
+    }
+    return runnable;
+}
+
+/// One budget ladder, as `run` and `run_serial` both execute it: one event
+/// loop whose members finish one after another. Each member's
+/// `sweep.point` span carries its spec index as the logical timestamp
+/// (sweeps have no shared sim-clock) and is recorded when the member
+/// finishes; when metrics are on, the histogram gets each member's own
+/// share of the ladder's wall time, from the ladder's start or the
+/// previous member's finish.
+void run_ladder(const BatchSimulator& simulator,
+                const std::vector<ScenarioSpec>& specs,
+                const std::vector<std::size_t>& ladder, const QuoteTable& quotes,
+                std::vector<SweepOutcome>& outcomes) {
     SweepMetrics& metrics = sweep_metrics();
     auto& tracer = ga::obs::Tracer::global();
-    if (ga::obs::tracing_enabled()) {
-        tracer.span_begin("sweep.point", static_cast<double>(index));
-    }
+    std::vector<SimOptions> options;
+    options.reserve(ladder.size());
+    for (const std::size_t i : ladder) options.push_back(specs[i].options);
     metrics.active_points.add_value(1.0);
-    outcome.spec = spec;
-    if (ga::obs::metrics_enabled()) {
-        const ga::obs::WallTimer timer;
-        outcome.result = simulator.run(spec.options, quotes);
-        metrics.point_seconds.observe(timer.seconds());
-    } else {
-        outcome.result = simulator.run(spec.options, quotes);
-    }
+    ga::obs::WallTimer timer;
+    simulator.run_ladder(options, quotes,
+                         [&](std::size_t member, const SimResult& result) {
+                             const std::size_t i = ladder[member];
+                             outcomes[i] = SweepOutcome{specs[i], result};
+                             if (ga::obs::metrics_enabled()) {
+                                 metrics.point_seconds.observe(timer.seconds());
+                                 timer.restart();
+                             }
+                             metrics.points_completed.inc();
+                             if (ga::obs::tracing_enabled()) {
+                                 const auto at = static_cast<double>(i);
+                                 tracer.span_begin("sweep.point", at);
+                                 tracer.span_end("sweep.point", at);
+                             }
+                         });
     metrics.active_points.add_value(-1.0);
-    metrics.points_completed.inc();
-    if (ga::obs::tracing_enabled()) {
-        tracer.span_end("sweep.point", static_cast<double>(index));
-    }
 }
 
 /// Runs `task(i)` for every i in [0, n) on `pool` and waits for all of
@@ -271,10 +312,13 @@ SweepRunner::SweepRunner(const BatchSimulator& simulator, std::size_t threads)
 std::vector<SweepOutcome> SweepRunner::run(
     const std::vector<ScenarioSpec>& specs) {
     QuoteTables tables(*simulator_, specs);
+    const std::vector<std::vector<std::size_t>> ladders = budget_ladders(specs);
     std::vector<SweepOutcome> outcomes(specs.size());
-    run_on(pool_, specs.size(), [&](std::size_t i) {
-        run_point(*simulator_, specs[i], i, tables.acquire(i), outcomes[i]);
-        tables.release(i);
+    run_on(pool_, ladders.size(), [&](std::size_t l) {
+        const std::vector<std::size_t>& ladder = ladders[l];
+        run_ladder(*simulator_, specs, ladder, tables.acquire(ladder.front()),
+                   outcomes);
+        for (const std::size_t i : ladder) tables.release(i);
     });
     return outcomes;
 }
@@ -287,9 +331,10 @@ std::vector<SweepOutcome> SweepRunner::run_serial(
     const std::vector<ScenarioSpec>& specs) const {
     QuoteTables tables(*simulator_, specs);
     std::vector<SweepOutcome> outcomes(specs.size());
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        run_point(*simulator_, specs[i], i, tables.acquire(i), outcomes[i]);
-        tables.release(i);
+    for (const std::vector<std::size_t>& ladder : budget_ladders(specs)) {
+        run_ladder(*simulator_, specs, ladder, tables.acquire(ladder.front()),
+                   outcomes);
+        for (const std::size_t i : ladder) tables.release(i);
     }
     return outcomes;
 }

@@ -554,6 +554,262 @@ TEST(Simulator, CbaMetersOperationalCarbonAtJobStart) {
     EXPECT_GT(std::abs(expected_kg - submit_kg), 1e-9);
 }
 
+// ------------------------------------------------------------ budget ladders
+// A ladder runs options that differ only in budget as one event loop; each
+// member must equal a direct run of its options.
+
+/// Every member's result through `run_ladder`, by member index, and the
+/// order `done` reported them in.
+struct LadderRun {
+    std::vector<sm::SimResult> results;
+    std::vector<std::size_t> order;
+};
+
+LadderRun run_ladder(const sm::BatchSimulator& sim,
+                     const std::vector<sm::SimOptions>& ladder) {
+    const sm::QuoteTable quotes = sim.quote_table(sm::QuoteKey::of(ladder.front()));
+    LadderRun run;
+    run.results.resize(ladder.size());
+    sim.run_ladder(ladder, quotes, [&](std::size_t m, const sm::SimResult& r) {
+        run.results[m] = r;
+        run.order.push_back(m);
+    });
+    std::vector<std::size_t> sorted = run.order;
+    std::sort(sorted.begin(), sorted.end());
+    std::vector<std::size_t> members(ladder.size());
+    std::iota(members.begin(), members.end(), std::size_t{0});
+    EXPECT_EQ(sorted, members) << "each member is reported once";
+    return run;
+}
+
+/// `base` at each of `budgets`, recording finish times.
+std::vector<sm::SimOptions> budget_ladder(sm::SimOptions base,
+                                          const std::vector<double>& budgets) {
+    base.finish_times = true;
+    std::vector<sm::SimOptions> ladder;
+    for (const double budget : budgets) {
+        base.budget = budget;
+        ladder.push_back(base);
+    }
+    return ladder;
+}
+
+/// Runs `ladder` and compares every member with a direct run.
+LadderRun expect_ladder_matches_direct_runs(
+    const sm::BatchSimulator& sim, const std::vector<sm::SimOptions>& ladder) {
+    LadderRun run = run_ladder(sim, ladder);
+    for (std::size_t m = 0; m < ladder.size(); ++m) {
+        SCOPED_TRACE("member " + std::to_string(m) + ", budget " +
+                     std::to_string(ladder[m].budget));
+        ga::testutil::expect_identical(run.results[m], sim.run(ladder[m]));
+    }
+    return run;
+}
+
+TEST(BudgetLadder, BudgetsBindingAtDifferentJobsMatchDirectRuns) {
+    // Five members in no budget order, one budget twice, one unlimited:
+    // the smallest leads, the duplicate never forks, the others fork where
+    // their budgets first admit a job the leader refuses.
+    for (const char* policy : {"Greedy", "EFT", "Mixed", "Theta"}) {
+        SCOPED_TRACE(policy);
+        sm::SimOptions base;
+        base.policy = {policy, {}};
+        const double cost = shared_simulator().run(base).total_cost;
+        const auto ladder = budget_ladder(
+            base, {0.6 * cost, 0.0, 0.3 * cost, 0.9 * cost, 0.6 * cost});
+        const LadderRun run = expect_ladder_matches_direct_runs(
+            shared_simulator(), ladder);
+        EXPECT_EQ(run.order.front(), 2u) << "the smallest budget leads";
+        const auto& r = run.results;
+        EXPECT_LT(r[2].jobs_completed, r[0].jobs_completed);
+        EXPECT_LT(r[0].jobs_completed, r[3].jobs_completed);
+        EXPECT_LT(r[3].jobs_completed, r[1].jobs_completed);
+    }
+}
+
+TEST(BudgetLadder, OutageRefundsReachRidingLanesBeforeTheyFork) {
+    // One IC cluster of two nodes. J0 fills it; J1 and J2 queue with
+    // their charges debited from every budget; the outage at 100 s takes a
+    // node, so both no longer fit and are refunded. Every budget pays for
+    // all three, so no member diverges before the outage, and the refunds
+    // must reach the riding lanes: each lane's budget then first binds on
+    // the 48-core jobs after it.
+    std::vector<wl::TraceJob> jobs;
+    jobs.push_back(make_job(0, 0, 0, 96, 0.0, 10000.0));
+    jobs.push_back(make_job(1, 1, 0, 96, 10.0, 1000.0));
+    jobs.push_back(make_job(2, 2, 0, 96, 20.0, 1000.0));
+    for (std::uint32_t j = 3; j < 15; ++j) {
+        jobs.push_back(make_job(j, j, 1, 48, 100.0 * j, 1000.0));
+    }
+    const sm::BatchSimulator sim(craft_workload(std::move(jobs)),
+                                 {sm::ClusterConfig{mc::find("IC"), 2}});
+    sm::SimOptions base;
+    base.outage = sm::ClusterOutage{0, 100.0, 1};
+    const sm::QuoteTable quotes = sim.quote_table(sm::QuoteKey::of(base));
+    const auto cost = [&](std::size_t j) { return quotes.quotes[j]; };
+    const double small = cost(0) + cost(1) + cost(2) + cost(3) + cost(4);
+    const double large = small + cost(9) + cost(10) + cost(11);
+
+    const auto ladder = budget_ladder(base, {large, 0.0, small, small});
+    const LadderRun run = expect_ladder_matches_direct_runs(sim, ladder);
+    const auto& r = run.results;
+    // The strands happened: the unlimited member skips exactly J1 and J2.
+    EXPECT_EQ(r[1].jobs_skipped, 2u);
+    EXPECT_EQ(r[1].jobs_completed, 13u);
+    // Both budgets bind after the refunds, at different jobs.
+    EXPECT_GT(r[2].jobs_skipped, 2u);
+    EXPECT_LT(r[2].jobs_completed, r[0].jobs_completed);
+    EXPECT_LT(r[0].jobs_completed, r[1].jobs_completed);
+    // Without the refunds the small budget would have refused J5.
+    EXPECT_GT(r[2].jobs_completed, 3u);
+}
+
+TEST(BudgetLadder, CurrencyBudgetsMatchDirectRuns) {
+    // Every member carries the same dual-currency allocation; only the
+    // routing-cost budget differs.
+    sm::SimOptions base;
+    base.pricing = {"CBA", {}};
+    base.regional_grids = true;
+    const auto unlimited = shared_simulator().run(base);
+    base.currency_budgets = {
+        sm::CurrencyBudget{"core-hours", {"Runtime", {}}, 0.0},
+        sm::CurrencyBudget{"gCO2e", {"CBA", {}}, 0.8 * unlimited.total_cost}};
+    for (const char* policy : {"Greedy", "EFT", "CarbonAware"}) {
+        SCOPED_TRACE(policy);
+        base.policy = {policy, {}};
+        const double cost = shared_simulator().run(base).total_cost;
+        const auto ladder =
+            budget_ladder(base, {0.0, 0.5 * cost, 0.75 * cost, 0.5 * cost});
+        const LadderRun run =
+            expect_ladder_matches_direct_runs(shared_simulator(), ladder);
+        EXPECT_FALSE(run.results[0].currency_spent.empty());
+        EXPECT_LT(run.results[1].jobs_completed, run.results[2].jobs_completed);
+    }
+}
+
+/// Core-hours less a flat rebate: small jobs earn credit (a negative
+/// price), large ones pay.
+class RebateAccounting final : public ga::acct::Accountant {
+public:
+    [[nodiscard]] double charge(const ga::acct::JobUsage& usage,
+                                const mc::CatalogEntry& /*m*/) const override {
+        return usage.duration_s * usage.cores / 3600.0 - 4.0;
+    }
+    [[nodiscard]] std::string_view name() const noexcept override {
+        return "Rebate";
+    }
+    [[nodiscard]] std::string_view unit() const noexcept override {
+        return "core-hours";
+    }
+};
+
+TEST(BudgetLadder, NegativePricesMatchDirectRuns) {
+    // Credits raise every member's remaining budget, so budgets bind and
+    // recover; whatever their order, each member equals its direct run,
+    // and a larger budget leaves the leader no later than a smaller one.
+    auto& registry = ga::acct::AccountantRegistry::global();
+    if (!registry.contains("Rebate")) {
+        registry.register_accountant("Rebate", [](const ga::acct::AccountantSpec&) {
+            return std::make_unique<RebateAccounting>();
+        });
+    }
+    sm::SimOptions base;
+    base.pricing = {"Rebate", {}};
+    const auto unlimited = shared_simulator().run(base);
+    const sm::QuoteTable quotes =
+        shared_simulator().quote_table(sm::QuoteKey::of(base));
+    EXPECT_LT(*std::min_element(quotes.quotes.begin(), quotes.quotes.end()), 0.0);
+    const double cost = unlimited.total_cost;
+    ASSERT_GT(cost, 0.0);
+    const auto ladder =
+        budget_ladder(base, {0.02 * cost, 0.0, 0.2 * cost, 0.05 * cost});
+    const LadderRun run =
+        expect_ladder_matches_direct_runs(shared_simulator(), ladder);
+    const auto& r = run.results;
+    EXPECT_LT(r[0].jobs_completed, r[3].jobs_completed);
+    EXPECT_LT(r[3].jobs_completed, r[2].jobs_completed);
+    const auto at = [&](std::size_t m) {
+        return std::find(run.order.begin(), run.order.end(), m) -
+               run.order.begin();
+    };
+    EXPECT_EQ(at(0), 0);
+    EXPECT_LT(at(2), at(3));
+}
+
+TEST(BudgetLadder, RefusesMembersThatDifferBeyondTheBudget) {
+    sm::SimOptions base;
+    base.finish_times = true;
+    const sm::QuoteTable quotes =
+        shared_simulator().quote_table(sm::QuoteKey::of(base));
+    std::vector<sm::SimOptions> differing(5, base);
+    differing[0].policy = {"EFT", {}};
+    differing[1].outage = sm::ClusterOutage{0, 3600.0, 4};
+    differing[2].finish_times = false;
+    differing[3].currency_budgets = {
+        sm::CurrencyBudget{"core-hours", {"Runtime", {}}, 1e6}};
+    differing[4].pricing = {"CBA", {}};
+    for (sm::SimOptions other : differing) {
+        other.budget = 1e9;
+        const std::vector<sm::SimOptions> ladder{base, other};
+        EXPECT_THROW(shared_simulator().run_ladder(
+                         ladder, quotes, [](std::size_t, const sm::SimResult&) {}),
+                     ga::util::PreconditionError);
+    }
+    EXPECT_THROW(shared_simulator().run_ladder({}, quotes,
+                                               [](std::size_t, const sm::SimResult&) {}),
+                 ga::util::PreconditionError);
+}
+
+/// A registered policy that keeps the default `uses_budget`: the first
+/// feasible machine.
+class FirstFeasiblePolicy final : public sm::RoutingPolicy {
+public:
+    [[nodiscard]] std::optional<std::size_t> choose(
+        const sm::SchedulingContext& /*ctx*/,
+        std::span<const sm::MachineChoice> choices) const override {
+        for (std::size_t i = 0; i < choices.size(); ++i) {
+            if (choices[i].feasible) return i;
+        }
+        return std::nullopt;
+    }
+    [[nodiscard]] std::string_view name() const noexcept override {
+        return "FirstFeasible";
+    }
+};
+
+TEST(BudgetLadder, PoliciesThatReadTheBudgetAreNeverLaddered) {
+    // BudgetPacing routes by the remaining budget, and a registered policy
+    // reads it unless it says otherwise: a ladder of two of either is
+    // refused, while a ladder of one is a plain run.
+    EXPECT_TRUE(sm::PolicyRegistry::global().make({"BudgetPacing", {}})->uses_budget());
+    for (const auto& spec : sm::all_policies()) {
+        EXPECT_FALSE(sm::PolicyRegistry::global().make(spec)->uses_budget())
+            << spec.name;
+    }
+    for (const char* name : {"CarbonAware", "LeastLoaded"}) {
+        EXPECT_FALSE(sm::PolicyRegistry::global().make({name, {}})->uses_budget())
+            << name;
+    }
+    auto& registry = sm::PolicyRegistry::global();
+    if (!registry.contains("FirstFeasible")) {
+        registry.register_policy("FirstFeasible", [](const sm::PolicySpec&) {
+            return std::make_unique<FirstFeasiblePolicy>();
+        });
+    }
+    for (const char* name : {"BudgetPacing", "FirstFeasible"}) {
+        SCOPED_TRACE(name);
+        sm::SimOptions base;
+        base.policy = {name, {}};
+        const sm::QuoteTable quotes =
+            shared_simulator().quote_table(sm::QuoteKey::of(base));
+        const auto ladder = budget_ladder(base, {0.0, 1e9});
+        EXPECT_THROW(shared_simulator().run_ladder(
+                         ladder, quotes, [](std::size_t, const sm::SimResult&) {}),
+                     ga::util::PreconditionError);
+        expect_ladder_matches_direct_runs(shared_simulator(), {ladder[1]});
+    }
+}
+
 // Parameterized ablation: the Mixed policy interpolates between EFT-like
 // (low threshold: switch eagerly for speed) and Greedy-like (high threshold:
 // almost never switch) behavior.

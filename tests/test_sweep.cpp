@@ -9,6 +9,7 @@
 #include <stdexcept>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "sim/sweep.hpp"
 #include "sim_result_matchers.hpp"
 #include "util/error.hpp"
@@ -274,6 +275,56 @@ TEST(SweepRunner, RegistryPoliciesParallelBitIdenticalToSerial) {
         expect_identical(parallel[i].result, serial[i].result);
         expect_identical(parallel[i].result,
                          shared_simulator().run(specs[i].options));
+    }
+}
+
+TEST(SweepRunner, BudgetLaddersMatchDirectRuns) {
+    // Each (policy, outage) pair is a ladder of four budgets, one of them
+    // twice, run as one task; BudgetPacing reads the budget, so its points
+    // run alone. The outage strands queued jobs mid-trace. On the pool and
+    // serially, every point equals a direct run, the sweep still counts
+    // points and runs, and the ladders make fewer routing decisions than
+    // one per job per point.
+    const double budget =
+        shared_simulator().run(sm::SimOptions{}).total_cost;
+    sm::SweepGrid grid;
+    grid.base.finish_times = true;
+    grid.policies = {sm::PolicySpec{"Greedy", {}}, sm::PolicySpec{"EFT", {}},
+                     sm::PolicySpec{"Theta", {}},
+                     sm::PolicySpec{"BudgetPacing", {}},
+                     sm::PolicySpec{"LeastLoaded", {}}};
+    grid.budgets = {0.4 * budget, 0.0, 0.8 * budget, 0.4 * budget};
+    grid.outages = {std::nullopt, sm::ClusterOutage{0, 2.0 * 86400.0, 32}};
+    const auto specs = grid.expand();
+    ASSERT_EQ(specs.size(), 40u);
+
+    const bool prior = ga::obs::metrics_enabled();
+    ga::obs::set_metrics_enabled(true);
+    auto& registry = ga::obs::Registry::global();
+    const auto& points = registry.counter_handle("sweep.points_completed");
+    const auto& runs = registry.counter_handle("sim.runs");
+    const auto& decisions = registry.counter_handle("sim.route.decisions");
+    const std::uint64_t points_before = points.value();
+    const std::uint64_t runs_before = runs.value();
+    const std::uint64_t decisions_before = decisions.value();
+    sm::SweepRunner runner(shared_simulator(), 4);
+    const auto parallel = runner.run(specs);
+    EXPECT_EQ(points.value() - points_before, specs.size());
+    EXPECT_EQ(runs.value() - runs_before, specs.size());
+    EXPECT_LT(decisions.value() - decisions_before,
+              specs.size() * shared_simulator().workload().jobs.size());
+    ga::obs::set_metrics_enabled(prior);
+
+    const auto serial = runner.run_serial(specs);
+    ASSERT_EQ(parallel.size(), specs.size());
+    ASSERT_EQ(serial.size(), specs.size());
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        SCOPED_TRACE(specs[i].label);
+        EXPECT_EQ(parallel[i].spec, specs[i]);
+        EXPECT_EQ(serial[i].spec, specs[i]);
+        const auto direct = shared_simulator().run(specs[i].options);
+        expect_identical(parallel[i].result, direct);
+        expect_identical(serial[i].result, direct);
     }
 }
 
