@@ -334,21 +334,22 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
     auto& tracer = ga::obs::Tracer::global();
     const bool tracing = ga::obs::tracing_enabled();
 
-    // Replays the trace on `rs` from job `first` to the end, for a member
-    // whose budget is `budget_total`. A fork enters at `first`'s admission,
-    // routed to `resume->cluster`; the leader routes every job itself,
-    // debits and credits the riding `lanes` with its own budget, and forks
-    // a lane at the first job whose admission the lane's budget decides
-    // otherwise. Returns the policy decisions the replay made.
-    const auto replay = [&](RunState<Queues>& rs, double budget_total,
-                            std::size_t first, const Fork<Queues>* resume)
-        -> std::uint64_t {
+    // Replays the trace on `rs` to its end: the leader's from the first
+    // job (`resume` null), a fork's from its job's admission, routed as the
+    // leader routed it. The leader debits and credits the riding `lanes`
+    // with its own budget and forks a lane at the first job whose admission
+    // the lane's budget decides otherwise. Returns the policy decisions the
+    // replay made.
+    const auto replay = [&](RunState<Queues>& rs,
+                            const Fork<Queues>* resume) -> std::uint64_t {
+        const std::size_t first = resume != nullptr ? resume->job : 0;
         SimResult& result = rs.result;
 
         // Scheduling context shared by every routing decision; the core
         // refreshes the per-cluster views before each one.
         SchedulingContext ctx;
-        ctx.budget_total = budget_total;
+        ctx.budget_total =
+            ladder[resume != nullptr ? resume->member : leader].budget;
         ctx.jobs_total = jobs.size();
         ctx.trace_span_s = trace_span_s;
         ctx.clusters = rs.core.views();
@@ -557,7 +558,7 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
     rs.result = SimResult{};
     if (record_finish_times) rs.result.finish_times_s.reserve(jobs.size());
 
-    flush(rs, replay(rs, ladder[leader].budget, 0, nullptr));
+    flush(rs, replay(rs, nullptr));
     done(leader, rs.result);
     for (const Lane& lane : lanes) {
         flush(rs, 0);
@@ -568,7 +569,7 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
     // most its other members' forks at once.
     for (Fork<Queues>& fork : forks) {
         rs = std::move(fork.state);
-        flush(rs, replay(rs, ladder[fork.member].budget, fork.job, &fork));
+        flush(rs, replay(rs, &fork));
         done(fork.member, rs.result);
     }
 }
