@@ -19,6 +19,29 @@
 // when the last of them finishes, so a sweep holds only the tables of the
 // keys in flight. A paper grid of policies x budgets over two pricings
 // prices each submit twice instead of once per point.
+//
+// Points whose options differ only in `budget`, under a policy whose
+// `RoutingPolicy::uses_budget()` is false (every builtin but BudgetPacing;
+// a registered policy only if it says so), form a budget ladder, and a
+// sweep runs each ladder as one task (`BatchSimulator::run_ladder`). Such
+// points route every job alike until a budget first admits a job another
+// refuses, so the smallest budget leads one event loop and the others ride
+// along holding only their remaining budgets. A member forks at the first
+// job its budget decides otherwise: it copies the leader's state and, after
+// the leader, resumes there in the thread's pooled run state. The state
+// scales with the live jobs, not the trace (each `RunningJob` carries its
+// `start_s`, which completion metering reads), so a fork costs about its
+// queues. Every point's result, and every work counter but
+// `sim.route.decisions` (the decisions the shared loops made), are what
+// separate runs give.
+//
+// A ladder's members finish one after another in its task. A point's
+// `sweep.point` span, at its spec index, is recorded when it finishes, and
+// `sweep.point_seconds` times its own share of the task: the leader from
+// the task's start (the shared prefix included), every other member from
+// the previous member's finish, so a member that never forked reads about
+// zero. `sweep.active_points` counts ladders in flight;
+// `sweep.points_completed` still counts points.
 #pragma once
 
 #include <cstddef>
@@ -99,10 +122,11 @@ public:
     explicit SweepRunner(const BatchSimulator& simulator,
                          std::size_t threads = 0);
 
-    /// Runs every spec; outcome i corresponds to specs[i]. Points sharing a
-    /// `QuoteKey` share one quote table, built on the pool by the first of
-    /// them to start and freed when the last of them finishes. Results are
-    /// bit-identical to `run_serial` on the same specs, and to
+    /// Runs every spec; outcome i corresponds to specs[i]. Each budget
+    /// ladder is one task on the pool. Points sharing a `QuoteKey` share
+    /// one quote table, built on the pool by the first of them to start
+    /// and freed when the last of them finishes. Results are bit-identical
+    /// to `run_serial` on the same specs, and to
     /// `BatchSimulator::run(spec.options)`.
     [[nodiscard]] std::vector<SweepOutcome> run(
         const std::vector<ScenarioSpec>& specs);
@@ -110,7 +134,7 @@ public:
     /// Expands the grid and runs it.
     [[nodiscard]] std::vector<SweepOutcome> run(const SweepGrid& grid);
 
-    /// Serial reference executor (same ordering, same quote tables, same
+    /// Serial reference executor (same ladders, same quote tables, same
     /// per-point metrics and spans), for determinism checks and baselines.
     [[nodiscard]] std::vector<SweepOutcome> run_serial(
         const std::vector<ScenarioSpec>& specs) const;
