@@ -564,9 +564,9 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
         flush(rs, 0);
         done(lane.member, rs.result);
     }
+    // No lane rides along a fork. Each fork replaces the pooled state's
+    // buffers, so a ladder holds at most its other members' forks at once.
     lanes.clear();
-    // Each fork replaces the pooled state's buffers, so a ladder holds at
-    // most its other members' forks at once.
     for (Fork<Queues>& fork : forks) {
         rs = std::move(fork.state);
         flush(rs, replay(rs, &fork));
