@@ -2,10 +2,9 @@
 #
 # Every public header under src/ must compile as a standalone translation
 # unit — including it first (or alone) must never depend on what the
-# includer happened to pull in earlier. ga-analyze checks the same
-# contract statically (rule `not-self-contained`, via the transitive
-# include closure); this function proves it with the real compiler:
-# one ctest per header running `-fsyntax-only` on the bare file.
+# includer happened to pull in earlier. This function proves it with the
+# real compiler: one ctest per header running `-fsyntax-only` on the bare
+# file.
 #
 # GNU/Clang only — the `-x c++ -fsyntax-only` spelling is theirs; other
 # compilers simply register no tests.

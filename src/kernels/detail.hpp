@@ -9,7 +9,7 @@ namespace ga::kernels::detail {
 
 /// Wall-clock timer for the informational `wall_seconds` field — the obs
 /// timer, so the wall-clock read stays inside the sanctioned module (see
-/// the ga-lint rule `obs-wallclock-outside-obs`).
+/// ga-analyze's rule `obs-wallclock-outside-obs`).
 using WallTimer = ga::obs::WallTimer;
 
 /// Cheap deterministic value generator for input data (not statistics-grade;

@@ -1,6 +1,6 @@
 // The single sanctioned home of wall-clock reads.
 //
-// Project rule (enforced by tools/ga-lint, rule
+// Project rule (enforced by tools/ga-analyze, rule
 // `obs-wallclock-outside-obs`): no code outside this header may read a
 // clock. Simulation *inputs* must be virtual-time or seeded — a wall-clock
 // read feeding a simulation would break the bit-identical golden contract —

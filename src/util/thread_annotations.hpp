@@ -13,11 +13,12 @@
 // MSVC the macros expand to nothing and the wrappers compile down to the
 // plain standard-library primitives.
 //
-// Project rule (enforced by `tools/ga-lint`): `std::mutex`,
-// `std::lock_guard`, `std::unique_lock`, and `std::condition_variable` must
-// not appear anywhere in `src/` outside this header. Use `ga::util::Mutex`,
-// `ga::util::LockGuard`, and `ga::util::CondVar` instead, so the analysis
-// sees every lock in the project.
+// Project rule (enforced by `tools/ga-analyze`, rule `naked-mutex`):
+// `std::mutex`, `std::lock_guard`, `std::unique_lock`, and
+// `std::condition_variable` must not appear in the project's C++ outside
+// this header. Use `ga::util::Mutex`, `ga::util::LockGuard`, and
+// `ga::util::CondVar` instead, so the analysis sees every lock in the
+// project.
 #pragma once
 
 #include <condition_variable>

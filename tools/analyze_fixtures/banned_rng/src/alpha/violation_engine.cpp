@@ -1,4 +1,3 @@
-// ga-lint-expect: banned-rng
 // Fixture: a default-constructed standard engine seeded from
 // std::random_device — nondeterministic across runs and platforms.
 #include <random>

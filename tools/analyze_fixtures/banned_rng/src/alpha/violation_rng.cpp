@@ -1,4 +1,3 @@
-// ga-lint-expect: banned-rng
 // Fixture: standard-library RNG in library code. The project contract is
 // that all randomness flows through the seeded ga::util::Rng so experiments
 // replay bit-exactly; std::rand draws from hidden global state.
@@ -6,4 +5,8 @@
 
 int roll_die() {
     return std::rand() % 6 + 1;
+}
+
+int roll_global_die() {
+    return ::rand() % 6 + 1;
 }

@@ -1,4 +1,3 @@
-// ga-lint-expect: clean
 // Fixture: everything the rules allow — and prose that *mentions* banned
 // tokens, which must not trip anything because matching runs on
 // comment/string-stripped source. For instance: std::rand, std::mutex,
@@ -16,3 +15,6 @@ double total(const std::map<std::string, double>& ordered) {
     (void)kDocumentation;
     return sum;
 }
+
+// A project function that shares a banned name is not the C library's.
+int roll_project_die() { return dice::rand(); }

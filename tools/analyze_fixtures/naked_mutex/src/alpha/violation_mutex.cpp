@@ -1,4 +1,3 @@
-// ga-lint-expect: naked-mutex
 // Fixture: raw standard-library lock. Locking must go through the
 // annotated ga::util::Mutex wrappers so clang Thread Safety Analysis sees
 // every lock in the project.

@@ -1,4 +1,3 @@
-// ga-lint-expect: clean
 // Fixture: a file whose path ends in obs/walltime.hpp — the built-in exempt
 // home of the obs-wallclock-outside-obs rule — may read the monotonic clock.
 #pragma once

@@ -1,4 +1,3 @@
-// ga-lint-expect: unordered-io
 // Fixture: hash-order iteration feeding a serializer. Output order would
 // depend on the standard library's hash, breaking byte-identical results.
 #include <sstream>

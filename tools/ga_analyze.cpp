@@ -1,10 +1,43 @@
-// ga-analyze — graph-based architecture and lock-order static analysis.
+// ga-analyze — the project's static analysis: per-file policy rules, the
+// include/layering graph and the lock-order graph.
 //
-// Second-generation companion to ga-lint: where ga-lint matches banned
-// tokens, ga-analyze builds two program models and checks contracts over
-// them.
+// Each positional PATH is scanned. A path holding src/ is a tree (src/
+// recursively plus the top level of tools/; the fixture directories under
+// tools/ are not part of the tools module) and gets every check below; its
+// graph checks need --layers. Any other path gets the per-file rules (A)
+// only, over every C++ file under it.
 //
-// (A) Include/layering graph. Every `#include "..."` under src/ (plus the
+// (A) Per-file rules: repository policy clang and clang-tidy cannot see,
+// matched line by line on comment- and string-stripped text
+// (source_text.hpp), so prose mentioning a banned token never trips a rule.
+//
+//   banned-rng    No std::rand/srand, std::random_device, or standard
+//                 library engines (mt19937, ...). All randomness flows
+//                 through the seeded, bit-reproducible ga::util::Rng
+//                 (util/rng.hpp) so every experiment replays exactly.
+//   obs-wallclock-outside-obs
+//                 No wall-clock or machine-clock reads outside the obs
+//                 module — time(nullptr),
+//                 std::chrono::{system,steady,high_resolution}_clock,
+//                 gettimeofday, ... Simulation time is virtual and seeded; a
+//                 clock read is a hidden nondeterministic input. Diagnostic
+//                 timing (benchmarks, latency histograms, trace wall
+//                 timestamps) goes through ga::obs::WallTimer
+//                 (obs/walltime.hpp), the rule's one exempt home.
+//   unordered-io  No unordered containers under an io/ directory.
+//                 Serialized output (results, scenarios, golden files) must
+//                 be byte-identical across platforms and standard
+//                 libraries; hash-order iteration anywhere near a
+//                 serializer is how that contract dies quietly.
+//   naked-mutex   No std::mutex / std::lock_guard / std::unique_lock /
+//                 std::condition_variable outside util/thread_annotations.hpp.
+//                 Locking goes through the annotated ga::util::Mutex wrappers
+//                 so clang Thread Safety Analysis sees every lock.
+//
+// A banned call matches bare, `std::`- or `::`-qualified, but not as a
+// member of another scope (`dice::rand(`).
+//
+// (B) Include/layering graph. Every `#include "..."` under src/ (plus the
 // tools/ front-ends) becomes an edge in a file-level DAG, collapsed to the
 // module graph (util, stats, machine, ..., io, tools). The declared
 // layering lives in tools/ga-layers.txt; the checks are:
@@ -23,9 +56,6 @@
 //   missing-guard      header without #pragma once
 //   relative-include   quoted include using ../ or resolving only relative
 //                      to the including file instead of the src/ root
-//   not-self-contained header whose code references ga::<ns>:: of another
-//                      module without (transitively) including it and
-//                      without forward-declaring that namespace itself
 //
 // The module graph exports as Graphviz DOT (`--dot -`); the dependency-flow
 // diagram in docs/ARCHITECTURE.md is that export verbatim, and
@@ -33,7 +63,7 @@
 // (rule `doc-drift`), so the documentation cannot quietly fall behind the
 // code.
 //
-// (B) Lock-order graph. The scanner extracts every annotated mutex
+// (C) Lock-order graph. The scanner extracts every annotated mutex
 // declaration (`ga::util::Mutex`), every `LockGuard` acquisition with the
 // guards held at that point, `GA_REQUIRES` entry capabilities, and the
 // hierarchy declared through `GA_ACQUIRED_BEFORE` / `GA_ACQUIRED_AFTER`
@@ -59,13 +89,15 @@
 // under the ledger lock colliding with `Ledger::charge`) is ignored —
 // only a literally nested guard on the same mutex reports self-deadlock.
 //
-// Findings print clang-style; `--sarif FILE` additionally writes SARIF
-// 2.1.0 for GitHub code scanning. `--self-test DIR` runs the seeded
-// fixture trees (each with layers.txt + expect.txt + src/). Exit codes:
+// Findings print clang-style; `--allowlist FILE` suppresses documented
+// exceptions ("<rule> <path-suffix>" lines, '#' comments), and `--sarif
+// FILE` additionally writes SARIF 2.1.0 for GitHub code scanning.
+// `--self-test DIR` runs the seeded fixture trees, each with layers.txt,
+// src/ and an expect.txt that names the rule of every expected finding
+// (a rule found twice is named twice; `clean` expects none). Exit codes:
 // 0 clean, 1 findings, 2 usage/IO error.
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iostream>
@@ -100,6 +132,10 @@ bool finding_less(const Finding& a, const Finding& b) {
 
 const std::map<std::string, std::string>& rule_descriptions() {
     static const std::map<std::string, std::string> kRules = {
+        {"banned-rng", "unseeded or non-reproducible RNG"},
+        {"obs-wallclock-outside-obs", "wall-clock read outside the obs module"},
+        {"unordered-io", "unordered container in the serialization layer"},
+        {"naked-mutex", "raw standard-library lock"},
         {"include-cycle", "cycle in the file-level include graph"},
         {"upward-include", "include of a same- or higher-layer module"},
         {"undeclared-dep", "module dependency not declared in ga-layers.txt"},
@@ -109,8 +145,6 @@ const std::map<std::string, std::string>& rule_descriptions() {
         {"layer-order", "declared dependency not at a strictly lower layer"},
         {"missing-guard", "header without #pragma once"},
         {"relative-include", "include not rooted at src/"},
-        {"not-self-contained",
-         "header references a module it does not include"},
         {"lock-cycle", "potential deadlock: cycle in the lock-order graph"},
         {"lock-order", "acquisition contradicts the declared lock hierarchy"},
         {"lock-undeclared",
@@ -208,10 +242,6 @@ bool scannable(const fs::path& p) {
 std::map<std::string, SourceFile> load_tree(const fs::path& root) {
     std::map<std::string, SourceFile> files;
     const fs::path src = root / "src";
-    if (!fs::is_directory(src)) {
-        throw std::runtime_error("ga-analyze: no src/ directory under " +
-                                 root.string());
-    }
     const auto add = [&](const fs::path& p, const std::string& module) {
         SourceFile f;
         f.rel = fs::relative(p, root).generic_string();
@@ -289,6 +319,97 @@ void resolve_includes(std::map<std::string, SourceFile>& files,
             // Unresolved quoted includes (system or generated) are ignored.
         }
     }
+}
+
+// --------------------------------------------------------- per-file rules
+
+struct FileRule {
+    std::string name;
+    std::regex pattern;
+    /// The rule applies only to paths containing this (empty: every path).
+    std::string path_fragment;
+    /// Paths ending in any of these are exempt (the rule's own
+    /// implementation home).
+    std::vector<std::string> builtin_exempt;
+    std::string message;
+};
+
+const std::vector<FileRule>& file_rules() {
+    // What may precede a banned name: a line start, a non-name character,
+    // `std::`, or a `::` that does not follow a name.
+    static const std::string kCall = R"((^|std\s*::\s*|(^|[^:\w])::\s*|[^:\w]))";
+    static const std::vector<FileRule> kRules = {
+        {"banned-rng",
+         std::regex(kCall + R"((rand|srand)\s*\(|)" + kCall +
+                    R"((random_device|mt19937(_64)?|default_random_engine|minstd_rand0?|knuth_b|ranlux\w+)\b)"),
+         "",
+         {"util/rng.hpp", "util/rng.cpp"},
+         "unseeded/non-reproducible RNG; use the seeded ga::util::Rng"},
+        {"obs-wallclock-outside-obs",
+         std::regex(kCall + R"(time\s*\(\s*(nullptr|NULL|0)\s*\)|system_clock|steady_clock|high_resolution_clock|gettimeofday|clock_gettime|\blocaltime\b|\bgmtime\b)"),
+         "",
+         {"obs/walltime.hpp"},
+         "wall-clock read outside the obs module; route diagnostic timing "
+         "through ga::obs::WallTimer (obs/walltime.hpp)"},
+        {"unordered-io",
+         std::regex(R"(unordered_(map|set|multimap|multiset))"),
+         "/io/",
+         {},
+         "unordered container in the serialization layer; hash-order output "
+         "breaks byte-identical results"},
+        {"naked-mutex",
+         std::regex(R"(std\s*::\s*(mutex|timed_mutex|recursive_mutex|recursive_timed_mutex|shared_mutex|shared_timed_mutex|lock_guard|unique_lock|scoped_lock|condition_variable(_any)?)\b)"),
+         "",
+         {"util/thread_annotations.hpp"},
+         "raw standard-library lock; use the annotated ga::util::Mutex / "
+         "LockGuard / CondVar (util/thread_annotations.hpp)"},
+    };
+    return kRules;
+}
+
+void check_file(const std::string& path, const std::string& stripped,
+                std::vector<Finding>& findings) {
+    for (const FileRule& rule : file_rules()) {
+        if (path.find(rule.path_fragment) == std::string::npos) continue;
+        if (std::any_of(rule.builtin_exempt.begin(), rule.builtin_exempt.end(),
+                        [&](const std::string& suffix) {
+                            return ends_with(path, suffix);
+                        })) {
+            continue;
+        }
+        // Line by line, so findings carry line numbers.
+        std::istringstream lines(stripped);
+        std::string line;
+        for (std::size_t lineno = 1; std::getline(lines, line); ++lineno) {
+            if (std::regex_search(line, rule.pattern)) {
+                findings.push_back({path, lineno, rule.name, rule.message});
+            }
+        }
+    }
+}
+
+/// The per-file rules over `path` (a file, or every C++ file under a
+/// directory); returns the number of files read.
+std::size_t check_files(const fs::path& path, std::vector<Finding>& findings) {
+    std::vector<fs::path> files;
+    if (fs::is_directory(path)) {
+        for (const auto& entry : fs::recursive_directory_iterator(path)) {
+            if (entry.is_regular_file() && scannable(entry.path())) {
+                files.push_back(entry.path());
+            }
+        }
+    } else if (fs::is_regular_file(path)) {
+        files.push_back(path);
+    } else {
+        throw std::runtime_error("ga-analyze: no such file or directory: " +
+                                 path.string());
+    }
+    for (const fs::path& file : files) {
+        check_file(file.generic_string(),
+                   strip_comments_and_strings(read_file(file, "ga-analyze")),
+                   findings);
+    }
+    return files.size();
 }
 
 // --------------------------------------------------- include-graph checks
@@ -426,86 +547,17 @@ void check_headers(const std::map<std::string, SourceFile>& files,
     // std::regex '^' only anchors the whole string, so the pragma test
     // runs per line.
     static const std::regex kPragmaOnce(R"([ \t]*#[ \t]*pragma[ \t]+once[ \t]*)");
-    static const std::regex kNamespace(
-        R"(namespace\s+ga\s*::\s*(\w+)|namespace\s+(\w+)\s*\{)");
-    static const std::regex kRef(R"(\bga\s*::\s*(\w+)\s*::)");
-    static const std::regex kOrderAnnotation(
-        R"(GA_ACQUIRED_(?:BEFORE|AFTER)\s*\(([^)]*)\))");
-
-    // Namespace -> module map (ga::acct lives in core, so the mapping is
-    // learned from where each namespace is opened, not assumed).
-    std::map<std::string, std::string> ns_module;
-    std::map<std::string, std::set<std::string>> opens;  // file -> namespaces
-    for (const auto& [rel, f] : files) {
-        auto begin = std::sregex_iterator(f.stripped.begin(),
-                                          f.stripped.end(), kNamespace);
-        for (auto it = begin; it != std::sregex_iterator(); ++it) {
-            const std::string ns =
-                (*it)[1].matched ? (*it)[1].str() : (*it)[2].str();
-            opens[rel].insert(ns);
-            if (f.module != "tools" && ns != "ga") {
-                ns_module.emplace(ns, f.module);
-            }
-        }
-    }
-
     for (const auto& [rel, f] : files) {
         if (!f.header) continue;
         bool has_pragma = false;
-        {
-            std::istringstream lines(f.stripped);
-            std::string line;
-            while (!has_pragma && std::getline(lines, line)) {
-                has_pragma = std::regex_match(line, kPragmaOnce);
-            }
+        std::istringstream lines(f.stripped);
+        std::string line;
+        while (!has_pragma && std::getline(lines, line)) {
+            has_pragma = std::regex_match(line, kPragmaOnce);
         }
         if (!has_pragma) {
             findings.push_back({rel, 1, "missing-guard",
                                 "header is missing #pragma once"});
-        }
-        if (f.module == "tools") continue;
-
-        // Transitive include closure.
-        std::set<std::string> reachable_modules;
-        std::vector<std::string> queue{rel};
-        std::set<std::string> seen{rel};
-        while (!queue.empty()) {
-            const std::string cur = queue.back();
-            queue.pop_back();
-            for (const auto& inc : files.at(cur).includes) {
-                reachable_modules.insert(files.at(inc.target).module);
-                if (seen.insert(inc.target).second) queue.push_back(inc.target);
-            }
-        }
-        // Hierarchy annotations name mutexes across modules by design;
-        // blank the whole annotation (name and arguments) before the
-        // reference scan.
-        std::string text = f.stripped;
-        for (std::smatch am;
-             std::regex_search(text, am, kOrderAnnotation);) {
-            const auto at = static_cast<std::size_t>(am.position(0));
-            for (std::size_t i = at;
-                 i < at + static_cast<std::size_t>(am.length(0)); ++i) {
-                if (text[i] != '\n') text[i] = ' ';
-            }
-        }
-        std::set<std::string> flagged;
-        auto begin = std::sregex_iterator(text.begin(), text.end(), kRef);
-        for (auto it = begin; it != std::sregex_iterator(); ++it) {
-            const std::string ns = (*it)[1].str();
-            const auto found = ns_module.find(ns);
-            if (found == ns_module.end()) continue;
-            const std::string& mod = found->second;
-            if (mod == f.module) continue;
-            if (opens[rel].count(ns) != 0) continue;  // forward-declared here
-            if (reachable_modules.count(mod) != 0) continue;
-            if (!flagged.insert(ns).second) continue;
-            findings.push_back(
-                {rel, line_of(text, static_cast<std::size_t>(it->position())),
-                 "not-self-contained",
-                 "references ga::" + ns + ":: (module '" + mod +
-                     "') without including it; the header does not compile "
-                     "standalone"});
         }
     }
 }
@@ -553,7 +605,7 @@ struct DeclaredEdgeText {
 };
 
 struct LockModel {
-    std::map<std::string, std::pair<std::string, std::size_t>> mutexes;
+    std::set<std::string> mutexes;  // qualified mutex ids
     std::vector<GuardEvent> guards;
     std::vector<CallEvent> calls;
     std::vector<DeclaredEdgeText> declared;
@@ -848,8 +900,7 @@ private:
                 for (const std::string& cl : ctx.classes) parts.push_back(cl);
             }
             parts.push_back(name);
-            const std::string id = join_scope(parts);
-            model_.mutexes.emplace(id, std::make_pair(file_.rel, buf_line));
+            model_.mutexes.insert(join_scope(parts));
             auto begin = std::sregex_iterator(buf.begin(), buf.end(), kOrder);
             for (auto it = begin; it != std::sregex_iterator(); ++it) {
                 const bool before = (*it)[1].str() == "BEFORE";
@@ -924,7 +975,7 @@ std::string resolve_mutex(const LockModel& model, const MutexRef& ref) {
     if (text.find("::") != std::string::npos) {
         // Qualified: unique suffix match.
         std::string match;
-        for (const auto& [id, site] : model.mutexes) {
+        for (const std::string& id : model.mutexes) {
             if (id == text || ends_with(id, "::" + text)) {
                 if (!match.empty()) return {};
                 match = id;
@@ -968,18 +1019,6 @@ void check_locks(const std::map<std::string, SourceFile>& files,
             // internal lock()/unlock() forwarding is not subject to ordering.
             if (ends_with(rel, "util/thread_annotations.hpp")) continue;
             LockScanner(f, model, collect_only).run();
-        }
-    }
-
-    // Debugging aid: GA_ANALYZE_DEBUG_LOCKS=1 dumps the extracted model.
-    if (std::getenv("GA_ANALYZE_DEBUG_LOCKS") != nullptr) {
-        for (const auto& [id, site] : model.mutexes) {
-            std::cerr << "mutex " << id << " (" << site.first << ":"
-                      << site.second << ")\n";
-        }
-        for (const auto& d : model.declared) {
-            std::cerr << "declared " << d.from.text << " -> " << d.to.text
-                      << " (" << d.file << ":" << d.line << ")\n";
         }
     }
 
@@ -1330,15 +1369,31 @@ struct Analysis {
     std::size_t files = 0;
 };
 
-Analysis analyze(const fs::path& root, const LayerTable& table) {
+/// A path holding src/ is a tree and gets every check; any other path gets
+/// the per-file rules.
+Analysis analyze(const std::vector<fs::path>& paths, const LayerTable& table) {
     Analysis a;
-    auto files = load_tree(root);
-    a.files = files.size();
-    resolve_includes(files, a.findings);
-    check_include_cycles(files, a.findings);
-    check_layering(files, table, a.findings);
-    check_headers(files, a.findings);
-    check_locks(files, a.findings);
+    for (const fs::path& path : paths) {
+        if (!fs::is_directory(path / "src")) {
+            a.files += check_files(path, a.findings);
+            continue;
+        }
+        if (table.path.empty()) {
+            throw std::runtime_error("ga-analyze: " + path.string() +
+                                     " holds src/; its graph checks need "
+                                     "--layers");
+        }
+        auto files = load_tree(path);
+        a.files += files.size();
+        for (const auto& [rel, f] : files) {
+            check_file(rel, f.stripped, a.findings);
+        }
+        resolve_includes(files, a.findings);
+        check_include_cycles(files, a.findings);
+        check_layering(files, table, a.findings);
+        check_headers(files, a.findings);
+        check_locks(files, a.findings);
+    }
     std::sort(a.findings.begin(), a.findings.end(), finding_less);
     return a;
 }
@@ -1362,14 +1417,14 @@ int run_self_test(const fs::path& fixture_dir) {
     for (const fs::path& fixture : fixtures) {
         std::istringstream expect_in(
             read_file(fixture / "expect.txt", "ga-analyze"));
-        std::set<std::string> expected;
+        std::multiset<std::string> expected;
         std::string rule;
         while (expect_in >> rule) {
             if (rule != "clean") expected.insert(rule);
         }
         const LayerTable table = load_layers(fixture / "layers.txt");
-        const Analysis a = analyze(fixture, table);
-        std::set<std::string> got;
+        const Analysis a = analyze({fixture}, table);
+        std::multiset<std::string> got;
         for (const Finding& f : a.findings) got.insert(f.rule);
         const bool ok = got == expected;
         std::cout << (ok ? "PASS " : "FAIL ")
@@ -1392,10 +1447,12 @@ int run_self_test(const fs::path& fixture_dir) {
 
 int usage() {
     std::cerr
-        << "usage: ga-analyze --layers FILE [--allowlist FILE] [--sarif FILE]\n"
-           "                  [--check-doc FILE] ROOT\n"
+        << "usage: ga-analyze [--layers FILE] [--allowlist FILE] [--sarif FILE]\n"
+           "                  [--check-doc FILE] PATH...\n"
            "       ga-analyze --layers FILE --dot (-|FILE)\n"
-           "       ga-analyze --self-test FIXTURE_DIR\n";
+           "       ga-analyze --self-test FIXTURE_DIR\n"
+           "A PATH holding src/ gets every check (--layers required); any\n"
+           "other PATH gets the per-file rules over its C++ files.\n";
     return 2;
 }
 
@@ -1403,9 +1460,10 @@ int usage() {
 
 int main(int argc, char** argv) {
     try {
-        fs::path layers_path, sarif_path, dot_path, doc_path, root;
+        fs::path layers_path, sarif_path, dot_path, doc_path;
+        std::vector<fs::path> paths;
         std::vector<AllowEntry> allow;
-        bool want_dot = false, have_root = false;
+        bool want_dot = false;
         for (int i = 1; i < argc; ++i) {
             const std::string_view arg = argv[i];
             const auto value = [&]() -> const char* {
@@ -1431,13 +1489,14 @@ int main(int argc, char** argv) {
             } else if (!arg.empty() && arg[0] == '-') {
                 return usage();
             } else {
-                if (have_root) return usage();
-                root = arg;
-                have_root = true;
+                paths.emplace_back(arg);
             }
         }
-        if (layers_path.empty()) return usage();
-        const LayerTable table = load_layers(layers_path);
+        if (layers_path.empty() && (want_dot || !doc_path.empty())) {
+            return usage();
+        }
+        const LayerTable table =
+            layers_path.empty() ? LayerTable{} : load_layers(layers_path);
 
         if (want_dot) {
             const std::string dot = dot_export(table);
@@ -1451,11 +1510,11 @@ int main(int argc, char** argv) {
                 }
                 out << dot;
             }
-            if (!have_root) return 0;
+            if (paths.empty()) return 0;
         }
-        if (!have_root) return usage();
+        if (paths.empty()) return usage();
 
-        Analysis a = analyze(root, table);
+        Analysis a = analyze(paths, table);
         if (!doc_path.empty()) check_doc(doc_path, table, a.findings);
         std::erase_if(a.findings, [&allow](const Finding& f) {
             return std::any_of(allow.begin(), allow.end(),

@@ -1,7 +1,7 @@
-// Shared text utilities for the project's source-scanning tools (ga-lint,
-// ga-analyze). Both tools match *policy*, not C++ semantics, so they work on
-// comment- and string-stripped source: a banned token or an include mention
-// inside prose or a string literal must never trip a rule.
+// Text utilities for ga-analyze, the project's source-scanning tool. It
+// matches *policy*, not C++ semantics, so it works on comment- and
+// string-stripped source: a banned token or an include mention inside prose
+// or a string literal must never trip a rule.
 #pragma once
 
 #include <cctype>
