@@ -175,8 +175,6 @@ constexpr SchedulerRules kBatchRules{QueueOrder::SkipAhead,
 template <typename Queues>
 struct RunState {
     Scheduler<Queues> core;
-    // Submit-time charge, for outage refunds; empty without an outage.
-    std::vector<double> charged;
     // Multi-currency state, empty unless currency_budgets was set:
     // remaining/spent per currency, and per-(job, currency) submit-time
     // quotes (indexed [job * n_currencies + k]) for outage refunds.
@@ -207,14 +205,13 @@ struct Lane {
 };
 
 /// A member whose budget decided a job otherwise than the leader's: a copy
-/// of the leader's state that resumes at that job's admission, with the
-/// route the policy chose for it.
+/// of the leader's state that resumes at that job's admission, on the
+/// cluster the policy chose for it.
 template <typename Queues>
 struct Fork {
     std::size_t member = 0;
     std::size_t job = 0;
     std::size_t cluster = 0;
-    double cost = 0.0;  ///< the chosen machine's route quote
     RunState<Queues> state;
 };
 
@@ -325,7 +322,6 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
         trace_span_s =
             std::max(trace_span_s, job.submit_s / options.arrival_compression);
     }
-    const bool refunds = options.outage.has_value();
     const bool record_finish_times = options.finish_times;
 
     // ---- observability (write-only; never feeds back into the run) ----
@@ -376,7 +372,8 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
 
         // The outage: the cluster's lost cores never return, and queued
         // jobs that no longer fit the shrunken cluster are refunded (to the
-        // riding lanes too) and skipped.
+        // riding lanes too) and skipped. A queued job was charged its route
+        // quote on its queue's cluster.
         const auto apply_outage = [&] {
             const ClusterOutage outage = *rs.outage;
             rs.outage.reset();
@@ -386,11 +383,10 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
             const int lost = std::min(outage.nodes_lost, clusters_[c].nodes) *
                              clusters_[c].entry.node.total_cores();
             rs.core.shrink(c, lost, [&](const QueuedJob& job) {
-                rs.budget_remaining += rs.charged[job.id];
-                for (Lane& lane : lanes) {
-                    lane.budget_remaining += rs.charged[job.id];
-                }
-                result.total_cost -= rs.charged[job.id];
+                const double charged = quotes.quotes[job.id * n_clusters + c];
+                rs.budget_remaining += charged;
+                for (Lane& lane : lanes) lane.budget_remaining += charged;
+                result.total_cost -= charged;
                 for (std::size_t k = 0; k < n_currencies; ++k) {
                     rs.currency_remaining[k] +=
                         rs.currency_charged[job.id * n_currencies + k];
@@ -414,7 +410,7 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
             double cost = 0.0;
             if (resume != nullptr && j == first) {
                 c = resume->cluster;
-                cost = resume->cost;
+                cost = quotes.quotes[j * n_clusters + c];
             } else {
                 if (rs.outage.has_value() && rs.outage->at_s <= now) {
                     apply_outage();
@@ -450,7 +446,7 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
                     ++l;
                     continue;
                 }
-                forks.push_back(Fork<Queues>{lanes[l].member, j, c, cost, rs});
+                forks.push_back(Fork<Queues>{lanes[l].member, j, c, rs});
                 forks.back().state.budget_remaining = lanes[l].budget_remaining;
                 lanes.erase(lanes.begin() + static_cast<std::ptrdiff_t>(l));
             }
@@ -489,7 +485,6 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
             rs.budget_remaining -= cost;
             for (Lane& lane : lanes) lane.budget_remaining -= cost;
             result.total_cost += cost;
-            if (refunds) rs.charged[j] = cost;
 
             rs.core.submit(c,
                            QueuedJob{job.id, job.cores, job.user,
@@ -535,11 +530,6 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
     // ---- the leader's state ----
     RunState<Queues>& rs = pooled_run_state<Queues>();
     rs.core.reset(clusters_, setup, kBatchRules);
-    if (refunds) {
-        rs.charged.assign(jobs.size(), 0.0);
-    } else {
-        rs.charged.clear();
-    }
     rs.budget_remaining = budget_limit(ladder[leader].budget);
     if (n_currencies > 0) {
         rs.currency_remaining.resize(n_currencies);
