@@ -10,3 +10,7 @@ int roll_die() {
 int roll_global_die() {
     return ::rand() % 6 + 1;
 }
+
+int roll_bare_die() {
+    return rand() % 6 + 1;
+}

@@ -18,3 +18,6 @@ double total(const std::map<std::string, double>& ordered) {
 
 // A project function that shares a banned name is not the C library's.
 int roll_project_die() { return dice::rand(); }
+
+// Member calls that share a banned name are not the C library's either.
+int roll_member_dice(Dice& d, Dice* p) { return d.rand() + p->rand(); }

@@ -35,7 +35,10 @@
 //                 so clang Thread Safety Analysis sees every lock.
 //
 // A banned call matches bare, `std::`- or `::`-qualified, but not as a
-// member of another scope (`dice::rand(`).
+// member of another scope (`dice::rand(`) or a member call (`d.rand(`,
+// `p->rand(`). A member declaration such as `int rand();` still matches: a
+// regex cannot tell it from a call. A rule limited to a directory (`/io/`)
+// applies however the path is spelled (`io/x.cpp`, `./io/x.cpp`).
 //
 // (B) Include/layering graph. Every `#include "..."` under src/ (plus the
 // tools/ front-ends) becomes an edge in a file-level DAG, collapsed to the
@@ -335,9 +338,12 @@ struct FileRule {
 };
 
 const std::vector<FileRule>& file_rules() {
-    // What may precede a banned name: a line start, a non-name character,
-    // `std::`, or a `::` that does not follow a name.
-    static const std::string kCall = R"((^|std\s*::\s*|(^|[^:\w])::\s*|[^:\w]))";
+    // What may precede a banned name: a line start, `std::`, a `::` that
+    // does not follow a name, or any character but a name character, `:`,
+    // a member access's `.` or the `>` of `->`. A member declaration
+    // (`int rand();`) still matches; a regex cannot tell it from a call.
+    static const std::string kCall =
+        R"((^|std\s*::\s*|(^|[^:\w])::\s*|[^:\w.>]|(^|[^-])>))";
     static const std::vector<FileRule> kRules = {
         {"banned-rng",
          std::regex(kCall + R"((rand|srand)\s*\(|)" + kCall +
@@ -369,8 +375,11 @@ const std::vector<FileRule>& file_rules() {
 
 void check_file(const std::string& path, const std::string& stripped,
                 std::vector<Finding>& findings) {
+    // A fragment such as "/io/" also matches a path that starts with its
+    // directory ("io/x.cpp").
+    const std::string rooted = path.starts_with('/') ? path : "/" + path;
     for (const FileRule& rule : file_rules()) {
-        if (path.find(rule.path_fragment) == std::string::npos) continue;
+        if (rooted.find(rule.path_fragment) == std::string::npos) continue;
         if (std::any_of(rule.builtin_exempt.begin(), rule.builtin_exempt.end(),
                         [&](const std::string& suffix) {
                             return ends_with(path, suffix);
