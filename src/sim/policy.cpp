@@ -84,6 +84,7 @@ public:
                       [](const MachineChoice& c) { return c.energy_j; });
     }
     std::string_view name() const noexcept override { return "Energy"; }
+    bool uses_cost() const noexcept override { return false; }
 };
 
 class RuntimePolicy final : public GridBlindPolicy {
@@ -95,6 +96,7 @@ public:
                       [](const MachineChoice& c) { return c.runtime_s; });
     }
     std::string_view name() const noexcept override { return "Runtime"; }
+    bool uses_cost() const noexcept override { return false; }
 };
 
 class EftPolicy final : public GridBlindPolicy {
@@ -105,6 +107,7 @@ public:
         return argmin(choices, completion);
     }
     std::string_view name() const noexcept override { return "EFT"; }
+    bool uses_cost() const noexcept override { return false; }
 };
 
 class MixedPolicy final : public GridBlindPolicy {
@@ -157,6 +160,7 @@ public:
         return target;
     }
     std::string_view name() const noexcept override { return machine_; }
+    bool uses_cost() const noexcept override { return false; }
 
 private:
     std::string machine_;
@@ -184,6 +188,7 @@ public:
     }
     std::string_view name() const noexcept override { return "CarbonAware"; }
     bool uses_grid_forecast() const noexcept override { return forecast_; }
+    bool uses_cost() const noexcept override { return false; }
 
 private:
     bool forecast_;
@@ -203,6 +208,7 @@ public:
         });
     }
     std::string_view name() const noexcept override { return "LeastLoaded"; }
+    bool uses_cost() const noexcept override { return false; }
 };
 
 /// Throttles spend rate against the remaining budget: compares what has

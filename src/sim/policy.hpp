@@ -145,6 +145,16 @@ public:
     /// is wrong changes results: override only a policy that never reads
     /// the budget.
     [[nodiscard]] virtual bool uses_budget() const noexcept { return true; }
+
+    /// Whether `choose` reads `MachineChoice::cost`. Defaults to true, so a
+    /// registered policy never shares an event loop across pricings unless
+    /// it says so. The loop reads a run's pricing only through the machine
+    /// costs, the admission check, the total cost and outage refunds, so a
+    /// policy that returns false (and reads no budget) routes runs that
+    /// differ only in pricing and budget alike until their admissions first
+    /// differ; sweeps run such runs as one event loop too. Same contract as
+    /// `uses_budget`: a false that is wrong changes results.
+    [[nodiscard]] virtual bool uses_cost() const noexcept { return true; }
 };
 
 /// A named, parameterized policy selection — the unit the sweep engine

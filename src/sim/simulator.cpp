@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <deque>
 #include <limits>
 
 #include "obs/metrics.hpp"
@@ -197,21 +198,27 @@ double budget_limit(double budget) {
     return budget > 0.0 ? budget : std::numeric_limits<double>::infinity();
 }
 
-/// A ladder member riding along the leader: all it holds is its own
-/// remaining budget, debited and credited with the leader's.
+/// A ladder member riding along a replay's leader: its own quote table,
+/// remaining budget and total cost, debited with its own quote for each job
+/// the leader admits and credited with its own quote for each job an outage
+/// strands.
 struct Lane {
     std::size_t member = 0;
+    const std::vector<double>* quotes = nullptr;  ///< the member's table
     double budget_remaining = 0.0;
+    double total_cost = 0.0;
 };
 
-/// A member whose budget decided a job otherwise than the leader's: a copy
-/// of the leader's state that resumes at that job's admission, on the
-/// cluster the policy chose for it.
+/// The lanes whose budgets decided a job otherwise than their replay's
+/// leader: a copy of the leader's state that resumes at that job's
+/// admission, on the cluster the policy chose for it. `member` leads the
+/// fork's replay and `lanes` ride along it.
 template <typename Queues>
 struct Fork {
     std::size_t member = 0;
     std::size_t job = 0;
     std::size_t cluster = 0;
+    std::vector<Lane> lanes;
     RunState<Queues> state;
 };
 
@@ -248,18 +255,26 @@ QuoteTable BatchSimulator::quote_table(const QuoteKey& key) const {
 
 template <typename Queues>
 void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
-                                     const QuoteTable& quotes,
+                                     std::span<const QuoteTable* const> quotes,
                                      const MemberDone& done) const {
     GA_REQUIRE(!ladder.empty(), "simulator: a ladder needs a member");
-    // Every member's options but the budget are the first member's.
+    GA_REQUIRE(quotes.size() == ladder.size(),
+               "simulator: a ladder needs one quote table per member");
+    // Every member's options but the budget and the pricing are the first
+    // member's.
     const SimOptions& options = ladder.front();
     const std::size_t n_clusters = clusters_.size();
     const auto& jobs = workload_.jobs;
-    GA_REQUIRE(quotes.key == QuoteKey::of(options) &&
-                   quotes.quotes.size() == jobs.size() * n_clusters,
-               "simulator: quote table prices differently from the options");
+    for (std::size_t m = 0; m < ladder.size(); ++m) {
+        GA_REQUIRE(quotes[m] != nullptr &&
+                       quotes[m]->key == QuoteKey::of(ladder[m]) &&
+                       quotes[m]->quotes.size() == jobs.size() * n_clusters,
+                   "simulator: quote table prices differently from the options");
+    }
 
     // ---- accounting and routing setup ----
+    // The loop reads the pricing only through the quote tables; the rest of
+    // the setup depends on the grids, which every member shares.
     const RunSetup setup(options, clusters_);
     // Multi-currency admission accountants, index-aligned with
     // options.currency_budgets, and each one bound to every cluster
@@ -296,26 +311,39 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
     }
 
     // ---- the ladder: the smallest budget leads, the others ride along ----
-    std::size_t leader = 0;
     if (ladder.size() > 1) {
         GA_REQUIRE(!setup.routing->uses_budget(),
                    "simulator: a ladder's policy must not read the budget");
-        for (std::size_t m = 0; m < ladder.size(); ++m) {
-            SimOptions same = ladder[m];
+        const bool reads_cost = setup.routing->uses_cost();
+        for (const SimOptions& member : ladder) {
+            SimOptions same = member;
             same.budget = options.budget;
+            if (!reads_cost) same.pricing = options.pricing;
             GA_REQUIRE(same == options,
-                       "simulator: ladder members may differ only in budget");
-            if (budget_limit(ladder[m].budget) <
-                budget_limit(ladder[leader].budget)) {
-                leader = m;
-            }
+                       reads_cost
+                           ? "simulator: ladder members may differ only in budget"
+                           : "simulator: ladder members may differ only in "
+                             "budget and pricing");
         }
     }
-    std::vector<Lane> lanes;
+    // The first of the smallest budgets among `from`.
+    const auto lowest_budget = [&](const std::vector<Lane>& from) {
+        return std::min_element(from.begin(), from.end(),
+                                [&](const Lane& a, const Lane& b) {
+                                    return budget_limit(ladder[a.member].budget) <
+                                           budget_limit(ladder[b.member].budget);
+                                });
+    };
+    std::vector<Lane> leader_lanes;
     for (std::size_t m = 0; m < ladder.size(); ++m) {
-        if (m != leader) lanes.push_back(Lane{m, budget_limit(ladder[m].budget)});
+        leader_lanes.push_back(
+            Lane{m, &quotes[m]->quotes, budget_limit(ladder[m].budget), 0.0});
     }
-    std::vector<Fork<Queues>> forks;
+    const std::size_t leader = lowest_budget(leader_lanes)->member;
+    leader_lanes.erase(leader_lanes.begin() +
+                       static_cast<std::ptrdiff_t>(leader));
+    // Forks wait in the order they left; a fork's replay may add more.
+    std::deque<Fork<Queues>> forks;
 
     double trace_span_s = 0.0;
     for (const auto& job : jobs) {
@@ -330,22 +358,24 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
     auto& tracer = ga::obs::Tracer::global();
     const bool tracing = ga::obs::tracing_enabled();
 
-    // Replays the trace on `rs` to its end: the leader's from the first
-    // job (`resume` null), a fork's from its job's admission, routed as the
-    // leader routed it. The leader debits and credits the riding `lanes`
-    // with its own budget and forks a lane at the first job whose admission
-    // the lane's budget decides otherwise. Returns the policy decisions the
-    // replay made.
-    const auto replay = [&](RunState<Queues>& rs,
+    // Replays the trace on `rs` for `member` to its end: the ladder
+    // leader's from the first job (`resume` null), a fork's from its job's
+    // admission, routed as the leader routed it. The riding `lanes` are
+    // debited and credited with their own quotes for the jobs `member`
+    // admits and strands; the lanes whose budgets decide a job's admission
+    // otherwise than `member`'s leave there as one fork. Returns the policy
+    // decisions the replay made.
+    const auto replay = [&](RunState<Queues>& rs, std::size_t member,
+                            std::vector<Lane>& lanes,
                             const Fork<Queues>* resume) -> std::uint64_t {
         const std::size_t first = resume != nullptr ? resume->job : 0;
+        const std::vector<double>& member_quotes = quotes[member]->quotes;
         SimResult& result = rs.result;
 
         // Scheduling context shared by every routing decision; the core
         // refreshes the per-cluster views before each one.
         SchedulingContext ctx;
-        ctx.budget_total =
-            ladder[resume != nullptr ? resume->member : leader].budget;
+        ctx.budget_total = ladder[member].budget;
         ctx.jobs_total = jobs.size();
         ctx.trace_span_s = trace_span_s;
         ctx.clusters = rs.core.views();
@@ -371,9 +401,9 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
         };
 
         // The outage: the cluster's lost cores never return, and queued
-        // jobs that no longer fit the shrunken cluster are refunded (to the
-        // riding lanes too) and skipped. A queued job was charged its route
-        // quote on its queue's cluster.
+        // jobs that no longer fit the shrunken cluster are refunded (each
+        // riding lane from its own table) and skipped. A queued job was
+        // charged its route quote on its queue's cluster.
         const auto apply_outage = [&] {
             const ClusterOutage outage = *rs.outage;
             rs.outage.reset();
@@ -383,10 +413,13 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
             const int lost = std::min(outage.nodes_lost, clusters_[c].nodes) *
                              clusters_[c].entry.node.total_cores();
             rs.core.shrink(c, lost, [&](const QueuedJob& job) {
-                const double charged = quotes.quotes[job.id * n_clusters + c];
-                rs.budget_remaining += charged;
-                for (Lane& lane : lanes) lane.budget_remaining += charged;
-                result.total_cost -= charged;
+                const std::size_t at = job.id * n_clusters + c;
+                rs.budget_remaining += member_quotes[at];
+                result.total_cost -= member_quotes[at];
+                for (Lane& lane : lanes) {
+                    lane.budget_remaining += (*lane.quotes)[at];
+                    lane.total_cost -= (*lane.quotes)[at];
+                }
                 for (std::size_t k = 0; k < n_currencies; ++k) {
                     rs.currency_remaining[k] +=
                         rs.currency_charged[job.id * n_currencies + k];
@@ -410,7 +443,7 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
             double cost = 0.0;
             if (resume != nullptr && j == first) {
                 c = resume->cluster;
-                cost = quotes.quotes[j * n_clusters + c];
+                cost = member_quotes[j * n_clusters + c];
             } else {
                 if (rs.outage.has_value() && rs.outage->at_s <= now) {
                     apply_outage();
@@ -424,7 +457,7 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
                         choice.runtime_s = pred_runtime_[j * n_clusters + m];
                         choice.energy_j =
                             choice.runtime_s * pred_power_[j * n_clusters + m];
-                        choice.cost = quotes.quotes[j * n_clusters + m];
+                        choice.cost = member_quotes[j * n_clusters + m];
                     });
                 ctx.now_s = now;
                 ctx.budget_remaining = rs.budget_remaining;
@@ -439,16 +472,26 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
                 cost = choices[c].cost;
             }
             const bool admitted = !(cost > rs.budget_remaining);
-            // A lane whose budget decides this job otherwise leaves here
-            // with a copy of the state as it stands before the decision.
-            for (std::size_t l = 0; l < lanes.size();) {
-                if (!(cost > lanes[l].budget_remaining) == admitted) {
-                    ++l;
-                    continue;
-                }
-                forks.push_back(Fork<Queues>{lanes[l].member, j, c, rs});
-                forks.back().state.budget_remaining = lanes[l].budget_remaining;
-                lanes.erase(lanes.begin() + static_cast<std::ptrdiff_t>(l));
+            // The lanes whose budgets decide this job otherwise all decide
+            // it the other way, so they leave here as one fork, with a copy
+            // of the state as it stands before the decision; the first of
+            // their smallest budgets leads it.
+            const std::size_t at = j * n_clusters + c;
+            const auto stays = [&](const Lane& lane) {
+                return !((*lane.quotes)[at] > lane.budget_remaining) == admitted;
+            };
+            if (!std::all_of(lanes.begin(), lanes.end(), stays)) {
+                const auto split =
+                    std::stable_partition(lanes.begin(), lanes.end(), stays);
+                std::vector<Lane> leaving(split, lanes.end());
+                lanes.erase(split, lanes.end());
+                const auto lead = lowest_budget(leaving);
+                const Lane fork_leader = *lead;
+                leaving.erase(lead);
+                Fork<Queues>& fork = forks.emplace_back(Fork<Queues>{
+                    fork_leader.member, j, c, std::move(leaving), rs});
+                fork.state.budget_remaining = fork_leader.budget_remaining;
+                fork.state.result.total_cost = fork_leader.total_cost;
             }
             if (!admitted) {
                 ++result.jobs_skipped;
@@ -483,8 +526,11 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
                 }
             }
             rs.budget_remaining -= cost;
-            for (Lane& lane : lanes) lane.budget_remaining -= cost;
             result.total_cost += cost;
+            for (Lane& lane : lanes) {
+                lane.budget_remaining -= (*lane.quotes)[at];
+                lane.total_cost += (*lane.quotes)[at];
+            }
 
             rs.core.submit(c,
                            QueuedJob{job.id, job.cores, job.user,
@@ -507,8 +553,8 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
     };
 
     // One member's work counters, as its direct run would flush them: a
-    // fork carries the prefix's scheduler counts, and a member that never
-    // forked reports the leader's.
+    // fork carries the prefix's scheduler counts, and a lane that never
+    // forked reports its leader's.
     const auto flush = [&](const RunState<Queues>& rs, std::uint64_t decisions) {
         if (!ga::obs::metrics_enabled()) return;
         std::uint64_t jobs_started = 0;
@@ -525,6 +571,20 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
         metrics.queue_drains.inc(rs.core.drains());
         metrics.queue_leaf_writes.inc(rs.core.leaf_writes());
         metrics.route_decisions.inc(decisions);
+    };
+
+    // Reports a replay's leader, then each lane that rode it to the end:
+    // the leader's result with the lane's own total cost.
+    const auto report = [&](RunState<Queues>& rs, std::size_t member,
+                            const std::vector<Lane>& lanes,
+                            std::uint64_t decisions) {
+        flush(rs, decisions);
+        done(member, rs.result);
+        for (const Lane& lane : lanes) {
+            rs.result.total_cost = lane.total_cost;
+            flush(rs, 0);
+            done(lane.member, rs.result);
+        }
     };
 
     // ---- the leader's state ----
@@ -548,24 +608,21 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
     rs.result = SimResult{};
     if (record_finish_times) rs.result.finish_times_s.reserve(jobs.size());
 
-    flush(rs, replay(rs, nullptr));
-    done(leader, rs.result);
-    for (const Lane& lane : lanes) {
-        flush(rs, 0);
-        done(lane.member, rs.result);
-    }
-    // No lane rides along a fork. Each fork replaces the pooled state's
-    // buffers, so a ladder holds at most its other members' forks at once.
-    lanes.clear();
-    for (Fork<Queues>& fork : forks) {
+    report(rs, leader, leader_lanes, replay(rs, leader, leader_lanes, nullptr));
+    // Each fork replaces the pooled state's buffers, and every member waits
+    // in at most one fork, so a ladder holds at most its other members'
+    // forks at once.
+    while (!forks.empty()) {
+        Fork<Queues> fork = std::move(forks.front());
+        forks.pop_front();
         rs = std::move(fork.state);
-        flush(rs, replay(rs, &fork));
-        done(fork.member, rs.result);
+        report(rs, fork.member, fork.lanes,
+               replay(rs, fork.member, fork.lanes, &fork));
     }
 }
 
 void BatchSimulator::run_ladder(std::span<const SimOptions> ladder,
-                                const QuoteTable& quotes,
+                                std::span<const QuoteTable* const> quotes,
                                 const MemberDone& done) const {
     run_ladder_impl<IndexedQueues>(ladder, quotes, done);
 }
@@ -577,16 +634,19 @@ SimResult BatchSimulator::run(const SimOptions& options) const {
 SimResult BatchSimulator::run(const SimOptions& options,
                               const QuoteTable& quotes) const {
     SimResult result;
+    const QuoteTable* const table = &quotes;
     run_ladder_impl<IndexedQueues>(
-        std::span(&options, 1), quotes,
+        std::span(&options, 1), std::span(&table, 1),
         [&](std::size_t /*member*/, const SimResult& r) { result = r; });
     return result;
 }
 
 SimResult BatchSimulator::run_reference(const SimOptions& options) const {
     SimResult result;
+    const QuoteTable quotes = quote_table(QuoteKey::of(options));
+    const QuoteTable* const table = &quotes;
     run_ladder_impl<LinearQueues>(
-        std::span(&options, 1), quote_table(QuoteKey::of(options)),
+        std::span(&options, 1), std::span(&table, 1),
         [&](std::size_t /*member*/, const SimResult& r) { result = r; });
     return result;
 }

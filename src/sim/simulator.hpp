@@ -150,8 +150,8 @@ struct SimResult {
 /// called concurrently from many threads over the same instance — the
 /// scenario-sweep engine (`sim/sweep.hpp`) relies on this.
 ///
-/// Every run is a budget ladder (`run_ladder`); `run` and `run_reference`
-/// are ladders of one, so there is one event loop.
+/// Every run is a ladder (`run_ladder`); `run` and `run_reference` are
+/// ladders of one, so there is one event loop.
 class BatchSimulator {
 public:
     /// Receives one ladder member's result: its index in the ladder and
@@ -181,24 +181,33 @@ public:
     [[nodiscard]] SimResult run(const SimOptions& options,
                                 const QuoteTable& quotes) const;
 
-    /// Runs a budget ladder over `quotes` (built for the members'
-    /// `QuoteKey`) as one event loop, and calls `done` once per member
-    /// with the result `run(ladder[m], quotes)` gives. The members' options
-    /// must be equal but for `budget`, and, when there are two or more, the
-    /// policy must not read the budget (`RoutingPolicy::uses_budget`), so
-    /// every member routes each job alike; a ladder that breaks either
-    /// rule is refused.
+    /// Runs a ladder as one event loop, and calls `done` once per member
+    /// with the result `run(ladder[m], *quotes[m])` gives. `quotes` holds
+    /// one table per member, built for that member's `QuoteKey`; a ladder
+    /// refuses any other table, and a member's table must stay valid until
+    /// its `done`. With two or more members the policy must not read the
+    /// budget (`RoutingPolicy::uses_budget`), and the members' options must
+    /// be equal but for `budget` and, when the policy reads no cost
+    /// (`RoutingPolicy::uses_cost`), `pricing`. So every member routes each
+    /// job alike until its admissions first differ; a ladder that breaks
+    /// either rule is refused.
     ///
-    /// The member with the smallest budget (0 is unlimited) leads: it runs
+    /// The first of the smallest budgets (0 is unlimited) leads: it runs
     /// the trace, and every other member rides along as a lane that holds
-    /// only its remaining budget, debited as the leader admits a job and
-    /// credited with the leader's outage refunds, in the same order. At
-    /// the first job whose admission a lane's budget decides otherwise,
-    /// the lane forks: it takes a copy of the leader's state and, once the
-    /// leader has finished, resumes at that job's admission. `done` sees
-    /// the leader first, then the members that never forked (whose results
-    /// are the leader's), then the forks in the order they left.
-    void run_ladder(std::span<const SimOptions> ladder, const QuoteTable& quotes,
+    /// its own table, remaining budget and total cost. A lane is debited
+    /// with its own quote as the leader admits a job and credited with its
+    /// own quote for each job an outage strands, in the same order as its
+    /// direct run. At the first job whose admission a lane's budget decides
+    /// otherwise, the lane leaves; all lanes that leave at one job decide
+    /// it the same way, so they leave as one fork. A fork takes a copy of
+    /// the leader's state and, once the leader has finished, resumes at
+    /// that job's admission: the first of its smallest budgets leads its
+    /// replay, and the others ride along it and may fork again. `done`
+    /// sees the leader first, then its lanes that never left (whose results
+    /// are the leader's, with their own total costs), then each fork in the
+    /// order it left, with that fork's lanes after it.
+    void run_ladder(std::span<const SimOptions> ladder,
+                    std::span<const QuoteTable* const> quotes,
                     const MemberDone& done) const;
 
     /// The linear-scan executor (`LinearQueues`, sim/scheduler.hpp), kept
@@ -226,7 +235,8 @@ private:
     /// indexed fast path or the linear reference).
     template <typename Queues>
     void run_ladder_impl(std::span<const SimOptions> ladder,
-                         const QuoteTable& quotes, const MemberDone& done) const;
+                         std::span<const QuoteTable* const> quotes,
+                         const MemberDone& done) const;
 
     /// Job `j` on cluster `c` with `cores` cores, priced at `at_s`.
     [[nodiscard]] ga::acct::JobUsage job_usage(std::size_t j, std::size_t c,

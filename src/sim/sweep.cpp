@@ -6,6 +6,7 @@
 #include <exception>
 #include <functional>
 #include <mutex>
+#include <numeric>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -140,60 +141,89 @@ private:
     std::vector<std::size_t> slot_of_;  ///< index-aligned with the specs
 };
 
-/// The spec lists' budget ladders: the indices of specs whose options
-/// differ only in `budget`, in order of first appearance. Specs under a
-/// policy that reads the budget are ladders of one each.
-std::vector<std::vector<std::size_t>> budget_ladders(
-    const std::vector<ScenarioSpec>& specs) {
-    std::vector<SimOptions> keys;  // each ladder's options, budget zeroed
-    std::vector<std::vector<std::size_t>> ladders;
-    for (std::size_t i = 0; i < specs.size(); ++i) {
-        SimOptions key = specs[i].options;
-        key.budget = 0.0;
-        std::size_t l = 0;
-        while (l < keys.size() && keys[l] != key) ++l;
-        if (l == keys.size()) {
-            keys.push_back(std::move(key));
-            ladders.emplace_back();
+/// `indices` grouped by `key` of their specs' options: each group in index
+/// order, the groups in order of first appearance.
+template <typename Key>
+std::vector<std::vector<std::size_t>> group_by(
+    const std::vector<ScenarioSpec>& specs,
+    const std::vector<std::size_t>& indices, Key key) {
+    std::vector<decltype(key(specs.front().options))> keys;
+    std::vector<std::vector<std::size_t>> groups;
+    for (const std::size_t i : indices) {
+        auto k = key(specs[i].options);
+        std::size_t g = 0;
+        while (g < keys.size() && keys[g] != k) ++g;
+        if (g == keys.size()) {
+            keys.push_back(std::move(k));
+            groups.emplace_back();
         }
-        ladders[l].push_back(i);
+        groups[g].push_back(i);
     }
-    std::vector<std::vector<std::size_t>> runnable;
-    runnable.reserve(ladders.size());
-    for (std::vector<std::size_t>& ladder : ladders) {
-        if (ladder.size() > 1 && PolicyRegistry::global()
-                                     .make(specs[ladder.front()].options.policy)
-                                     ->uses_budget()) {
-            for (const std::size_t i : ladder) runnable.push_back({i});
-        } else {
-            runnable.push_back(std::move(ladder));
-        }
-    }
-    return runnable;
+    return groups;
 }
 
-/// One budget ladder, as `run` and `run_serial` both execute it: one event
-/// loop whose members finish one after another. Each member's
-/// `sweep.point` span carries its spec index as the logical timestamp
-/// (sweeps have no shared sim-clock) and is recorded when the member
-/// finishes; when metrics are on, the histogram gets each member's own
-/// share of the ladder's wall time, from the ladder's start or the
-/// previous member's finish.
+/// The spec list's ladders: the indices of specs whose options differ only
+/// in `budget`, and in `pricing` under a policy that reads no cost, in
+/// order of first appearance. Specs under a policy that reads the budget
+/// are ladders of one each.
+std::vector<std::vector<std::size_t>> budget_ladders(
+    const std::vector<ScenarioSpec>& specs) {
+    std::vector<std::size_t> all(specs.size());
+    std::iota(all.begin(), all.end(), std::size_t{0});
+    std::vector<std::vector<std::size_t>> ladders;
+    for (std::vector<std::size_t>& group :
+         group_by(specs, all, [](SimOptions o) {
+             o.budget = 0.0;
+             o.pricing = {};
+             return o;
+         })) {
+        const auto policy =
+            group.size() > 1
+                ? PolicyRegistry::global().make(specs[group.front()].options.policy)
+                : nullptr;
+        if (policy == nullptr || (!policy->uses_budget() && !policy->uses_cost())) {
+            ladders.push_back(std::move(group));
+        } else if (policy->uses_budget()) {
+            for (const std::size_t i : group) ladders.push_back({i});
+        } else {
+            for (std::vector<std::size_t>& ladder :
+                 group_by(specs, group,
+                          [](const SimOptions& o) { return o.pricing; })) {
+                ladders.push_back(std::move(ladder));
+            }
+        }
+    }
+    return ladders;
+}
+
+/// One ladder, as `run` and `run_serial` both execute it: one event loop
+/// over every member's quote table, whose members finish one after another.
+/// Each member releases its table when it finishes. Its `sweep.point` span
+/// carries its spec index as the logical timestamp (sweeps have no shared
+/// sim-clock) and is recorded when it finishes; when metrics are on, the
+/// histogram gets each member's own share of the ladder's wall time, from
+/// the ladder's start or the previous member's finish.
 void run_ladder(const BatchSimulator& simulator,
                 const std::vector<ScenarioSpec>& specs,
-                const std::vector<std::size_t>& ladder, const QuoteTable& quotes,
+                const std::vector<std::size_t>& ladder, QuoteTables& tables,
                 std::vector<SweepOutcome>& outcomes) {
     SweepMetrics& metrics = sweep_metrics();
     auto& tracer = ga::obs::Tracer::global();
     std::vector<SimOptions> options;
+    std::vector<const QuoteTable*> quotes;
     options.reserve(ladder.size());
-    for (const std::size_t i : ladder) options.push_back(specs[i].options);
+    quotes.reserve(ladder.size());
+    for (const std::size_t i : ladder) {
+        options.push_back(specs[i].options);
+        quotes.push_back(&tables.acquire(i));
+    }
     metrics.active_points.add_value(1.0);
     ga::obs::WallTimer timer;
     simulator.run_ladder(options, quotes,
                          [&](std::size_t member, const SimResult& result) {
                              const std::size_t i = ladder[member];
                              outcomes[i] = SweepOutcome{specs[i], result};
+                             tables.release(i);
                              if (ga::obs::metrics_enabled()) {
                                  metrics.point_seconds.observe(timer.seconds());
                                  timer.restart();
@@ -315,10 +345,7 @@ std::vector<SweepOutcome> SweepRunner::run(
     const std::vector<std::vector<std::size_t>> ladders = budget_ladders(specs);
     std::vector<SweepOutcome> outcomes(specs.size());
     run_on(pool_, ladders.size(), [&](std::size_t l) {
-        const std::vector<std::size_t>& ladder = ladders[l];
-        run_ladder(*simulator_, specs, ladder, tables.acquire(ladder.front()),
-                   outcomes);
-        for (const std::size_t i : ladder) tables.release(i);
+        run_ladder(*simulator_, specs, ladders[l], tables, outcomes);
     });
     return outcomes;
 }
@@ -332,9 +359,7 @@ std::vector<SweepOutcome> SweepRunner::run_serial(
     QuoteTables tables(*simulator_, specs);
     std::vector<SweepOutcome> outcomes(specs.size());
     for (const std::vector<std::size_t>& ladder : budget_ladders(specs)) {
-        run_ladder(*simulator_, specs, ladder, tables.acquire(ladder.front()),
-                   outcomes);
-        for (const std::size_t i : ladder) tables.release(i);
+        run_ladder(*simulator_, specs, ladder, tables, outcomes);
     }
     return outcomes;
 }

@@ -555,25 +555,51 @@ TEST(Simulator, CbaMetersOperationalCarbonAtJobStart) {
 }
 
 // ------------------------------------------------------------ budget ladders
-// A ladder runs options that differ only in budget as one event loop; each
-// member must equal a direct run of its options.
+// A ladder runs options that differ only in budget (and, under a policy that
+// reads no cost, in pricing) as one event loop; each member must equal a
+// direct run of its options.
 
-/// Every member's result through `run_ladder`, by member index, and the
-/// order `done` reported them in.
+/// Each member's quote table, built for its own options.
+std::vector<sm::QuoteTable> member_tables(const sm::BatchSimulator& sim,
+                                          const std::vector<sm::SimOptions>& ladder) {
+    std::vector<sm::QuoteTable> tables;
+    for (const sm::SimOptions& member : ladder) {
+        tables.push_back(sim.quote_table(sm::QuoteKey::of(member)));
+    }
+    return tables;
+}
+
+std::vector<const sm::QuoteTable*> pointers(const std::vector<sm::QuoteTable>& tables) {
+    std::vector<const sm::QuoteTable*> out;
+    for (const sm::QuoteTable& table : tables) out.push_back(&table);
+    return out;
+}
+
+/// Every member's result through `run_ladder`, by member index, the order
+/// `done` reported them in, and the policy decisions the ladder made.
 struct LadderRun {
     std::vector<sm::SimResult> results;
     std::vector<std::size_t> order;
+    std::uint64_t decisions = 0;
 };
 
 LadderRun run_ladder(const sm::BatchSimulator& sim,
                      const std::vector<sm::SimOptions>& ladder) {
-    const sm::QuoteTable quotes = sim.quote_table(sm::QuoteKey::of(ladder.front()));
+    const std::vector<sm::QuoteTable> tables = member_tables(sim, ladder);
     LadderRun run;
     run.results.resize(ladder.size());
-    sim.run_ladder(ladder, quotes, [&](std::size_t m, const sm::SimResult& r) {
-        run.results[m] = r;
-        run.order.push_back(m);
-    });
+    const bool prior = ga::obs::metrics_enabled();
+    ga::obs::set_metrics_enabled(true);
+    const auto& decisions =
+        ga::obs::Registry::global().counter_handle("sim.route.decisions");
+    const std::uint64_t decisions_before = decisions.value();
+    sim.run_ladder(ladder, pointers(tables),
+                   [&](std::size_t m, const sm::SimResult& r) {
+                       run.results[m] = r;
+                       run.order.push_back(m);
+                   });
+    run.decisions = decisions.value() - decisions_before;
+    ga::obs::set_metrics_enabled(prior);
     std::vector<std::size_t> sorted = run.order;
     std::sort(sorted.begin(), sorted.end());
     std::vector<std::size_t> members(ladder.size());
@@ -606,6 +632,55 @@ LadderRun expect_ladder_matches_direct_runs(
     return run;
 }
 
+/// A registered policy that keeps the default `uses_budget` and
+/// `uses_cost`: the first feasible machine.
+class FirstFeasiblePolicy final : public sm::RoutingPolicy {
+public:
+    [[nodiscard]] std::optional<std::size_t> choose(
+        const sm::SchedulingContext& /*ctx*/,
+        std::span<const sm::MachineChoice> choices) const override {
+        for (std::size_t i = 0; i < choices.size(); ++i) {
+            if (choices[i].feasible) return i;
+        }
+        return std::nullopt;
+    }
+    [[nodiscard]] std::string_view name() const noexcept override {
+        return "FirstFeasible";
+    }
+};
+
+/// Core-hours less a flat rebate: small jobs earn credit (a negative
+/// price), large ones pay.
+class RebateAccounting final : public ga::acct::Accountant {
+public:
+    [[nodiscard]] double charge(const ga::acct::JobUsage& usage,
+                                const mc::CatalogEntry& /*m*/) const override {
+        return usage.duration_s * usage.cores / 3600.0 - 4.0;
+    }
+    [[nodiscard]] std::string_view name() const noexcept override {
+        return "Rebate";
+    }
+    [[nodiscard]] std::string_view unit() const noexcept override {
+        return "core-hours";
+    }
+};
+
+/// Registers `FirstFeasible` and `Rebate` once per process.
+void register_test_policies() {
+    auto& policies = sm::PolicyRegistry::global();
+    if (!policies.contains("FirstFeasible")) {
+        policies.register_policy("FirstFeasible", [](const sm::PolicySpec&) {
+            return std::make_unique<FirstFeasiblePolicy>();
+        });
+    }
+    auto& accountants = ga::acct::AccountantRegistry::global();
+    if (!accountants.contains("Rebate")) {
+        accountants.register_accountant("Rebate", [](const ga::acct::AccountantSpec&) {
+            return std::make_unique<RebateAccounting>();
+        });
+    }
+}
+
 TEST(BudgetLadder, BudgetsBindingAtDifferentJobsMatchDirectRuns) {
     // Five members in no budget order, one budget twice, one unlimited:
     // the smallest leads, the duplicate never forks, the others fork where
@@ -633,7 +708,9 @@ TEST(BudgetLadder, OutageRefundsReachRidingLanesBeforeTheyFork) {
     // node, so both no longer fit and are refunded. Every budget pays for
     // all three, so no member diverges before the outage, and the refunds
     // must reach the riding lanes: each lane's budget then first binds on
-    // the 48-core jobs after it.
+    // the 48-core jobs after it. EFT reads no cost, so the EBA and CBA
+    // members share the loop, and each lane is credited from its own
+    // pricing's table.
     std::vector<wl::TraceJob> jobs;
     jobs.push_back(make_job(0, 0, 0, 96, 0.0, 10000.0));
     jobs.push_back(make_job(1, 1, 0, 96, 10.0, 1000.0));
@@ -644,24 +721,104 @@ TEST(BudgetLadder, OutageRefundsReachRidingLanesBeforeTheyFork) {
     const sm::BatchSimulator sim(craft_workload(std::move(jobs)),
                                  {sm::ClusterConfig{mc::find("IC"), 2}});
     sm::SimOptions base;
+    base.policy = {"EFT", {}};
+    base.regional_grids = true;
     base.outage = sm::ClusterOutage{0, 100.0, 1};
-    const sm::QuoteTable quotes = sim.quote_table(sm::QuoteKey::of(base));
-    const auto cost = [&](std::size_t j) { return quotes.quotes[j]; };
-    const double small = cost(0) + cost(1) + cost(2) + cost(3) + cost(4);
-    const double large = small + cost(9) + cost(10) + cost(11);
+    std::vector<sm::SimOptions> ladder;
+    for (const char* pricing : {"EBA", "CBA"}) {
+        base.pricing = {pricing, {}};
+        const sm::QuoteTable quotes = sim.quote_table(sm::QuoteKey::of(base));
+        const auto cost = [&](std::size_t j) { return quotes.quotes[j]; };
+        const double small = cost(0) + cost(1) + cost(2) + cost(3) + cost(4);
+        const double large = small + cost(9) + cost(10) + cost(11);
+        for (const sm::SimOptions& member :
+             budget_ladder(base, {large, 0.0, small, small})) {
+            ladder.push_back(member);
+        }
+    }
 
-    const auto ladder = budget_ladder(base, {large, 0.0, small, small});
     const LadderRun run = expect_ladder_matches_direct_runs(sim, ladder);
-    const auto& r = run.results;
-    // The strands happened: the unlimited member skips exactly J1 and J2.
-    EXPECT_EQ(r[1].jobs_skipped, 2u);
-    EXPECT_EQ(r[1].jobs_completed, 13u);
-    // Both budgets bind after the refunds, at different jobs.
-    EXPECT_GT(r[2].jobs_skipped, 2u);
-    EXPECT_LT(r[2].jobs_completed, r[0].jobs_completed);
-    EXPECT_LT(r[0].jobs_completed, r[1].jobs_completed);
-    // Without the refunds the small budget would have refused J5.
-    EXPECT_GT(r[2].jobs_completed, 3u);
+    for (const std::size_t at : {0, 4}) {
+        SCOPED_TRACE(ladder[at].pricing.name);
+        const sm::SimResult* r = &run.results[at];
+        // The strands happened: the unlimited member skips exactly J1 and
+        // J2.
+        EXPECT_EQ(r[1].jobs_skipped, 2u);
+        EXPECT_EQ(r[1].jobs_completed, 13u);
+        // Both budgets bind after the refunds, at different jobs.
+        EXPECT_GT(r[2].jobs_skipped, 2u);
+        EXPECT_LT(r[2].jobs_completed, r[0].jobs_completed);
+        EXPECT_LT(r[0].jobs_completed, r[1].jobs_completed);
+        // Without the refunds the small budget would have refused J5.
+        EXPECT_GT(r[2].jobs_completed, 3u);
+    }
+}
+
+TEST(BudgetLadder, PriceBlindPoliciesLadderAcrossPricings) {
+    // A policy that reads neither cost nor budget routes every job alike
+    // under every pricing, so members of three pricings, each at budgets
+    // that bind at different jobs, share one loop until their admissions
+    // differ. A cluster the policy uses goes down on the first day,
+    // stranding charged jobs before any budget binds, so each lane is
+    // credited from its own pricing's table.
+    register_test_policies();
+    const std::vector<std::pair<const char*, std::size_t>> cases{
+        {"Energy", 1}, {"EFT", 2},         {"Runtime", 2},
+        {"Theta", 3},  {"CarbonAware", 1}, {"LeastLoaded", 2}};
+    for (const auto& [policy, cluster] : cases) {
+        SCOPED_TRACE(policy);
+        sm::SimOptions base;
+        base.policy = {policy, {}};
+        base.regional_grids = true;
+        base.outage = sm::ClusterOutage{
+            cluster, 86400.0, shared_simulator().clusters()[cluster].nodes};
+        std::vector<sm::SimOptions> ladder;
+        for (const char* pricing : {"EBA", "CBA", "Rebate"}) {
+            base.pricing = {pricing, {}};
+            const double cost = shared_simulator().run(base).total_cost;
+            ASSERT_GT(cost, 0.0) << pricing;
+            for (const sm::SimOptions& member :
+                 budget_ladder(base, {0.5 * cost, 0.0, 0.8 * cost})) {
+                ladder.push_back(member);
+            }
+        }
+        const LadderRun run =
+            expect_ladder_matches_direct_runs(shared_simulator(), ladder);
+        for (const std::size_t at : {0, 3, 6}) {
+            const sm::SimResult* r = &run.results[at];
+            EXPECT_GT(r[1].jobs_skipped, 0u) << "the outage strands jobs";
+            EXPECT_LT(r[0].jobs_completed, r[2].jobs_completed);
+            EXPECT_LT(r[2].jobs_completed, r[1].jobs_completed);
+        }
+    }
+}
+
+TEST(BudgetLadder, LanesThatLeaveAtOneJobForkOnce) {
+    // Three unlimited lanes, one per pricing, all admit the job at which
+    // the leader's budget first refuses one. They leave there as one fork
+    // and replay the rest of the trace once, so the ladder makes exactly
+    // the decisions of the leader and one unlimited member; a fork per
+    // leaver would replay it three times.
+    register_test_policies();
+    sm::SimOptions base;
+    base.policy = {"EFT", {}};
+    base.regional_grids = true;
+    const double cost = shared_simulator().run(base).total_cost;
+    const auto pair = budget_ladder(base, {0.5 * cost, 0.0});
+    std::vector<sm::SimOptions> ladder = pair;
+    for (const char* pricing : {"CBA", "Rebate"}) {
+        sm::SimOptions unlimited = pair[1];
+        unlimited.pricing = {pricing, {}};
+        ladder.push_back(unlimited);
+    }
+    const LadderRun paired =
+        expect_ladder_matches_direct_runs(shared_simulator(), pair);
+    const LadderRun run =
+        expect_ladder_matches_direct_runs(shared_simulator(), ladder);
+    ASSERT_GT(paired.decisions, shared_simulator().workload().jobs.size())
+        << "the leader's budget refuses a job";
+    EXPECT_EQ(run.decisions, paired.decisions);
+    EXPECT_EQ(run.order, (std::vector<std::size_t>{0, 1, 2, 3}));
 }
 
 TEST(BudgetLadder, CurrencyBudgetsMatchDirectRuns) {
@@ -687,32 +844,13 @@ TEST(BudgetLadder, CurrencyBudgetsMatchDirectRuns) {
     }
 }
 
-/// Core-hours less a flat rebate: small jobs earn credit (a negative
-/// price), large ones pay.
-class RebateAccounting final : public ga::acct::Accountant {
-public:
-    [[nodiscard]] double charge(const ga::acct::JobUsage& usage,
-                                const mc::CatalogEntry& /*m*/) const override {
-        return usage.duration_s * usage.cores / 3600.0 - 4.0;
-    }
-    [[nodiscard]] std::string_view name() const noexcept override {
-        return "Rebate";
-    }
-    [[nodiscard]] std::string_view unit() const noexcept override {
-        return "core-hours";
-    }
-};
-
 TEST(BudgetLadder, NegativePricesMatchDirectRuns) {
     // Credits raise every member's remaining budget, so budgets bind and
-    // recover; whatever their order, each member equals its direct run,
-    // and a larger budget leaves the leader no later than a smaller one.
-    auto& registry = ga::acct::AccountantRegistry::global();
-    if (!registry.contains("Rebate")) {
-        registry.register_accountant("Rebate", [](const ga::acct::AccountantSpec&) {
-            return std::make_unique<RebateAccounting>();
-        });
-    }
+    // recover; whatever their order, each member equals its direct run.
+    // A larger budget leaves the leader no later than a smaller one: here
+    // all three lanes leave at the leader's first refusal, as one fork
+    // that the smallest of them leads, and so on down the ladder.
+    register_test_policies();
     sm::SimOptions base;
     base.pricing = {"Rebate", {}};
     const auto unlimited = shared_simulator().run(base);
@@ -728,54 +866,56 @@ TEST(BudgetLadder, NegativePricesMatchDirectRuns) {
     const auto& r = run.results;
     EXPECT_LT(r[0].jobs_completed, r[3].jobs_completed);
     EXPECT_LT(r[3].jobs_completed, r[2].jobs_completed);
-    const auto at = [&](std::size_t m) {
-        return std::find(run.order.begin(), run.order.end(), m) -
-               run.order.begin();
-    };
-    EXPECT_EQ(at(0), 0);
-    EXPECT_LT(at(2), at(3));
+    EXPECT_EQ(run.order, (std::vector<std::size_t>{0, 3, 2, 1}));
 }
 
-TEST(BudgetLadder, RefusesMembersThatDifferBeyondTheBudget) {
-    sm::SimOptions base;
-    base.finish_times = true;
-    const sm::QuoteTable quotes =
-        shared_simulator().quote_table(sm::QuoteKey::of(base));
-    std::vector<sm::SimOptions> differing(5, base);
-    differing[0].policy = {"EFT", {}};
-    differing[1].outage = sm::ClusterOutage{0, 3600.0, 4};
-    differing[2].finish_times = false;
-    differing[3].currency_budgets = {
-        sm::CurrencyBudget{"core-hours", {"Runtime", {}}, 1e6}};
-    differing[4].pricing = {"CBA", {}};
-    for (sm::SimOptions other : differing) {
-        other.budget = 1e9;
-        const std::vector<sm::SimOptions> ladder{base, other};
-        EXPECT_THROW(shared_simulator().run_ladder(
-                         ladder, quotes, [](std::size_t, const sm::SimResult&) {}),
-                     ga::util::PreconditionError);
-    }
-    EXPECT_THROW(shared_simulator().run_ladder({}, quotes,
-                                               [](std::size_t, const sm::SimResult&) {}),
+/// `run_ladder` refuses `ladder` over `tables`.
+void expect_refused(const std::vector<sm::SimOptions>& ladder,
+                    const std::vector<const sm::QuoteTable*>& tables) {
+    EXPECT_THROW(shared_simulator().run_ladder(
+                     ladder, tables, [](std::size_t, const sm::SimResult&) {}),
                  ga::util::PreconditionError);
 }
 
-/// A registered policy that keeps the default `uses_budget`: the first
-/// feasible machine.
-class FirstFeasiblePolicy final : public sm::RoutingPolicy {
-public:
-    [[nodiscard]] std::optional<std::size_t> choose(
-        const sm::SchedulingContext& /*ctx*/,
-        std::span<const sm::MachineChoice> choices) const override {
-        for (std::size_t i = 0; i < choices.size(); ++i) {
-            if (choices[i].feasible) return i;
-        }
-        return std::nullopt;
+TEST(BudgetLadder, RefusesMembersThatDifferBeyondTheBudget) {
+    register_test_policies();
+    sm::SimOptions base;
+    base.finish_times = true;
+    std::vector<std::pair<sm::SimOptions, sm::SimOptions>> pairs(4, {base, base});
+    pairs[0].second.policy = {"EFT", {}};
+    pairs[1].second.outage = sm::ClusterOutage{0, 3600.0, 4};
+    pairs[2].second.finish_times = false;
+    pairs[3].second.currency_budgets = {
+        sm::CurrencyBudget{"core-hours", {"Runtime", {}}, 1e6}};
+    // A policy that may read the cost never ladders across pricings.
+    for (const char* policy : {"Greedy", "Mixed", "BudgetPacing", "FirstFeasible"}) {
+        sm::SimOptions eba = base;
+        eba.policy = {policy, {}};
+        sm::SimOptions cba = eba;
+        cba.pricing = {"CBA", {}};
+        pairs.emplace_back(eba, cba);
     }
-    [[nodiscard]] std::string_view name() const noexcept override {
-        return "FirstFeasible";
+    for (const auto& [first, second] : pairs) {
+        SCOPED_TRACE(second.policy.name);
+        std::vector<sm::SimOptions> ladder{first, second};
+        ladder[1].budget = 1e9;
+        const std::vector<sm::QuoteTable> tables =
+            member_tables(shared_simulator(), ladder);
+        expect_refused(ladder, pointers(tables));
     }
-};
+    // A price-blind ladder still needs each member's own table, one per
+    // member.
+    std::vector<sm::SimOptions> ladder{base, base};
+    ladder[0].policy = ladder[1].policy = {"EFT", {}};
+    ladder[1].pricing = {"CBA", {}};
+    const std::vector<sm::QuoteTable> tables =
+        member_tables(shared_simulator(), ladder);
+    expect_refused(ladder, {&tables[0], &tables[0]});
+    expect_refused(ladder, {&tables[1], &tables[1]});
+    expect_refused(ladder, {&tables[0]});
+    expect_refused(ladder, {&tables[0], nullptr});
+    expect_refused({}, {});
+}
 
 TEST(BudgetLadder, PoliciesThatReadTheBudgetAreNeverLaddered) {
     // BudgetPacing routes by the remaining budget, and a registered policy
@@ -790,24 +930,38 @@ TEST(BudgetLadder, PoliciesThatReadTheBudgetAreNeverLaddered) {
         EXPECT_FALSE(sm::PolicyRegistry::global().make({name, {}})->uses_budget())
             << name;
     }
-    auto& registry = sm::PolicyRegistry::global();
-    if (!registry.contains("FirstFeasible")) {
-        registry.register_policy("FirstFeasible", [](const sm::PolicySpec&) {
-            return std::make_unique<FirstFeasiblePolicy>();
-        });
-    }
+    register_test_policies();
     for (const char* name : {"BudgetPacing", "FirstFeasible"}) {
         SCOPED_TRACE(name);
         sm::SimOptions base;
         base.policy = {name, {}};
-        const sm::QuoteTable quotes =
-            shared_simulator().quote_table(sm::QuoteKey::of(base));
         const auto ladder = budget_ladder(base, {0.0, 1e9});
-        EXPECT_THROW(shared_simulator().run_ladder(
-                         ladder, quotes, [](std::size_t, const sm::SimResult&) {}),
-                     ga::util::PreconditionError);
+        const std::vector<sm::QuoteTable> tables =
+            member_tables(shared_simulator(), ladder);
+        expect_refused(ladder, pointers(tables));
         expect_ladder_matches_direct_runs(shared_simulator(), {ladder[1]});
     }
+}
+
+TEST(BudgetLadder, PoliciesThatReadTheCostNeverLadderAcrossPricings) {
+    // Greedy, Mixed and BudgetPacing route by the machines' costs; every
+    // other builtin ignores them, and a registered policy reads them unless
+    // it says otherwise.
+    register_test_policies();
+    const std::vector<std::string> cost_readers{"Greedy", "Mixed", "BudgetPacing",
+                                                "FirstFeasible"};
+    std::vector<sm::PolicySpec> builtins = sm::all_policies();
+    builtins.insert(builtins.end(), sm::beyond_paper_policies().begin(),
+                    sm::beyond_paper_policies().end());
+    builtins.push_back({"FirstFeasible", {}});
+    for (const sm::PolicySpec& spec : builtins) {
+        const bool reads_cost = std::find(cost_readers.begin(), cost_readers.end(),
+                                          spec.name) != cost_readers.end();
+        EXPECT_EQ(sm::PolicyRegistry::global().make(spec)->uses_cost(), reads_cost)
+            << spec.name;
+    }
+    EXPECT_FALSE(
+        sm::PolicyRegistry::global().make({"CarbonAware", {{"forecast", 1}}})->uses_cost());
 }
 
 // Parameterized ablation: the Mixed policy interpolates between EFT-like

@@ -279,24 +279,31 @@ TEST(SweepRunner, RegistryPoliciesParallelBitIdenticalToSerial) {
 }
 
 TEST(SweepRunner, BudgetLaddersMatchDirectRuns) {
-    // Each (policy, outage) pair is a ladder of four budgets, one of them
-    // twice, run as one task; BudgetPacing reads the budget, so its points
-    // run alone. The outage strands queued jobs mid-trace. On the pool and
-    // serially, every point equals a direct run, the sweep still counts
-    // points and runs, and the ladders make fewer routing decisions than
-    // one per job per point.
-    const double budget =
-        shared_simulator().run(sm::SimOptions{}).total_cost;
+    // Each (policy, pricing, outage) triple has four budgets, one of them
+    // twice. Greedy reads the cost, so each of its triples is a ladder;
+    // EFT, Theta and LeastLoaded read neither cost nor budget, so each of
+    // their (policy, outage) pairs is one ladder over both pricings;
+    // BudgetPacing reads the budget, so its points run alone. The budgets
+    // come from both pricings' unbudgeted costs, so some bind under each.
+    // The outage strands queued jobs mid-trace. On the pool and serially,
+    // every point equals a direct run, the sweep counts points and runs,
+    // and the ladders' routing decisions are pinned: 171,918, against
+    // 320,000 for one run per point.
+    const double eba = shared_simulator().run(sm::SimOptions{}).total_cost;
+    sm::SimOptions cba_options;
+    cba_options.pricing = {"CBA", {}};
+    const double cba = shared_simulator().run(cba_options).total_cost;
     sm::SweepGrid grid;
     grid.base.finish_times = true;
     grid.policies = {sm::PolicySpec{"Greedy", {}}, sm::PolicySpec{"EFT", {}},
                      sm::PolicySpec{"Theta", {}},
                      sm::PolicySpec{"BudgetPacing", {}},
                      sm::PolicySpec{"LeastLoaded", {}}};
-    grid.budgets = {0.4 * budget, 0.0, 0.8 * budget, 0.4 * budget};
+    grid.pricings = {{"EBA", {}}, {"CBA", {}}};
+    grid.budgets = {0.4 * eba, 0.0, 0.8 * cba, 0.4 * eba};
     grid.outages = {std::nullopt, sm::ClusterOutage{0, 2.0 * 86400.0, 32}};
     const auto specs = grid.expand();
-    ASSERT_EQ(specs.size(), 40u);
+    ASSERT_EQ(specs.size(), 80u);
 
     const bool prior = ga::obs::metrics_enabled();
     ga::obs::set_metrics_enabled(true);
@@ -311,11 +318,14 @@ TEST(SweepRunner, BudgetLaddersMatchDirectRuns) {
     const auto parallel = runner.run(specs);
     EXPECT_EQ(points.value() - points_before, specs.size());
     EXPECT_EQ(runs.value() - runs_before, specs.size());
-    EXPECT_LT(decisions.value() - decisions_before,
-              specs.size() * shared_simulator().workload().jobs.size());
-    ga::obs::set_metrics_enabled(prior);
-
+    const std::uint64_t pooled_decisions = decisions.value() - decisions_before;
     const auto serial = runner.run_serial(specs);
+    const std::uint64_t serial_decisions =
+        decisions.value() - decisions_before - pooled_decisions;
+    ga::obs::set_metrics_enabled(prior);
+    EXPECT_EQ(pooled_decisions, 171918u);
+    EXPECT_EQ(serial_decisions, 171918u);
+
     ASSERT_EQ(parallel.size(), specs.size());
     ASSERT_EQ(serial.size(), specs.size());
     for (std::size_t i = 0; i < specs.size(); ++i) {
