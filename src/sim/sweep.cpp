@@ -177,20 +177,22 @@ std::vector<std::vector<std::size_t>> budget_ladders(
              o.pricing = {};
              return o;
          })) {
-        const auto policy =
-            group.size() > 1
-                ? PolicyRegistry::global().make(specs[group.front()].options.policy)
-                : nullptr;
-        if (policy == nullptr || (!policy->uses_budget() && !policy->uses_cost())) {
+        if (group.size() == 1) {
             ladders.push_back(std::move(group));
-        } else if (policy->uses_budget()) {
+            continue;
+        }
+        const auto policy =
+            PolicyRegistry::global().make(specs[group.front()].options.policy);
+        if (policy->uses_budget()) {
             for (const std::size_t i : group) ladders.push_back({i});
-        } else {
+        } else if (policy->uses_cost()) {
             for (std::vector<std::size_t>& ladder :
                  group_by(specs, group,
                           [](const SimOptions& o) { return o.pricing; })) {
                 ladders.push_back(std::move(ladder));
             }
+        } else {
+            ladders.push_back(std::move(group));
         }
     }
     return ladders;

@@ -22,18 +22,24 @@
 //
 // Points whose options differ only in `budget`, under a policy whose
 // `RoutingPolicy::uses_budget()` is false (every builtin but BudgetPacing;
-// a registered policy only if it says so), form a budget ladder, and a
-// sweep runs each ladder as one task (`BatchSimulator::run_ladder`). Such
-// points route every job alike until a budget first admits a job another
-// refuses, so the smallest budget leads one event loop and the others ride
-// along holding only their remaining budgets. A member forks at the first
-// job its budget decides otherwise: it copies the leader's state and, after
-// the leader, resumes there in the thread's pooled run state. The state
-// scales with the live jobs, not the trace (each `RunningJob` carries its
-// `start_s`, which completion metering reads), so a fork costs about its
-// queues. Every point's result, and every work counter but
-// `sim.route.decisions` (the decisions the shared loops made), are what
-// separate runs give.
+// a registered policy only if it says so), form a ladder, and a sweep runs
+// each ladder as one task (`BatchSimulator::run_ladder`). When the policy's
+// `uses_cost()` is false too (every builtin but Greedy, Mixed and
+// BudgetPacing), points that also differ in `pricing` join the same
+// ladder: the loop reads the pricing only through the quote tables, so
+// such points route every job alike until their admissions first differ.
+// The smallest budget leads one event loop and the others ride along, each
+// holding its own quote table, remaining budget and total cost. Members
+// that leave at one job, where their budgets admit a job the leader
+// refuses or refuse one it admits, leave as one fork: a copy of the
+// leader's state that, after the leader, resumes there in the thread's
+// pooled run state, led by its smallest budget with the others riding
+// along. The state scales with the live jobs, not the trace (each
+// `RunningJob` carries its `start_s`, which completion metering reads), so
+// a fork costs about its queues. A ladder's task acquires every member's
+// quote table and releases each when that member finishes. Every point's
+// result, and every work counter but `sim.route.decisions` (the decisions
+// the shared loops made), are what separate runs give.
 //
 // A ladder's members finish one after another in its task. A point's
 // `sweep.point` span, at its spec index, is recorded when it finishes, and
@@ -122,10 +128,10 @@ public:
     explicit SweepRunner(const BatchSimulator& simulator,
                          std::size_t threads = 0);
 
-    /// Runs every spec; outcome i corresponds to specs[i]. Each budget
-    /// ladder is one task on the pool. Points sharing a `QuoteKey` share
-    /// one quote table, built on the pool by the first of them to start
-    /// and freed when the last of them finishes. Results are bit-identical
+    /// Runs every spec; outcome i corresponds to specs[i]. Each ladder is
+    /// one task on the pool. Points sharing a `QuoteKey` share one quote
+    /// table, built on the pool by the first of them to start and freed
+    /// when the last of them finishes. Results are bit-identical
     /// to `run_serial` on the same specs, and to
     /// `BatchSimulator::run(spec.options)`.
     [[nodiscard]] std::vector<SweepOutcome> run(
