@@ -569,6 +569,7 @@ std::vector<sm::QuoteTable> member_tables(const sm::BatchSimulator& sim,
     return tables;
 }
 
+/// The address of each of `tables`, as `run_ladder` takes them.
 std::vector<const sm::QuoteTable*> pointers(const std::vector<sm::QuoteTable>& tables) {
     std::vector<const sm::QuoteTable*> out;
     for (const sm::QuoteTable& table : tables) out.push_back(&table);
@@ -625,7 +626,8 @@ LadderRun expect_ladder_matches_direct_runs(
     const sm::BatchSimulator& sim, const std::vector<sm::SimOptions>& ladder) {
     LadderRun run = run_ladder(sim, ladder);
     for (std::size_t m = 0; m < ladder.size(); ++m) {
-        SCOPED_TRACE("member " + std::to_string(m) + ", budget " +
+        SCOPED_TRACE("member " + std::to_string(m) + ", " +
+                     ladder[m].pricing.name + ", budget " +
                      std::to_string(ladder[m].budget));
         ga::testutil::expect_identical(run.results[m], sim.run(ladder[m]));
     }
@@ -666,7 +668,7 @@ public:
 };
 
 /// Registers `FirstFeasible` and `Rebate` once per process.
-void register_test_policies() {
+void register_test_policy_and_pricing() {
     auto& policies = sm::PolicyRegistry::global();
     if (!policies.contains("FirstFeasible")) {
         policies.register_policy("FirstFeasible", [](const sm::PolicySpec&) {
@@ -761,7 +763,7 @@ TEST(BudgetLadder, PriceBlindPoliciesLadderAcrossPricings) {
     // differ. A cluster the policy uses goes down on the first day,
     // stranding charged jobs before any budget binds, so each lane is
     // credited from its own pricing's table.
-    register_test_policies();
+    register_test_policy_and_pricing();
     const std::vector<std::pair<const char*, std::size_t>> cases{
         {"Energy", 1}, {"EFT", 2},         {"Runtime", 2},
         {"Theta", 3},  {"CarbonAware", 1}, {"LeastLoaded", 2}};
@@ -799,7 +801,7 @@ TEST(BudgetLadder, LanesThatLeaveAtOneJobForkOnce) {
     // and replay the rest of the trace once, so the ladder makes exactly
     // the decisions of the leader and one unlimited member; a fork per
     // leaver would replay it three times.
-    register_test_policies();
+    register_test_policy_and_pricing();
     sm::SimOptions base;
     base.policy = {"EFT", {}};
     base.regional_grids = true;
@@ -850,7 +852,7 @@ TEST(BudgetLadder, NegativePricesMatchDirectRuns) {
     // A larger budget leaves the leader no later than a smaller one: here
     // all three lanes leave at the leader's first refusal, as one fork
     // that the smallest of them leads, and so on down the ladder.
-    register_test_policies();
+    register_test_policy_and_pricing();
     sm::SimOptions base;
     base.pricing = {"Rebate", {}};
     const auto unlimited = shared_simulator().run(base);
@@ -878,7 +880,7 @@ void expect_refused(const std::vector<sm::SimOptions>& ladder,
 }
 
 TEST(BudgetLadder, RefusesMembersThatDifferBeyondTheBudget) {
-    register_test_policies();
+    register_test_policy_and_pricing();
     sm::SimOptions base;
     base.finish_times = true;
     std::vector<std::pair<sm::SimOptions, sm::SimOptions>> pairs(4, {base, base});
@@ -930,7 +932,7 @@ TEST(BudgetLadder, PoliciesThatReadTheBudgetAreNeverLaddered) {
         EXPECT_FALSE(sm::PolicyRegistry::global().make({name, {}})->uses_budget())
             << name;
     }
-    register_test_policies();
+    register_test_policy_and_pricing();
     for (const char* name : {"BudgetPacing", "FirstFeasible"}) {
         SCOPED_TRACE(name);
         sm::SimOptions base;
@@ -947,7 +949,7 @@ TEST(BudgetLadder, PoliciesThatReadTheCostNeverLadderAcrossPricings) {
     // Greedy, Mixed and BudgetPacing route by the machines' costs; every
     // other builtin ignores them, and a registered policy reads them unless
     // it says otherwise.
-    register_test_policies();
+    register_test_policy_and_pricing();
     const std::vector<std::string> cost_readers{"Greedy", "Mixed", "BudgetPacing",
                                                 "FirstFeasible"};
     std::vector<sm::PolicySpec> builtins = sm::all_policies();
