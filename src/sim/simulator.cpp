@@ -320,10 +320,8 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
             same.budget = options.budget;
             if (!reads_cost) same.pricing = options.pricing;
             GA_REQUIRE(same == options,
-                       reads_cost
-                           ? "simulator: ladder members may differ only in budget"
-                           : "simulator: ladder members may differ only in "
-                             "budget and pricing");
+                       "simulator: ladder members may differ only in budget, "
+                       "and in pricing under a policy that reads no cost");
         }
     }
     // The first of the smallest budgets among `from`.
