@@ -740,6 +740,10 @@ private:
                std::isspace(static_cast<unsigned char>(buf.back()))) {
             buf.pop_back();
         }
+        // A head after a stripped comment block starts with thousands of
+        // blanks, which only deepen std::regex's recursion (it overflowed
+        // the stack of a sanitizer build on this file's own header).
+        buf.erase(0, buf.find_first_not_of(" \t\n\r\f\v"));
         std::smatch m;
         // Inside a function every brace is a plain block (or a lambda).
         if (innermost_fn() != nullptr) {
