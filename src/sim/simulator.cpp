@@ -4,6 +4,7 @@
 #include <cstdint>
 #include <deque>
 #include <limits>
+#include <numeric>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -49,6 +50,25 @@ SimMetrics& sim_metrics() {
     return metrics;
 }
 
+/// `job`'s runtime on a cluster where its pair scales by `s`.
+double scaled_runtime(const ga::workload::TraceJob& job,
+                      const ga::workload::MachineScaling& s) {
+    return job.runtime_ic_s * s.runtime_factor;
+}
+
+/// `job` on a cluster where its pair scales by `s`, with `cores` cores,
+/// priced at `at_s`: its IC runtime and power times the pair's factors.
+ga::acct::JobUsage scaled_usage(const ga::workload::TraceJob& job,
+                                const ga::workload::MachineScaling& s,
+                                int cores, double at_s) {
+    ga::acct::JobUsage usage;
+    usage.duration_s = scaled_runtime(job, s);
+    usage.energy_j = usage.duration_s * (job.power_ic_w * s.power_factor);
+    usage.cores = cores;
+    usage.priced_at_s = at_s;
+    return usage;
+}
+
 }  // namespace
 
 std::vector<ClusterConfig> default_clusters() {
@@ -90,13 +110,18 @@ BatchSimulator::BatchSimulator(ga::workload::Workload workload,
         if (c.nodes == 0) c.nodes = static_cast<int>(max_user) + 1;
     }
 
-    // Precompute per-job, per-cluster predictions. Predictions depend only on
-    // the job's counters; repetitions share counters, so memoize per (user,
-    // app), predicting on a pair's first sight in job order.
+    // Predict each (user, app) pair once, on its first sight in job order:
+    // predictions depend only on the job's counters, and repetitions share
+    // them. user_slots_ first counts each user's slots, then offsets them.
     const std::size_t n_jobs = workload_.jobs.size();
     const std::size_t n_clusters = clusters_.size();
-    pred_runtime_.resize(n_jobs * n_clusters);
-    pred_power_.resize(n_jobs * n_clusters);
+    user_slots_.assign(std::size_t{max_user} + 2, 0);
+    for (const auto& job : workload_.jobs) {
+        std::size_t& apps = user_slots_[std::size_t{job.user} + 1];
+        apps = std::max(apps, std::size_t{job.app} + 1);
+    }
+    std::partial_sum(user_slots_.begin(), user_slots_.end(), user_slots_.begin());
+    scaling_.resize(user_slots_.back() * n_clusters);
     work_.resize(n_jobs);
 
     // Map cluster -> predictor machine index (the predictor was trained on
@@ -107,26 +132,26 @@ BatchSimulator::BatchSimulator(ga::workload::Workload workload,
             workload_.predictor->machine_index(clusters_[c].entry.node.name);
     }
 
-    // A pair's scaling is empty until its first job.
-    ga::workload::PairMemo<std::vector<ga::workload::MachineScaling>> memo;
+    std::vector<bool> predicted(user_slots_.back(), false);
     std::uint64_t predictions = 0;
     for (std::size_t j = 0; j < n_jobs; ++j) {
         const auto& job = workload_.jobs[j];
-        auto& scaling = memo[job];
-        if (scaling.empty()) {
-            scaling = workload_.predictor->predict(job.counters);
+        const std::size_t slot = user_slots_[job.user] + job.app;
+        ga::workload::MachineScaling* row = &scaling_[slot * n_clusters];
+        if (!predicted[slot]) {
+            predicted[slot] = true;
+            const auto scaling = workload_.predictor->predict(job.counters);
+            for (std::size_t c = 0; c < n_clusters; ++c) {
+                row[c] = scaling[pred_index[c]];
+            }
             ++predictions;
         }
         double work_sum = 0.0;
         std::size_t feasible = 0;
         for (std::size_t c = 0; c < n_clusters; ++c) {
-            const auto& s = scaling[pred_index[c]];
-            const double runtime = job.runtime_ic_s * s.runtime_factor;
-            const double power = job.power_ic_w * s.power_factor;
-            pred_runtime_[j * n_clusters + c] = runtime;
-            pred_power_[j * n_clusters + c] = power;
             if (job.cores <= clusters_[c].total_cores()) {
-                work_sum += ga::util::core_hours(job.cores, runtime);
+                work_sum +=
+                    ga::util::core_hours(job.cores, scaled_runtime(job, row[c]));
                 ++feasible;
             }
         }
@@ -140,15 +165,9 @@ double BatchSimulator::job_work_core_hours(std::size_t job_index) const {
     return work_[job_index];
 }
 
-ga::acct::JobUsage BatchSimulator::job_usage(std::size_t j, std::size_t c,
-                                             int cores, double at_s) const {
-    const std::size_t at = j * clusters_.size() + c;
-    ga::acct::JobUsage usage;
-    usage.duration_s = pred_runtime_[at];
-    usage.energy_j = usage.duration_s * pred_power_[at];
-    usage.cores = cores;
-    usage.priced_at_s = at_s;
-    return usage;
+const ga::workload::MachineScaling* BatchSimulator::scaling_row(
+    const ga::workload::TraceJob& job) const noexcept {
+    return &scaling_[(user_slots_[job.user] + job.app) * clusters_.size()];
 }
 
 QuoteKey QuoteKey::of(const SimOptions& options) {
@@ -241,11 +260,13 @@ QuoteTable BatchSimulator::quote_table(const QuoteKey& key) const {
     QuoteTable table{key, std::vector<double>(jobs.size() * n_clusters, 0.0)};
     std::uint64_t evaluated = 0;
     for (std::size_t j = 0; j < jobs.size(); ++j) {
-        const double now = jobs[j].submit_s / key.arrival_compression;
+        const auto& job = jobs[j];
+        const double now = job.submit_s / key.arrival_compression;
+        const ga::workload::MachineScaling* row = scaling_row(job);
         for (std::size_t c = 0; c < n_clusters; ++c) {
-            if (jobs[j].cores > clusters_[c].total_cores()) continue;
+            if (job.cores > clusters_[c].total_cores()) continue;
             table.quotes[j * n_clusters + c] =
-                setup.quotes[c](job_usage(j, c, jobs[j].cores, now));
+                setup.quotes[c](scaled_usage(job, row[c], job.cores, now));
             ++evaluated;
         }
     }
@@ -343,11 +364,12 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
     // Forks wait in the order they left; a fork's replay may add more.
     std::deque<Fork<Queues>> forks;
 
-    double trace_span_s = 0.0;
-    for (const auto& job : jobs) {
-        trace_span_s =
-            std::max(trace_span_s, job.submit_s / options.arrival_compression);
-    }
+    // Submits are in order and the compression is positive, so the last
+    // submit is the latest.
+    const double trace_span_s =
+        jobs.empty()
+            ? 0.0
+            : std::max(0.0, jobs.back().submit_s / options.arrival_compression);
     const bool record_finish_times = options.finish_times;
 
     // ---- observability (write-only; never feeds back into the run) ----
@@ -384,7 +406,9 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
         const auto on_finish = [&](const RunningJob& done) {
             const std::size_t c = done.cluster;
             const std::size_t j = done.id;
-            const auto usage = job_usage(j, c, done.cores, done.start_s);
+            const auto& job = jobs[j];
+            const auto usage = scaled_usage(job, scaling_row(job)[c], done.cores,
+                                            done.start_s);
             ++result.jobs_completed;
             result.work_core_hours += work_[j];
             result.energy_mwh += usage.energy_j / ga::util::kJoulesPerKwh / 1000.0;
@@ -437,6 +461,7 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
         for (std::size_t j = first; j < jobs.size(); ++j) {
             const auto& job = jobs[j];
             const double now = job.submit_s / options.arrival_compression;
+            const ga::workload::MachineScaling* row = scaling_row(job);
             std::size_t c = 0;
             double cost = 0.0;
             if (resume != nullptr && j == first) {
@@ -452,9 +477,10 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
                 if (tracing) tracer.span_instant("sim.submit", now);
                 const auto choices = rs.core.route_view(
                     now, job.cores, [&](std::size_t m, MachineChoice& choice) {
-                        choice.runtime_s = pred_runtime_[j * n_clusters + m];
-                        choice.energy_j =
-                            choice.runtime_s * pred_power_[j * n_clusters + m];
+                        const auto usage =
+                            scaled_usage(job, row[m], job.cores, now);
+                        choice.runtime_s = usage.duration_s;
+                        choice.energy_j = usage.energy_j;
                         choice.cost = member_quotes[j * n_clusters + m];
                     });
                 ctx.now_s = now;
@@ -499,7 +525,7 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
             // the submit time and admit only if all can pay (all-or-nothing,
             // the paper's dual-budget incentive); then debit every currency.
             if (n_currencies > 0) {
-                const auto usage = job_usage(j, c, job.cores, now);
+                const auto usage = scaled_usage(job, row[c], job.cores, now);
                 bool affordable = true;
                 for (std::size_t k = 0; k < n_currencies; ++k) {
                     rs.currency_charged[j * n_currencies + k] =
@@ -532,7 +558,7 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
 
             rs.core.submit(c,
                            QueuedJob{job.id, job.cores, job.user,
-                                     pred_runtime_[j * n_clusters + c]},
+                                     scaled_runtime(job, row[c])},
                            now);
         }
         if (rs.outage.has_value()) apply_outage();

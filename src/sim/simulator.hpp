@@ -160,10 +160,13 @@ public:
         std::function<void(std::size_t member, const SimResult& result)>;
 
     /// Requires positional job ids (`jobs[i].id == i`) and non-decreasing
-    /// submit times, as `generate_trace` produces them. Precomputes every
-    /// job's runtime and power on every cluster, predicting each (user,
-    /// app) pair once, from its first job's counters; the pair's later
-    /// jobs reuse that prediction. `sim.predictions` counts the calls.
+    /// submit times, as `generate_trace` produces them. Predicts each (user,
+    /// app) pair's scaling on every cluster once, from the pair's first
+    /// job's counters (`sim.predictions` counts the calls), and precomputes
+    /// each job's machine-averaged work. A run computes a job's runtime and
+    /// power on a cluster where it reads them, as the job's IC runtime and
+    /// power times its pair's factors there, so the simulator keeps no
+    /// per-job, per-cluster array.
     BatchSimulator(ga::workload::Workload workload,
                    std::vector<ClusterConfig> clusters);
 
@@ -238,17 +241,19 @@ private:
                          std::span<const QuoteTable* const> quotes,
                          const MemberDone& done) const;
 
-    /// Job `j` on cluster `c` with `cores` cores, priced at `at_s`.
-    [[nodiscard]] ga::acct::JobUsage job_usage(std::size_t j, std::size_t c,
-                                               int cores, double at_s) const;
+    /// The scaling of `job`'s (user, app) pair on each cluster, indexed by
+    /// cluster.
+    [[nodiscard]] const ga::workload::MachineScaling* scaling_row(
+        const ga::workload::TraceJob& job) const noexcept;
 
     ga::workload::Workload workload_;
     std::vector<ClusterConfig> clusters_;
-    // Per-job, per-cluster predictions, precomputed once (KNN results are
-    // shared across policies): runtime_s and power_w, indexed
-    // [job * n_clusters + cluster].
-    std::vector<double> pred_runtime_;
-    std::vector<double> pred_power_;
+    // Each (user, app) pair's predicted scaling on each cluster, shared by
+    // every run: user u's app a holds the row at slot user_slots_[u] + a,
+    // indexed [slot * n_clusters + cluster]. A user's slots run to its
+    // largest app id, so user_slots_ holds max user + 2 offsets.
+    std::vector<std::size_t> user_slots_;
+    std::vector<ga::workload::MachineScaling> scaling_;
     std::vector<double> work_;  ///< per-job machine-averaged core-hours
 };
 

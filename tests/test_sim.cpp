@@ -18,6 +18,7 @@
 #include "sim/simulator.hpp"
 #include "sim_result_matchers.hpp"
 #include "util/error.hpp"
+#include "util/units.hpp"
 
 namespace {
 
@@ -481,6 +482,84 @@ TEST(Simulator, RepeatedPairTakesItsFirstJobsPredictions) {
     const auto r = sim.run(o);
     ASSERT_EQ(r.jobs_completed, 2u);
     ga::testutil::expect_identical(r, reference.run(o));
+}
+
+TEST(Simulator, EveryJobRunsOnItsPairsFirstPrediction) {
+    // Sparse app ids, no users 1, 2 or 4, and a pair (user 3, app 7) whose
+    // second job carries other counters. Each job finishes before the next
+    // is submitted, so a fixed-machine run finishes it at its submit time
+    // plus its runtime there and adds its energy in job order. Every figure
+    // is what the predictor gives for the counters of the job's pair's
+    // first job, bit for bit, from one prediction per pair.
+    const double gap = 1.0e6;  // longer than any job here runs
+    std::vector<wl::TraceJob> jobs{
+        make_job(0, 3, 7, 8, 0.0, 1000.0),
+        make_job(1, 0, 4, 16, gap, 2000.0),
+        make_job(2, 3, 7, 8, 2.0 * gap, 1500.0),
+        make_job(3, 5, 0, 4, 3.0 * gap, 500.0),
+        make_job(4, 0, 4, 16, 4.0 * gap, 2500.0),
+    };
+    jobs[2].counters = {9.0, 0.5};  // compute-bound, unlike job 0
+    const std::vector<std::size_t> first_of_pair{0, 1, 0, 3, 1};
+
+    const bool prior = ga::obs::metrics_enabled();
+    ga::obs::set_metrics_enabled(true);
+    const auto& predictions =
+        ga::obs::Registry::global().counter_handle("sim.predictions");
+    const std::uint64_t before = predictions.value();
+    const sm::BatchSimulator sim(craft_workload(jobs));
+    EXPECT_EQ(predictions.value() - before, 3u);
+    ga::obs::set_metrics_enabled(prior);
+
+    const auto& predictor = *sim.workload().predictor;
+    const auto scaling = [&](const wl::JobCounters& counters,
+                             const sm::ClusterConfig& cluster) {
+        return predictor.predict(
+            counters)[predictor.machine_index(cluster.entry.node.name)];
+    };
+    const auto work_from = [&](std::size_t j, const wl::JobCounters& counters) {
+        double work = 0.0;
+        std::size_t feasible = 0;
+        for (const sm::ClusterConfig& cluster : sim.clusters()) {
+            if (jobs[j].cores > cluster.total_cores()) continue;
+            work += ga::util::core_hours(
+                jobs[j].cores,
+                jobs[j].runtime_ic_s * scaling(counters, cluster).runtime_factor);
+            ++feasible;
+        }
+        return work / static_cast<double>(feasible);
+    };
+    const auto bits = [](double v) { return std::bit_cast<std::uint64_t>(v); };
+    for (std::size_t j = 0; j < jobs.size(); ++j) {
+        EXPECT_EQ(bits(sim.job_work_core_hours(j)),
+                  bits(work_from(j, jobs[first_of_pair[j]].counters)))
+            << "job " << j;
+    }
+    // Job 2's own counters predict otherwise, so reading them would show.
+    EXPECT_NE(work_from(2, jobs[2].counters), work_from(2, jobs[0].counters));
+
+    for (const sm::ClusterConfig& cluster : sim.clusters()) {
+        const std::string& machine = cluster.entry.node.name;
+        if (machine == "Desktop") continue;  // no fixed-machine policy
+        sm::SimOptions o;
+        o.policy = {machine, {}};
+        o.finish_times = true;
+        const auto r = sim.run(o);
+        ASSERT_EQ(r.jobs_completed, jobs.size()) << machine;
+        double energy_mwh = 0.0;
+        double work = 0.0;
+        for (std::size_t j = 0; j < jobs.size(); ++j) {
+            const auto s = scaling(jobs[first_of_pair[j]].counters, cluster);
+            const double runtime = jobs[j].runtime_ic_s * s.runtime_factor;
+            const double power = jobs[j].power_ic_w * s.power_factor;
+            EXPECT_EQ(bits(r.finish_times_s[j]), bits(jobs[j].submit_s + runtime))
+                << machine << " job " << j;
+            energy_mwh += runtime * power / ga::util::kJoulesPerKwh / 1000.0;
+            work += sim.job_work_core_hours(j);
+        }
+        EXPECT_EQ(bits(r.energy_mwh), bits(energy_mwh)) << machine;
+        EXPECT_EQ(bits(r.work_core_hours), bits(work)) << machine;
+    }
 }
 
 TEST(Simulator, RejectsNonPositionalJobIds) {
