@@ -5,6 +5,7 @@
 #include <deque>
 #include <limits>
 #include <numeric>
+#include <utility>
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -195,15 +196,12 @@ constexpr SchedulerRules kBatchRules{QueueOrder::SkipAhead,
 template <typename Queues>
 struct RunState {
     Scheduler<Queues> core;
-    // Multi-currency state, empty unless currency_budgets was set:
-    // remaining/spent per currency, and per-(job, currency) submit-time
-    // quotes (indexed [job * n_currencies + k]) for outage refunds.
+    // Multi-currency state, empty unless currency_budgets was set: the
+    // remaining budget and the total spent in each currency.
     std::vector<double> currency_remaining;
     std::vector<double> currency_spent;
-    std::vector<double> currency_charged;
-    double budget_remaining = std::numeric_limits<double>::infinity();
     std::optional<ClusterOutage> outage;  ///< until it is applied
-    SimResult result;
+    SimResult result;  ///< all but the total cost, which each lane keeps
 };
 
 template <typename Queues>
@@ -217,26 +215,29 @@ double budget_limit(double budget) {
     return budget > 0.0 ? budget : std::numeric_limits<double>::infinity();
 }
 
-/// A ladder member riding along a replay's leader: its own quote table,
-/// remaining budget and total cost, debited with its own quote for each job
-/// the leader admits and credited with its own quote for each job an outage
-/// strands.
+/// A ladder member in a replay: its own quote table, remaining budget and
+/// total cost, debited with its own quote for each job the replay admits
+/// and credited with its own quote for each job an outage strands. A
+/// replay's first lane leads it: its quotes are the routing costs.
 struct Lane {
     std::size_t member = 0;
     const std::vector<double>* quotes = nullptr;  ///< the member's table
     double budget_remaining = 0.0;
     double total_cost = 0.0;
+
+    /// Whether the budget admits the quote at `at` ([job * n_clusters +
+    /// cluster]).
+    [[nodiscard]] bool affords(std::size_t at) const {
+        return !((*quotes)[at] > budget_remaining);
+    }
 };
 
 /// The lanes whose budgets decided a job otherwise than their replay's
-/// leader: a copy of the leader's state that resumes at that job's
-/// admission, on the cluster the policy chose for it. `member` leads the
-/// fork's replay and `lanes` ride along it.
+/// leader: a copy of the leader's state with that job decided their way,
+/// which resumes at the next job.
 template <typename Queues>
 struct Fork {
-    std::size_t member = 0;
-    std::size_t job = 0;
-    std::size_t cluster = 0;
+    std::size_t job = 0;  ///< the job it resumes at
     std::vector<Lane> lanes;
     RunState<Queues> state;
 };
@@ -345,22 +346,21 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
                        "and in pricing under a policy that reads no cost");
         }
     }
-    // The first of the smallest budgets among `from`.
-    const auto lowest_budget = [&](const std::vector<Lane>& from) {
-        return std::min_element(from.begin(), from.end(),
-                                [&](const Lane& a, const Lane& b) {
-                                    return budget_limit(ladder[a.member].budget) <
-                                           budget_limit(ladder[b.member].budget);
-                                });
+    // Rotates the first of the smallest budgets among `lanes` to the front,
+    // where it leads their replay.
+    const auto lead = [&](std::vector<Lane>& lanes) {
+        const auto first = std::min_element(
+            lanes.begin(), lanes.end(), [&](const Lane& a, const Lane& b) {
+                return budget_limit(ladder[a.member].budget) <
+                       budget_limit(ladder[b.member].budget);
+            });
+        std::rotate(lanes.begin(), first, first + 1);
     };
-    std::vector<Lane> leader_lanes;
+    std::vector<Lane> lanes;
     for (std::size_t m = 0; m < ladder.size(); ++m) {
-        leader_lanes.push_back(
-            Lane{m, &quotes[m]->quotes, budget_limit(ladder[m].budget), 0.0});
+        lanes.push_back(Lane{m, &quotes[m]->quotes, budget_limit(ladder[m].budget), 0.0});
     }
-    const std::size_t leader = lowest_budget(leader_lanes)->member;
-    leader_lanes.erase(leader_lanes.begin() +
-                       static_cast<std::ptrdiff_t>(leader));
+    lead(lanes);
     // Forks wait in the order they left; a fork's replay may add more.
     std::deque<Fork<Queues>> forks;
 
@@ -378,24 +378,67 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
     auto& tracer = ga::obs::Tracer::global();
     const bool tracing = ga::obs::tracing_enabled();
 
-    // Replays the trace on `rs` for `member` to its end: the ladder
-    // leader's from the first job (`resume` null), a fork's from its job's
-    // admission, routed as the leader routed it. The riding `lanes` are
-    // debited and credited with their own quotes for the jobs `member`
-    // admits and strands; the lanes whose budgets decide a job's admission
-    // otherwise than `member`'s leave there as one fork. Returns the policy
-    // decisions the replay made.
-    const auto replay = [&](RunState<Queues>& rs, std::size_t member,
-                            std::vector<Lane>& lanes,
-                            const Fork<Queues>* resume) -> std::uint64_t {
-        const std::size_t first = resume != nullptr ? resume->job : 0;
-        const std::vector<double>& member_quotes = quotes[member]->quotes;
+    // Job j priced on cluster c in every currency, at its submit time, into
+    // `charges`: what its admission debits and an outage's strand refunds.
+    std::vector<double> charges(n_currencies);
+    const auto price_currencies = [&](std::size_t j, std::size_t c) {
+        if (n_currencies == 0) return;
+        const auto& job = jobs[j];
+        const auto usage =
+            scaled_usage(job, scaling_row(job)[c], job.cores,
+                         job.submit_s / options.arrival_compression);
+        for (std::size_t k = 0; k < n_currencies; ++k) {
+            charges[k] = currency_quotes[k * n_clusters + c](usage);
+        }
+    };
+
+    // Decides job j, routed to cluster c, on `rs` for `lanes`, whose budgets
+    // all decide it as their leader's does. The job is admitted only if
+    // that budget and every currency can pay (all-or-nothing, the paper's
+    // dual-budget incentive); then every currency, and every lane with its
+    // own quote, is debited, and the job is queued.
+    const auto admit = [&](RunState<Queues>& rs, std::vector<Lane>& lanes,
+                           std::size_t j, std::size_t c) {
+        const std::size_t at = j * n_clusters + c;
+        if (!lanes.front().affords(at)) {
+            ++rs.result.jobs_skipped;
+            return;
+        }
+        price_currencies(j, c);
+        for (std::size_t k = 0; k < n_currencies; ++k) {
+            if (charges[k] > rs.currency_remaining[k]) {
+                ++rs.result.jobs_skipped;
+                return;
+            }
+        }
+        for (std::size_t k = 0; k < n_currencies; ++k) {
+            rs.currency_remaining[k] -= charges[k];
+            rs.currency_spent[k] += charges[k];
+        }
+        for (Lane& lane : lanes) {
+            lane.budget_remaining -= (*lane.quotes)[at];
+            lane.total_cost += (*lane.quotes)[at];
+        }
+        const auto& job = jobs[j];
+        rs.core.submit(c,
+                       QueuedJob{job.id, job.cores, job.user,
+                                 scaled_runtime(job, scaling_row(job)[c])},
+                       job.submit_s / options.arrival_compression);
+    };
+
+    // Replays the trace on `rs` for `lanes` from job `first` to its end.
+    // The lanes whose budgets decide a job's admission otherwise than the
+    // leader's leave there as one fork. Returns the policy decisions the
+    // replay made.
+    const auto replay = [&](RunState<Queues>& rs, std::vector<Lane>& lanes,
+                            std::size_t first) -> std::uint64_t {
+        const std::vector<double>& lead_quotes = *lanes.front().quotes;
         SimResult& result = rs.result;
 
         // Scheduling context shared by every routing decision; the core
         // refreshes the per-cluster views before each one.
         SchedulingContext ctx;
-        ctx.budget_total = ladder[member].budget;
+        ctx.budget_total = ladder[lanes.front().member].budget;
         ctx.jobs_total = jobs.size();
         ctx.trace_span_s = trace_span_s;
         ctx.clusters = rs.core.views();
@@ -423,9 +466,9 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
         };
 
         // The outage: the cluster's lost cores never return, and queued
-        // jobs that no longer fit the shrunken cluster are refunded (each
-        // riding lane from its own table) and skipped. A queued job was
-        // charged its route quote on its queue's cluster.
+        // jobs that no longer fit the shrunken cluster are refunded and
+        // skipped. A queued job was charged on its queue's cluster: each
+        // lane its own quote, each currency its submit-time price.
         const auto apply_outage = [&] {
             const ClusterOutage outage = *rs.outage;
             rs.outage.reset();
@@ -436,17 +479,14 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
                              clusters_[c].entry.node.total_cores();
             rs.core.shrink(c, lost, [&](const QueuedJob& job) {
                 const std::size_t at = job.id * n_clusters + c;
-                rs.budget_remaining += member_quotes[at];
-                result.total_cost -= member_quotes[at];
                 for (Lane& lane : lanes) {
                     lane.budget_remaining += (*lane.quotes)[at];
                     lane.total_cost -= (*lane.quotes)[at];
                 }
+                price_currencies(job.id, c);
                 for (std::size_t k = 0; k < n_currencies; ++k) {
-                    rs.currency_remaining[k] +=
-                        rs.currency_charged[job.id * n_currencies + k];
-                    rs.currency_spent[k] -=
-                        rs.currency_charged[job.id * n_currencies + k];
+                    rs.currency_remaining[k] += charges[k];
+                    rs.currency_spent[k] -= charges[k];
                 }
                 ++result.jobs_skipped;
             });
@@ -461,105 +501,48 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
         for (std::size_t j = first; j < jobs.size(); ++j) {
             const auto& job = jobs[j];
             const double now = job.submit_s / options.arrival_compression;
-            const ga::workload::MachineScaling* row = scaling_row(job);
-            std::size_t c = 0;
-            double cost = 0.0;
-            if (resume != nullptr && j == first) {
-                c = resume->cluster;
-                cost = member_quotes[j * n_clusters + c];
-            } else {
-                if (rs.outage.has_value() && rs.outage->at_s <= now) {
-                    apply_outage();
-                }
-                complete_until(now);
+            if (rs.outage.has_value() && rs.outage->at_s <= now) apply_outage();
+            complete_until(now);
 
-                // ---- submit: route through the policy ----
-                if (tracing) tracer.span_instant("sim.submit", now);
-                const auto choices = rs.core.route_view(
-                    now, job.cores, [&](std::size_t m, MachineChoice& choice) {
-                        const auto usage =
-                            scaled_usage(job, row[m], job.cores, now);
-                        choice.runtime_s = usage.duration_s;
-                        choice.energy_j = usage.energy_j;
-                        choice.cost = member_quotes[j * n_clusters + m];
-                    });
-                ctx.now_s = now;
-                ctx.budget_remaining = rs.budget_remaining;
-                ctx.jobs_submitted = j + 1;
-                ++decisions;
-                const auto chosen = setup.routing->choose(ctx, choices);
-                if (!chosen) {
-                    ++result.jobs_skipped;
-                    continue;
-                }
-                c = *chosen;
-                cost = choices[c].cost;
+            // ---- submit: route through the policy ----
+            if (tracing) tracer.span_instant("sim.submit", now);
+            const ga::workload::MachineScaling* row = scaling_row(job);
+            const auto choices = rs.core.route_view(
+                now, job.cores, [&](std::size_t m, MachineChoice& choice) {
+                    const auto usage = scaled_usage(job, row[m], job.cores, now);
+                    choice.runtime_s = usage.duration_s;
+                    choice.energy_j = usage.energy_j;
+                    choice.cost = lead_quotes[j * n_clusters + m];
+                });
+            ctx.now_s = now;
+            ctx.budget_remaining = lanes.front().budget_remaining;
+            ctx.jobs_submitted = j + 1;
+            ++decisions;
+            const auto chosen = setup.routing->choose(ctx, choices);
+            if (!chosen) {
+                ++result.jobs_skipped;
+                continue;
             }
-            const bool admitted = !(cost > rs.budget_remaining);
-            // The lanes whose budgets decide this job otherwise all decide
-            // it the other way, so they leave here as one fork, with a copy
-            // of the state as it stands before the decision; the first of
-            // their smallest budgets leads it.
+            const std::size_t c = *chosen;
+            // The lanes whose budgets decide this job otherwise than the
+            // leader's all decide it the other way, so they leave here as
+            // one fork: a copy of the state as it stands before the
+            // decision, which decides the job their way right away.
             const std::size_t at = j * n_clusters + c;
+            const bool admitted = lanes.front().affords(at);
             const auto stays = [&](const Lane& lane) {
-                return !((*lane.quotes)[at] > lane.budget_remaining) == admitted;
+                return lane.affords(at) == admitted;
             };
             if (!std::all_of(lanes.begin(), lanes.end(), stays)) {
                 const auto split =
                     std::stable_partition(lanes.begin(), lanes.end(), stays);
-                std::vector<Lane> leaving(split, lanes.end());
-                lanes.erase(split, lanes.end());
-                const auto lead = lowest_budget(leaving);
-                const Lane fork_leader = *lead;
-                leaving.erase(lead);
                 Fork<Queues>& fork = forks.emplace_back(Fork<Queues>{
-                    fork_leader.member, j, c, std::move(leaving), rs});
-                fork.state.budget_remaining = fork_leader.budget_remaining;
-                fork.state.result.total_cost = fork_leader.total_cost;
+                    j + 1, std::vector<Lane>(split, lanes.end()), rs});
+                lanes.erase(split, lanes.end());
+                lead(fork.lanes);
+                admit(fork.state, fork.lanes, j, c);
             }
-            if (!admitted) {
-                ++result.jobs_skipped;
-                continue;
-            }
-            // Dual-budget admission: quote the job under every currency at
-            // the submit time and admit only if all can pay (all-or-nothing,
-            // the paper's dual-budget incentive); then debit every currency.
-            if (n_currencies > 0) {
-                const auto usage = scaled_usage(job, row[c], job.cores, now);
-                bool affordable = true;
-                for (std::size_t k = 0; k < n_currencies; ++k) {
-                    rs.currency_charged[j * n_currencies + k] =
-                        currency_quotes[k * n_clusters + c](usage);
-                    if (rs.currency_charged[j * n_currencies + k] >
-                        rs.currency_remaining[k]) {
-                        affordable = false;
-                    }
-                }
-                if (!affordable) {
-                    for (std::size_t k = 0; k < n_currencies; ++k) {
-                        rs.currency_charged[j * n_currencies + k] = 0.0;
-                    }
-                    ++result.jobs_skipped;
-                    continue;
-                }
-                for (std::size_t k = 0; k < n_currencies; ++k) {
-                    rs.currency_remaining[k] -=
-                        rs.currency_charged[j * n_currencies + k];
-                    rs.currency_spent[k] +=
-                        rs.currency_charged[j * n_currencies + k];
-                }
-            }
-            rs.budget_remaining -= cost;
-            result.total_cost += cost;
-            for (Lane& lane : lanes) {
-                lane.budget_remaining -= (*lane.quotes)[at];
-                lane.total_cost += (*lane.quotes)[at];
-            }
-
-            rs.core.submit(c,
-                           QueuedJob{job.id, job.cores, job.user,
-                                     scaled_runtime(job, row[c])},
-                           now);
+            admit(rs, lanes, j, c);
         }
         if (rs.outage.has_value()) apply_outage();
         complete_until(std::numeric_limits<double>::infinity());
@@ -597,16 +580,14 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
         metrics.route_decisions.inc(decisions);
     };
 
-    // Reports a replay's leader, then each lane that rode it to the end:
-    // the leader's result with the lane's own total cost.
-    const auto report = [&](RunState<Queues>& rs, std::size_t member,
-                            const std::vector<Lane>& lanes,
+    // Reports each lane of a finished replay, its leader first: the
+    // replay's result with the lane's own total cost. The leader's report
+    // carries the replay's decisions.
+    const auto report = [&](RunState<Queues>& rs, const std::vector<Lane>& lanes,
                             std::uint64_t decisions) {
-        flush(rs, decisions);
-        done(member, rs.result);
         for (const Lane& lane : lanes) {
             rs.result.total_cost = lane.total_cost;
-            flush(rs, 0);
+            flush(rs, std::exchange(decisions, 0));
             done(lane.member, rs.result);
         }
     };
@@ -614,25 +595,16 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
     // ---- the leader's state ----
     RunState<Queues>& rs = pooled_run_state<Queues>();
     rs.core.reset(clusters_, setup, kBatchRules);
-    rs.budget_remaining = budget_limit(ladder[leader].budget);
-    if (n_currencies > 0) {
-        rs.currency_remaining.resize(n_currencies);
-        for (std::size_t k = 0; k < n_currencies; ++k) {
-            rs.currency_remaining[k] =
-                budget_limit(options.currency_budgets[k].budget);
-        }
-        rs.currency_spent.assign(n_currencies, 0.0);
-        rs.currency_charged.assign(jobs.size() * n_currencies, 0.0);
-    } else {
-        rs.currency_remaining.clear();
-        rs.currency_spent.clear();
-        rs.currency_charged.clear();
+    rs.currency_remaining.clear();
+    for (const auto& cb : options.currency_budgets) {
+        rs.currency_remaining.push_back(budget_limit(cb.budget));
     }
+    rs.currency_spent.assign(n_currencies, 0.0);
     rs.outage = options.outage;
     rs.result = SimResult{};
     if (record_finish_times) rs.result.finish_times_s.reserve(jobs.size());
 
-    report(rs, leader, leader_lanes, replay(rs, leader, leader_lanes, nullptr));
+    report(rs, lanes, replay(rs, lanes, 0));
     // Each fork replaces the pooled state's buffers, and every member waits
     // in at most one fork, so a ladder holds at most its other members'
     // forks at once.
@@ -640,8 +612,7 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
         Fork<Queues> fork = std::move(forks.front());
         forks.pop_front();
         rs = std::move(fork.state);
-        report(rs, fork.member, fork.lanes,
-               replay(rs, fork.member, fork.lanes, &fork));
+        report(rs, fork.lanes, replay(rs, fork.lanes, fork.job));
     }
 }
 
@@ -651,28 +622,23 @@ void BatchSimulator::run_ladder(std::span<const SimOptions> ladder,
     run_ladder_impl<IndexedQueues>(ladder, quotes, done);
 }
 
-SimResult BatchSimulator::run(const SimOptions& options) const {
-    return run(options, quote_table(QuoteKey::of(options)));
-}
-
-SimResult BatchSimulator::run(const SimOptions& options,
-                              const QuoteTable& quotes) const {
-    SimResult result;
-    const QuoteTable* const table = &quotes;
-    run_ladder_impl<IndexedQueues>(
-        std::span(&options, 1), std::span(&table, 1),
-        [&](std::size_t /*member*/, const SimResult& r) { result = r; });
-    return result;
-}
-
-SimResult BatchSimulator::run_reference(const SimOptions& options) const {
+template <typename Queues>
+SimResult BatchSimulator::run_alone(const SimOptions& options) const {
     SimResult result;
     const QuoteTable quotes = quote_table(QuoteKey::of(options));
     const QuoteTable* const table = &quotes;
-    run_ladder_impl<LinearQueues>(
+    run_ladder_impl<Queues>(
         std::span(&options, 1), std::span(&table, 1),
         [&](std::size_t /*member*/, const SimResult& r) { result = r; });
     return result;
+}
+
+SimResult BatchSimulator::run(const SimOptions& options) const {
+    return run_alone<IndexedQueues>(options);
+}
+
+SimResult BatchSimulator::run_reference(const SimOptions& options) const {
+    return run_alone<LinearQueues>(options);
 }
 
 }  // namespace ga::sim

@@ -174,41 +174,35 @@ public:
     explicit BatchSimulator(ga::workload::Workload workload)
         : BatchSimulator(std::move(workload), default_clusters()) {}
 
-    /// Runs `options` over a quote table of its own.
+    /// Runs `options` over a quote table of its own: a ladder of one.
     [[nodiscard]] SimResult run(const SimOptions& options) const;
 
-    /// Runs `options` over `quotes`, which must have been built by this
-    /// simulator for `QuoteKey::of(options)`; a run refuses any other
-    /// table. Sweeps build one table per key and share it among the runs
-    /// that price alike; the results are those of `run(options)`.
-    [[nodiscard]] SimResult run(const SimOptions& options,
-                                const QuoteTable& quotes) const;
-
     /// Runs a ladder as one event loop, and calls `done` once per member
-    /// with the result `run(ladder[m], *quotes[m])` gives. `quotes` holds
-    /// one table per member, built for that member's `QuoteKey`; a ladder
-    /// refuses any other table, and a member's table must stay valid until
-    /// its `done`. With two or more members the policy must not read the
-    /// budget (`RoutingPolicy::uses_budget`), and the members' options must
-    /// be equal but for `budget` and, when the policy reads no cost
-    /// (`RoutingPolicy::uses_cost`), `pricing`. So every member routes each
-    /// job alike until its admissions first differ; a ladder that breaks
-    /// either rule is refused.
+    /// with the result `run(ladder[m])` gives. `quotes` holds one table
+    /// per member, built by this simulator for that member's `QuoteKey`; a
+    /// ladder refuses any other table, and a member's table must stay
+    /// valid until its `done`. Sweeps build one table per key and share it
+    /// among the members that price alike. With two or more members the
+    /// policy must not read the budget (`RoutingPolicy::uses_budget`), and
+    /// the members' options must be equal but for `budget` and, when the
+    /// policy reads no cost (`RoutingPolicy::uses_cost`), `pricing`. So
+    /// every member routes each job alike until its admissions first
+    /// differ; a ladder that breaks either rule is refused.
     ///
-    /// The first of the smallest budgets (0 is unlimited) leads: it runs
-    /// the trace, and every other member rides along as a lane that holds
-    /// its own table, remaining budget and total cost. A lane is debited
-    /// with its own quote as the leader admits a job and credited with its
-    /// own quote for each job an outage strands, in the same order as its
-    /// direct run. At the first job whose admission a lane's budget decides
-    /// otherwise, the lane leaves; all lanes that leave at one job decide
-    /// it the same way, so they leave as one fork. A fork takes a copy of
-    /// the leader's state and, once the leader has finished, resumes at
-    /// that job's admission: the first of its smallest budgets leads its
-    /// replay, and the others ride along it and may fork again. `done`
-    /// sees the leader first, then its lanes that never left (whose results
-    /// are the leader's, with their own total costs), then each fork in the
-    /// order it left, with that fork's lanes after it.
+    /// Every member is a lane: its own table, remaining budget and total
+    /// cost. The first of the smallest budgets (0 is unlimited) leads the
+    /// replay of the trace: its quotes are the routing costs. Every lane is
+    /// debited with its own quote for each job the replay admits and
+    /// credited with its own quote for each job an outage strands, in the
+    /// same order as its direct run. At the first job whose admission a
+    /// lane's budget decides otherwise than the leader's, the lane leaves;
+    /// all lanes that leave at one job decide it the same way, so they
+    /// leave as one fork: a copy of the replay's state that decides that
+    /// job their way at once and, after the replay, resumes at the next
+    /// job, led by the first of its smallest budgets; its lanes may fork
+    /// again. `done` sees the leader first, then its lanes that never left
+    /// (whose results are the leader's, with their own total costs), then
+    /// each fork in the order it left, its leader first.
     void run_ladder(std::span<const SimOptions> ladder,
                     std::span<const QuoteTable* const> quotes,
                     const MemberDone& done) const;
@@ -240,6 +234,10 @@ private:
     void run_ladder_impl(std::span<const SimOptions> ladder,
                          std::span<const QuoteTable* const> quotes,
                          const MemberDone& done) const;
+
+    /// `options` as a ladder of one, over a quote table of its own.
+    template <typename Queues>
+    [[nodiscard]] SimResult run_alone(const SimOptions& options) const;
 
     /// The scaling of `job`'s (user, app) pair on each cluster, indexed by
     /// cluster.

@@ -28,18 +28,20 @@
 // BudgetPacing), points that also differ in `pricing` join the same
 // ladder: the loop reads the pricing only through the quote tables, so
 // such points route every job alike until their admissions first differ.
-// The smallest budget leads one event loop and the others ride along, each
-// holding its own quote table, remaining budget and total cost. Members
-// that leave at one job, where their budgets admit a job the leader
-// refuses or refuse one it admits, leave as one fork: a copy of the
-// leader's state that, after the leader, resumes there in the thread's
-// pooled run state, led by its smallest budget with the others riding
-// along. The state scales with the live jobs, not the trace (each
-// `RunningJob` carries its `start_s`, which completion metering reads), so
-// a fork costs about its queues. A ladder's task acquires every member's
-// quote table and releases each when that member finishes. Every point's
-// result, and every work counter but `sim.route.decisions` (the decisions
-// the shared loops made), are what separate runs give.
+// Every member is a lane of one event loop: its own quote table, remaining
+// budget and total cost. The smallest budget leads, and its quotes are the
+// routing costs. Members that leave at one job, where their budgets admit
+// a job the leader refuses or refuse one it admits, leave as one fork: a
+// copy of the leader's state that decides that job their way at once and,
+// after the leader, resumes at the next job in the thread's pooled run
+// state, led by its smallest budget. The state scales with the live jobs,
+// not the trace (each `RunningJob` carries its `start_s`, which completion
+// metering reads, and an outage refund prices a stranded job's currencies
+// again instead of reading a stored charge), so a fork costs about its
+// queues. A ladder's task acquires every member's quote table and releases
+// each when that member finishes. Every point's result, and every work
+// counter but `sim.route.decisions` (the decisions the shared loops made),
+// are what separate runs give.
 //
 // A ladder's members finish one after another in its task. A point's
 // `sweep.point` span, at its spec index, is recorded when it finishes, and

@@ -3,21 +3,9 @@
 #include <optional>
 
 #include "machine/catalog.hpp"
-#include "util/error.hpp"
 #include "util/parallel.hpp"
 
 namespace ga::workload {
-
-std::vector<Workload::PerMachine> Workload::extrapolate(const TraceJob& job) const {
-    GA_REQUIRE(predictor != nullptr, "workload: predictor not initialized");
-    const auto scaling = predictor->predict(job.counters);
-    std::vector<PerMachine> out(scaling.size());
-    for (std::size_t m = 0; m < scaling.size(); ++m) {
-        out[m].runtime_s = job.runtime_ic_s * scaling[m].runtime_factor;
-        out[m].power_w = job.power_ic_w * scaling[m].power_factor;
-    }
-    return out;
-}
 
 Workload build_workload(const TraceOptions& options) {
     // The trace and the counter GMM share no seed and no state, so they are

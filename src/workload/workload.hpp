@@ -15,21 +15,6 @@ namespace ga::workload {
 struct Workload {
     std::vector<TraceJob> jobs;
     std::shared_ptr<CrossPlatformPredictor> predictor;
-
-    /// Per-machine execution estimate for one job, index-aligned with
-    /// predictor->machines().
-    struct PerMachine {
-        double runtime_s = 0.0;
-        double power_w = 0.0;
-
-        [[nodiscard]] double energy_j() const noexcept {
-            return runtime_s * power_w;
-        }
-    };
-
-    /// Extrapolates a job to every machine (paper §5.2): IC values from the
-    /// trace scaled by the KNN factors.
-    [[nodiscard]] std::vector<PerMachine> extrapolate(const TraceJob& job) const;
 };
 
 /// Builds the workload over the Table-5 simulation machines.

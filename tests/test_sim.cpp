@@ -14,6 +14,7 @@
 #include "carbon/grids.hpp"
 #include "machine/catalog.hpp"
 #include "obs/metrics.hpp"
+#include "pair_prediction.hpp"
 #include "sim/policy.hpp"
 #include "sim/simulator.hpp"
 #include "sim_result_matchers.hpp"
@@ -404,7 +405,7 @@ wl::TraceJob make_job(std::uint32_t id, std::uint32_t user, std::uint32_t app,
 double ic_runtime(const sm::BatchSimulator& sim, std::size_t j) {
     const auto& w = sim.workload();
     const std::size_t ic = w.predictor->machine_index("IC");
-    return w.extrapolate(w.jobs[j])[ic].runtime_s;
+    return ga::testutil::pair_prediction(w, j)[ic].runtime_s;
 }
 
 bool contains_time(const std::vector<double>& times, double t) {
@@ -610,7 +611,7 @@ TEST(Simulator, CbaMetersOperationalCarbonAtJobStart) {
     const auto usage_at = [&](std::size_t j, double start) {
         const auto& w = sim.workload();
         const std::size_t m = w.predictor->machine_index("IC");
-        const auto per = w.extrapolate(w.jobs[j])[m];
+        const auto per = ga::testutil::pair_prediction(w, j)[m];
         ga::acct::JobUsage u;
         u.duration_s = per.runtime_s;
         u.energy_j = per.runtime_s * per.power_w;
@@ -922,6 +923,67 @@ TEST(BudgetLadder, CurrencyBudgetsMatchDirectRuns) {
             expect_ladder_matches_direct_runs(shared_simulator(), ladder);
         EXPECT_FALSE(run.results[0].currency_spent.empty());
         EXPECT_LT(run.results[1].jobs_completed, run.results[2].jobs_completed);
+    }
+}
+
+TEST(BudgetLadder, CurrencyRefundsCrossForks) {
+    // EFT reads neither cost nor budget, so EBA and CBA members share one
+    // loop, and every member carries a CBA currency leg. IC goes down on
+    // day 2, stranding queued jobs that were charged in both currencies.
+    // In each pricing the small budget binds before the outage, so the
+    // lanes that fork there strand in their fork's replay; the middle one
+    // admits every job before it and binds after it, so the unlimited
+    // lanes fork with the refunds already in their copy.
+    const sm::BatchSimulator& sim = shared_simulator();
+    const auto& jobs = sim.workload().jobs;
+    const std::size_t n_clusters = sim.clusters().size();
+    const double outage_s = 2.0 * 86400.0;
+    sm::SimOptions base;
+    base.policy = {"EFT", {}};
+    base.regional_grids = true;
+    base.outage = sm::ClusterOutage{2, outage_s, sim.clusters()[2].nodes};
+    base.currency_budgets = {sm::CurrencyBudget{"gCO2e", {"CBA", {}}, 0.0}};
+    std::vector<sm::SimOptions> ladder;
+    for (const char* pricing : {"EBA", "CBA"}) {
+        SCOPED_TRACE(pricing);
+        base.pricing = {pricing, {}};
+        const sm::QuoteTable quotes = sim.quote_table(sm::QuoteKey::of(base));
+        // The jobs submitted before the outage, each at its cheapest and at
+        // its dearest cluster.
+        double cheapest = 0.0;
+        double dearest = 0.0;
+        for (std::size_t j = 0; j < jobs.size() && jobs[j].submit_s < outage_s; ++j) {
+            std::vector<double> feasible;
+            for (std::size_t c = 0; c < n_clusters; ++c) {
+                if (jobs[j].cores > sim.clusters()[c].total_cores()) continue;
+                feasible.push_back(quotes.quotes[j * n_clusters + c]);
+            }
+            if (feasible.empty()) continue;
+            cheapest += *std::min_element(feasible.begin(), feasible.end());
+            dearest += *std::max_element(feasible.begin(), feasible.end());
+        }
+        const double cost = sim.run(base).total_cost;
+        ASSERT_LT(dearest, cost) << "a budget admits every job before the outage "
+                                    "and binds after it";
+        for (const sm::SimOptions& member :
+             budget_ladder(base, {0.5 * (dearest + cost), 0.0, 0.5 * cheapest})) {
+            ladder.push_back(member);
+        }
+    }
+
+    const LadderRun run = expect_ladder_matches_direct_runs(sim, ladder);
+    for (const std::size_t at : {0, 3}) {
+        const sm::SimResult* r = &run.results[at];
+        EXPECT_GT(r[1].jobs_skipped, 0u) << "the outage strands jobs";
+        EXPECT_LT(r[2].jobs_completed, r[0].jobs_completed);
+        EXPECT_LT(r[0].jobs_completed, r[1].jobs_completed);
+    }
+    // A CBA member's leg prices each job as its quote table does, so it
+    // ends at the member's total cost bit for bit: a strand refunds the leg
+    // at the job's submit time, as its admission charged it.
+    for (const std::size_t m : {3, 4, 5}) {
+        EXPECT_EQ(run.results[m].total_cost, run.results[m].currency_spent.at("gCO2e"))
+            << "member " << m;
     }
 }
 

@@ -13,6 +13,7 @@
 #include <cmath>
 
 #include "machine/catalog.hpp"
+#include "pair_prediction.hpp"
 #include "sim/simulator.hpp"
 #include "sim_result_matchers.hpp"
 #include "workload/workload.hpp"
@@ -99,7 +100,7 @@ TEST(BitIdentity, ExactCapacityFitStartsAndOneCoreMoreWaits) {
     EXPECT_EQ(r.jobs_completed, 3u);
     const auto& w = sim.workload();
     const std::size_t ic = w.predictor->machine_index("IC");
-    const double r1 = w.extrapolate(w.jobs[1])[ic].runtime_s;
+    const double r1 = ga::testutil::pair_prediction(w, 1)[ic].runtime_s;
     // J1 started at its submit time (exact fit), not at J0's finish.
     EXPECT_TRUE(contains_time(r.finish_times_s, 10.0 + r1));
 }
@@ -132,7 +133,7 @@ TEST(BitIdentity, BackfillWindowBoundsTheSkipAhead) {
         const std::size_t ic = w.predictor->machine_index("IC");
         const std::uint32_t user2_job = static_cast<std::uint32_t>(id - 1);
         const double run_user2 =
-            w.extrapolate(w.jobs[user2_job])[ic].runtime_s;
+            ga::testutil::pair_prediction(w, user2_job)[ic].runtime_s;
         const bool started_at_submit =
             contains_time(r.finish_times_s, 2.0 + run_user2);
         if (blocked < 256) {
@@ -157,7 +158,7 @@ TEST(BitIdentity, OutageBetweenSimultaneousFinishAndSubmit) {
     const sm::BatchSimulator probe(craft_workload(jobs), one_ic());
     const auto& pw = probe.workload();
     const std::size_t ic = pw.predictor->machine_index("IC");
-    const double finish0 = pw.extrapolate(pw.jobs[0])[ic].runtime_s;
+    const double finish0 = ga::testutil::pair_prediction(pw, 0)[ic].runtime_s;
 
     jobs.push_back(make_job(2, 2, 0, 1, finish0, 100.0));
     const sm::BatchSimulator sim(craft_workload(std::move(jobs)), one_ic());
@@ -210,7 +211,8 @@ TEST(BitIdentity, OutageMidQueueRefundsStrandedJobsExactly) {
 /// The predicted runtime of `sim`'s job `j` on the IC cluster.
 double ic_runtime(const sm::BatchSimulator& sim, std::uint32_t j) {
     const auto& w = sim.workload();
-    return w.extrapolate(w.jobs[j])[w.predictor->machine_index("IC")].runtime_s;
+    return ga::testutil::pair_prediction(w, j)[w.predictor->machine_index("IC")]
+        .runtime_s;
 }
 
 TEST(BitIdentity, FreeUserSkipsItsWideEntryForANarrowOne) {

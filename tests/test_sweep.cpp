@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <vector>
 
@@ -338,6 +339,16 @@ TEST(SweepRunner, BudgetLaddersMatchDirectRuns) {
     }
 }
 
+/// `options` over `table`, as a ladder of one.
+sm::SimResult run_over(const sm::SimOptions& options, const sm::QuoteTable& table) {
+    sm::SimResult result;
+    const sm::QuoteTable* const tables[] = {&table};
+    shared_simulator().run_ladder(
+        std::span(&options, 1), tables,
+        [&](std::size_t /*member*/, const sm::SimResult& r) { result = r; });
+    return result;
+}
+
 TEST(QuoteTable, RunsShareATableOnlyWhenTheyPriceAlike) {
     sm::SimOptions o;
     o.finish_times = true;
@@ -345,15 +356,14 @@ TEST(QuoteTable, RunsShareATableOnlyWhenTheyPriceAlike) {
         shared_simulator().quote_table(sm::QuoteKey::of(o));
     ASSERT_EQ(table.quotes.size(), shared_simulator().workload().jobs.size() *
                                        shared_simulator().clusters().size());
-    expect_identical(shared_simulator().run(o, table), shared_simulator().run(o));
+    expect_identical(run_over(o, table), shared_simulator().run(o));
 
     // Policy, budget and outage never reach a quote: the table serves.
     sm::SimOptions other = o;
     other.policy = {"EFT", {}};
     other.budget = 1e9;
     other.outage = sm::ClusterOutage{0, 3600.0, 4};
-    expect_identical(shared_simulator().run(other, table),
-                     shared_simulator().run(other));
+    expect_identical(run_over(other, table), shared_simulator().run(other));
 
     // Each of the four quote fields makes the table another run's.
     std::vector<sm::SimOptions> refused(4, o);
@@ -362,7 +372,7 @@ TEST(QuoteTable, RunsShareATableOnlyWhenTheyPriceAlike) {
     refused[2].grid_seed = 5;
     refused[3].arrival_compression = 2.0;
     for (const sm::SimOptions& options : refused) {
-        EXPECT_THROW((void)shared_simulator().run(options, table),
+        EXPECT_THROW((void)run_over(options, table),
                      ga::util::PreconditionError);
     }
 }

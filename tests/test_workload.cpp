@@ -10,6 +10,7 @@
 #include <utility>
 #include <vector>
 
+#include "pair_prediction.hpp"
 #include "util/error.hpp"
 #include "workload/counters.hpp"
 #include "workload/predictor.hpp"
@@ -256,7 +257,9 @@ TEST(Workload, BuildAndExtrapolate) {
     const auto w = wl::build_workload(o);
     EXPECT_EQ(w.jobs.size(), 1000u);
     ASSERT_NE(w.predictor, nullptr);
-    const auto per_machine = w.extrapolate(w.jobs.front());
+    // The first job is its pair's first, so predict() scales it from its
+    // own counters; IC is the reference machine, so its factors are 1.
+    const auto per_machine = ga::testutil::pair_prediction(w, 0);
     EXPECT_EQ(per_machine.size(), 4u);
     const auto ic = w.predictor->machine_index("IC");
     EXPECT_NEAR(per_machine[ic].runtime_s, w.jobs.front().runtime_ic_s, 1e-9);
