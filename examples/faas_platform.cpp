@@ -9,7 +9,7 @@
 #include "machine/catalog.hpp"
 
 int main() {
-    auto platform = ga::faas::GreenAccess::with_accountant({"EBA", {}});
+    ga::faas::GreenAccess platform({"EBA", {}});
     for (const auto& entry : ga::machine::chameleon_cpu_nodes()) {
         platform.register_endpoint(entry);
     }
@@ -43,7 +43,8 @@ int main() {
     // Audit trail: what the frontend would show the user. history() returns
     // a snapshot copy (the ledger is thread-safe), so take it once.
     std::printf("\nledger for aisha (remaining %.1f):\n",
-                platform.ledger().remaining("aisha"));
+                platform.ledger().remaining("aisha",
+                                            ga::acct::Ledger::kDefaultCurrency));
     const auto history = platform.ledger().history();
     for (const auto& t : history) {
         std::printf("  tx#%llu %-13s %4d cores, cost %9.2f %s (%.2f J over %.3f s)\n",

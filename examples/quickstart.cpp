@@ -38,18 +38,18 @@ int main() {
                     std::string(accountant->unit()).c_str());
     }
 
-    // 4. Fungible allocation: grant a budget and spend from it.
+    // 4. Fungible allocation: define a currency priced by CBA, grant a
+    // budget in it and spend from it.
     ga::acct::Ledger ledger;
-    ledger.create_account("you", 10'000.0);  // 10 kgCO2e under CBA
-    const ga::acct::CarbonBasedAccounting cba;
-    const double cost = ledger.charge("you", cba, usage, machine);
-    std::printf("charged %.3f gCO2e; %.1f gCO2e remaining\n", cost,
-                ledger.remaining("you"));
+    ledger.define_currency("gCO2e", {"CBA", {}});
+    ledger.create_account("you", {{"gCO2e", 10'000.0}});  // 10 kgCO2e
+    const auto charged = ledger.charge("you", usage, machine);
+    std::printf("charged %.3f gCO2e; %.1f gCO2e remaining\n",
+                charged.costs.at("gCO2e"), ledger.remaining("you", "gCO2e"));
 
     // 5. Multi-currency account: core hours AND carbon credits at once —
     // the job is admitted only if both allocations can pay.
     ledger.define_currency("core-hours", {"Runtime", {}});
-    ledger.define_currency("gCO2e", {"CBA", {}});
     ledger.create_account("dual", {{"core-hours", 500.0}, {"gCO2e", 10'000.0}});
     const auto outcome = ledger.charge("dual", usage, machine);
     std::printf("dual account charged %.3f core-hours + %.3f gCO2e (%s)\n",

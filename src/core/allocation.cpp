@@ -84,17 +84,6 @@ Allocation Allocation::restore(double budget, double spent) {
 
 // ------------------------------------------------------------------ Ledger
 
-void Ledger::define_currency(std::string currency,
-                             std::shared_ptr<const Accountant> accountant) {
-    GA_REQUIRE(!currency.empty(), "ledger: currency name must not be empty");
-    GA_REQUIRE(accountant != nullptr, "ledger: currency accountant required");
-    const ga::util::LockGuard lock(mutex_);
-    // A raw accountant has no registry spec to re-bind from on import;
-    // drop any stale spec so export_state refuses rather than lies.
-    pricer_specs_.erase(currency);
-    pricers_.insert_or_assign(std::move(currency), std::move(accountant));
-}
-
 namespace {
 
 std::shared_ptr<const Accountant> build_accountant(
@@ -113,25 +102,21 @@ void Ledger::define_currency(std::string currency, const AccountantSpec& spec,
     std::shared_ptr<const Accountant> accountant = build_accountant(spec, bind);
     GA_REQUIRE(accountant != nullptr, "ledger: currency accountant required");
     const ga::util::LockGuard lock(mutex_);
-    pricer_specs_.insert_or_assign(currency, spec);
-    pricers_.insert_or_assign(std::move(currency), std::move(accountant));
+    currencies_.insert_or_assign(std::move(currency),
+                                 Currency{spec, std::move(accountant)});
 }
 
 bool Ledger::has_currency(std::string_view currency) const {
     const ga::util::LockGuard lock(mutex_);
-    return pricers_.find(currency) != pricers_.end();
+    return currencies_.find(currency) != currencies_.end();
 }
 
 std::vector<std::string> Ledger::currencies() const {
     const ga::util::LockGuard lock(mutex_);
     std::vector<std::string> out;
-    out.reserve(pricers_.size());
-    for (const auto& [name, pricer] : pricers_) out.push_back(name);
+    out.reserve(currencies_.size());
+    for (const auto& [name, defined] : currencies_) out.push_back(name);
     return out;
-}
-
-void Ledger::create_account(const std::string& user, double budget) {
-    create_account(user, {{std::string(kDefaultCurrency), budget}});
 }
 
 void Ledger::create_account(const std::string& user,
@@ -175,20 +160,6 @@ namespace {
 
 }  // namespace
 
-const Allocation& Ledger::sole_holding(const Account& account) {
-    if (account.holdings.size() != 1) {
-        throw ga::util::RuntimeError(
-            "ledger: account '" + account.user +
-            "' holds multiple currencies; name one explicitly");
-    }
-    return account.holdings.begin()->second;
-}
-
-Allocation& Ledger::sole_holding(Account& account) {
-    return const_cast<Allocation&>(
-        sole_holding(static_cast<const Account&>(account)));
-}
-
 const Allocation& Ledger::holding_of(const Account& account,
                                      std::string_view currency) {
     const auto it = account.holdings.find(std::string(currency));
@@ -230,20 +201,6 @@ double Ledger::spent(const std::string& user, std::string_view currency) const {
     return holding_of(*a, currency).spent();
 }
 
-double Ledger::remaining(const std::string& user) const {
-    const ga::util::LockGuard lock(mutex_);
-    const Account* a = find_account(user);
-    if (a == nullptr) throw_unknown_user(user);
-    return sole_holding(*a).remaining();
-}
-
-double Ledger::spent(const std::string& user) const {
-    const ga::util::LockGuard lock(mutex_);
-    const Account* a = find_account(user);
-    if (a == nullptr) throw_unknown_user(user);
-    return sole_holding(*a).spent();
-}
-
 void Ledger::grant(const std::string& user, std::string_view currency,
                    double extra) {
     const ga::util::LockGuard lock(mutex_);
@@ -270,27 +227,6 @@ Transaction Ledger::record(const std::string& user, std::string machine,
     return t;
 }
 
-double Ledger::charge(const std::string& user, const Accountant& accountant,
-                      const JobUsage& usage, const ga::machine::CatalogEntry& m) {
-    // Price outside the lock: accountants are immutable and may be slow.
-    const double cost = accountant.charge(usage, m);
-    LedgerMetrics& metrics = ledger_metrics();
-    probe_ledger_contention(mutex_, metrics.lock_contention);
-    const ga::util::LockGuard lock(mutex_);
-    Account* a = find_account(user);
-    if (a == nullptr) throw_unknown_user(user);
-    auto& holding = sole_holding(*a);
-    if (!holding.charge(cost)) {
-        metrics.charges_refused.inc();
-        return -1.0;
-    }
-    history_.push_back(record(user, m.node.name,
-                              a->holdings.begin()->first, accountant.unit(),
-                              cost, usage));
-    metrics.charges_admitted.inc();
-    return cost;
-}
-
 ChargeOutcome Ledger::charge(const std::string& user, const JobUsage& usage,
                              const ga::machine::CatalogEntry& m) {
     // Snapshot the pricers for the user's holdings, price outside the lock
@@ -312,13 +248,13 @@ ChargeOutcome Ledger::charge(const std::string& user, const JobUsage& usage,
             if (a == nullptr) throw_unknown_user(user);
             pricers.reserve(a->holdings.size());
             for (const auto& [currency, holding] : a->holdings) {
-                const auto it = pricers_.find(currency);
-                if (it == pricers_.end()) {
+                const auto it = currencies_.find(currency);
+                if (it == currencies_.end()) {
                     throw ga::util::RuntimeError(
                         "ledger: currency '" + currency +
                         "' has no accountant; call define_currency first");
                 }
-                pricers.emplace_back(currency, it->second);
+                pricers.emplace_back(currency, it->second.accountant);
             }
         }
         for (const auto& [currency, pricer] : pricers) {
@@ -344,8 +280,8 @@ ChargeOutcome Ledger::charge(const std::string& user, const JobUsage& usage,
                 stale = true;  // holding added/removed since the quote
                 break;
             }
-            const auto pit = pricers_.find(currency);
-            if (pit == pricers_.end() || pit->second != pricer) {
+            const auto pit = currencies_.find(currency);
+            if (pit == currencies_.end() || pit->second.accountant != pricer) {
                 stale = true;  // currency re-defined: the quote is stale
                 break;
             }
@@ -447,29 +383,12 @@ double Ledger::total_cost(const std::string& user,
     return total;
 }
 
-double Ledger::total_cost(const std::string& user) const {
-    const ga::util::LockGuard lock(mutex_);
-    double total = 0.0;
-    for (const auto& t : history_) {
-        if (t.user == user) total += t.cost;
-    }
-    return total;
-}
-
 LedgerState Ledger::export_state() const {
     const ga::util::LockGuard lock(mutex_);
     LedgerState state;
-    state.currencies.reserve(pricers_.size());
-    for (const auto& [currency, pricer] : pricers_) {
-        const auto it = pricer_specs_.find(currency);
-        if (it == pricer_specs_.end()) {
-            throw ga::util::RuntimeError(
-                "ledger: currency '" + currency +
-                "' was defined from a raw accountant, not a registry spec; "
-                "it cannot be re-bound on import, so this ledger is not "
-                "snapshottable");
-        }
-        state.currencies.emplace_back(currency, it->second);
+    state.currencies.reserve(currencies_.size());
+    for (const auto& [currency, defined] : currencies_) {
+        state.currencies.emplace_back(currency, defined.spec);
     }
     state.accounts.reserve(accounts_.size());
     for (const auto& account : accounts_) {
@@ -496,17 +415,15 @@ void Ledger::import_state(const LedgerState& state,
     // Validate and rebuild everything into locals first: the registry is
     // consulted before the ledger lock is taken (registry locks order
     // before the ledger lock), and a throw leaves this ledger untouched.
-    std::map<std::string, std::shared_ptr<const Accountant>, std::less<>>
-        pricers;
-    std::map<std::string, AccountantSpec, std::less<>> specs;
+    std::map<std::string, Currency, std::less<>> currencies;
     for (const auto& [currency, spec] : state.currencies) {
         GA_REQUIRE(!currency.empty(), "ledger: currency name must not be empty");
         std::shared_ptr<const Accountant> accountant =
             build_accountant(spec, bind);
         GA_REQUIRE(accountant != nullptr,
                    "ledger: currency accountant required");
-        pricers.insert_or_assign(currency, std::move(accountant));
-        specs.insert_or_assign(currency, spec);
+        currencies.insert_or_assign(currency,
+                                    Currency{spec, std::move(accountant)});
     }
 
     std::uint64_t prev_id = 0;
@@ -550,8 +467,7 @@ void Ledger::import_state(const LedgerState& state,
     }
 
     const ga::util::LockGuard lock(mutex_);
-    pricers_ = std::move(pricers);
-    pricer_specs_ = std::move(specs);
+    currencies_ = std::move(currencies);
     accounts_ = std::move(accounts);
     account_index_ = std::move(index);
     history_ = state.transactions;

@@ -10,8 +10,7 @@
 //
 // The Ledger tracks per-user accounts and the transaction history the
 // green-ACCESS frontend shows; every mutation and accessor takes an
-// internal lock, so one shared Ledger is sound under concurrent charges
-// (e.g. from the scenario-sweep thread pool).
+// internal lock, so one shared Ledger is sound under concurrent charges.
 #pragma once
 
 #include <cstdint>
@@ -101,8 +100,7 @@ struct ChargeOutcome {
 /// Value-type image of a Ledger for durable snapshots (service/snapshot).
 /// Produced by `Ledger::export_state` under the ledger lock and consumed by
 /// `Ledger::import_state`; holds no live accountants — currencies are
-/// re-bound from their recorded registry specs on import, so only
-/// spec-defined currencies are exportable.
+/// re-bound from their recorded registry specs on import.
 struct LedgerState {
     struct AllocationState {
         double budget = 0.0;
@@ -145,19 +143,16 @@ using AccountantBinder =
 /// exactly (each admission check and debit is atomic).
 class Ledger {
 public:
-    /// Currency name used by the single-budget `create_account` overload.
+    /// The currency of a single-budget account: ga-serve's `budget` field
+    /// and the FaaS platform's users hold their allocation in it.
     static constexpr std::string_view kDefaultCurrency = "credits";
 
     // ---- currency definitions -------------------------------------------
-    /// Binds a currency name to the accountant that prices it; required
-    /// before multi-currency charges in that currency. Redefining replaces
-    /// the accountant.
-    void define_currency(std::string currency,
-                         std::shared_ptr<const Accountant> accountant);
-
-    /// Builds the accountant from `spec`, through `bind` when given and from
-    /// the registry otherwise, and keeps the spec so export_state can record
-    /// it. `bind` runs before the ledger lock is taken.
+    /// Binds a currency name to the accountant that prices it, built from
+    /// `spec` through `bind` when given and from the registry otherwise;
+    /// required before charges in that currency. Redefining replaces the
+    /// accountant. The spec is what export_state records. `bind` runs
+    /// before the ledger lock is taken.
     void define_currency(std::string currency, const AccountantSpec& spec,
                          const AccountantBinder& bind = {});
 
@@ -167,10 +162,6 @@ public:
     [[nodiscard]] std::vector<std::string> currencies() const;
 
     // ---- accounts -------------------------------------------------------
-    /// Creates a single-currency account under `kDefaultCurrency`;
-    /// replaces any existing account for the user.
-    void create_account(const std::string& user, double budget);
-
     /// Creates an account holding one allocation per entry (e.g.
     /// {{"core-hours", 5e4}, {"gCO2e", 1e4}}); replaces any existing
     /// account. Budgets must be positive and the map non-empty.
@@ -191,32 +182,18 @@ public:
     [[nodiscard]] double spent(const std::string& user,
                                std::string_view currency) const;
 
-    /// Single-holding convenience: the account's sole allocation. Throws
-    /// RuntimeError for unknown users and for multi-currency accounts
-    /// (name the currency explicitly there).
-    [[nodiscard]] double remaining(const std::string& user) const;
-    [[nodiscard]] double spent(const std::string& user) const;
-
     /// Supplements one holding; throws for unknown user/currency.
     void grant(const std::string& user, std::string_view currency,
                double extra);
 
     // ---- charging -------------------------------------------------------
-    /// Single-accountant charge against the account's sole holding (the
-    /// pre-multi-currency API). Prices the job with `accountant` on `m` and
-    /// debits the allocation. Returns the cost on success; returns -1.0
-    /// when the user cannot afford it (nothing is charged). Throws for
-    /// unknown users and for multi-currency accounts.
-    double charge(const std::string& user, const Accountant& accountant,
-                  const JobUsage& usage, const ga::machine::CatalogEntry& m);
-
-    /// Multi-currency charge: prices `usage` under *every* currency the
-    /// account holds (each must be defined via `define_currency`) and
-    /// admits only if all can pay — the dual-budget incentive. On admission
-    /// every holding is debited and one transaction per currency is
-    /// recorded; on refusal nothing is charged and `refused_currency` names
-    /// the first holding (in sorted currency order) that could not pay.
-    /// Throws for unknown users and undefined held currencies.
+    /// Prices `usage` under *every* currency the account holds (each must
+    /// be defined via `define_currency`) and admits only if all can pay —
+    /// the dual-budget incentive. On admission every holding is debited
+    /// and one transaction per currency is recorded; on refusal nothing is
+    /// charged and `refused_currency` names the first holding (in sorted
+    /// currency order) that could not pay. Throws for unknown users and
+    /// undefined held currencies.
     ChargeOutcome charge(const std::string& user, const JobUsage& usage,
                          const ga::machine::CatalogEntry& m);
 
@@ -237,17 +214,10 @@ public:
     [[nodiscard]] double total_cost(const std::string& user,
                                     std::string_view currency) const;
 
-    /// Net recorded cost for one user across all currencies. Meaningful for
-    /// single-currency accounts; multi-currency sums are unit-mixed.
-    [[nodiscard]] double total_cost(const std::string& user) const;
-
     // ---- durable state --------------------------------------------------
     /// Value snapshot of the whole ledger, taken atomically under the
     /// ledger lock — snapshot writers consume this copy and never iterate
-    /// the guarded maps directly. Throws RuntimeError when a currency was
-    /// defined from a raw accountant rather than a registry spec: such a
-    /// currency cannot be re-bound on import, so the ledger is declared
-    /// non-snapshottable rather than silently dropping it.
+    /// the guarded maps directly.
     [[nodiscard]] LedgerState export_state() const;
 
     /// Replaces the entire ledger contents with `state`. Accountants are
@@ -275,11 +245,6 @@ private:
     [[nodiscard]] const Account* find_account(const std::string& user) const
         GA_REQUIRES(mutex_);
 
-    /// The sole holding of a single-currency account (locked callers only);
-    /// throws RuntimeError for multi-currency accounts.
-    [[nodiscard]] static const Allocation& sole_holding(const Account& account);
-    [[nodiscard]] static Allocation& sole_holding(Account& account);
-
     /// The account's holding in one currency (locked callers only); throws
     /// RuntimeError when the account does not hold it.
     [[nodiscard]] static const Allocation& holding_of(const Account& account,
@@ -296,12 +261,13 @@ private:
     // are ever both held, the ledger lock is taken first.
     mutable ga::util::Mutex mutex_
         GA_ACQUIRED_BEFORE(ga::util::ThreadPool::mutex_);
-    std::map<std::string, std::shared_ptr<const Accountant>, std::less<>>
-        pricers_ GA_GUARDED_BY(mutex_);
-    /// Registry spec each currency was defined from, kept in lockstep with
-    /// `pricers_` so export_state can re-bind currencies on import. Absent
-    /// for currencies defined from a raw accountant (export then throws).
-    std::map<std::string, AccountantSpec, std::less<>> pricer_specs_
+    /// A defined currency: the spec export_state records and the
+    /// accountant built from it.
+    struct Currency {
+        AccountantSpec spec;
+        std::shared_ptr<const Accountant> accountant;
+    };
+    std::map<std::string, Currency, std::less<>> currencies_
         GA_GUARDED_BY(mutex_);
     /// Creation order, which export_state keeps.
     std::vector<Account> accounts_ GA_GUARDED_BY(mutex_);

@@ -26,13 +26,11 @@ PlatformMetrics& platform_metrics() {
 
 }  // namespace
 
-GreenAccess::GreenAccess(std::unique_ptr<const ga::acct::Accountant> accountant)
-    : accountant_(std::move(accountant)), monitor_(&broker_) {
-    GA_REQUIRE(accountant_ != nullptr, "platform: accountant required");
-}
-
-GreenAccess GreenAccess::with_accountant(const ga::acct::AccountantSpec& spec) {
-    return GreenAccess(ga::acct::AccountantRegistry::global().make(spec));
+GreenAccess::GreenAccess(const ga::acct::AccountantSpec& spec)
+    : accountant_(ga::acct::AccountantRegistry::global().make(spec)),
+      monitor_(&broker_) {
+    ledger_.define_currency(std::string(ga::acct::Ledger::kDefaultCurrency),
+                            spec);
 }
 
 void GreenAccess::register_endpoint(const ga::machine::CatalogEntry& entry) {
@@ -44,14 +42,8 @@ void GreenAccess::register_endpoint(const ga::machine::CatalogEntry& entry) {
 }
 
 void GreenAccess::create_user(const std::string& user, double budget) {
-    ledger_.create_account(user, budget);
-}
-
-std::vector<std::string> GreenAccess::endpoint_names() const {
-    std::vector<std::string> names;
-    names.reserve(endpoints_.size());
-    for (const auto& [name, ep] : endpoints_) names.push_back(name);
-    return names;
+    ledger_.create_account(
+        user, {{std::string(ga::acct::Ledger::kDefaultCurrency), budget}});
 }
 
 std::vector<ga::acct::CostEstimate> GreenAccess::predict(
@@ -94,7 +86,8 @@ InvocationResult GreenAccess::submit(const std::string& user,
     // ---- admission: the predicted cost must fit the remaining budget ----
     const auto estimate = estimator_.estimate(
         profile, target->machine(), cores, *accountant_, clock_);
-    if (ledger_.remaining(user) < estimate.cost) {
+    if (ledger_.remaining(user, ga::acct::Ledger::kDefaultCurrency) <
+        estimate.cost) {
         result.reject_reason = "insufficient allocation";
         metrics.invocations_rejected.inc();
         return result;
@@ -115,9 +108,8 @@ InvocationResult GreenAccess::submit(const std::string& user,
     usage.energy_j = measured;
     usage.cores = exec.cores;
     usage.priced_at_s = exec.start_s;
-    const double cost =
-        ledger_.charge(user, *accountant_, usage, ep->machine());
-    if (cost < 0.0) {
+    const auto outcome = ledger_.charge(user, usage, ep->machine());
+    if (!outcome.admitted) {
         // Measured energy exceeded the estimate and the remaining budget;
         // the provider absorbs the overrun but the job is reported rejected
         // for accounting purposes.
@@ -132,7 +124,8 @@ InvocationResult GreenAccess::submit(const std::string& user,
     result.task_id = exec.task_id;
     result.duration_s = exec.seconds();
     result.measured_energy_j = measured;
-    result.cost = cost;
+    result.cost =
+        outcome.costs.at(std::string(ga::acct::Ledger::kDefaultCurrency));
     return result;
 }
 

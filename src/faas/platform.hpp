@@ -32,16 +32,16 @@ struct InvocationResult {
 
 class GreenAccess {
 public:
-    /// Creates the platform with one accounting method for all charges.
-    explicit GreenAccess(std::unique_ptr<const ga::acct::Accountant> accountant);
-
-    /// Convenience building any registry accountant by spec.
-    static GreenAccess with_accountant(const ga::acct::AccountantSpec& spec);
+    /// Creates the platform with one registry accounting method for all
+    /// estimates and charges: the ledger's `Ledger::kDefaultCurrency`
+    /// currency is defined from `spec`.
+    explicit GreenAccess(const ga::acct::AccountantSpec& spec);
 
     /// Registers a machine (deploys an endpoint for it).
     void register_endpoint(const ga::machine::CatalogEntry& entry);
 
-    /// Creates a user with a fungible allocation in the method's unit.
+    /// Creates a user with a fungible allocation in the method's unit, held
+    /// in the ledger's `Ledger::kDefaultCurrency` currency.
     void create_user(const std::string& user, double budget);
 
     /// Prediction service: per-machine cost estimates for a work profile,
@@ -65,10 +65,6 @@ public:
     [[nodiscard]] const EndpointMonitor& monitor() const noexcept {
         return monitor_;
     }
-    [[nodiscard]] const ga::acct::Accountant& accountant() const noexcept {
-        return *accountant_;
-    }
-    [[nodiscard]] std::vector<std::string> endpoint_names() const;
 
 private:
     std::unique_ptr<const ga::acct::Accountant> accountant_;

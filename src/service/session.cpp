@@ -199,13 +199,10 @@ void ServeSession::price_job(const JobSpec& job, double priced_at,
                              std::span<MachineFigures> out) const {
     const auto scaling = predictor_->predict(job.counters);
     for (std::size_t c = 0; c < cluster_cfgs_.size(); ++c) {
-        const auto& scale = scaling[predictor_index_[c]];
-        ga::acct::JobUsage usage;
-        usage.duration_s = job.runtime_ic_s * scale.runtime_factor;
-        usage.energy_j =
-            usage.duration_s * (job.power_ic_w * scale.power_factor);
-        usage.cores = job.cores;
-        usage.priced_at_s = priced_at;
+        const auto usage =
+            ga::sim::scaled_usage(job.runtime_ic_s, job.power_ic_w,
+                                  scaling[predictor_index_[c]], job.cores,
+                                  priced_at);
         out[c] = MachineFigures{usage.duration_s, usage.energy_j,
                                 setup_->quotes[c](usage)};
     }

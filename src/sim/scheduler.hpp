@@ -35,6 +35,7 @@
 #include "core/accounting.hpp"
 #include "sim/policy.hpp"
 #include "sim/simulator.hpp"
+#include "workload/predictor.hpp"
 
 namespace ga::sim {
 
@@ -105,6 +106,21 @@ struct RunningJob {
     /// so a restored job holds what its restorer passes.
     double start_s = 0.0;
 };
+
+/// A job's usage on a cluster where its (user, app) pair scales by `s`,
+/// on `cores` cores, priced at `priced_at_s`: its IC runtime and power
+/// times the pair's factors there. Both drivers price and meter jobs
+/// through it, so their figures are the same doubles.
+[[nodiscard]] inline ga::acct::JobUsage scaled_usage(
+    double runtime_ic_s, double power_ic_w,
+    const ga::workload::MachineScaling& s, int cores, double priced_at_s) {
+    ga::acct::JobUsage usage;
+    usage.duration_s = runtime_ic_s * s.runtime_factor;
+    usage.energy_j = usage.duration_s * (power_ic_w * s.power_factor);
+    usage.cores = cores;
+    usage.priced_at_s = priced_at_s;
+    return usage;
+}
 
 /// The per-run configuration both drivers resolve the same way from
 /// `SimOptions` and a deployment. Immutable once built. The per-cluster

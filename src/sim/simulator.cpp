@@ -57,19 +57,6 @@ double scaled_runtime(const ga::workload::TraceJob& job,
     return job.runtime_ic_s * s.runtime_factor;
 }
 
-/// `job` on a cluster where its pair scales by `s`, with `cores` cores,
-/// priced at `at_s`: its IC runtime and power times the pair's factors.
-ga::acct::JobUsage scaled_usage(const ga::workload::TraceJob& job,
-                                const ga::workload::MachineScaling& s,
-                                int cores, double at_s) {
-    ga::acct::JobUsage usage;
-    usage.duration_s = scaled_runtime(job, s);
-    usage.energy_j = usage.duration_s * (job.power_ic_w * s.power_factor);
-    usage.cores = cores;
-    usage.priced_at_s = at_s;
-    return usage;
-}
-
 }  // namespace
 
 std::vector<ClusterConfig> default_clusters() {
@@ -267,7 +254,8 @@ QuoteTable BatchSimulator::quote_table(const QuoteKey& key) const {
         for (std::size_t c = 0; c < n_clusters; ++c) {
             if (job.cores > clusters_[c].total_cores()) continue;
             table.quotes[j * n_clusters + c] =
-                setup.quotes[c](scaled_usage(job, row[c], job.cores, now));
+                setup.quotes[c](scaled_usage(job.runtime_ic_s, job.power_ic_w,
+                                             row[c], job.cores, now));
             ++evaluated;
         }
     }
@@ -385,8 +373,8 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
         if (n_currencies == 0) return;
         const auto& job = jobs[j];
         const auto usage =
-            scaled_usage(job, scaling_row(job)[c], job.cores,
-                         job.submit_s / options.arrival_compression);
+            scaled_usage(job.runtime_ic_s, job.power_ic_w, scaling_row(job)[c],
+                         job.cores, job.submit_s / options.arrival_compression);
         for (std::size_t k = 0; k < n_currencies; ++k) {
             charges[k] = currency_quotes[k * n_clusters + c](usage);
         }
@@ -450,8 +438,9 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
             const std::size_t c = done.cluster;
             const std::size_t j = done.id;
             const auto& job = jobs[j];
-            const auto usage = scaled_usage(job, scaling_row(job)[c], done.cores,
-                                            done.start_s);
+            const auto usage =
+                scaled_usage(job.runtime_ic_s, job.power_ic_w,
+                             scaling_row(job)[c], done.cores, done.start_s);
             ++result.jobs_completed;
             result.work_core_hours += work_[j];
             result.energy_mwh += usage.energy_j / ga::util::kJoulesPerKwh / 1000.0;
@@ -509,7 +498,8 @@ void BatchSimulator::run_ladder_impl(std::span<const SimOptions> ladder,
             const ga::workload::MachineScaling* row = scaling_row(job);
             const auto choices = rs.core.route_view(
                 now, job.cores, [&](std::size_t m, MachineChoice& choice) {
-                    const auto usage = scaled_usage(job, row[m], job.cores, now);
+                    const auto usage = scaled_usage(
+                        job.runtime_ic_s, job.power_ic_w, row[m], job.cores, now);
                     choice.runtime_s = usage.duration_s;
                     choice.energy_j = usage.energy_j;
                     choice.cost = lead_quotes[j * n_clusters + m];

@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <cstdint>
+#include <string>
 
 #include "core/accounting.hpp"
 #include "core/allocation.hpp"
@@ -214,41 +215,49 @@ TEST(Allocation, ChargesAndRefuses) {
     EXPECT_THROW((void)a.charge(-1.0), ga::util::PreconditionError);
 }
 
+/// A ledger whose "credits" currency is priced in core-hours by Runtime
+/// accounting, with `user` holding `budget` of it.
+void credits_account(ac::Ledger& ledger, const std::string& user,
+                     double budget) {
+    ledger.define_currency("credits", {"Runtime", {}});
+    ledger.create_account(user, {{"credits", budget}});
+}
+
 TEST(Ledger, EndToEndCharge) {
     ac::Ledger ledger;
-    ledger.create_account("alice", 1000.0);
+    credits_account(ledger, "alice", 1000.0);
     EXPECT_TRUE(ledger.has_account("alice"));
     EXPECT_FALSE(ledger.has_account("bob"));
 
-    const ac::RuntimeAccounting acct;
     const auto& m = mc::find(mc::CatalogId::Desktop);
-    const double cost = ledger.charge("alice", acct, cpu_job(3600.0, 1.0, 2), m);
-    EXPECT_DOUBLE_EQ(cost, 2.0);
-    EXPECT_DOUBLE_EQ(ledger.spent("alice"), 2.0);
-    EXPECT_DOUBLE_EQ(ledger.remaining("alice"), 998.0);
+    const auto outcome = ledger.charge("alice", cpu_job(3600.0, 1.0, 2), m);
+    ASSERT_TRUE(outcome.admitted);
+    EXPECT_DOUBLE_EQ(outcome.costs.at("credits"), 2.0);
+    EXPECT_DOUBLE_EQ(ledger.spent("alice", "credits"), 2.0);
+    EXPECT_DOUBLE_EQ(ledger.remaining("alice", "credits"), 998.0);
     ASSERT_EQ(ledger.history().size(), 1u);
     EXPECT_EQ(ledger.history()[0].user, "alice");
     EXPECT_EQ(ledger.history()[0].machine, "Desktop");
-    EXPECT_DOUBLE_EQ(ledger.total_cost("alice"), 2.0);
+    EXPECT_DOUBLE_EQ(ledger.total_cost("alice", "credits"), 2.0);
 }
 
 TEST(Ledger, InsufficientBudgetChargesNothing) {
     ac::Ledger ledger;
-    ledger.create_account("carol", 1.0);
-    const ac::RuntimeAccounting acct;
+    credits_account(ledger, "carol", 1.0);
     const auto& m = mc::find(mc::CatalogId::Desktop);
-    EXPECT_DOUBLE_EQ(ledger.charge("carol", acct, cpu_job(3600.0, 0.0, 4), m),
-                     -1.0);
-    EXPECT_DOUBLE_EQ(ledger.spent("carol"), 0.0);
+    const auto outcome = ledger.charge("carol", cpu_job(3600.0, 0.0, 4), m);
+    EXPECT_FALSE(outcome.admitted);
+    EXPECT_EQ(outcome.refused_currency, "credits");
+    EXPECT_DOUBLE_EQ(ledger.spent("carol", "credits"), 0.0);
     EXPECT_TRUE(ledger.history().empty());
 }
 
 TEST(Ledger, UnknownUserThrows) {
     ac::Ledger ledger;
-    const ac::RuntimeAccounting acct;
     const auto& m = mc::find(mc::CatalogId::Desktop);
-    EXPECT_THROW((void)ledger.remaining("ghost"), ga::util::RuntimeError);
-    EXPECT_THROW((void)ledger.charge("ghost", acct, cpu_job(1, 1, 1), m),
+    EXPECT_THROW((void)ledger.remaining("ghost", "credits"),
+                 ga::util::RuntimeError);
+    EXPECT_THROW((void)ledger.charge("ghost", cpu_job(1, 1, 1), m),
                  ga::util::RuntimeError);
 }
 

@@ -10,6 +10,7 @@
 #include "faas/platform.hpp"
 #include "faas/rapl.hpp"
 #include "faas/telemetry.hpp"
+#include "kernels/kernel.hpp"
 #include "util/error.hpp"
 
 namespace {
@@ -205,7 +206,7 @@ TEST(Monitor, UnknownTaskHasZeroEnergy) {
 
 // ---------------------------------------------------------------- platform
 TEST(Platform, EndToEndSubmitAndCharge) {
-    auto platform = fs::GreenAccess::with_accountant({"EBA", {}});
+    fs::GreenAccess platform({"EBA", {}});
     platform.register_endpoint(mc::find(mc::CatalogId::Desktop));
     platform.register_endpoint(mc::find(mc::CatalogId::CascadeLake));
     platform.create_user("alice", 1e9);
@@ -217,12 +218,12 @@ TEST(Platform, EndToEndSubmitAndCharge) {
     EXPECT_EQ(r.machine, "Desktop");
     EXPECT_GT(r.measured_energy_j, 0.0);
     EXPECT_GT(r.cost, 0.0);
-    EXPECT_NEAR(platform.ledger().spent("alice"), r.cost, 1e-9);
+    EXPECT_NEAR(platform.ledger().spent("alice", "credits"), r.cost, 1e-9);
     ASSERT_EQ(platform.ledger().history().size(), 1u);
 }
 
 TEST(Platform, PredictionServiceRanks) {
-    auto platform = fs::GreenAccess::with_accountant({"EBA", {}});
+    fs::GreenAccess platform({"EBA", {}});
     for (const auto& e : mc::chameleon_cpu_nodes()) platform.register_endpoint(e);
     ga::machine::WorkProfile p{30e9, 1e6, 1.0};
     const auto ranked = platform.predict(p, 1);
@@ -234,7 +235,7 @@ TEST(Platform, PredictionServiceRanks) {
 }
 
 TEST(Platform, AccessControl) {
-    auto platform = fs::GreenAccess::with_accountant({"EBA", {}});
+    fs::GreenAccess platform({"EBA", {}});
     platform.register_endpoint(mc::find(mc::CatalogId::Desktop));
     ga::machine::WorkProfile p{1e9, 1e6, 1.0};
 
@@ -256,7 +257,7 @@ TEST(Platform, AccessControl) {
 }
 
 TEST(Platform, ExplicitMachineRouting) {
-    auto platform = fs::GreenAccess::with_accountant({"Runtime", {}});
+    fs::GreenAccess platform({"Runtime", {}});
     platform.register_endpoint(mc::find(mc::CatalogId::Desktop));
     platform.register_endpoint(mc::find(mc::CatalogId::Zen3));
     platform.create_user("carol", 1e9);
@@ -267,7 +268,7 @@ TEST(Platform, ExplicitMachineRouting) {
 }
 
 TEST(Platform, MultipleSubmissionsAccumulate) {
-    auto platform = fs::GreenAccess::with_accountant({"Energy", {}});
+    fs::GreenAccess platform({"Energy", {}});
     platform.register_endpoint(mc::find(mc::CatalogId::Desktop));
     platform.create_user("dave", 1e9);
     ga::machine::WorkProfile p{10e9, 1e6, 1.0};
@@ -277,8 +278,64 @@ TEST(Platform, MultipleSubmissionsAccumulate) {
         ASSERT_TRUE(r.accepted);
         total += r.cost;
     }
-    EXPECT_NEAR(platform.ledger().spent("dave"), total, 1e-9);
+    EXPECT_NEAR(platform.ledger().spent("dave", "credits"), total, 1e-9);
     EXPECT_EQ(platform.ledger().history().size(), 3u);
+}
+
+TEST(Platform, SettlementRefusesAChargeAboveTheRemainingBudget) {
+    // Admission checks the estimate, settlement charges the measured
+    // energy. MatMul on one core costs more measured than estimated under
+    // EBA, so a budget between the two figures admits the job and then
+    // refuses its charge.
+    const auto matmul = ga::kernels::make_matmul();
+    const auto profile = matmul->run(matmul->test_scale()).profile;
+    const auto deploy = [](fs::GreenAccess& platform, double budget) {
+        for (const auto& e : mc::chameleon_cpu_nodes()) {
+            platform.register_endpoint(e);
+        }
+        platform.create_user("frank", budget);
+    };
+
+    fs::GreenAccess probe({"EBA", {}});
+    deploy(probe, 1e9);
+    const double estimate = probe.predict(profile, 1).front().cost;
+    const auto paid = probe.submit("frank", profile, 1);
+    ASSERT_TRUE(paid.accepted) << paid.reject_reason;
+    ASSERT_LT(estimate, paid.cost);
+
+    fs::GreenAccess platform({"EBA", {}});
+    deploy(platform, 0.5 * (estimate + paid.cost));
+    const auto r = platform.submit("frank", profile, 1);
+    EXPECT_FALSE(r.accepted);
+    EXPECT_EQ(r.reject_reason, "allocation exhausted at settlement");
+    EXPECT_DOUBLE_EQ(platform.ledger().spent("frank", "credits"), 0.0);
+    EXPECT_TRUE(platform.ledger().history().empty());
+}
+
+TEST(Platform, LedgerSurvivesExportAndImport) {
+    // The platform's currency is defined from its spec, so a snapshot of
+    // its ledger re-binds it: the restored ledger prices the same usage on
+    // the same machine at the platform's cost.
+    fs::GreenAccess platform({"EBA", {}});
+    const auto& desktop = mc::find(mc::CatalogId::Desktop);
+    platform.register_endpoint(desktop);
+    platform.create_user("grace", 1e9);
+    const auto r = platform.submit("grace", {10e9, 1e6, 1.0}, 2);
+    ASSERT_TRUE(r.accepted) << r.reject_reason;
+    const auto history = platform.ledger().history();
+    ASSERT_EQ(history.size(), 1u);
+
+    ga::acct::Ledger restored;
+    restored.import_state(platform.ledger().export_state());
+    ga::acct::JobUsage usage;
+    usage.duration_s = history[0].duration_s;
+    usage.energy_j = history[0].energy_j;
+    usage.priced_at_s = history[0].priced_at_s;
+    usage.cores = history[0].cores;
+    usage.gpus = history[0].gpus;
+    const auto again = restored.charge("grace", usage, desktop);
+    ASSERT_TRUE(again.admitted);
+    EXPECT_EQ(again.costs.at("credits"), r.cost);
 }
 
 }  // namespace

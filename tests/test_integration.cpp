@@ -183,7 +183,7 @@ TEST(Fig7, CheapestEndpointShiftsWithTimeOfDay) {
 TEST(PlatformIntegration, KernelSubmissionThroughFullPipeline) {
     // Really execute a kernel, submit its profile through green-ACCESS, and
     // check the measured (monitor-attributed) energy lands near the model's.
-    auto platform = ga::faas::GreenAccess::with_accountant({"EBA", {}});
+    ga::faas::GreenAccess platform({"EBA", {}});
     platform.register_endpoint(mc::find(mc::CatalogId::Zen3));
     platform.create_user("scientist", 1e12);
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -40,6 +41,17 @@ void define_dual_currencies(ac::Ledger& ledger) {
     ledger.define_currency("gCO2e", {"CBA", {}});
 }
 
+/// Defines "credits", priced in core-hours by Runtime accounting: the one
+/// currency of the single-budget accounts below.
+void define_credits(ac::Ledger& ledger) {
+    ledger.define_currency("credits", {"Runtime", {}});
+}
+
+/// A single-budget account's holdings: `budget` credits.
+std::map<std::string, double> credits(double budget) {
+    return {{"credits", budget}};
+}
+
 // ------------------------------------------------------------- currencies
 TEST(LedgerCurrencies, DefinitionAndListing) {
     ac::Ledger ledger;
@@ -52,9 +64,13 @@ TEST(LedgerCurrencies, DefinitionAndListing) {
     EXPECT_THROW(
         ledger.define_currency("", {"Runtime", {}}),
         ga::util::PreconditionError);
-    EXPECT_THROW(ledger.define_currency(
-                     "x", std::shared_ptr<const ac::Accountant>{}),
+    // A binder that builds no accountant defines nothing.
+    const ac::AccountantBinder null_binder = [](const ac::AccountantSpec&) {
+        return std::unique_ptr<const ac::Accountant>{};
+    };
+    EXPECT_THROW(ledger.define_currency("x", {"Runtime", {}}, null_binder),
                  ga::util::PreconditionError);
+    EXPECT_FALSE(ledger.has_currency("x"));
 }
 
 // ------------------------------------------------- multi-currency accounts
@@ -68,9 +84,6 @@ TEST(LedgerAccounts, MultiCurrencyCreateAndPerCurrencyBalances) {
     EXPECT_DOUBLE_EQ(ledger.remaining("alice", "core-hours"), 5e4);
     EXPECT_DOUBLE_EQ(ledger.remaining("alice", "gCO2e"), 1e4);
     EXPECT_DOUBLE_EQ(ledger.spent("alice", "gCO2e"), 0.0);
-    // The single-holding convenience accessors refuse ambiguous accounts.
-    EXPECT_THROW((void)ledger.remaining("alice"), ga::util::RuntimeError);
-    EXPECT_THROW((void)ledger.spent("alice"), ga::util::RuntimeError);
     // Unknown users and unheld currencies throw.
     EXPECT_THROW((void)ledger.remaining("ghost", "gCO2e"),
                  ga::util::RuntimeError);
@@ -96,47 +109,49 @@ TEST(LedgerAccounts, IndexFollowsReplaceRecreateAndImport) {
     // creation order: a replaced account keeps its place, a re-created one
     // after an import is appended, and an import rebuilds the index.
     ac::Ledger ledger;
-    ledger.define_currency("credits", {"Runtime", {}});
+    define_credits(ledger);
     for (int i = 0; i < 200; ++i) {
-        ledger.create_account("u" + std::to_string(i), 1.0 + i);
+        ledger.create_account("u" + std::to_string(i), credits(1.0 + i));
     }
-    ledger.create_account("u57", 1000.0);  // replace in place
+    ledger.create_account("u57", credits(1000.0));  // replace in place
     const ac::LedgerState state = ledger.export_state();
     ASSERT_EQ(state.accounts.size(), 200u);
     for (int i = 0; i < 200; ++i) {
         const std::string user = "u" + std::to_string(i);
         EXPECT_EQ(state.accounts[static_cast<std::size_t>(i)].user, user);
-        EXPECT_DOUBLE_EQ(ledger.remaining(user), i == 57 ? 1000.0 : 1.0 + i);
+        EXPECT_DOUBLE_EQ(ledger.remaining(user, "credits"),
+                         i == 57 ? 1000.0 : 1.0 + i);
     }
     EXPECT_FALSE(ledger.has_account("u200"));
 
     // An import replaces every account: users only the old ledger held are
     // gone, and the imported ones are found at their positions.
     ac::Ledger restored;
-    restored.define_currency("credits", {"Runtime", {}});
-    restored.create_account("old", 5.0);
+    define_credits(restored);
+    restored.create_account("old", credits(5.0));
     restored.import_state(state);
     EXPECT_FALSE(restored.has_account("old"));
     EXPECT_EQ(restored.export_state(), state);
     for (int i = 0; i < 200; ++i) {
         const std::string user = "u" + std::to_string(i);
-        EXPECT_DOUBLE_EQ(restored.remaining(user), i == 57 ? 1000.0 : 1.0 + i);
+        EXPECT_DOUBLE_EQ(restored.remaining(user, "credits"),
+                         i == 57 ? 1000.0 : 1.0 + i);
     }
-    restored.create_account("u3", 7.0);  // replace an imported account
-    restored.create_account("old", 9.0);  // re-create a dropped user
+    restored.create_account("u3", credits(7.0));  // replace an imported account
+    restored.create_account("old", credits(9.0));  // re-create a dropped user
     const ac::LedgerState after = restored.export_state();
     ASSERT_EQ(after.accounts.size(), 201u);
     EXPECT_EQ(after.accounts[3].user, "u3");
     EXPECT_DOUBLE_EQ(after.accounts[3].holdings.front().second.budget, 7.0);
     EXPECT_EQ(after.accounts.back().user, "old");
-    EXPECT_DOUBLE_EQ(restored.remaining("old"), 9.0);
+    EXPECT_DOUBLE_EQ(restored.remaining("old", "credits"), 9.0);
 
     // A refused import leaves the accounts and their index as they were.
     ac::LedgerState duplicate = state;
     duplicate.accounts.push_back(duplicate.accounts.front());
     EXPECT_THROW(restored.import_state(duplicate), ga::util::RuntimeError);
     EXPECT_EQ(restored.export_state(), after);
-    EXPECT_DOUBLE_EQ(restored.remaining("old"), 9.0);
+    EXPECT_DOUBLE_EQ(restored.remaining("old", "credits"), 9.0);
 }
 
 /// Runtime accounting at twice the price: what a binder returns in place of
@@ -168,7 +183,7 @@ TEST(LedgerCurrencies, BinderBuildsTheAccountantAndKeepsTheSpec) {
     ac::Ledger ledger;
     ledger.define_currency("credits", {"Runtime", {}}, doubled);
     EXPECT_EQ(binds, 1);
-    ledger.create_account("alice", 100.0);
+    ledger.create_account("alice", credits(100.0));
     // 2 cores x 1 h = 2 core-hours, doubled.
     const auto charged = [&m](ac::Ledger& l) {
         return l.charge("alice", cpu_job(3600.0, 1.0, 2), m).costs.at("credits");
@@ -247,16 +262,28 @@ public:
                   const ga::machine::CatalogEntry&) const override {
         return -1.0;
     }
-    std::string_view name() const noexcept override { return "Rebate"; }
+    std::string_view name() const noexcept override { return "NegativePricer"; }
     std::string_view unit() const noexcept override { return "r"; }
 };
+
+/// Registers `NegativePricer` once per process.
+void register_negative_pricer() {
+    auto& accountants = ac::AccountantRegistry::global();
+    if (!accountants.contains("NegativePricer")) {
+        accountants.register_accountant(
+            "NegativePricer", [](const ac::AccountantSpec&) {
+                return std::make_unique<NegativePricer>();
+            });
+    }
+}
 
 TEST(LedgerCharge, NegativeQuoteIsRejectedBeforeAnyDebit) {
     // All-or-nothing must survive a custom accountant quoting a negative
     // cost: the charge throws and no holding is touched, no history written.
+    register_negative_pricer();
     ac::Ledger ledger;
     ledger.define_currency("core-hours", {"Runtime", {}});
-    ledger.define_currency("rebate", std::make_shared<NegativePricer>());
+    ledger.define_currency("rebate", {"NegativePricer", {}});
     ledger.create_account("alice", {{"core-hours", 100.0}, {"rebate", 1.0}});
     const auto& m = mc::find(mc::CatalogId::Desktop);
     EXPECT_THROW((void)ledger.charge("alice", cpu_job(3600.0, 1.0, 2), m),
@@ -278,37 +305,40 @@ TEST(LedgerCharge, HeldCurrencyWithoutAccountantThrows) {
 // ------------------------------------------------------------- edge cases
 TEST(LedgerEdge, ExactBudgetChargeSucceedsAndExhaustsTheAllocation) {
     ac::Ledger ledger;
-    ledger.create_account("dan", 4.0);  // exactly one 4-core-hour job
-    const ac::RuntimeAccounting runtime;
+    define_credits(ledger);
+    ledger.create_account("dan", credits(4.0));  // exactly one 4-core-hour job
     const auto& m = mc::find(mc::CatalogId::Desktop);
-    EXPECT_DOUBLE_EQ(ledger.charge("dan", runtime, cpu_job(3600.0, 1.0, 4), m),
-                     4.0);
-    EXPECT_DOUBLE_EQ(ledger.remaining("dan"), 0.0);
+    const auto exact = ledger.charge("dan", cpu_job(3600.0, 1.0, 4), m);
+    ASSERT_TRUE(exact.admitted);
+    EXPECT_DOUBLE_EQ(exact.costs.at("credits"), 4.0);
+    EXPECT_DOUBLE_EQ(ledger.remaining("dan", "credits"), 0.0);
     // The next non-free job is refused; a zero-cost job still fits.
-    EXPECT_DOUBLE_EQ(ledger.charge("dan", runtime, cpu_job(3600.0, 1.0, 1), m),
-                     -1.0);
-    EXPECT_DOUBLE_EQ(ledger.charge("dan", runtime, cpu_job(0.0, 0.0, 1), m),
-                     0.0);
+    const auto refused = ledger.charge("dan", cpu_job(3600.0, 1.0, 1), m);
+    EXPECT_FALSE(refused.admitted);
+    EXPECT_EQ(refused.refused_currency, "credits");
+    const auto zero_cost = ledger.charge("dan", cpu_job(0.0, 0.0, 1), m);
+    ASSERT_TRUE(zero_cost.admitted);
+    EXPECT_DOUBLE_EQ(zero_cost.costs.at("credits"), 0.0);
 }
 
 TEST(LedgerEdge, ChargeAfterFailedChargeIsUnaffected) {
     ac::Ledger ledger;
-    ledger.create_account("erin", 10.0);
-    const ac::RuntimeAccounting runtime;
+    define_credits(ledger);
+    ledger.create_account("erin", credits(10.0));
     const auto& m = mc::find(mc::CatalogId::Desktop);
     // A 16-core-hour job bounces off the 10 core-hour budget...
-    EXPECT_DOUBLE_EQ(
-        ledger.charge("erin", runtime, cpu_job(3600.0, 1.0, 16), m), -1.0);
-    EXPECT_DOUBLE_EQ(ledger.spent("erin"), 0.0);
+    EXPECT_FALSE(ledger.charge("erin", cpu_job(3600.0, 1.0, 16), m).admitted);
+    EXPECT_DOUBLE_EQ(ledger.spent("erin", "credits"), 0.0);
     EXPECT_TRUE(ledger.history().empty());
     // ...and a fitting job afterwards is charged exactly as if the failed
     // attempt never happened, with transaction ids still dense from 1.
-    EXPECT_DOUBLE_EQ(ledger.charge("erin", runtime, cpu_job(3600.0, 1.0, 8), m),
-                     8.0);
+    const auto fitting = ledger.charge("erin", cpu_job(3600.0, 1.0, 8), m);
+    ASSERT_TRUE(fitting.admitted);
+    EXPECT_DOUBLE_EQ(fitting.costs.at("credits"), 8.0);
     const auto history = ledger.history();
     ASSERT_EQ(history.size(), 1u);
     EXPECT_EQ(history[0].id, 1u);
-    EXPECT_DOUBLE_EQ(ledger.remaining("erin"), 2.0);
+    EXPECT_DOUBLE_EQ(ledger.remaining("erin", "credits"), 2.0);
 }
 
 // ---------------------------------------------------------------- refunds
@@ -346,11 +376,11 @@ TEST(LedgerRefund, RecordsANegativeTransactionAndRestoresTheBudget) {
 
 TEST(LedgerRefund, RejectsUnknownUsersForeignIdsAndDoubleRefunds) {
     ac::Ledger ledger;
-    ledger.create_account("alice", 100.0);
-    ledger.create_account("bob", 100.0);
-    const ac::RuntimeAccounting runtime;
+    define_credits(ledger);
+    ledger.create_account("alice", credits(100.0));
+    ledger.create_account("bob", credits(100.0));
     const auto& m = mc::find(mc::CatalogId::Desktop);
-    (void)ledger.charge("alice", runtime, cpu_job(3600.0, 1.0, 2), m);
+    (void)ledger.charge("alice", cpu_job(3600.0, 1.0, 2), m);
     const auto tx = ledger.history().front().id;
 
     // Unknown user, unknown id, and someone else's transaction all throw.
@@ -363,12 +393,12 @@ TEST(LedgerRefund, RejectsUnknownUsersForeignIdsAndDoubleRefunds) {
     EXPECT_THROW((void)ledger.refund("alice", tx), ga::util::RuntimeError);
     EXPECT_THROW((void)ledger.refund("alice", refund_id),
                  ga::util::RuntimeError);
-    EXPECT_DOUBLE_EQ(ledger.spent("alice"), 0.0);
+    EXPECT_DOUBLE_EQ(ledger.spent("alice", "credits"), 0.0);
 
     // Zero-cost regression: the refund of a 0-cost charge records -0.0,
     // which a cost-sign guard would accept for another refund; the
     // refund_of back-pointer must reject it.
-    (void)ledger.charge("alice", runtime, cpu_job(0.0, 0.0, 1), m);
+    (void)ledger.charge("alice", cpu_job(0.0, 0.0, 1), m);
     const auto zero_tx = ledger.history().back().id;
     const auto zero_refund = ledger.refund("alice", zero_tx);
     EXPECT_THROW((void)ledger.refund("alice", zero_refund),
@@ -379,22 +409,22 @@ TEST(LedgerRefund, TransactionsFromAReplacedAccountAreNotRefundable) {
     // Refunding a charge made against a *previous* incarnation of the
     // account would credit the fresh allocation for spend it never made.
     ac::Ledger ledger;
-    ledger.create_account("fred", 100.0);
-    const ac::RuntimeAccounting runtime;
+    define_credits(ledger);
+    ledger.create_account("fred", credits(100.0));
     const auto& m = mc::find(mc::CatalogId::Desktop);
-    (void)ledger.charge("fred", runtime, cpu_job(3600.0, 1.0, 50), m);
+    (void)ledger.charge("fred", cpu_job(3600.0, 1.0, 50), m);
     const auto old_tx = ledger.history().back().id;
 
-    ledger.create_account("fred", 100.0);  // replaces the account
-    (void)ledger.charge("fred", runtime, cpu_job(3600.0, 1.0, 60), m);
+    ledger.create_account("fred", credits(100.0));  // replaces the account
+    (void)ledger.charge("fred", cpu_job(3600.0, 1.0, 60), m);
     const auto new_tx = ledger.history().back().id;
 
     EXPECT_THROW((void)ledger.refund("fred", old_tx), ga::util::RuntimeError);
-    EXPECT_DOUBLE_EQ(ledger.spent("fred"), 60.0);
+    EXPECT_DOUBLE_EQ(ledger.spent("fred", "credits"), 60.0);
     // Charges on the current incarnation stay refundable.
     (void)ledger.refund("fred", new_tx);
-    EXPECT_DOUBLE_EQ(ledger.spent("fred"), 0.0);
-    EXPECT_DOUBLE_EQ(ledger.remaining("fred"), 100.0);
+    EXPECT_DOUBLE_EQ(ledger.spent("fred", "credits"), 0.0);
+    EXPECT_DOUBLE_EQ(ledger.remaining("fred", "credits"), 100.0);
 }
 
 // ------------------------------------------------------------ concurrency
@@ -406,26 +436,25 @@ TEST(LedgerConcurrency, ConcurrentChargesSumExactly) {
     constexpr int kThreads = 8;
     constexpr int kJobsPerThread = 200;
     constexpr double kBudget = kThreads * kJobsPerThread;  // all admit
-    ledger.create_account("team", kBudget);
-    const ac::RuntimeAccounting runtime;
+    define_credits(ledger);
+    ledger.create_account("team", credits(kBudget));
     const auto& m = mc::find(mc::CatalogId::Desktop);
 
     std::vector<std::thread> workers;
     for (int t = 0; t < kThreads; ++t) {
         workers.emplace_back([&] {
             for (int i = 0; i < kJobsPerThread; ++i) {
-                (void)ledger.charge("team", runtime, cpu_job(3600.0, 1.0, 1),
-                                    m);
+                (void)ledger.charge("team", cpu_job(3600.0, 1.0, 1), m);
             }
         });
     }
     for (auto& w : workers) w.join();
 
-    EXPECT_DOUBLE_EQ(ledger.spent("team"), kBudget);
-    EXPECT_DOUBLE_EQ(ledger.remaining("team"), 0.0);
+    EXPECT_DOUBLE_EQ(ledger.spent("team", "credits"), kBudget);
+    EXPECT_DOUBLE_EQ(ledger.remaining("team", "credits"), 0.0);
     EXPECT_EQ(ledger.history().size(),
               static_cast<std::size_t>(kThreads * kJobsPerThread));
-    EXPECT_DOUBLE_EQ(ledger.total_cost("team"), kBudget);
+    EXPECT_DOUBLE_EQ(ledger.total_cost("team", "credits"), kBudget);
 }
 
 TEST(LedgerConcurrency, OverSubscribedBudgetNeverOverdraftsUnderContention) {
@@ -435,22 +464,21 @@ TEST(LedgerConcurrency, OverSubscribedBudgetNeverOverdraftsUnderContention) {
     constexpr int kThreads = 8;
     constexpr int kJobsPerThread = 100;
     constexpr double kBudget = kThreads * kJobsPerThread / 2.0;
-    ledger.create_account("team", kBudget);
-    const ac::RuntimeAccounting runtime;
+    define_credits(ledger);
+    ledger.create_account("team", credits(kBudget));
     const auto& m = mc::find(mc::CatalogId::Desktop);
 
     std::vector<std::thread> workers;
     for (int t = 0; t < kThreads; ++t) {
         workers.emplace_back([&] {
             for (int i = 0; i < kJobsPerThread; ++i) {
-                (void)ledger.charge("team", runtime, cpu_job(3600.0, 1.0, 1),
-                                    m);
+                (void)ledger.charge("team", cpu_job(3600.0, 1.0, 1), m);
             }
         });
     }
     for (auto& w : workers) w.join();
 
-    EXPECT_DOUBLE_EQ(ledger.spent("team"), kBudget);
+    EXPECT_DOUBLE_EQ(ledger.spent("team", "credits"), kBudget);
     EXPECT_EQ(ledger.history().size(), static_cast<std::size_t>(kBudget));
 }
 
@@ -503,15 +531,15 @@ TEST(LedgerConcurrency, MixedTrafficSweepAcrossThreadCounts) {
         std::sort(ladder.begin(), ladder.end());
     }
 
-    const ac::RuntimeAccounting runtime;
     const auto& m = mc::find(mc::CatalogId::Desktop);
     constexpr int kOps = 150;
     constexpr double kBudget = 100.0;  // < kOps, so refusals happen
 
     for (const unsigned threads : ladder) {
         ac::Ledger ledger;
+        define_credits(ledger);
         for (unsigned t = 0; t < threads; ++t) {
-            ledger.create_account("u" + std::to_string(t), kBudget);
+            ledger.create_account("u" + std::to_string(t), credits(kBudget));
         }
 
         std::vector<std::size_t> kept(threads, 0);
@@ -522,8 +550,8 @@ TEST(LedgerConcurrency, MixedTrafficSweepAcrossThreadCounts) {
         // readable (and internally consistent) mid-traffic.
         std::thread reader([&] {
             while (!done.load(std::memory_order_relaxed)) {
-                const double spent = ledger.spent("u0");
-                const double remaining = ledger.remaining("u0");
+                const double spent = ledger.spent("u0", "credits");
+                const double remaining = ledger.remaining("u0", "credits");
                 EXPECT_GE(spent, 0.0);
                 EXPECT_GE(remaining, 0.0);
                 EXPECT_LE(spent, kBudget);
@@ -537,9 +565,10 @@ TEST(LedgerConcurrency, MixedTrafficSweepAcrossThreadCounts) {
             workers.emplace_back([&, t] {
                 const std::string user = "u" + std::to_string(t);
                 for (int i = 0; i < kOps; ++i) {
-                    const double cost = ledger.charge(
-                        user, runtime, cpu_job(3600.0, 1.0, 1), m);
-                    if (cost < 0.0) continue;  // refused: budget exhausted
+                    if (!ledger.charge(user, cpu_job(3600.0, 1.0, 1), m)
+                             .admitted) {
+                        continue;  // refused: budget exhausted
+                    }
                     if (i % 3 == 2) {
                         // Refund the charge just made. This worker is the
                         // only writer for `user`, so the newest transaction
@@ -570,10 +599,10 @@ TEST(LedgerConcurrency, MixedTrafficSweepAcrossThreadCounts) {
             const std::string user = "u" + std::to_string(t);
             const auto net = static_cast<double>(kept[t]);
             // Exact sums: every charge is 1.0, every refund -1.0.
-            EXPECT_DOUBLE_EQ(ledger.spent(user), net)
+            EXPECT_DOUBLE_EQ(ledger.spent(user, "credits"), net)
                 << threads << " threads, user " << user;
-            EXPECT_DOUBLE_EQ(ledger.remaining(user), kBudget - net);
-            EXPECT_DOUBLE_EQ(ledger.total_cost(user), net);
+            EXPECT_DOUBLE_EQ(ledger.remaining(user, "credits"), kBudget - net);
+            EXPECT_DOUBLE_EQ(ledger.total_cost(user, "credits"), net);
             EXPECT_LE(net, kBudget);
             // One entry per admitted charge, one per refund.
             expected_history += kept[t] + 2 * refunded[t];

@@ -301,22 +301,6 @@ TEST(LedgerState, ExportImportRoundTrip) {
     EXPECT_EQ(outcome.transactions.front(), state.ledger.next_id);
 }
 
-TEST(LedgerState, RawAccountantIsNotSnapshottable) {
-    Ledger ledger;
-    ledger.define_currency(
-        "credits",
-        ga::acct::AccountantRegistry::global().make(AccountantSpec{"EBA", {}}));
-    ledger.create_account("alice", 100.0);
-    try {
-        (void)ledger.export_state();
-        FAIL() << "expected RuntimeError";
-    } catch (const RuntimeError& e) {
-        EXPECT_NE(std::string_view(e.what()).find("not snapshottable"),
-                  std::string_view::npos)
-            << e.what();
-    }
-}
-
 TEST(LedgerState, ImportRejectsTamperedStates) {
     const LedgerState good = sample_state().ledger;
 
