@@ -124,8 +124,9 @@ int main() {
     const ga::sim::BatchSimulator simulator(ga::workload::build_workload(options));
     ga::sim::SweepRunner runner(simulator);
     ga::sim::SweepGrid mixed_grid;
-    mixed_grid.policies = {{"Mixed", {}}};
-    mixed_grid.mixed_thresholds = {1.25, 1.5, 2.0, 4.0, 100.0};
+    for (const double threshold : {1.25, 1.5, 2.0, 4.0, 100.0}) {
+        mixed_grid.policies.push_back({"Mixed", {{"threshold", threshold}}});
+    }
     ga::util::TablePrinter mixed_table(
         {"Threshold", "Cost", "Makespan (d)", "Energy (MWh)"});
     for (const auto& outcome : runner.run(mixed_grid)) {

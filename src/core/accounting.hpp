@@ -238,7 +238,6 @@ public:
         const JobUsage& usage, const ga::machine::CatalogEntry& m);
 
     [[nodiscard]] double beta() const noexcept { return beta_; }
-    [[nodiscard]] bool applies_pue() const noexcept { return apply_pue_; }
 
 private:
     double beta_;

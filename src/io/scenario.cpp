@@ -170,29 +170,18 @@ ga::sim::CurrencyBudget get_currency_budget(const JsonValue& v,
     return cb;
 }
 
-/// Reads "options". Older spellings: "policy_spec" and "accountant_spec"
-/// set the policy and the pricing, and "mixed_threshold" lands in
-/// `mixed_default` for scenario_from_json to apply to every Mixed spec.
-ga::sim::SimOptions get_options(const JsonValue& v, const std::string& path,
-                                std::optional<double>& mixed_default) {
+ga::sim::SimOptions get_options(const JsonValue& v, const std::string& path) {
     expect_object(v, path);
     check_keys(v, path,
-               {"policy", "policy_spec", "pricing", "accountant_spec",
-                "currency_budgets", "budget", "mixed_threshold",
+               {"policy", "pricing", "currency_budgets", "budget",
                 "regional_grids", "grid_seed", "arrival_compression",
                 "outage"});
     ga::sim::SimOptions options;
-    // "policy_spec" and "accountant_spec" are older spellings of "policy"
-    // and "pricing"; when a file gives both, the older key wins.
-    for (const char* key : {"policy", "policy_spec"}) {
-        if (const JsonValue* f = v.find(key)) {
-            options.policy = get_policy_spec(*f, path + "." + key);
-        }
+    if (const JsonValue* f = v.find("policy")) {
+        options.policy = get_policy_spec(*f, path + ".policy");
     }
-    for (const char* key : {"pricing", "accountant_spec"}) {
-        if (const JsonValue* f = v.find(key)) {
-            options.pricing = get_accountant_spec(*f, path + "." + key);
-        }
+    if (const JsonValue* f = v.find("pricing")) {
+        options.pricing = get_accountant_spec(*f, path + ".pricing");
     }
     if (const JsonValue* f = v.find("currency_budgets")) {
         const auto& entries = get_array(*f, path + ".currency_budgets");
@@ -204,9 +193,6 @@ ga::sim::SimOptions get_options(const JsonValue& v, const std::string& path,
     }
     if (const JsonValue* f = v.find("budget")) {
         options.budget = get_number(*f, path + ".budget");
-    }
-    if (const JsonValue* f = v.find("mixed_threshold")) {
-        mixed_default = get_number(*f, path + ".mixed_threshold");
     }
     if (const JsonValue* f = v.find("regional_grids")) {
         options.regional_grids = get_bool(*f, path + ".regional_grids");
@@ -230,23 +216,21 @@ void load_grid_axes(const JsonValue& v, const std::string& path,
                     ga::sim::SweepGrid& grid) {
     expect_object(v, path);
     check_keys(v, path,
-               {"policies", "policy_specs", "pricings", "accountant_specs",
-                "budgets", "mixed_thresholds", "regional_grids", "grid_seeds",
-                "arrival_compressions", "outages"});
+               {"policies", "pricings", "accountant_specs", "budgets",
+                "regional_grids", "grid_seeds", "arrival_compressions",
+                "outages"});
     const auto element = [&path](const std::string& axis, std::size_t i) {
         return path + "." + axis + "[" + std::to_string(i) + "]";
     };
-    // "policy_specs" and "accountant_specs" are older spellings that
-    // continue the "policies" and "pricings" axes.
-    for (const char* axis : {"policies", "policy_specs"}) {
-        if (const JsonValue* f = v.find(axis)) {
-            const auto& items = get_array(*f, path + "." + axis);
-            for (std::size_t i = 0; i < items.size(); ++i) {
-                grid.policies.push_back(
-                    get_policy_spec(items[i], element(axis, i)));
-            }
+    if (const JsonValue* f = v.find("policies")) {
+        const auto& items = get_array(*f, path + ".policies");
+        for (std::size_t i = 0; i < items.size(); ++i) {
+            grid.policies.push_back(
+                get_policy_spec(items[i], element("policies", i)));
         }
     }
+    // "accountant_specs", an older spelling, continues the "pricings" axis.
+    // perfbench/workloads.py's sim_small scenario still writes it.
     for (const char* axis : {"pricings", "accountant_specs"}) {
         if (const JsonValue* f = v.find(axis)) {
             const auto& items = get_array(*f, path + "." + axis);
@@ -261,13 +245,6 @@ void load_grid_axes(const JsonValue& v, const std::string& path,
         for (std::size_t i = 0; i < items.size(); ++i) {
             grid.budgets.push_back(
                 get_number(items[i], element("budgets", i)));
-        }
-    }
-    if (const JsonValue* f = v.find("mixed_thresholds")) {
-        const auto& items = get_array(*f, path + ".mixed_thresholds");
-        for (std::size_t i = 0; i < items.size(); ++i) {
-            grid.mixed_thresholds.push_back(
-                get_number(items[i], element("mixed_thresholds", i)));
         }
     }
     if (const JsonValue* f = v.find("regional_grids")) {
@@ -479,23 +456,11 @@ ScenarioFile scenario_from_json(const JsonValue& root) {
     if (const JsonValue* f = root.find("workload")) {
         scenario.workload = get_workload(*f, "workload");
     }
-    std::optional<double> mixed_default;
     if (const JsonValue* f = root.find("options")) {
-        scenario.grid.base = get_options(*f, "options", mixed_default);
+        scenario.grid.base = get_options(*f, "options");
     }
     if (const JsonValue* f = root.find("grid")) {
         load_grid_axes(*f, "grid", scenario.grid);
-    }
-    if (mixed_default.has_value()) {
-        // The older options key: the threshold of every Mixed spec in the
-        // file that does not set its own.
-        const auto apply = [&](ga::sim::PolicySpec& spec) {
-            if (spec.name == "Mixed") {
-                spec.params.emplace("threshold", *mixed_default);
-            }
-        };
-        apply(scenario.grid.base.policy);
-        for (auto& spec : scenario.grid.policies) apply(spec);
     }
     return scenario;
 }
@@ -545,11 +510,6 @@ JsonValue scenario_to_json(const ScenarioFile& scenario) {
         JsonValue::Array items;
         for (const auto b : grid.budgets) items.emplace_back(b);
         axes.set("budgets", JsonValue(std::move(items)));
-    }
-    if (!grid.mixed_thresholds.empty()) {
-        JsonValue::Array items;
-        for (const auto t : grid.mixed_thresholds) items.emplace_back(t);
-        axes.set("mixed_thresholds", JsonValue(std::move(items)));
     }
     if (!grid.regional_grids.empty()) {
         JsonValue::Array items;

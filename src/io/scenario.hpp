@@ -27,17 +27,16 @@
 // "budget", "regional_grids", "grid_seed", "arrival_compression", "outage"
 // ({"cluster", "at_s", "nodes_lost"} or null), and "currency_budgets"
 // ([{"currency", "accountant", "budget"}, ...]). "grid" carries every
-// `SweepGrid` axis: "policies", "pricings", "budgets", "mixed_thresholds",
-// "regional_grids", "grid_seeds", "arrival_compressions", "outages".
-// Policy/accountant specs are written either as a label string ("Mixed",
-// "Mixed(threshold=1.5)", parsed by ga::util::parse_spec) or as
-// {"name": ..., "params": {...}}; spec names are validated against the
-// live registries at load time, so register custom strategies before
-// loading.
+// `SweepGrid` axis: "policies", "pricings", "budgets", "regional_grids",
+// "grid_seeds", "arrival_compressions", "outages". Policy/accountant specs
+// are written either as a label string ("Mixed", "Mixed(threshold=1.5)",
+// parsed by ga::util::parse_spec) or as {"name": ..., "params": {...}};
+// a parameter sweep is one spec per value. Spec names are validated
+// against the live registries at load time, so register custom strategies
+// before loading.
 //
-// Older spellings of the policy and pricing keys still load, each mapped
-// onto the keys above (listed in scenario.cpp and the README's schema);
-// the writer emits only the keys above.
+// One older spelling still loads: "grid.accountant_specs" continues
+// "grid.pricings". The writer emits only the keys above.
 //
 // Loading is strict: unknown keys, wrong types, unknown names, and
 // malformed specs all throw ga::util::RuntimeError naming the offending

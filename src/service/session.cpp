@@ -121,6 +121,12 @@ ServeSession::ServeSession(ga::io::ScenarioFile scenario,
                 "' does not match the configured deployment");
         }
     }
+    // Quotes price with the scenario's currencies, so the ledger must
+    // charge with the same ones.
+    if (state.ledger.currencies != ledger_.export_state().currencies) {
+        throw ga::util::RuntimeError(
+            "snapshot: ledger currencies do not match the scenario's");
+    }
     ledger_.import_state(state.ledger, currency_binder());
     clock_ = state.clock_s;
     next_seq_ = state.next_seq;

@@ -73,9 +73,9 @@ public:
     explicit ServeSession(ga::io::ScenarioFile scenario);
 
     /// Restored session: same scenario, state from a snapshot. Throws
-    /// RuntimeError when the snapshot's configuration fingerprint or
-    /// cluster layout does not match the scenario — replaying requests
-    /// against a different configuration would silently diverge.
+    /// RuntimeError when the snapshot's configuration fingerprint, cluster
+    /// layout or ledger currencies do not match the scenario — replaying
+    /// requests against a different configuration would silently diverge.
     ServeSession(ga::io::ScenarioFile scenario, const SessionState& state);
 
     ServeSession(const ServeSession&) = delete;

@@ -46,29 +46,23 @@ std::string format_number(double v) {
 }
 
 /// Label for one grid point: policy and pricing always, other axes only
-/// when the grid actually sweeps them (explicitly-set axis).
-std::string make_label(const std::string& policy_label, const SimOptions& o,
-                       bool with_budget, std::optional<double> threshold,
-                       bool with_regional, bool with_seed,
-                       bool with_compression, bool with_outage) {
-    std::string label = policy_label + "/" + o.pricing.label();
-    if (with_budget) {
+/// when `grid` actually sweeps them (explicitly-set axis).
+std::string make_label(const SimOptions& o, const SweepGrid& grid) {
+    std::string label = o.policy.label() + "/" + o.pricing.label();
+    if (!grid.budgets.empty()) {
         label += o.budget > 0.0 ? "/budget=" + format_number(o.budget)
                                 : "/unbudgeted";
     }
-    if (threshold.has_value()) {
-        label += "/mixed=" + format_number(*threshold);
-    }
-    if (with_regional) {
+    if (!grid.regional_grids.empty()) {
         label += o.regional_grids ? "/regional" : "/flat";
     }
-    if (with_seed) {
+    if (!grid.grid_seeds.empty()) {
         label += "/seed=" + std::to_string(o.grid_seed);
     }
-    if (with_compression) {
+    if (!grid.arrival_compressions.empty()) {
         label += "/burst=" + format_number(o.arrival_compression);
     }
-    if (with_outage) {
+    if (!grid.outages.empty()) {
         if (o.outage.has_value()) {
             label += "/outage[c" + std::to_string(o.outage->cluster) + "-" +
                      std::to_string(o.outage->nodes_lost) + "n@" +
@@ -270,18 +264,14 @@ void run_on(ga::util::ThreadPool& pool, std::size_t n,
 std::size_t SweepGrid::size() const noexcept {
     const auto dim = [](std::size_t n) { return n == 0 ? std::size_t{1} : n; };
     return dim(policies.size()) * dim(pricings.size()) * dim(budgets.size()) *
-           dim(mixed_thresholds.size()) * dim(regional_grids.size()) *
-           dim(grid_seeds.size()) * dim(arrival_compressions.size()) *
-           dim(outages.size());
+           dim(regional_grids.size()) * dim(grid_seeds.size()) *
+           dim(arrival_compressions.size()) * dim(outages.size());
 }
 
 std::vector<ScenarioSpec> SweepGrid::expand() const {
     const auto ps = axis_or(policies, base.policy);
     const auto ms = axis_or(pricings, base.pricing);
     const auto bs = axis_or(budgets, base.budget);
-    std::vector<std::optional<double>> ts(mixed_thresholds.begin(),
-                                         mixed_thresholds.end());
-    if (ts.empty()) ts.emplace_back();  // unswept: specs run as written
     const auto rs = axis_or(regional_grids, base.regional_grids);
     const auto ss = axis_or(grid_seeds, base.grid_seed);
     const auto cs = axis_or(arrival_compressions, base.arrival_compression);
@@ -292,49 +282,25 @@ std::vector<ScenarioSpec> SweepGrid::expand() const {
     for (const auto& policy : ps)
         for (const auto& pricing : ms)
             for (const auto budget : bs)
-                for (const auto threshold : ts)
-                    for (const bool regional : rs)
-                        for (const auto seed : ss)
-                            for (const auto compression : cs)
-                                for (const auto& outage : os) {
-                                    ScenarioSpec spec;
-                                    // Start from the base so axis-less
-                                    // fields (currency_budgets, ...) reach
-                                    // every scenario; axes override below.
-                                    spec.options = base;
-                                    spec.options.policy = policy;
-                                    spec.options.pricing = pricing;
-                                    spec.options.budget = budget;
-                                    spec.options.regional_grids = regional;
-                                    spec.options.grid_seed = seed;
-                                    spec.options.arrival_compression =
-                                        compression;
-                                    spec.options.outage = outage;
-                                    // A swept threshold runs on every
-                                    // "Mixed" point; the label keeps the
-                                    // spec as written, so only a written
-                                    // threshold shows the swept value.
-                                    std::string policy_label = policy.label();
-                                    if (threshold.has_value() &&
-                                        policy.name == "Mixed") {
-                                        spec.options.policy.params
-                                            .insert_or_assign("threshold",
-                                                              *threshold);
-                                        if (policy.params.contains(
-                                                "threshold")) {
-                                            policy_label =
-                                                spec.options.policy.label();
-                                        }
-                                    }
-                                    spec.label = make_label(
-                                        policy_label, spec.options,
-                                        !budgets.empty(), threshold,
-                                        !regional_grids.empty(),
-                                        !grid_seeds.empty(),
-                                        !arrival_compressions.empty(),
-                                        !outages.empty());
-                                    specs.push_back(std::move(spec));
-                                }
+                for (const bool regional : rs)
+                    for (const auto seed : ss)
+                        for (const auto compression : cs)
+                            for (const auto& outage : os) {
+                                ScenarioSpec spec;
+                                // Start from the base so axis-less fields
+                                // (currency_budgets, ...) reach every
+                                // scenario; axes override below.
+                                spec.options = base;
+                                spec.options.policy = policy;
+                                spec.options.pricing = pricing;
+                                spec.options.budget = budget;
+                                spec.options.regional_grids = regional;
+                                spec.options.grid_seed = seed;
+                                spec.options.arrival_compression = compression;
+                                spec.options.outage = outage;
+                                spec.label = make_label(spec.options, *this);
+                                specs.push_back(std::move(spec));
+                            }
     return specs;
 }
 

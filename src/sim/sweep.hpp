@@ -85,18 +85,13 @@ struct SweepGrid {
     SimOptions base;
     /// Policies, e.g. `all_policies()` followed by a context-aware or
     /// user-registered spec. A point's label starts with the spec's label.
+    /// A parameter sweep is one spec per value, e.g. Mixed(threshold=1.5)
+    /// and Mixed(threshold=2).
     std::vector<PolicySpec> policies;
     /// Pricing methods, e.g. {"EBA", {}} and {"CarbonTax", {{"rate",
     /// 0.02}}}. A point's label names the spec's label second.
     std::vector<ga::acct::AccountantSpec> pricings;
     std::vector<double> budgets;  ///< 0 = unlimited
-    /// Mixed-policy speedup thresholds. A swept value becomes the
-    /// "threshold" param of every "Mixed" point, replacing one written in
-    /// the spec, and the label appends "/mixed=X". The policy part of the
-    /// label stays the spec as written, with a written threshold replaced
-    /// by X, so a bare "Mixed" stays bare. Specs of other policies are
-    /// never rewritten by this axis.
-    std::vector<double> mixed_thresholds;
     std::vector<bool> regional_grids;
     std::vector<std::uint64_t> grid_seeds;
     /// New scenario dimensions beyond the paper (see SimOptions).

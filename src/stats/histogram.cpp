@@ -25,10 +25,6 @@ void Histogram::add(double x) noexcept {
     ++total_;
 }
 
-void Histogram::add_all(std::span<const double> xs) noexcept {
-    for (const double x : xs) add(x);
-}
-
 std::size_t Histogram::count(std::size_t bin) const {
     GA_REQUIRE(bin < counts_.size(), "histogram bin out of range");
     return counts_[bin];

@@ -3,7 +3,6 @@
 #pragma once
 
 #include <cstddef>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -16,9 +15,7 @@ public:
     Histogram(double lo, double hi, std::size_t bins);
 
     void add(double x) noexcept;
-    void add_all(std::span<const double> xs) noexcept;
 
-    [[nodiscard]] std::size_t bin_count() const noexcept { return counts_.size(); }
     [[nodiscard]] std::size_t count(std::size_t bin) const;
     [[nodiscard]] std::size_t total() const noexcept { return total_; }
 

@@ -1,7 +1,5 @@
 #include "util/csv.hpp"
 
-#include <charconv>
-#include <fstream>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -48,15 +46,6 @@ std::string CsvWriter::to_string() const {
     emit_row(header_);
     for (const auto& row : rows_) emit_row(row);
     return os.str();
-}
-
-void CsvWriter::save(const std::filesystem::path& path) const {
-    if (path.has_parent_path()) {
-        std::filesystem::create_directories(path.parent_path());
-    }
-    std::ofstream out(path);
-    if (!out) throw RuntimeError("csv: cannot open '" + path.string() + "' for write");
-    out << to_string();
 }
 
 std::string csv_escape(std::string_view field) {
@@ -136,14 +125,6 @@ CsvTable parse_csv(std::string_view text) {
         table.rows.push_back(std::move(row));
     }
     return table;
-}
-
-CsvTable load_csv(const std::filesystem::path& path) {
-    std::ifstream in(path);
-    if (!in) throw RuntimeError("csv: cannot open '" + path.string() + "'");
-    std::ostringstream os;
-    os << in.rdbuf();
-    return parse_csv(os.str());
 }
 
 }  // namespace ga::util

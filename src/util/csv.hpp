@@ -1,11 +1,10 @@
-// Minimal CSV reading/writing used by the bench harnesses to persist the
-// rows/series each table and figure reports.
+// Minimal CSV reading/writing: ga-sim's `--out csv` payload
+// (io/results.hpp) writes through it.
 //
 // The dialect is deliberately simple (RFC4180-ish): comma separator, fields
 // containing comma/quote/newline are double-quoted, embedded quotes doubled.
 #pragma once
 
-#include <filesystem>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,11 +34,6 @@ public:
     /// Serializes the whole table.
     [[nodiscard]] std::string to_string() const;
 
-    /// Writes to a file, creating parent directories as needed.
-    void save(const std::filesystem::path& path) const;
-
-    [[nodiscard]] std::size_t row_count() const noexcept { return rows_.size(); }
-
 private:
     std::vector<std::string> header_;
     std::vector<std::vector<std::string>> rows_;
@@ -48,9 +42,6 @@ private:
 /// Parses CSV text (first row is the header). Throws RuntimeError on ragged
 /// rows or unterminated quotes.
 [[nodiscard]] CsvTable parse_csv(std::string_view text);
-
-/// Reads and parses a CSV file.
-[[nodiscard]] CsvTable load_csv(const std::filesystem::path& path);
 
 /// Escapes one field per the dialect above.
 [[nodiscard]] std::string csv_escape(std::string_view field);

@@ -31,22 +31,6 @@ Xoshiro256StarStar::result_type Xoshiro256StarStar::operator()() noexcept {
     return result;
 }
 
-void Xoshiro256StarStar::jump() noexcept {
-    static constexpr std::array<std::uint64_t, 4> kJump = {
-        0x180EC6D33CFD0ABAULL, 0xD5A61266F0C9392CULL, 0xA9582618E03FC9AAULL,
-        0x39ABDC4529B1661CULL};
-    std::array<std::uint64_t, 4> acc{};
-    for (const std::uint64_t word : kJump) {
-        for (int b = 0; b < 64; ++b) {
-            if (word & (1ULL << b)) {
-                for (std::size_t i = 0; i < 4; ++i) acc[i] ^= state_[i];
-            }
-            (void)(*this)();
-        }
-    }
-    state_ = acc;
-}
-
 Rng Rng::split(std::uint64_t tag) const noexcept {
     // Mix lineage and tag through SplitMix64 twice for avalanche; the child
     // seed depends only on (root seed, path of tags), never on draw count.

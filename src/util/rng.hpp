@@ -47,10 +47,6 @@ public:
 
     result_type operator()() noexcept;
 
-    /// Equivalent to 2^128 calls of operator(); yields a non-overlapping
-    /// subsequence, used to create independent streams.
-    void jump() noexcept;
-
     /// Raw 256-bit state, for durable snapshots. A generator restored via
     /// set_state produces the identical output sequence.
     [[nodiscard]] std::array<std::uint64_t, 4> state() const noexcept {

@@ -15,12 +15,6 @@ TablePrinter::TablePrinter(std::vector<std::string> header)
     alignments_[0] = Align::Left;
 }
 
-void TablePrinter::set_alignments(std::vector<Align> alignments) {
-    GA_REQUIRE(alignments.size() == header_.size(),
-               "alignment count must match header");
-    alignments_ = std::move(alignments);
-}
-
 void TablePrinter::add_row(std::vector<std::string> row) {
     GA_REQUIRE(row.size() == header_.size(), "table row arity must match header");
     rows_.push_back(Row{std::move(row), false});

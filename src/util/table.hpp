@@ -18,9 +18,6 @@ public:
     /// Optional table caption printed above the box.
     void set_title(std::string title) { title_ = std::move(title); }
 
-    /// Per-column alignment; default is Left for col 0, Right elsewhere.
-    void set_alignments(std::vector<Align> alignments);
-
     void add_row(std::vector<std::string> row);
 
     /// Inserts a horizontal rule between row groups.

@@ -35,11 +35,6 @@ inline constexpr double kHoursPerYear = 24.0 * 365.0;
     return seconds / kSecondsPerHour;
 }
 
-/// Converts hours to seconds.
-[[nodiscard]] constexpr double hours_to_seconds(double hours) noexcept {
-    return hours * kSecondsPerHour;
-}
-
 /// Operational carbon in gCO2e for `joules` of electricity at grid
 /// intensity `g_per_kwh` (gCO2e/kWh).
 [[nodiscard]] constexpr double operational_carbon_g(double joules,

@@ -9,6 +9,8 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "io/json.hpp"
 #include "io/results.hpp"
@@ -64,29 +66,24 @@ TEST(Scenario, MapsEveryAxisAndOption) {
       "workload": {"base_jobs": 500, "repetitions": 3, "users": 25,
                    "span_days": 4.5, "seed": 99},
       "options": {
-        "policy": "Mixed",
-        "policy_spec": {"name": "BudgetPacing", "params": {"slack": 1.25}},
-        "pricing": "CBA",
-        "accountant_spec": "CarbonTax(rate=0.02)",
+        "policy": {"name": "BudgetPacing", "params": {"slack": 1.25}},
+        "pricing": "CarbonTax(rate=0.02)",
         "currency_budgets": [
           {"currency": "core-hours", "accountant": "Runtime", "budget": 5e4},
           {"currency": "gCO2e", "accountant": {"name": "CBA"}, "budget": 1e4}
         ],
         "budget": 1234.5,
-        "mixed_threshold": 1.75,
         "regional_grids": true,
         "grid_seed": 123,
         "arrival_compression": 2.5,
         "outage": {"cluster": 1, "at_s": 3600, "nodes_lost": 2}
       },
       "grid": {
-        "policies": ["Greedy", "EFT"],
-        "policy_specs": ["CarbonAware(forecast=1)", {"name": "LeastLoaded"}],
-        "pricings": ["EBA", "Runtime"],
-        "accountant_specs": [{"name": "Blended",
-                              "params": {"carbon_weight": 0.5}}],
+        "policies": ["Greedy", "EFT", "CarbonAware(forecast=1)",
+                     {"name": "LeastLoaded"}],
+        "pricings": ["EBA", "Runtime",
+                     {"name": "Blended", "params": {"carbon_weight": 0.5}}],
         "budgets": [0, 7e7],
-        "mixed_thresholds": [1.5, 2],
         "regional_grids": [false, true],
         "grid_seeds": [77, 78],
         "arrival_compressions": [1, 4],
@@ -102,8 +99,7 @@ TEST(Scenario, MapsEveryAxisAndOption) {
     EXPECT_EQ(scenario.workload.span_days, 4.5);
     EXPECT_EQ(scenario.workload.seed, 99u);
 
-    // Base options, field for field: the older "policy_spec" and
-    // "accountant_spec" spellings win over "policy" and "pricing".
+    // Base options, field for field.
     ga::sim::SimOptions expected;
     expected.policy = ga::sim::PolicySpec{"BudgetPacing", {{"slack", 1.25}}};
     expected.pricing = ga::acct::AccountantSpec{"CarbonTax", {{"rate", 0.02}}};
@@ -117,8 +113,7 @@ TEST(Scenario, MapsEveryAxisAndOption) {
     expected.outage = ga::sim::ClusterOutage{1, 3600.0, 2};
     EXPECT_EQ(scenario.grid.base, expected);
 
-    // Axes, field for field: "policy_specs" continues "policies", and
-    // "accountant_specs" continues "pricings".
+    // Axes, field for field, specs in the order written.
     const auto& grid = scenario.grid;
     EXPECT_EQ(grid.policies,
               (std::vector<ga::sim::PolicySpec>{
@@ -132,7 +127,6 @@ TEST(Scenario, MapsEveryAxisAndOption) {
                   {"Runtime", {}},
                   {"Blended", {{"carbon_weight", 0.5}}}}));
     EXPECT_EQ(grid.budgets, (std::vector<double>{0.0, 7e7}));
-    EXPECT_EQ(grid.mixed_thresholds, (std::vector<double>{1.5, 2.0}));
     EXPECT_EQ(grid.regional_grids, (std::vector<bool>{false, true}));
     EXPECT_EQ(grid.grid_seeds, (std::vector<std::uint64_t>{77, 78}));
     EXPECT_EQ(grid.arrival_compressions, (std::vector<double>{1.0, 4.0}));
@@ -140,8 +134,8 @@ TEST(Scenario, MapsEveryAxisAndOption) {
     EXPECT_FALSE(grid.outages[0].has_value());
     EXPECT_EQ(*grid.outages[1], (ga::sim::ClusterOutage{0, 43200.0, 28}));
 
-    // 4 policies, 3 pricings, and six 2-point axes.
-    EXPECT_EQ(grid.size(), 4u * 3u * 2u * 2u * 2u * 2u * 2u * 2u);
+    // 4 policies, 3 pricings, and five 2-point axes.
+    EXPECT_EQ(grid.size(), 4u * 3u * 2u * 2u * 2u * 2u * 2u);
 }
 
 TEST(Scenario, BaseOptionsReachEveryExpandedPoint) {
@@ -169,8 +163,8 @@ TEST(Scenario, BaseOptionsReachEveryExpandedPoint) {
 TEST(Scenario, BasePolicySpecIsTheFallbackAxisPoint) {
     const auto scenario = from_text(R"json({
       "name": "spec-fallback",
-      "options": {"policy_spec": "CarbonAware(forecast=1)",
-                  "accountant_spec": "CarbonTax(rate=0.02)"}
+      "options": {"policy": "CarbonAware(forecast=1)",
+                  "pricing": "CarbonTax(rate=0.02)"}
     })json");
     const auto specs = scenario.grid.expand();
     ASSERT_EQ(specs.size(), 1u);
@@ -191,34 +185,11 @@ TEST(Scenario, EverySpellingLoadsToTheSameOptions) {
         "pricing": {"name": "EBA", "params": {"beta": 0.5}}
       }
     })json");
-    const auto older = from_text(R"json({
-      "name": "older",
-      "options": {"policy_spec": "Mixed(threshold=1.5)",
-                  "accountant_spec": "EBA(beta=0.5)"}
-    })json");
     EXPECT_EQ(labels.grid.base.policy,
               (ga::sim::PolicySpec{"Mixed", {{"threshold", 1.5}}}));
     EXPECT_EQ(labels.grid.base.pricing,
               (ga::acct::AccountantSpec{"EBA", {{"beta", 0.5}}}));
     EXPECT_EQ(objects.grid.base, labels.grid.base);
-    EXPECT_EQ(older.grid.base, labels.grid.base);
-
-    // "mixed_threshold" becomes the threshold of every Mixed spec in the
-    // file that does not set one; other policies keep their params.
-    const auto threshold = from_text(R"json({
-      "name": "threshold",
-      "options": {"policy": "Mixed", "mixed_threshold": 1.75},
-      "grid": {"policies": ["Mixed", "Mixed(threshold=3)", "Greedy"],
-               "policy_specs": ["Mixed"]}
-    })json");
-    EXPECT_EQ(threshold.grid.base.policy,
-              (ga::sim::PolicySpec{"Mixed", {{"threshold", 1.75}}}));
-    EXPECT_EQ(threshold.grid.policies,
-              (std::vector<ga::sim::PolicySpec>{
-                  {"Mixed", {{"threshold", 1.75}}},
-                  {"Mixed", {{"threshold", 3.0}}},
-                  {"Greedy", {}},
-                  {"Mixed", {{"threshold", 1.75}}}}));
 }
 
 // --------------------------------------------------------- diagnostics
@@ -232,6 +203,37 @@ TEST(Scenario, UnknownKeysNameTheirPath) {
     expect_error_mentions(
         R"json({"name": "x", "workload": {"base_jobs": 10, "sead": 1}})json",
         "workload.sead");
+}
+
+TEST(Scenario, OlderSpellingsAreUnknownKeysButAccountantSpecs) {
+    // Policies and pricings are written one way: "policy"/"pricing" and
+    // "policies"/"pricings", a threshold sweep as Mixed(threshold=X) specs.
+    const std::pair<std::string, std::string> removed[] = {
+        {R"json({"name": "x", "options": {"policy_spec": "Greedy"}})json",
+         "options.policy_spec"},
+        {R"json({"name": "x", "options": {"accountant_spec": "EBA"}})json",
+         "options.accountant_spec"},
+        {R"json({"name": "x", "options": {"mixed_threshold": 1.5}})json",
+         "options.mixed_threshold"},
+        {R"json({"name": "x", "grid": {"policy_specs": ["Greedy"]}})json",
+         "grid.policy_specs"},
+        {R"json({"name": "x", "grid": {"mixed_thresholds": [1.5, 2]}})json",
+         "grid.mixed_thresholds"},
+    };
+    for (const auto& [text, path] : removed) {
+        expect_error_mentions(text, "\"" + path + "\": unknown key");
+    }
+    // perfbench's sim_small scenario writes "accountant_specs", which
+    // still continues "pricings".
+    const auto older = from_text(R"json({
+      "name": "accountant-specs",
+      "grid": {"pricings": ["EBA"],
+               "accountant_specs": ["CBA", {"name": "Runtime"}]}
+    })json");
+    EXPECT_EQ(older.grid.pricings,
+              (std::vector<ga::acct::AccountantSpec>{
+                  {"EBA", {}}, {"CBA", {}}, {"Runtime", {}}}));
+    EXPECT_EQ(older.grid.expand()[2].label, "Greedy/Runtime");
 }
 
 TEST(Scenario, BadTypesNameTheirPath) {
@@ -266,10 +268,10 @@ TEST(Scenario, UnknownNamesListTheCandidates) {
     }
     // Spec names are validated against the live registries.
     expect_error_mentions(
-        R"json({"name": "x", "grid": {"policy_specs": ["NoSuchPolicy"]}})json",
+        R"json({"name": "x", "grid": {"policies": ["NoSuchPolicy"]}})json",
         "NoSuchPolicy");
     expect_error_mentions(
-        R"json({"name": "x", "options": {"accountant_spec": "NoSuchMethod"}})json",
+        R"json({"name": "x", "options": {"pricing": "NoSuchMethod"}})json",
         "NoSuchMethod");
     expect_error_mentions(
         R"json({"name": "x", "grid": {"pricings": ["EBAA"]}})json", "grid.pricings[0]");
@@ -297,7 +299,7 @@ TEST(Scenario, CanonicalJsonRoundTripsExactly) {
       "description": "canonical form survives load cycles",
       "workload": {"base_jobs": 250, "users": 10},
       "options": {
-        "policy_spec": "Mixed(threshold=1.5)",
+        "policy": "Mixed(threshold=1.5)",
         "pricing": "CBA",
         "currency_budgets": [
           {"currency": "gCO2e", "accountant": "CBA", "budget": 0.1}
@@ -305,8 +307,7 @@ TEST(Scenario, CanonicalJsonRoundTripsExactly) {
         "outage": {"cluster": 2, "at_s": 100.5, "nodes_lost": 1}
       },
       "grid": {
-        "policies": ["Runtime"],
-        "policy_specs": [{"name": "LeastLoaded"}],
+        "policies": ["Runtime", {"name": "LeastLoaded"}],
         "budgets": [0, 0.125],
         "outages": [null, {"cluster": 0, "at_s": 1, "nodes_lost": 2}]
       }

@@ -815,4 +815,41 @@ TEST(Session, CurrencyCostsOnRegionalGridsMatchTheRoutingCost) {
     EXPECT_NE(first, later);  // the grid's intensity moved the cost
 }
 
+TEST(Session, RestoreRejectsLedgerCurrenciesTheScenarioDoesNotDefine) {
+    // Quotes price each currency with the scenario's accountant, so a
+    // snapshot whose ledger defines the currencies otherwise would charge
+    // what it quotes under another spec (gCO2e under EBA instead of CBA).
+    const auto dual = [] {
+        return ga::io::load_scenario_file(std::string(GA_REPO_SCENARIO_DIR) +
+                                          "/outage_dual_budget.json");
+    };
+    ServeSession session(dual());
+    (void)result_of(session.handle_line(
+        R"({"id":1,"type":"create_account","user":"alice","budgets":{"core-hours":1e6,"gCO2e":1e6}})"));
+    const SessionState state = session.export_state();
+    ASSERT_EQ(state.ledger.currencies.size(), 2u);
+    ASSERT_EQ(state.ledger.currencies[1].first, "gCO2e");
+
+    SessionState changed = state;
+    changed.ledger.currencies[1].second = AccountantSpec{"EBA", {}};
+    SessionState dropped = state;
+    dropped.ledger.currencies.pop_back();
+    SessionState added = state;
+    added.ledger.currencies.emplace_back(
+        "tax", AccountantSpec{"CarbonTax", {{"rate", 0.02}}});
+    for (const SessionState* tampered : {&changed, &dropped, &added}) {
+        try {
+            const ServeSession restored(dual(), *tampered);
+            ADD_FAILURE() << "expected RuntimeError";
+        } catch (const RuntimeError& e) {
+            EXPECT_NE(std::string_view(e.what()).find("currencies"),
+                      std::string_view::npos)
+                << e.what();
+        }
+    }
+
+    const ServeSession restored(dual(), state);
+    EXPECT_EQ(encode_snapshot(restored.export_state()), encode_snapshot(state));
+}
+
 }  // namespace

@@ -146,38 +146,35 @@ TEST(SweepGrid, AccountantSpecsExtendThePricingAxis) {
     EXPECT_EQ(specs[3].label, "Greedy/EBA(beta=0.5)");
 }
 
-TEST(SweepGrid, SweptThresholdAxisOverridesSpecParamSoLabelsAreTruthful) {
-    // The "/mixed=X" label must always name the threshold that ran: a swept
-    // axis overrides a threshold pinned in the spec.
+TEST(SweepGrid, MixedThresholdSpecsRunTheirThresholdUnderTheirWrittenLabel) {
+    // A threshold sweep is one Mixed spec per value. Each point runs its
+    // spec's threshold, and its label is the spec as written, so a bare
+    // "Mixed" (default threshold 2) stays bare.
     sm::SweepGrid grid;
-    grid.policies = {sm::PolicySpec{"Mixed", {{"threshold", 1.5}}}};
-    grid.mixed_thresholds = {2.0, 3.0};
+    grid.base.finish_times = true;
+    grid.policies = {sm::PolicySpec{"Mixed", {{"threshold", 1.25}}},
+                     sm::PolicySpec{"Mixed", {{"threshold", 100.0}}},
+                     sm::PolicySpec{"Mixed", {}}};
     const auto specs = grid.expand();
-    ASSERT_EQ(specs.size(), 2u);
-    EXPECT_DOUBLE_EQ(specs[0].options.policy.param("threshold", 0.0), 2.0);
-    EXPECT_DOUBLE_EQ(specs[1].options.policy.param("threshold", 0.0), 3.0);
-    EXPECT_EQ(specs[0].label, "Mixed(threshold=2)/EBA/mixed=2");
-    EXPECT_EQ(specs[1].label, "Mixed(threshold=3)/EBA/mixed=3");
-    // A bare Mixed runs with the swept threshold but keeps its bare label.
-    sm::SweepGrid bare;
-    bare.policies = {sm::PolicySpec{"Mixed", {}}};
-    bare.mixed_thresholds = {1.25};
-    const auto bare_specs = bare.expand();
-    EXPECT_DOUBLE_EQ(bare_specs[0].options.policy.param("threshold", 0.0),
-                     1.25);
-    EXPECT_EQ(bare_specs[0].label, "Mixed/EBA/mixed=1.25");
-    // An unswept axis leaves the pinned param untouched.
-    sm::SweepGrid pinned;
-    pinned.policies = grid.policies;
-    EXPECT_DOUBLE_EQ(pinned.expand()[0].options.policy.param("threshold", 0.0),
-                     1.5);
-    // And the axis never rewrites another policy's unrelated "threshold"
-    // param (e.g. a custom strategy where it means something else).
-    sm::SweepGrid other;
-    other.policies = {sm::PolicySpec{"BudgetPacing", {{"threshold", 9.0}}}};
-    other.mixed_thresholds = {2.0};
-    EXPECT_DOUBLE_EQ(other.expand()[0].options.policy.param("threshold", 0.0),
-                     9.0);
+    ASSERT_EQ(specs.size(), 3u);
+    EXPECT_EQ(specs[0].label, "Mixed(threshold=1.25)/EBA");
+    EXPECT_EQ(specs[1].label, "Mixed(threshold=100)/EBA");
+    EXPECT_EQ(specs[2].label, "Mixed/EBA");
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        EXPECT_EQ(specs[i].options.policy, grid.policies[i]);
+    }
+
+    sm::SweepRunner runner(shared_simulator(), 2);
+    const auto outcomes = runner.run(specs);
+    const double ran[] = {1.25, 100.0, 2.0};
+    for (std::size_t i = 0; i < specs.size(); ++i) {
+        sm::SimOptions direct;
+        direct.finish_times = true;
+        direct.policy = sm::PolicySpec{"Mixed", {{"threshold", ran[i]}}};
+        expect_identical(outcomes[i].result, shared_simulator().run(direct));
+    }
+    // The thresholds route differently: a low one chases completion time.
+    EXPECT_NE(outcomes[0].result.total_cost, outcomes[1].result.total_cost);
 }
 
 TEST(SweepGrid, SpecOnlyGridNeedsNoEnumAxis) {

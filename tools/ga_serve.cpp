@@ -57,9 +57,6 @@ options:
                    serving (the snapshot must match this scenario)
   --socket PATH    additionally listen on a local AF_UNIX stream socket;
                    each connection speaks the same line protocol
-  --scale X        scale the workload's configured base_jobs by X (affects
-                   only the generate-path user pool sizing consistency with
-                   ga-sim; the service itself generates jobs on demand)
   --metrics        collect obs metrics (per-request latency histogram,
                    ledger/service counters); the `metrics` request reports
                    them live, and the final registry snapshot goes to stderr
@@ -71,7 +68,6 @@ struct CliOptions {
     std::string scenario_path;
     std::optional<std::string> restore_path;
     std::optional<std::string> socket_path;
-    std::optional<double> scale;
     bool metrics = false;
 };
 
@@ -99,16 +95,6 @@ CliOptions parse_cli(int argc, char** argv) {
             options.restore_path = next_arg(argc, argv, i, arg);
         } else if (arg == "--socket") {
             options.socket_path = next_arg(argc, argv, i, arg);
-        } else if (arg == "--scale") {
-            const std::string value = next_arg(argc, argv, i, arg);
-            try {
-                options.scale = std::stod(value);
-            } catch (const std::exception&) {
-                fail_usage("--scale needs a number, got '" + value + "'");
-            }
-            if (!(*options.scale > 0.0)) {
-                fail_usage("--scale must be positive");
-            }
         } else if (arg == "--metrics") {
             options.metrics = true;
         } else if (!arg.empty() && arg.front() == '-') {
@@ -337,7 +323,6 @@ int run(const CliOptions& options) {
     if (options.metrics) ga::obs::set_metrics_enabled(true);
     ga::io::ScenarioFile scenario =
         ga::io::load_scenario_file(options.scenario_path);
-    if (options.scale.has_value()) scenario.scale_workload(*options.scale);
 
     std::optional<ga::service::SessionState> restored;
     if (options.restore_path.has_value()) {
