@@ -458,8 +458,20 @@ void Ledger::import_state(const LedgerState& state,
         for (const auto& [currency, alloc] : as.holdings) {
             GA_REQUIRE(!currency.empty(),
                        "ledger: currency name must not be empty");
-            account.holdings.emplace(
-                currency, Allocation::restore(alloc.budget, alloc.spent));
+            // A holding no currency prices would fail every later charge.
+            if (!currencies.contains(currency)) {
+                throw ga::util::RuntimeError(
+                    "ledger: snapshot account " + as.user + " holds " +
+                    currency + ", which the snapshot's currencies do not define");
+            }
+            if (!account.holdings
+                     .emplace(currency,
+                              Allocation::restore(alloc.budget, alloc.spent))
+                     .second) {
+                throw ga::util::RuntimeError("ledger: snapshot account " +
+                                             as.user + " holds " + currency +
+                                             " twice");
+            }
         }
         GA_REQUIRE(!account.holdings.empty(),
                    "ledger: account needs at least one currency");

@@ -19,6 +19,7 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <cstddef>
 #include <cstdint>
@@ -225,12 +226,14 @@ private:
 ///
 /// Per cluster, the first `kBackfillDepth` entries (the backfill window)
 /// sit in a position array in FIFO order, and the deep tail behind them is
-/// a plain FIFO of `QueuedJob`s. A min-tree over the window positions holds
-/// at an entry's leaf its core demand when two things hold: its user may
-/// start on the cluster, and it is a prefix minimum of that user's window
-/// entries (it has strictly fewer cores than each earlier one). Every other
-/// leaf, holes that started and stranded entries leave included, holds
-/// `kBlocked`. Indexing only prefix minima loses no start:
+/// a FIFO of reference-counted chunks of `kChunkEntries` entries, which a
+/// copy (a ladder fork) shares until either side diverges. A min-tree over
+/// the window positions holds at an entry's leaf its core demand when two
+/// things hold: its user may start on the cluster, and it is a prefix
+/// minimum of that user's window entries (it has strictly fewer cores than
+/// each earlier one). Every other leaf, holes that started and stranded
+/// entries leave included, holds `kBlocked`. Indexing only prefix minima
+/// loses no start:
 ///   - take any free-core count F and a user's leftmost entry e with at most
 ///     F cores;
 ///   - each earlier entry of that user has more than F cores, so more than
@@ -265,6 +268,8 @@ private:
 class IndexedQueues {
 public:
     static constexpr bool kImmediateStart = true;
+    /// Entries per chunk of a deep tail: about 12 KB.
+    static constexpr std::size_t kChunkEntries = 512;
 
     void reset(std::size_t n_clusters) {
         if (clusters_.size() != n_clusters) clusters_.resize(n_clusters);
@@ -328,12 +333,7 @@ public:
         for (std::size_t p = 0; p < pc.slots.size(); ++p) {
             if (!pc.is_hole(p) && remove(pc.slots[p])) pc.erase(p);
         }
-        std::size_t kept = 0;
-        for (std::size_t i = 0; i < pc.tail.size(); ++i) {
-            if (remove(pc.tail[i])) continue;
-            pc.tail[kept++] = pc.tail[i];
-        }
-        pc.tail.resize(kept);
+        pc.tail.remove_if(remove);
     }
 
     template <typename Fn>
@@ -342,7 +342,7 @@ public:
         for (std::size_t p = 0; p < pc.slots.size(); ++p) {
             if (!pc.is_hole(p)) fn(pc.slots[p]);
         }
-        for (const QueuedJob& job : pc.tail) fn(job);
+        pc.tail.for_each(fn);
     }
 
     /// Min-tree leaves written since the reset, over every cluster: each
@@ -383,8 +383,71 @@ private:
         bool blocked = false;           ///< the user may not start on the cluster
     };
 
+    /// A FIFO of `QueuedJob`s in chunks that copies share. No holder writes
+    /// a chunk another holds: a pop only advances an offset, a push into a
+    /// shared, partly filled last chunk copies that chunk first, and
+    /// `remove_if` rebuilds the survivors into fresh chunks. So a copy
+    /// costs its chunk pointers, and later what diverges.
+    class Tail {
+    public:
+        [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
+        [[nodiscard]] std::size_t size() const noexcept { return size_; }
+        [[nodiscard]] const QueuedJob& front() const noexcept {
+            return (*chunks_.front())[head_];
+        }
+
+        void push_back(const QueuedJob& job) {
+            const std::size_t end = head_ + size_;
+            if (end == chunks_.size() * kChunkEntries) {
+                chunks_.push_back(std::make_shared<Chunk>());
+            } else if (chunks_.back().use_count() > 1) {
+                // Copies only the entries before `end`: they are all any
+                // holder reads, and a holder left alone with the chunk
+                // writes only after them.
+                auto own = std::make_shared<Chunk>();
+                std::copy_n(chunks_.back()->begin(), end % kChunkEntries,
+                            own->begin());
+                chunks_.back() = std::move(own);
+            }
+            (*chunks_.back())[end % kChunkEntries] = job;
+            ++size_;
+        }
+
+        void pop_front() noexcept {
+            --size_;
+            if (++head_ == kChunkEntries) {
+                chunks_.pop_front();
+                head_ = 0;
+            }
+        }
+
+        template <typename Fn>
+        void for_each(Fn&& fn) const {
+            for (std::size_t i = head_; i < head_ + size_; ++i) {
+                fn((*chunks_[i / kChunkEntries])[i % kChunkEntries]);
+            }
+        }
+
+        /// Visits every entry in FIFO order; those `remove` keeps go into
+        /// fresh chunks, and each chunk is released once visited.
+        template <typename Remove>
+        void remove_if(Remove&& remove) {
+            Tail kept;
+            for (; !empty(); pop_front()) {
+                if (!remove(front())) kept.push_back(front());
+            }
+            *this = std::move(kept);
+        }
+
+    private:
+        using Chunk = std::array<QueuedJob, kChunkEntries>;
+        std::deque<std::shared_ptr<Chunk>> chunks_;
+        std::size_t head_ = 0;  ///< the front entry's offset in the first chunk
+        std::size_t size_ = 0;
+    };
+
     struct PerCluster {
-        std::deque<QueuedJob> tail;    ///< FIFO behind the window
+        Tail tail;                     ///< FIFO behind the window
         std::vector<QueuedJob> slots;  ///< window positions, FIFO order
         std::vector<Link> links;       ///< index-aligned with `slots`
         /// Min-tree over `span` leaves: node i has children 2i and 2i + 1,
@@ -396,7 +459,7 @@ private:
         std::uint64_t leaf_writes = 0;
 
         void clear() {
-            tail.clear();
+            tail = {};
             slots.clear();
             links.clear();
             tree.clear();

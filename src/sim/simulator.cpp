@@ -179,7 +179,10 @@ constexpr SchedulerRules kBatchRules{QueueOrder::SkipAhead,
 /// field but keeping vector capacity), so concurrent runs over the same
 /// simulator never share mutable data — the sweep engine (`sim/sweep.hpp`)
 /// stays sound — while repeated runs (sweeps, benches) stop churning the
-/// allocator on million-job traces. A ladder's fork is a copy of it.
+/// allocator on million-job traces. A ladder's fork is a copy of it. The
+/// copy shares the chunks of each deep queue tail (`IndexedQueues`), so it
+/// costs the backfill windows, the running heap and the tallies, and later
+/// only the chunks the two sides change.
 template <typename Queues>
 struct RunState {
     Scheduler<Queues> core;
@@ -221,7 +224,9 @@ struct Lane {
 
 /// The lanes whose budgets decided a job otherwise than their replay's
 /// leader: a copy of the leader's state with that job decided their way,
-/// which resumes at the next job.
+/// which resumes at the next job. While it waits for the leader to finish,
+/// it shares with the leader the queued entries neither has started or
+/// stranded since.
 template <typename Queues>
 struct Fork {
     std::size_t job = 0;  ///< the job it resumes at

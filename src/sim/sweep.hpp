@@ -37,11 +37,12 @@
 // state, led by its smallest budget. The state scales with the live jobs,
 // not the trace (each `RunningJob` carries its `start_s`, which completion
 // metering reads, and an outage refund prices a stranded job's currencies
-// again instead of reading a stored charge), so a fork costs about its
-// queues. A ladder's task acquires every member's quote table and releases
-// each when that member finishes. Every point's result, and every work
-// counter but `sim.route.decisions` (the decisions the shared loops made),
-// are what separate runs give.
+// again instead of reading a stored charge). A fork shares its leader's
+// deep queue tails (`IndexedQueues`), so it costs what diverges after it,
+// not the queue depth. A ladder's task acquires every member's quote table
+// and releases each when that member finishes. Every point's result, and
+// every work counter but `sim.route.decisions` (the decisions the shared
+// loops made), are what separate runs give.
 //
 // A ladder's members finish one after another in its task. A point's
 // `sweep.point` span, at its spec index, is recorded when it finishes, and

@@ -8,14 +8,19 @@
 // tallies and the running jobs. Midway each core is checkpointed and
 // restored into a fresh core, which must carry on exactly as the one it came
 // from; under the per-user rule that means users running at the checkpoint
-// stay blocked. Two streams run: a mixed one over twelve users, and a
-// heavy-user one whose long runs of equal core counts leave each user few
-// prefix minima in the window, so starts and outages keep promoting entries.
+// stay blocked. Earlier, once a queue is several chunks deep, both cores are
+// copied as a ladder fork copies its leader's state, and the copies go their
+// own way: the indexed copy shares its original's queued entries, so each
+// side must still match its linear twin. Two streams run: a mixed one over
+// twelve users, and a heavy-user one whose long runs of equal core counts
+// leave each user few prefix minima in the window, so starts and outages
+// keep promoting entries.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <iterator>
+#include <optional>
 #include <ostream>
 #include <span>
 #include <string>
@@ -166,12 +171,14 @@ struct MixedStream {
 
 /// sim_paper's shape: three heavy users, each submitting long runs of one
 /// core count broken by strictly narrower jobs, so most of a user's window
-/// entries are not prefix minima, and one outage while the queues are deep.
+/// entries are not prefix minima, and two outages while the queues are deep.
 struct HeavyUserStream {
     static constexpr int kWidths[] = {8, 16, 24, 40, 48};
     int run_cores[3] = {0, 0, 0};  ///< each user's current run, 0 before one
 
-    static bool outage_now(int step, double /*roll*/) { return step == 2400; }
+    static bool outage_now(int step, double /*roll*/) {
+        return step == 2400 || step == 4500;
+    }
     static constexpr int kLostCores = 20;
 
     sm::QueuedJob next(ga::util::Rng& rng, std::uint64_t id, int capacity,
@@ -190,10 +197,47 @@ struct HeavyUserStream {
     }
 };
 
+/// One seeded stream of steps: a submit, a completion pass or an outage,
+/// each applied alike to every core it is given.
+template <typename Stream>
+struct OpStream {
+    Stream stream;
+    ga::util::Rng rng;
+    double now = 0.0;
+    std::uint64_t next_id = 0;
+
+    /// Takes step `step`, in which a completion pass moves the clock by up
+    /// to `advance` seconds.
+    template <typename First, typename... Rest>
+    void step(int step, double advance, First& first, Rest&... rest) {
+        const double roll = rng.uniform();
+        if (stream.outage_now(step, roll)) {
+            const auto c = static_cast<std::size_t>(rng.uniform_int(0, 1));
+            first.shrink(c, Stream::kLostCores);
+            (rest.shrink(c, Stream::kLostCores), ...);
+        } else if (roll < 0.6) {
+            const auto c = static_cast<std::size_t>(rng.uniform_int(0, 1));
+            const sm::QueuedJob job = stream.next(
+                rng, next_id++, first.core.cluster(c).capacity, now);
+            first.submit(c, job, now);
+            (rest.submit(c, job, now), ...);
+        } else {
+            now += rng.uniform(0.0, advance);
+            first.complete_until(now);
+            (rest.complete_until(now), ...);
+        }
+    }
+};
+
 /// Drives an indexed and a linear core through seeded `Stream`s of submits,
 /// completions and outages, and from midway a restored twin of each,
-/// comparing them after every step. Adds the number of queued jobs the
-/// outages stranded to `stranded`.
+/// comparing them after every step. From a quarter of the way, once a
+/// queue is more than two chunks of the indexed tail deep, both cores are
+/// copied as a ladder fork copies them, and the copies take a stream of
+/// their own, outages included: each copy must match its linear twin, and
+/// each original its own, so a write into a chunk the other side shares
+/// shows as a divergence. Adds the number of queued jobs the outages
+/// stranded to `stranded`.
 template <typename Stream>
 void expect_indexed_matches_linear(const sm::SchedulerRules& rules,
                                    std::size_t& stranded) {
@@ -203,6 +247,7 @@ void expect_indexed_matches_linear(const sm::SchedulerRules& rules,
         sm::ClusterConfig{mc::find("IC"), 1},
         sm::ClusterConfig{mc::find("Theta"), 1}};
     const sm::RunSetup setup(sm::SimOptions{}, clusters);
+    constexpr std::size_t kForkDepth = 2 * sm::IndexedQueues::kChunkEntries;
 
     for (const std::uint64_t seed : {11u, 12u}) {
         SCOPED_TRACE("seed " + std::to_string(seed));
@@ -212,12 +257,13 @@ void expect_indexed_matches_linear(const sm::SchedulerRules& rules,
         linear.core.reset(clusters, setup, rules);
         Core<sm::IndexedQueues> indexed_restored;
         Core<sm::LinearQueues> linear_restored;
+        Core<sm::IndexedQueues> indexed_fork;
+        Core<sm::LinearQueues> linear_fork;
 
-        Stream stream;
-        ga::util::Rng rng(seed);
-        constexpr int kSteps = 6000;
-        double now = 0.0;
-        std::uint64_t next_id = 0;
+        OpStream<Stream> ops{Stream{}, ga::util::Rng(seed)};
+        std::optional<OpStream<Stream>> fork;
+        std::size_t fork_depth = 0;
+        constexpr int kSteps = 10000;
         std::size_t deepest = 0;
         for (int step = 0; step < kSteps; ++step) {
             SCOPED_TRACE("step " + std::to_string(step));
@@ -229,36 +275,13 @@ void expect_indexed_matches_linear(const sm::SchedulerRules& rules,
             // The first half builds queues deeper than the backfill window;
             // the second lets them drain.
             const double advance = step < kSteps / 2 ? 2.0 : 120.0;
-            const double roll = rng.uniform();
-            if (stream.outage_now(step, roll)) {
-                const auto c =
-                    static_cast<std::size_t>(rng.uniform_int(0, 1));
-                indexed.shrink(c, Stream::kLostCores);
-                linear.shrink(c, Stream::kLostCores);
-                if (restored) {
-                    indexed_restored.shrink(c, Stream::kLostCores);
-                    linear_restored.shrink(c, Stream::kLostCores);
-                }
-            } else if (roll < 0.6) {
-                const auto c =
-                    static_cast<std::size_t>(rng.uniform_int(0, 1));
-                const sm::QueuedJob job = stream.next(
-                    rng, next_id++, indexed.core.cluster(c).capacity, now);
-                indexed.submit(c, job, now);
-                linear.submit(c, job, now);
-                if (restored) {
-                    indexed_restored.submit(c, job, now);
-                    linear_restored.submit(c, job, now);
-                }
+            if (restored) {
+                ops.step(step, advance, indexed, linear, indexed_restored,
+                         linear_restored);
             } else {
-                now += rng.uniform(0.0, advance);
-                indexed.complete_until(now);
-                linear.complete_until(now);
-                if (restored) {
-                    indexed_restored.complete_until(now);
-                    linear_restored.complete_until(now);
-                }
+                ops.step(step, advance, indexed, linear);
             }
+            if (fork) fork->step(step, advance, indexed_fork, linear_fork);
             const Observed expected = observe(linear, clusters.size());
             ASSERT_TRUE(observe(indexed, clusters.size()) == expected);
             if (restored) {
@@ -267,12 +290,28 @@ void expect_indexed_matches_linear(const sm::SchedulerRules& rules,
                 ASSERT_TRUE(observe(linear_restored, clusters.size()) ==
                             expected);
             }
+            if (fork) {
+                ASSERT_TRUE(observe(indexed_fork, clusters.size()) ==
+                            observe(linear_fork, clusters.size()));
+            }
             deepest = std::max(deepest, expected.depth[0]);
             deepest = std::max(deepest, expected.depth[1]);
+            if (!fork && step >= kSteps / 4 &&
+                std::max(expected.depth[0], expected.depth[1]) > kForkDepth) {
+                indexed_fork = indexed;
+                linear_fork = linear;
+                fork_depth = std::max(expected.depth[0], expected.depth[1]);
+                fork.emplace(OpStream<Stream>{Stream{}, ga::util::Rng(seed + 100),
+                                              ops.now, ops.next_id});
+            }
         }
-        // The stream must have reached past the window and started jobs.
+        // The stream must have reached past the window and started jobs,
+        // and the copies must have shared a queue of several chunks.
         EXPECT_GT(deepest, 2 * sm::kBackfillDepth);
         EXPECT_GT(linear.started.size(), 1000u);
+        ASSERT_GT(fork_depth, kForkDepth);
+        EXPECT_FALSE(observe(indexed_fork, clusters.size()) ==
+                     observe(indexed, clusters.size()));
         stranded += linear.stranded.size();
     }
 }

@@ -11,6 +11,7 @@
 #include <optional>
 #include <string>
 #include <string_view>
+#include <tuple>
 #include <vector>
 
 #include "core/accounting.hpp"
@@ -325,6 +326,30 @@ TEST(LedgerState, ImportRejectsTamperedStates) {
          {&bad_spec, &dup_user, &bad_ids, &low_next, &overdraft}) {
         Ledger ledger;
         EXPECT_THROW(ledger.import_state(*state), std::runtime_error);
+    }
+
+    // A holding in a currency the state does not define, which no later
+    // charge could price, and a second holding of one currency are refused
+    // with the account and the currency named.
+    LedgerState bad_holding = good;
+    ASSERT_EQ(bad_holding.accounts.back().user, "bob");
+    bad_holding.accounts.back().holdings.front().first = "bogus";
+    LedgerState dup_holding = good;
+    ASSERT_EQ(dup_holding.accounts.front().user, "alice");
+    auto& holdings = dup_holding.accounts.front().holdings;
+    holdings.push_back(holdings.front());
+    for (const auto& [state, user, currency] :
+         {std::tuple{&bad_holding, "bob", "bogus"},
+          std::tuple{&dup_holding, "alice", holdings.front().first.c_str()}}) {
+        Ledger ledger;
+        try {
+            ledger.import_state(*state);
+            ADD_FAILURE() << user << "'s " << currency << " holding restored";
+        } catch (const RuntimeError& e) {
+            const std::string_view what = e.what();
+            EXPECT_NE(what.find(user), std::string_view::npos) << what;
+            EXPECT_NE(what.find(currency), std::string_view::npos) << what;
+        }
     }
 }
 
